@@ -349,7 +349,9 @@ class Simulation:
             for u, tracker in enumerate(self.mobility):
                 tracker.observe(positions[u])
 
-        samples = [self._capacity_samples(slot, u, serving[u]) for u in range(U)]
+        active_rrhs = set(serving.tolist())
+        samples = [self._capacity_samples(slot, u, serving[u], active_rrhs)
+                   for u in range(U)]
         predictions = self._predictions(slot)
         weights_O = np.array([
             effective_capacity_from_samples(self.theta_O, samples[u])
