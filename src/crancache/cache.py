@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .seeding import as_rng
 
 log = logging.getLogger(__name__)
 
@@ -59,13 +60,13 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
                      plan.sample_size, n_items)
         chosen = np.arange(n_items)
     elif strata is None:
-        rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+        rng = as_rng(seed)
         chosen = rng.choice(n_items, size=wanted, replace=False)
     else:
         strata = np.asarray(strata)
         if strata.shape != (n_items,):
             raise ConfigurationError("one stratum label per item required")
-        rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+        rng = as_rng(seed)
         labels = np.unique(strata)
         base, extra = divmod(wanted, len(labels))
         picks = []
@@ -99,7 +100,7 @@ def distribution_distance(p, q, sampled=False, plan=None, seed=0):
     m = min(plan.sample_size, n)
     if m >= n:
         return 0.5 * float(diffs.sum())
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = as_rng(seed)
     coords = rng.choice(n, size=m, replace=False)
     return 0.5 * float(diffs[coords].sum()) * n / m
 

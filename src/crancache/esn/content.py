@@ -8,8 +8,8 @@ probability vectors, so predictions are projected onto the simplex
 """
 import numpy as np
 
-from .._kernels import lms_run
 from ..errors import ConfigurationError
+from ..seeding import as_rng
 
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
 
@@ -68,7 +68,7 @@ class ContentEsn:
             raise ConfigurationError("n_contents, n_features, n_reservoir must be >= 1")
         if not 0.0 < spectral_radius < 1.0:
             raise ConfigurationError("spectral_radius must lie in (0, 1)")
-        rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+        rng = as_rng(seed)
         self.n_contents = n_contents
         self.n_features = n_features
         self.n_reservoir = n_reservoir
@@ -131,23 +131,3 @@ class ContentEsn:
         raw = self.output_weights @ z
         self.output_weights = self.output_weights + self.learning_rate * np.outer(observed - raw, z)
         return float(np.abs(observed - project_to_simplex(raw)).sum())
-
-    def fit_sequence(self, xs, targets):
-        """Run update+train over a whole (x, target) sequence via the kernel.
-
-        Returns the per-step L1 errors (observed vs projected prediction).
-        """
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if xs.shape[1] != self.n_features or targets.shape[1] != self.n_contents:
-            raise ConfigurationError("sequence dimensions mismatch")
-        w_out = np.ascontiguousarray(self.output_weights)
-        raw, final_state = lms_run(self.reservoir_weights, self.input_weights,
-                                   w_out, xs, targets, self.learning_rate, self.state)
-        self.output_weights = w_out
-        self.state = final_state
-        clipped = np.clip(raw, 0.0, None)
-        sums = clipped.sum(axis=1, keepdims=True)
-        ratio = np.divide(clipped, sums, out=np.zeros_like(clipped), where=sums > 0.0)
-        projected = np.where(sums > 0.0, ratio, 1.0 / self.n_contents)
-        return np.abs(targets - projected).sum(axis=1)

@@ -27,6 +27,7 @@ import numpy as np
 from .._kernels import cycle_drive
 from ..errors import (ConfigurationError, DegenerateDistributionError,
                       MeasurementError, UnsupportedFamilyError)
+from ..seeding import as_rng
 
 
 def _series(moment, start, step, max_abs, tol):
@@ -112,7 +113,7 @@ def empirical_memory_capacity(esn, input_period, trace_len, seed, term_tol=1e-4)
         raise ConfigurationError("input_period must be >= 1")
     if trace_len < max(20 * W, 200):
         raise ConfigurationError("trace_len too short for a stable measurement")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = as_rng(seed)
     # independent zero-mean unit-variance draws in each period phase
     n_cycles = int(np.ceil(trace_len / input_period))
     stream = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n_cycles, input_period))

@@ -12,6 +12,7 @@ import numpy as np
 
 from .._kernels import cycle_drive
 from ..errors import ConfigurationError, NumericalRankError
+from ..seeding import as_rng
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def build_cycle_reservoir(n_units, spec, seed):
     """Cycle matrix with weights drawn from `spec`; deterministic per seed."""
     if n_units < 1:
         raise ConfigurationError("reservoir needs at least one unit")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     weights = spec.sample(rng, n_units)
     mat = np.zeros((n_units, n_units))
     rows = np.arange(n_units)
@@ -123,7 +124,7 @@ class MobilityEsn:
     def __init__(self, n_units, weight_spec, horizon, ridge_lambda=0.5, seed=0):
         if n_units < 1 or horizon < 1:
             raise ConfigurationError("n_units and horizon must be >= 1")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = as_rng(seed)
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
@@ -140,7 +141,7 @@ class MobilityEsn:
 
     def state_update(self, code):
         """Linear state advance for one observed location code."""
-        self.state = self.cycle_weights * np.roll(self.state, 1) + self.input_weights * float(code)
+        self.drive([code])
         return self.state
 
     def drive(self, codes):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, InfeasibleLinkError
+from .seeding import as_rng
 
 SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 
@@ -124,34 +125,13 @@ def slot_capacity(gamma_samples, bandwidth_hz):
     return float(bandwidth_hz * np.log2(1.0 + gamma_samples).sum())
 
 
-def map_qos_exponents(theta_O, wired, v_BU, v_FU):
+def map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU):
     """Scale the local-path exponent onto the other three delivery paths.
 
     theta_S = theta_O / (1 - 2L/(v_BU D)), theta_A = theta_O / (1 - L/(v_FU D)),
     theta_G = theta_O / (1 - 2L/(v_FU D)). A non-positive denominator means the
-    content cannot meet the delay bound over that path.
+    content cannot meet the delay bound over that path; its exponent is +inf.
     """
-    if theta_O <= 0:
-        raise ConfigurationError("theta_O must be positive")
-    L, D = wired.content_size, wired.delay_bound
-    dens = {
-        PATH_SERVER: 1.0 - 2.0 * L / (v_BU * D),
-        PATH_CLOUD: 1.0 - L / (v_FU * D),
-        PATH_REMOTE: 1.0 - 2.0 * L / (v_FU * D),
-    }
-    for path, den in dens.items():
-        if den <= 0.0:
-            raise InfeasibleLinkError(
-                f"path {path} cannot meet the delay bound (denominator {den:.4g})"
-            )
-    return LinkQos(theta_O=theta_O,
-                   theta_A=theta_O / dens[PATH_CLOUD],
-                   theta_S=theta_O / dens[PATH_SERVER],
-                   theta_G=theta_O / dens[PATH_REMOTE])
-
-
-def map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU):
-    """Like map_qos_exponents but marks infeasible paths with +inf exponents."""
     L, D = wired.content_size, wired.delay_bound
     def scaled(den):
         return theta_O / den if den > 0.0 else math.inf
@@ -159,6 +139,17 @@ def map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU):
                    theta_A=scaled(1.0 - L / (v_FU * D)),
                    theta_S=scaled(1.0 - 2.0 * L / (v_BU * D)),
                    theta_G=scaled(1.0 - 2.0 * L / (v_FU * D)))
+
+
+def map_qos_exponents(theta_O, wired, v_BU, v_FU):
+    """map_qos_exponents_lenient, raising InfeasibleLinkError on an infeasible path."""
+    if theta_O <= 0:
+        raise ConfigurationError("theta_O must be positive")
+    link = map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU)
+    for path in (PATH_SERVER, PATH_CLOUD, PATH_REMOTE):
+        if math.isinf(link.for_path(path)):
+            raise InfeasibleLinkError(f"path {path} cannot meet the delay bound")
+    return link
 
 
 def delay_violation_prob(theta, delay_bound, hop_count, wired_rate, content_size):
@@ -192,7 +183,7 @@ def effective_capacity(theta, capacity_sampler, tau, n_mc, seed):
     """Seeded Monte-Carlo effective capacity; `capacity_sampler(rng, n)` draws C."""
     if n_mc < 1:
         raise ConfigurationError("n_mc must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     samples = np.asarray(capacity_sampler(rng, n_mc), dtype=np.float64)
     return effective_capacity_from_samples(theta, samples, tau)
 
@@ -222,19 +213,12 @@ def segment_capacity_samples(start, end, serving_pos, interferer_positions,
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
     points = start[None, :] + frac[:, None] * (end - start)[None, :]
     d_serv = np.linalg.norm(points - np.asarray(serving_pos)[None, :], axis=1)
-    if np.any(d_serv <= 0.0):
-        raise GeometryError("user crosses the serving RRH location")
     h_serv = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS))
-    signal = radio.tx_power_w * d_serv[None, :] ** (-radio.pathloss_exponent) * h_serv
-    interference = 0.0
+    d_int = h_int = None
     interferer_positions = np.asarray(interferer_positions, dtype=np.float64)
     if interferer_positions.size:
         d_int = np.linalg.norm(points[:, None, :] - interferer_positions[None, :, :], axis=2)
-        if np.any(d_int <= 0.0):
-            raise GeometryError("user crosses an interfering RRH location")
         h_int = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS, d_int.shape[1]))
-        powers = radio.tx_power_w * d_int[None, :, :] ** (-radio.pathloss_exponent) * h_int
-        interference = powers.sum(axis=2)
-    gamma = signal / (interference + radio.noise_w)
+    gamma = sinr(d_serv, h_serv, d_int, h_int, radio)
     per_step = radio.bandwidth_hz * np.log2(1.0 + gamma)
     return per_step.sum(axis=1) * unit_scale

@@ -22,6 +22,11 @@ _PURPOSES = {
 }
 
 
+def as_rng(seed):
+    """`seed` itself when it is a Generator, else a fresh generator seeded by it."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def rng_for(seed, purpose, *indices):
     """Generator for (seed, purpose, *indices); purpose from the fixed table."""
     tag = _PURPOSES[purpose]

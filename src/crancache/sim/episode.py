@@ -219,7 +219,6 @@ class Simulation:
                                  rrh_capacity=config["C_r"],
                                  n_contents=config["N"])
         self.cluster_set = None  # slot 1 runs with singleton cooperation
-        self.prev_link = None    # previous slot's mapped exponents
         self.demand_stream = []  # (slot, demand vector, weight) since last refresh
         self.cloud_trace = []
 
@@ -399,7 +398,6 @@ class Simulation:
             self._retrain_mobility()
             self._refresh_cloud(slot)
 
-        self.prev_link = link
         counts = {p: paths.count(p) for p in (PATH_LOCAL, PATH_CLOUD,
                                               PATH_REMOTE, PATH_SERVER)}
         return SlotMetrics(

@@ -153,18 +153,3 @@ def test_online_error_decays_on_stationary_mapping(lr):
             errs.append(esn.train_step(x, target))
         assert np.mean(errs[39:50]) < np.mean(errs[0:10])
 
-
-def test_fit_sequence_matches_stepwise_loop():
-    seq_esn = ContentEsn(n_contents=4, n_reservoir=12, learning_rate=0.02, seed=5)
-    step_esn = ContentEsn(n_contents=4, n_reservoir=12, learning_rate=0.02, seed=5)
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(0, 1, (30, 7))
-    targets = rng.dirichlet(np.ones(4), size=30)
-    errs_seq = seq_esn.fit_sequence(xs, targets)
-    errs_step = []
-    for x, e in zip(xs, targets):
-        step_esn.state_update(x)
-        errs_step.append(step_esn.train_step(x, e))
-    np.testing.assert_allclose(errs_seq, errs_step, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(seq_esn.output_weights, step_esn.output_weights,
-                               rtol=1e-9, atol=1e-12)

@@ -1,59 +1,20 @@
-"""Backend parity: the compiled kernels must match the numpy fallback."""
+"""The cycle-reservoir drive loop and the single kernel path."""
 import numpy as np
-import pytest
 
-from crancache._kernels import _fallback, backend
-
-
-def _compiled():
-    try:
-        from crancache._kernels import _core
-        return _core
-    except ImportError:
-        return None
+import crancache
+from crancache import _kernels
+from crancache.esn import memory, mobility
 
 
-def test_backend_reported():
-    assert backend in ("compiled", "python")
+def test_single_kernel_path():
+    assert crancache.kernel_backend == "python"
+    assert memory.cycle_drive is _kernels.cycle_drive
+    assert mobility.cycle_drive is _kernels.cycle_drive
 
 
 def test_cycle_drive_shapes_and_recurrence():
     w = np.array([0.5, 0.5])
     w_in = np.array([1.0, 1.0])
-    states = _fallback.cycle_drive(w, w_in, np.array([1.0, 1.0]), np.zeros(2))
+    states = _kernels.cycle_drive(w, w_in, np.array([1.0, 1.0]), np.zeros(2))
     assert states.shape == (2, 2)
     np.testing.assert_allclose(states[1], [1.5, 1.5])
-
-
-@pytest.mark.skipif(_compiled() is None, reason="compiled extension not built")
-def test_cycle_drive_parity():
-    core = _compiled()
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        W = int(rng.integers(1, 12))
-        T = int(rng.integers(1, 200))
-        w = rng.uniform(-0.95, 0.95, W)
-        w_in = rng.uniform(-1, 1, W)
-        m = rng.normal(size=T)
-        v0 = rng.normal(size=W)
-        a = _fallback.cycle_drive(w, w_in, m, v0)
-        b = core.cycle_drive(w, w_in, m, v0)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.skipif(_compiled() is None, reason="compiled extension not built")
-def test_lms_run_parity():
-    core = _compiled()
-    rng = np.random.default_rng(1)
-    Nw, K, N, T = 16, 7, 5, 40
-    A = rng.uniform(-0.3, 0.3, (Nw, Nw))
-    Win = rng.uniform(-1, 1, (Nw, K))
-    Wout0 = rng.uniform(-0.1, 0.1, (N, Nw + K))
-    xs = rng.uniform(0, 1, (T, K))
-    es = rng.dirichlet(np.ones(N), size=T)
-    wa, wb = Wout0.copy(), Wout0.copy()
-    raw_a, state_a = _fallback.lms_run(A, Win, wa, xs, es, 0.02, np.zeros(Nw))
-    raw_b, state_b = core.lms_run(A, Win, wb, xs, es, 0.02, np.zeros(Nw))
-    np.testing.assert_allclose(raw_a, raw_b, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(state_a, state_b, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(wa, wb, rtol=1e-10, atol=1e-12)
