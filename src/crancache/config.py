@@ -118,7 +118,7 @@ class ExperimentConfig:
 
     def validate(self):
         v = self.values
-        positive = ["r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F", "S" ]
+        positive = ["r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F"]
         for key in ("R", "U", "N", "N_w", "K", "H", "T_tau", "T", "N_s", "W",
                     "N_tr", "n_mc", "archetypes", "waypoints"):
             if v[key] < 1:
@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key} must be positive (got {v[key]})")
         if v["S"] < 0:
             raise ConfigurationError("S (speed) cannot be negative")
+        if v["K"] != 7:
+            raise ConfigurationError("the context schema is fixed at K = 7 features")
         if not 0.0 < v["epsilon"] < 1.0:
             raise ConfigurationError("epsilon must lie in (0, 1)")
         if not 0.0 < v["delta"] <= 1.0:

@@ -165,8 +165,6 @@ class Simulation:
         if policy not in (POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
                           POLICY_RANDOM_UNCLUSTERED, POLICY_ORACLE):
             raise ConfigurationError(f"unknown policy {policy!r}")
-        if config["K"] != 7:
-            raise ConfigurationError("the context schema is fixed at K = 7 features")
         self.cfg = config
         self.policy = policy
         self.seed = int(seed)
@@ -303,7 +301,9 @@ class Simulation:
         requests = []
         for u in range(self.cfg["U"]):
             cdf = np.cumsum(self.workload.distribution(u, slot))
-            requests.append(int(np.searchsorted(cdf, uniforms[u], side="right")) + 1)
+            # a CDF ending below the draw (rounding) maps to the last content
+            idx = min(int(np.searchsorted(cdf, uniforms[u], side="right")), self.cfg["N"] - 1)
+            requests.append(idx + 1)
         return requests
 
     def _refresh_cloud(self, slot):

@@ -41,6 +41,10 @@ def test_range_validation():
         ExperimentConfig.default(T=100, T_tau=30)  # T_tau must divide T
     with pytest.raises(ConfigurationError):
         ExperimentConfig.default(policy="clairvoyant")
+    with pytest.raises(ConfigurationError, match="K = 7"):
+        ExperimentConfig.default(K=5)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.default(S=-1.0)
 
 
 def test_comments_and_whitespace(tmp_path):

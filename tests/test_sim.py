@@ -128,6 +128,50 @@ def test_all_local_hits_zero_wired_load():
     assert all(m.hit_local == 1.0 for m in late)
 
 
+def test_static_users_run_a_full_episode():
+    cfg = ExperimentConfig.default(N=24, R=12, U=16, C_c=6, C_r=3, T=120, T_tau=30,
+                                   N_w=48, n_mc=48, archetypes=4, v_B=6e8, v_F=1.2e9,
+                                   S=0.0)
+    sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
+    tracks = sim.topology.user_tracks
+    np.testing.assert_array_equal(
+        tracks, np.broadcast_to(sim.topology.start_positions, tracks.shape))
+    report = sim.run()
+    assert len(report.slots) == cfg["T"]
+    assert np.isfinite(report.effective_capacity_avg)
+
+
+def test_request_draw_stays_in_catalog_when_cdf_ends_short():
+    cfg = tiny_config(U=16)
+    n = cfg["N"]
+    sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
+    sim.workload.distribution = lambda user, slot: np.full(n, 0.5 / n)
+    requests = sim._realize_requests(1)
+    assert min(requests) >= 1
+    assert max(requests) == n  # draws past the CDF's end map to the last content
+    sim.run_slot(1)  # the content ESNs train on these requests
+
+
+def test_channel_draws_use_previous_slot_clusters():
+    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=1)
+    seen = []
+    cooperating = sim._cooperating
+
+    def spy(serving):
+        seen.append(sim.cluster_set)
+        return cooperating(serving)
+
+    sim._cooperating = spy
+    previous = None  # slot 1 samples with singleton cooperation
+    for k in range(1, 6):
+        seen.clear()
+        sim.run_slot(k)
+        assert len(seen) == sim.cfg["U"]
+        assert all(clusters is previous for clusters in seen)
+        assert sim.cluster_set is not previous
+        previous = sim.cluster_set
+
+
 def test_run_is_deterministic():
     cfg = tiny_config()
     a = run_episode(cfg, POLICY_PROPOSED, seed=7)
