@@ -301,7 +301,7 @@ class Simulation:
         requests = []
         for u in range(self.cfg["U"]):
             cdf = np.cumsum(self.workload.distribution(u, slot))
-            # a CDF ending below the draw (rounding) maps to the last content
+            # a CDF that ends below the draw maps it to the last content
             idx = min(int(np.searchsorted(cdf, uniforms[u], side="right")), self.cfg["N"] - 1)
             requests.append(idx + 1)
         return requests
