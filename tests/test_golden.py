@@ -1,0 +1,52 @@
+"""Golden outputs: fixed-seed episodes must keep their exact numbers.
+
+E_bar is pinned to 1e-9 and the per-slot CSV by its SHA-256, so a change to
+the slot pipeline that moves any realization (a reordered RNG draw, a
+regrouped floating-point sum) fails here. A change that alters the
+realization on purpose must say so and re-record these values.
+"""
+import hashlib
+
+import pytest
+
+from crancache.config import ExperimentConfig
+from crancache.sim import run_episode
+
+DESK = dict(N=24, R=12, U=16, C_c=6, C_r=3, T=120, T_tau=30, N_w=48,
+            n_mc=48, archetypes=4, zipf_alpha=1.0, v_B=6e8, v_F=1.2e9)
+TINY = dict(N=6, R=3, U=4, C_c=2, C_r=1, T=60, T_tau=30, N_w=24,
+            n_mc=24, archetypes=2, v_B=6e8, v_F=1.2e9)
+
+# (config, policy, seed) -> (E_bar, sha256 of slot_csv())
+GOLDEN = {
+    ("desk", "proposed", 0): (
+        913.2387741285493, "2f24b4710d6c73e0e703ec24f9ea76a471fb5acfc5e119a2b03a41177221abfe"),
+    ("desk", "proposed", 1): (
+        984.6990128529939, "5c69acc5ad5024056ac06696a0846ac68fb233a4857e842ad6001acd9439e19e"),
+    ("desk", "proposed", 2): (
+        760.2898616513969, "62c3c6efbe9f250da6e052933186f4fd94f6e036cb74d66161b073e516ed8783"),
+    ("desk", "random_clustered", 0): (
+        912.4939068602446, "5626aed34ff97c2615b5130b247a0c16ac67ff0f70ee48ee2f5630bf8b020fe0"),
+    ("desk", "random_clustered", 1): (
+        983.9762340300312, "d2299a2b8393a69cd73b4bf8d73a0ad8178194a42aef70fbd3ce073204183a87"),
+    ("desk", "random_clustered", 2): (
+        759.6997203856166, "a0b7f386c28e906024327d8b92091f0cfa67f30e9ebadafdb59eee01aa485071"),
+    ("desk", "random_unclustered", 0): (
+        463.30130180226405, "74fb51c776c2979e5f5544e6c9a19f1cd1a5fba5f7742021bc785a17996f1edf"),
+    ("desk", "random_unclustered", 1): (
+        529.6234272387245, "f3f9e9c85c1f4600774b9aa8edf942b4e442081ff846477d136d2c237a007fd4"),
+    ("desk", "random_unclustered", 2): (
+        398.84337840216756, "aa3e21eb7be25f599efc6e406b1005c6e75c78186f36c1700a394ae8507fc1c6"),
+    ("tiny", "optimal_oracle", 0): (
+        78.80287955556975, "fa587740f7af5244898d22936676cde1da8d88565ce3246a2ae5f17b1d7b8618"),
+}
+CONFIGS = {"desk": DESK, "tiny": TINY}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_golden_episode(case):
+    name, policy, seed = case
+    e_bar, digest = GOLDEN[case]
+    report = run_episode(ExperimentConfig.default(**CONFIGS[name]), policy, seed)
+    assert report.effective_capacity_avg == pytest.approx(e_bar, rel=0, abs=1e-9)
+    assert hashlib.sha256(report.slot_csv().encode()).hexdigest() == digest
