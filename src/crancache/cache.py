@@ -110,10 +110,19 @@ class ClusterSet:
     """RRH clusters keyed by request-distribution similarity.
 
     An RRH may appear in several clusters (one per distinct distribution type
-    among its users); every RRH appears in at least one.
+    among its users); every RRH appears in at least one. The RRH ->
+    cooperating-set map is built once, at construction.
     """
     clusters: list
     similarity_threshold: float = 0.85
+    _cooperating: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coop = {}
+        for members in self.clusters:
+            for rrh in members:
+                coop.setdefault(rrh, set()).update(members)
+        self._cooperating = {rrh: frozenset(group) for rrh, group in coop.items()}
 
     def coverage(self):
         out = set()
@@ -123,11 +132,7 @@ class ClusterSet:
 
     def cooperating_set(self, rrh):
         """All RRHs sharing at least one cluster with `rrh` (incl. itself)."""
-        coop = {rrh}
-        for members in self.clusters:
-            if rrh in members:
-                coop |= set(members)
-        return coop
+        return self._cooperating.get(rrh, frozenset([rrh]))
 
 
 def cluster_rrhs(rrh_user_distributions, threshold):

@@ -12,7 +12,7 @@ Trace schemas (headers are normative):
   mobility: user_id,t,x_m,y_m
 """
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,13 @@ class UserArchetype:
 
 @dataclass
 class Workload:
-    """Per-user archetypes and the ground-truth conditional distributions."""
+    """Per-user archetypes and the ground-truth conditional distributions.
+
+    The conditionals depend on the slot only through the block rotation
+    (hour + weekday) % 3, so they are tabulated once per (archetype,
+    rotation); the table and the static context columns are built at
+    construction from the fields above.
+    """
     n_users: int
     n_contents: int
     zipf_alpha: float
@@ -74,23 +80,40 @@ class Workload:
     user_gender: np.ndarray
     user_device: np.ndarray
     base_probs: np.ndarray
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    _static_context: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.stack([[arch.conditional(self.base_probs, rotation, 0)
+                           for rotation in range(_BLOCK)] for arch in self.archetypes])
+        table.flags.writeable = False
+        self.table = table
+        arch = [self.archetypes[a] for a in self.user_archetype]
+        static = np.zeros((self.n_users, 7))
+        static[:, 2] = self.user_gender
+        static[:, 3] = [a.occupation_code for a in arch]
+        static[:, 4] = [a.age_band for a in arch]
+        static[:, 5] = self.user_device
+        self._static_context = static
 
     def distribution(self, user, slot):
-        arch = self.archetypes[self.user_archetype[user]]
-        return arch.conditional(self.base_probs, slot_hour(slot), slot_weekday(slot))
+        """Request distribution of `user` in `slot` (a read-only table row)."""
+        rotation = (slot_hour(slot) + slot_weekday(slot)) % _BLOCK
+        return self.table[self.user_archetype[user], rotation]
+
+    def contexts(self, slot):
+        """(n_users, 7) context vectors, all entries normalized to [0, 1].
+
+        Columns: request hour, weekday, gender, occupation, age, device, reserved.
+        """
+        out = self._static_context.copy()
+        out[:, 0] = slot_hour(slot) / 23.0
+        out[:, 1] = slot_weekday(slot) / 6.0
+        return out
 
     def context(self, user, slot):
-        """K=7 feature vector, all entries normalized to [0, 1]."""
-        arch = self.archetypes[self.user_archetype[user]]
-        return np.array([
-            slot_hour(slot) / 23.0,
-            slot_weekday(slot) / 6.0,
-            float(self.user_gender[user]),
-            arch.occupation_code,
-            arch.age_band,
-            float(self.user_device[user]),
-            0.0,
-        ])
+        """K=7 feature vector of one user (a row of `contexts`)."""
+        return self.contexts(slot)[user]
 
     def sample_request(self, user, slot, rng):
         """One realized content id (1-based) from the ground-truth conditional."""

@@ -1,5 +1,5 @@
 """Echo-state predictors and their memory-capacity analytics."""
-from .content import (CONTEXT_FEATURES, ContentEsn, project_to_simplex,
+from .content import (CONTEXT_FEATURES, ContentEsn, ContentEsnBank, project_to_simplex,
                       require_context, require_distribution)
 from .memory import (empirical_memory_capacity, memory_capacity,
                      memory_capacity_bounds)
@@ -9,6 +9,7 @@ from .mobility import (LocationGrid, MobilityEsn, WeightDistribution,
 __all__ = [
     "CONTEXT_FEATURES",
     "ContentEsn",
+    "ContentEsnBank",
     "LocationGrid",
     "MobilityEsn",
     "WeightDistribution",

@@ -15,13 +15,15 @@ CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, 
 
 
 def project_to_simplex(raw):
-    """Clamp negatives to zero and renormalize; uniform if nothing survives."""
+    """Clamp negatives to zero and renormalize; uniform if nothing survives.
+
+    Projects along the last axis, so a (U, N) array is projected row by row.
+    """
     raw = np.asarray(raw, dtype=np.float64)
     p = np.clip(raw, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
-        return np.full(raw.shape, 1.0 / raw.shape[0])
-    return p / total
+    total = p.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(total > 0.0, p / total, 1.0 / raw.shape[-1])
 
 
 def require_distribution(vec, tol=1e-9):
@@ -131,3 +133,81 @@ class ContentEsn:
         raw = self.output_weights @ z
         self.output_weights = self.output_weights + self.learning_rate * np.outer(observed - raw, z)
         return float(np.abs(observed - project_to_simplex(raw)).sum())
+
+
+class ContentEsnBank:
+    """U content ESNs stepped together as stacked arrays.
+
+    Reservoirs, input weights and readouts of the U predictors live in
+    preallocated (U, N_w, N_w), (U, N_w, K) and (U, N, N_w+K) arrays. User u's
+    predictor is `make(u)` (a ContentEsn), copied in one at a time and then
+    dropped. A step computes exactly what ContentEsn computes for each user.
+
+    Per slot: `predict(contexts)` advances every state and returns the
+    projected predictions; `train_step(observed)` then takes one readout
+    gradient step per user against its observed distribution, reusing the raw
+    readouts of that `predict`.
+    """
+
+    # readout updates run in chunks of users holding at most this many
+    # entries, so no (U, N, N_w+K) temporary is built
+    UPDATE_CHUNK_ENTRIES = 1 << 18
+
+    def __init__(self, n_users, make):
+        esn = make(0)
+        self.n_users = n_users
+        self.n_contents = esn.n_contents
+        self.n_features = esn.n_features
+        self.n_reservoir = esn.n_reservoir
+        self.learning_rate = esn.learning_rate
+        n_w, k, n = self.n_reservoir, self.n_features, self.n_contents
+        self.reservoir_weights = np.empty((n_users, n_w, n_w))
+        self.input_weights = np.empty((n_users, n_w, k))
+        self.output_weights = np.empty((n_users, n, n_w + k))
+        self.state = np.empty((n_users, n_w))
+        for u in range(n_users):
+            if u:
+                esn = make(u)
+            if ((esn.n_contents, esn.n_features, esn.n_reservoir, esn.learning_rate)
+                    != (n, k, n_w, self.learning_rate)):
+                raise ConfigurationError("bank members must share dimensions and learning rate")
+            self.reservoir_weights[u] = esn.reservoir_weights
+            self.input_weights[u] = esn.input_weights
+            self.output_weights[u] = esn.output_weights
+            self.state[u] = esn.state
+        del esn
+        chunk = max(1, min(n_users, self.UPDATE_CHUNK_ENTRIES // (n * (n_w + k))))
+        self._outer = np.empty((chunk, n, n_w + k))
+        self._readout = None  # (z, raw) of the last predict
+
+    def predict(self, contexts):
+        """Advance every state on its context row; (U, N) projected predictions."""
+        x = np.asarray(contexts, dtype=np.float64)
+        if x.shape != (self.n_users, self.n_features):
+            raise ConfigurationError(
+                f"contexts have shape {x.shape}, expected ({self.n_users}, {self.n_features})")
+        if not np.all(np.isfinite(x)):
+            raise ConfigurationError("context vectors have non-finite entries")
+        self.state = np.tanh(np.matmul(self.reservoir_weights, self.state[:, :, None])[:, :, 0]
+                             + np.matmul(self.input_weights, x[:, :, None])[:, :, 0])
+        z = np.concatenate([self.state, x], axis=1)
+        raw = np.matmul(self.output_weights, z[:, :, None])[:, :, 0]
+        self._readout = (z, raw)
+        return project_to_simplex(raw)
+
+    def train_step(self, observed):
+        """One readout gradient step per user on the raw residual of the last predict."""
+        if self._readout is None:
+            raise ConfigurationError("train_step needs a predict first")
+        z, raw = self._readout
+        residual = np.asarray(observed, dtype=np.float64) - raw
+        if residual.shape != raw.shape:
+            raise ConfigurationError("observed distributions have the wrong shape")
+        self._readout = None
+        chunk = self._outer.shape[0]
+        for lo in range(0, self.n_users, chunk):
+            hi = min(lo + chunk, self.n_users)
+            outer = self._outer[:hi - lo]
+            np.multiply(residual[lo:hi, :, None], z[lo:hi, None, :], out=outer)
+            outer *= self.learning_rate
+            self.output_weights[lo:hi] += outer

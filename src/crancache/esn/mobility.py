@@ -178,12 +178,13 @@ class LocationGrid:
         self.n_cells = self.n_cols * self.n_cols
 
     def encode(self, x, y):
-        col = int(np.clip((x + self.radius) // self.pitch, 0, self.n_cols - 1))
-        row = int(np.clip((y + self.radius) // self.pitch, 0, self.n_cols - 1))
+        last = self.n_cols - 1
+        col = int(min(max((x + self.radius) // self.pitch, 0), last))
+        row = int(min(max((y + self.radius) // self.pitch, 0), last))
         return row * self.n_cols + col
 
     def decode(self, code):
-        code = int(np.clip(round(float(code)), 0, self.n_cells - 1))
+        code = min(max(round(float(code)), 0), self.n_cells - 1)
         row, col = divmod(code, self.n_cols)
         x = -self.radius + (col + 0.5) * self.pitch
         y = -self.radius + (row + 0.5) * self.pitch

@@ -23,6 +23,11 @@ from .errors import ConfigurationError, GeometryError, InfeasibleLinkError
 from .seeding import as_rng
 
 SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
+# Floor on sampled RRH-user distances, so a user on an RRH keeps a finite
+# SINR. It sits far below the distances reached in practice: 1 m would bind
+# on about one desk geometry in five (sub-step points pass within 1 m of an
+# RRH) and change those realizations.
+MIN_DISTANCE_M = 1e-3
 
 PATH_LOCAL = "O"
 PATH_CLOUD = "A"
@@ -160,23 +165,40 @@ def delay_violation_prob(theta, delay_bound, hop_count, wired_rate, content_size
     return math.exp(-theta * slack)
 
 
-def effective_capacity_from_samples(theta, capacity_samples, tau=1.0):
-    """Log-MGF effective rate of pre-drawn cumulative-capacity samples.
+def effective_capacity_rows(thetas, capacity_samples, tau=1.0):
+    """Log-MGF effective rate of each row of pre-drawn cumulative-capacity samples.
 
-    E = -(1/(theta tau)) log2 mean(2^(-theta C)). theta <= 0 falls back to the
-    theta->0 limit mean(C)/tau; theta = +inf scores zero (infeasible path).
+    Row u scores samples[u] at exponent thetas[u] (a scalar applies to every
+    row): E = -(1/(theta tau)) log2 mean(2^(-theta C)). theta <= 0 falls back
+    to the theta->0 limit mean(C)/tau; theta = +inf scores zero (infeasible
+    path). Each row is computed exactly as a lone row would be.
     """
+    samples = np.asarray(capacity_samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] < 1:
+        raise ConfigurationError("need at least one capacity sample per row")
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=np.float64), samples.shape[:1])
+    out = np.zeros(samples.shape[0])
+    limit = thetas <= 0.0
+    if limit.any():
+        out[limit] = samples[limit].mean(axis=1) / tau
+    live = ~limit & ~np.isinf(thetas)
+    if live.any():
+        theta = thetas[live]
+        exponents = -theta[:, None] * samples[live] * math.log(2.0)
+        peak = exponents.max(axis=1)
+        means = np.exp(exponents - peak[:, None]).mean(axis=1)
+        # math.log, not np.log: the vectorized log may round differently
+        log2_mean = (peak + np.array([math.log(m) for m in means])) / math.log(2.0)
+        out[live] = -log2_mean / (theta * tau)
+    return out
+
+
+def effective_capacity_from_samples(theta, capacity_samples, tau=1.0):
+    """effective_capacity_rows for one set of samples; returns a float."""
     samples = np.atleast_1d(np.asarray(capacity_samples, dtype=np.float64))
     if samples.size < 1:
         raise ConfigurationError("need at least one capacity sample")
-    if theta <= 0.0:
-        return float(samples.mean() / tau)
-    if math.isinf(theta):
-        return 0.0
-    exponents = -theta * samples * math.log(2.0)
-    peak = exponents.max()
-    log2_mean = (peak + math.log(np.exp(exponents - peak).mean())) / math.log(2.0)
-    return float(-log2_mean / (theta * tau))
+    return float(effective_capacity_rows(theta, samples.reshape(1, -1), tau)[0])
 
 
 def effective_capacity(theta, capacity_sampler, tau, n_mc, seed):
@@ -199,26 +221,53 @@ def long_term_average(slot_sums):
     return float(slot_sums.mean()) if slot_sums.size else 0.0
 
 
+def segment_capacity_rows(starts, ends, serving_positions, interferer_positions,
+                          radio, n_mc, rngs, unit_scale=1.0):
+    """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
+
+    User u slides from starts[u] to ends[u] over SLOT_SUBSTEPS equally spaced
+    positions; every sub-step redraws unit-mean exponential fading for the
+    serving RRH at serving_positions[u] and for each out-of-cluster
+    interferer in interferer_positions[u] (an (I_u, 2) array). rngs[u]
+    draws user u's serving fading, then its interferer fading. RRH-user
+    distances are floored at MIN_DISTANCE_M. Returns (U, n_mc) samples,
+    multiplied by `unit_scale` (the simulator scores in Mbit: scale 1e-6).
+
+    Users are grouped by interferer count: numpy's pairwise sum groups terms
+    by the summed length, so zero-padding the interferer axis could change
+    the last bits of a user's interference.
+    """
+    starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
+    ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
+    serving = np.asarray(serving_positions, dtype=np.float64).reshape(-1, 2)
+    interferers = [np.asarray(p, dtype=np.float64).reshape(-1, 2) for p in interferer_positions]
+    counts = np.array([len(p) for p in interferers], dtype=np.int64)
+    n_users = len(interferers)
+    frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
+    points = starts[:, None, :] + frac[None, :, None] * (ends - starts)[:, None, :]
+    d_serv = np.maximum(np.linalg.norm(points - serving[:, None, :], axis=2), MIN_DISTANCE_M)
+
+    gamma = np.empty((n_users, n_mc, SLOT_SUBSTEPS))
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        h_serv = np.empty((len(rows), n_mc, SLOT_SUBSTEPS))
+        d_int = h_int = None
+        if count:
+            h_int = np.empty((len(rows), n_mc, SLOT_SUBSTEPS, count))
+            positions = np.stack([interferers[u] for u in rows])
+            d_int = np.linalg.norm(points[rows][:, :, None, :] - positions[:, None, :, :], axis=3)
+            d_int = np.maximum(d_int, MIN_DISTANCE_M)[:, None]
+        for j, u in enumerate(rows):
+            rngs[u].standard_exponential(out=h_serv[j])
+            if count:
+                rngs[u].standard_exponential(out=h_int[j])
+        gamma[rows] = sinr(d_serv[rows][:, None, :], h_serv, d_int, h_int, radio)
+    per_step = radio.bandwidth_hz * np.log2(1.0 + gamma)
+    return per_step.sum(axis=2) * unit_scale
+
+
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,
                              radio, n_mc, rng, unit_scale=1.0):
-    """Monte-Carlo draws of the cumulative slot capacity along a movement segment.
-
-    The user slides from `start` to `end` over SLOT_SUBSTEPS equally spaced
-    positions; every sub-step redraws unit-mean exponential fading for the
-    serving RRH and each out-of-cluster interferer. Returns (n_mc,) samples,
-    multiplied by `unit_scale` (the simulator scores in Mbit: scale 1e-6).
-    """
-    start = np.asarray(start, dtype=np.float64)
-    end = np.asarray(end, dtype=np.float64)
-    frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
-    points = start[None, :] + frac[:, None] * (end - start)[None, :]
-    d_serv = np.linalg.norm(points - np.asarray(serving_pos)[None, :], axis=1)
-    h_serv = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS))
-    d_int = h_int = None
-    interferer_positions = np.asarray(interferer_positions, dtype=np.float64)
-    if interferer_positions.size:
-        d_int = np.linalg.norm(points[:, None, :] - interferer_positions[None, :, :], axis=2)
-        h_int = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS, d_int.shape[1]))
-    gamma = sinr(d_serv, h_serv, d_int, h_int, radio)
-    per_step = radio.bandwidth_hz * np.log2(1.0 + gamma)
-    return per_step.sum(axis=1) * unit_scale
+    """segment_capacity_rows for one user; returns its (n_mc,) samples."""
+    return segment_capacity_rows([start], [end], [serving_pos], [interferer_positions],
+                                 radio, n_mc, [rng], unit_scale)[0]

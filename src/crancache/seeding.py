@@ -31,4 +31,6 @@ def rng_for(seed, purpose, *indices):
     """Generator for (seed, purpose, *indices); purpose from the fixed table."""
     tag = _PURPOSES[purpose]
     words = [int(seed) & 0xFFFFFFFF, tag, *(int(i) & 0xFFFFFFFF for i in indices)]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    # a uint32 array is the entropy SeedSequence would assemble from the list
+    # of words, without converting each word separately
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

@@ -28,11 +28,11 @@ from ..cache import (CacheState, SamplingPlan, cluster_rrhs, estimate_popularity
 from ..config import ExperimentConfig
 from ..data import generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
-from ..esn import ContentEsn, LocationGrid, MobilityEsn
+from ..esn import ContentEsn, ContentEsnBank, LocationGrid, MobilityEsn
 from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
-                   WiredParams, effective_capacity_from_samples,
+                   WiredParams, effective_capacity_rows,
                    map_qos_exponents_lenient, per_content_rate,
-                   segment_capacity_samples, sum_effective_capacity)
+                   segment_capacity_rows, sum_effective_capacity)
 from ..seeding import rng_for
 from .world import build_topology, nearest_rrh, resolve_delivery_path
 
@@ -194,15 +194,12 @@ class Simulation:
                                        config["r"], self.seed)
         self.grid = LocationGrid(config["r"])
 
-        self.content_esns = None
+        self.content_bank = None
         if not self.oracle_like:
-            self.content_esns = [
-                ContentEsn(n_contents=config["N"], n_features=config["K"],
-                           n_reservoir=config["N_w"],
-                           learning_rate=config["lambda_alpha"],
-                           seed=rng_for(self.seed, "content_esn", u))
-                for u in range(config["U"])
-            ]
+            self.content_bank = ContentEsnBank(config["U"], lambda u: ContentEsn(
+                n_contents=config["N"], n_features=config["K"],
+                n_reservoir=config["N_w"], learning_rate=config["lambda_alpha"],
+                seed=rng_for(self.seed, "content_esn", u)))
         spec = config.weight_spec()
         self.mobility = [
             _MobilityTracker(
@@ -227,40 +224,45 @@ class Simulation:
             return {serving}
         return self.cluster_set.cooperating_set(serving)
 
-    def _capacity_samples(self, slot, user, serving, active_rrhs):
-        # idle RRHs transmit nothing: interference comes from RRHs that are
-        # actively serving users and sit outside the cooperating set
-        start, end = self.topology.segment(slot, user)
-        coop = self._cooperating(serving)
-        interferers = [i for i in sorted(active_rrhs) if i not in coop]
-        rng = rng_for(self.seed, "channel", slot, user)
-        return segment_capacity_samples(
-            start, end, self.topology.rrh_positions[serving],
-            self.topology.rrh_positions[interferers], self.radio,
-            self.n_mc, rng, unit_scale=CAPACITY_UNIT)
+    def _capacity_samples(self, slot, serving):
+        """(U, n_mc) slot-capacity draws, user u from rng_for(seed, "channel", slot, u).
+
+        Idle RRHs transmit nothing: interference comes from RRHs that are
+        actively serving users and sit outside the cooperating set.
+        """
+        rrh_positions = self.topology.rrh_positions
+        active = sorted(set(serving.tolist()))
+        interferers = []
+        for rrh in serving:
+            coop = self._cooperating(rrh)
+            interferers.append(rrh_positions[[i for i in active if i not in coop]])
+        rngs = [rng_for(self.seed, "channel", slot, u) for u in range(len(serving))]
+        starts, ends = self.topology.segments(slot)
+        return segment_capacity_rows(starts, ends, rrh_positions[serving], interferers,
+                                     self.radio, self.n_mc, rngs, unit_scale=CAPACITY_UNIT)
+
+    def _true_distributions(self, slot):
+        return np.stack([self.workload.distribution(u, slot) for u in range(self.cfg["U"])])
 
     def _predictions(self, slot):
-        """Per-user request-distribution predictions (BBU view)."""
+        """(U, N) request-distribution predictions (BBU view)."""
         if self.oracle_like:
-            return [self.workload.distribution(u, slot)
-                    for u in range(self.cfg["U"])]
-        preds = []
-        for u, esn in enumerate(self.content_esns):
-            x = self.workload.context(u, slot)
-            esn.state_update(x)
-            preds.append(esn.predict(x))
-        return preds
+            return self._true_distributions(slot)
+        return self.content_bank.predict(self.workload.contexts(slot))
 
     def _assoc_for_caching(self, slot, serving):
         """Predicted serving RRH per user at the cache-decision instant."""
-        if self.oracle_like:
-            return serving.copy()
         assoc = serving.copy()
+        if self.oracle_like:
+            return assoc
+        users, predicted = [], []
         for u, tracker in enumerate(self.mobility):
             pos = tracker.predicted_position()
             if pos is not None:
-                assoc[u] = int(nearest_rrh(np.asarray([pos]),
-                                           self.topology.rrh_positions)[0])
+                users.append(u)
+                predicted.append(pos)
+        if users:
+            assoc[users] = nearest_rrh(np.asarray(predicted), self.topology.rrh_positions)
         return assoc
 
     def _update_rrh_caches(self, slot, assoc, predictions, weights):
@@ -298,13 +300,10 @@ class Simulation:
     def _realize_requests(self, slot):
         rng = rng_for(self.seed, "requests", slot)
         uniforms = rng.random(self.cfg["U"])
-        requests = []
-        for u in range(self.cfg["U"]):
-            cdf = np.cumsum(self.workload.distribution(u, slot))
-            # a CDF that ends below the draw maps it to the last content
-            idx = min(int(np.searchsorted(cdf, uniforms[u], side="right")), self.cfg["N"] - 1)
-            requests.append(idx + 1)
-        return requests
+        cdf = np.cumsum(self._true_distributions(slot), axis=1)
+        # a CDF that ends below the draw maps it to the last content
+        idx = np.minimum((cdf <= uniforms[:, None]).sum(axis=1), self.cfg["N"] - 1)
+        return (idx + 1).tolist()
 
     def _refresh_cloud(self, slot):
         if not self.demand_stream:
@@ -348,14 +347,9 @@ class Simulation:
             for u, tracker in enumerate(self.mobility):
                 tracker.observe(positions[u])
 
-        active_rrhs = set(serving.tolist())
-        samples = [self._capacity_samples(slot, u, serving[u], active_rrhs)
-                   for u in range(U)]
+        samples = self._capacity_samples(slot, serving)
         predictions = self._predictions(slot)
-        weights_O = np.array([
-            effective_capacity_from_samples(self.theta_O, samples[u])
-            for u in range(U)
-        ])
+        weights_O = effective_capacity_rows(self.theta_O, samples)
 
         assoc = self._assoc_for_caching(slot, serving)
         self._update_rrh_caches(slot, assoc, predictions, weights_O)
@@ -371,28 +365,21 @@ class Simulation:
         v_FU = per_content_rate(self.wired.fronthaul_rate, n_fronthaul)
         link = map_qos_exponents_lenient(self.theta_O, self.wired, v_BU, v_FU)
 
-        energies = np.empty(U)
-        infeasible = 0
-        for u in range(U):
-            theta = link.for_path(paths[u])
-            if math.isinf(theta):
-                energies[u] = 0.0
-                infeasible += 1
-            else:
-                energies[u] = effective_capacity_from_samples(theta, samples[u])
+        # an infeasible path (theta = +inf) scores zero
+        thetas = np.array([link.for_path(p) for p in paths])
+        energies = effective_capacity_rows(thetas, samples)
+        infeasible = int(np.isinf(thetas).sum())
 
+        weights_A = effective_capacity_rows(link.theta_A, samples)
         for u in range(U):
             demand = update_distribution(predictions[u],
                                          self.caches.rrh.get(int(assoc[u]), frozenset()))
-            weight = (0.0 if math.isinf(link.theta_A)
-                      else effective_capacity_from_samples(link.theta_A, samples[u]))
-            self.demand_stream.append((slot, demand, weight))
+            self.demand_stream.append((slot, demand, float(weights_A[u])))
 
         if not self.oracle_like:
-            for u, esn in enumerate(self.content_esns):
-                onehot = np.zeros(cfg["N"])
-                onehot[requests[u] - 1] = 1.0
-                esn.train_step(self.workload.context(u, slot), onehot)
+            observed = np.zeros((U, cfg["N"]))
+            observed[np.arange(U), np.asarray(requests) - 1] = 1.0
+            self.content_bank.train_step(observed)
 
         if slot % cfg["T_tau"] == 0:
             self._retrain_mobility()

@@ -37,11 +37,15 @@ class Topology:
     def n_users(self):
         return self.user_tracks.shape[1]
 
+    def segments(self, slot):
+        """(starts, ends), each (U, 2): every user's movement during 1-based `slot`."""
+        starts = self.start_positions if slot == 1 else self.user_tracks[slot - 2]
+        return starts, self.user_tracks[slot - 1]
+
     def segment(self, slot, user):
-        """(start, end) of the user's movement during 1-based `slot`."""
-        end = self.user_tracks[slot - 1, user]
-        start = self.start_positions[user] if slot == 1 else self.user_tracks[slot - 2, user]
-        return start, end
+        """(start, end) of one user's movement during 1-based `slot`."""
+        starts, ends = self.segments(slot)
+        return starts[user], ends[user]
 
 
 def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):

@@ -152,6 +152,16 @@ def test_request_draw_stays_in_catalog_when_cdf_ends_short():
     sim.run_slot(1)  # the content ESNs train on these requests
 
 
+def test_user_on_an_rrh_keeps_a_finite_slot():
+    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
+    topology = sim.topology
+    topology.start_positions[0] = topology.rrh_positions[1]
+    topology.user_tracks[:, 0] = topology.rrh_positions[1]
+    for k in (1, 2):
+        metrics = sim.run_slot(k)
+        assert np.isfinite(metrics.effective_sum)
+
+
 def test_channel_draws_use_previous_slot_clusters():
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=1)
     seen = []
