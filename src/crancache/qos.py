@@ -28,6 +28,9 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
+# segment_capacity_rows draws users' interferer fading in chunks of at most
+# this many entries, which bounds its temporaries
+FADING_CHUNK_ENTRIES = 1 << 15
 
 PATH_LOCAL = "O"
 PATH_CLOUD = "A"
@@ -235,7 +238,8 @@ def segment_capacity_rows(starts, ends, serving_positions, interferer_positions,
 
     Users are grouped by interferer count: numpy's pairwise sum groups terms
     by the summed length, so zero-padding the interferer axis could change
-    the last bits of a user's interference.
+    the last bits of a user's interference. Each group is sampled in chunks
+    of at most FADING_CHUNK_ENTRIES interferer fading entries.
     """
     starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
@@ -248,20 +252,23 @@ def segment_capacity_rows(starts, ends, serving_positions, interferer_positions,
     d_serv = np.maximum(np.linalg.norm(points - serving[:, None, :], axis=2), MIN_DISTANCE_M)
 
     gamma = np.empty((n_users, n_mc, SLOT_SUBSTEPS))
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
-        h_serv = np.empty((len(rows), n_mc, SLOT_SUBSTEPS))
-        d_int = h_int = None
-        if count:
-            h_int = np.empty((len(rows), n_mc, SLOT_SUBSTEPS, count))
-            positions = np.stack([interferers[u] for u in rows])
-            d_int = np.linalg.norm(points[rows][:, :, None, :] - positions[:, None, :, :], axis=3)
-            d_int = np.maximum(d_int, MIN_DISTANCE_M)[:, None]
-        for j, u in enumerate(rows):
-            rngs[u].standard_exponential(out=h_serv[j])
+    for count in sorted(set(counts.tolist())):
+        group = np.flatnonzero(counts == count)
+        size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS * max(count, 1)))
+        for rows in (group[i:i + size] for i in range(0, len(group), size)):
+            h_serv = np.empty((len(rows), n_mc, SLOT_SUBSTEPS))
+            d_int = h_int = None
             if count:
-                rngs[u].standard_exponential(out=h_int[j])
-        gamma[rows] = sinr(d_serv[rows][:, None, :], h_serv, d_int, h_int, radio)
+                h_int = np.empty((len(rows), n_mc, SLOT_SUBSTEPS, count))
+                positions = np.stack([interferers[u] for u in rows])
+                d_int = np.linalg.norm(points[rows][:, :, None, :] - positions[:, None, :, :],
+                                       axis=3)
+                d_int = np.maximum(d_int, MIN_DISTANCE_M)[:, None]
+            for j, u in enumerate(rows):
+                rngs[u].standard_exponential(out=h_serv[j])
+                if count:
+                    rngs[u].standard_exponential(out=h_int[j])
+            gamma[rows] = sinr(d_serv[rows][:, None, :], h_serv, d_int, h_int, radio)
     per_step = radio.bandwidth_hz * np.log2(1.0 + gamma)
     return per_step.sum(axis=2) * unit_scale
 
