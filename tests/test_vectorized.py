@@ -8,11 +8,13 @@ import math
 import numpy as np
 import pytest
 
+from crancache import qos
 from crancache.data import generate_workload, slot_hour, slot_weekday
 from crancache.esn import ContentEsn, ContentEsnBank, project_to_simplex
 from crancache.qos import (SLOT_SUBSTEPS, RadioParams, effective_capacity_from_samples,
                            effective_capacity_rows, segment_capacity_rows,
                            segment_capacity_samples)
+from crancache.seeding import _PURPOSES, rng_for
 
 RADIO = RadioParams()
 
@@ -79,7 +81,9 @@ def test_effective_capacity_rows_honours_tau():
 # ---- channel sampling -----------------------------------------------------------
 
 @pytest.mark.parametrize("n_mc", [1, 48])
-def test_segment_capacity_rows_match_per_user_reference(n_mc):
+@pytest.mark.parametrize("chunk_entries", [qos.FADING_CHUNK_ENTRIES, 1])
+def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk_entries):
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", chunk_entries)  # 1: a user per chunk
     rng = np.random.default_rng(5)
     # zero interferers, a few, and nine or more (where numpy's pairwise sum
     # regroups terms, so padding the interferer axis would move bits)
@@ -177,7 +181,6 @@ def test_workload_table_matches_archetype_conditionals():
 # ---- seeding --------------------------------------------------------------------
 
 def test_rng_for_streams_match_word_list_seeding():
-    from crancache.seeding import _PURPOSES, rng_for
     for seed, purpose, indices in [(0, "channel", (1, 0)), (7919, "requests", (120,)),
                                    (2 ** 40 + 3, "content_esn", (31,)), (5, "topology", ()),
                                    (0, "sampling", (0, 2 ** 32 + 1))]:
