@@ -42,11 +42,6 @@ class Topology:
         starts = self.start_positions if slot == 1 else self.user_tracks[slot - 2]
         return starts, self.user_tracks[slot - 1]
 
-    def segment(self, slot, user):
-        """(start, end) of one user's movement during 1-based `slot`."""
-        starts, ends = self.segments(slot)
-        return starts[user], ends[user]
-
 
 def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
     if n_rrhs < 1 or not schedules:
