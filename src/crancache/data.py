@@ -54,10 +54,10 @@ class UserArchetype:
         n = base_probs.shape[0]
         perm = self.rank_permutation.copy()
         rotation = (hour + weekday) % _BLOCK
-        if rotation:
-            for start in range(1, n, _BLOCK):
-                block = perm[start:start + _BLOCK]
-                perm[start:start + _BLOCK] = np.roll(block, rotation)
+        if rotation:  # rotate every block of ranks 2..n, a short last block too
+            cut = 1 + (n - 1) // _BLOCK * _BLOCK
+            perm[1:cut] = np.roll(perm[1:cut].reshape(-1, _BLOCK), rotation, axis=1).ravel()
+            perm[cut:] = np.roll(perm[cut:], rotation)
         probs = np.empty(n)
         probs[perm] = base_probs
         return probs

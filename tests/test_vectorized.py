@@ -41,6 +41,18 @@ def reference_project_to_simplex(raw):
     return p / total
 
 
+def reference_conditional(rank_permutation, base_probs, hour, weekday):
+    n = base_probs.shape[0]
+    perm = rank_permutation.copy()
+    rotation = (hour + weekday) % 3
+    if rotation:
+        for start in range(1, n, 3):
+            perm[start:start + 3] = np.roll(perm[start:start + 3], rotation)
+    probs = np.empty(n)
+    probs[perm] = base_probs
+    return probs
+
+
 def reference_segment_samples(start, end, serving_pos, interferer_positions,
                               radio, n_mc, rng, unit_scale=1.0):
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
@@ -160,14 +172,17 @@ def test_project_to_simplex_rows_match_single_rows():
 
 # ---- workload table -------------------------------------------------------------
 
-def test_workload_table_matches_archetype_conditionals():
-    wl = generate_workload(n_users=9, n_contents=23, zipf_alpha=0.9, n_archetypes=4, seed=6)
+@pytest.mark.parametrize("n_contents", [2, 3, 23, 24])
+def test_workload_table_matches_archetype_conditionals(n_contents):
+    wl = generate_workload(n_users=9, n_contents=n_contents, zipf_alpha=0.9,
+                           n_archetypes=4, seed=6)
     for slot in range(24 * 7):
         hour, weekday = slot_hour(slot), slot_weekday(slot)
         contexts = wl.contexts(slot)
         for user in range(wl.n_users):
             arch = wl.archetypes[wl.user_archetype[user]]
-            expected = arch.conditional(wl.base_probs, hour, weekday)
+            expected = reference_conditional(arch.rank_permutation, wl.base_probs, hour, weekday)
+            assert np.array_equal(arch.conditional(wl.base_probs, hour, weekday), expected)
             assert np.array_equal(wl.distribution(user, slot), expected)
             context = np.array([hour / 23.0, weekday / 6.0, float(wl.user_gender[user]),
                                 arch.occupation_code, arch.age_band,
