@@ -30,7 +30,7 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 MIN_DISTANCE_M = 1e-3
 # segment_capacity_rows draws users' interferer fading in chunks of at most
 # this many entries, which bounds its temporaries
-FADING_CHUNK_ENTRIES = 1 << 15
+FADING_CHUNK_ENTRIES = 1 << 14
 
 PATH_LOCAL = "O"
 PATH_CLOUD = "A"
