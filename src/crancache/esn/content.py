@@ -6,12 +6,18 @@ by a linear gradient step on the raw readout residual. Raw readouts are not
 probability vectors, so predictions are projected onto the simplex
 (clamp negatives, renormalize, uniform fallback) before use.
 """
+import os
+
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..seeding import as_rng
 
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
+
+# a bank finds the spectral radii of reservoirs this large on a thread pool;
+# below it the pool costs more than the eigenvalue solves it would share out
+POOL_MIN_RESERVOIR = 256
 
 
 def project_to_simplex(raw):
@@ -36,6 +42,52 @@ def require_distribution(vec, tol=1e-9):
     if abs(vec.sum() - 1.0) > tol:
         raise ConfigurationError(f"distribution sums to {vec.sum()!r}, not 1")
     return vec
+
+
+def _check_dimensions(n_contents, n_features, n_reservoir, spectral_radius):
+    if n_contents < 1 or n_reservoir < 1 or n_features < 1:
+        raise ConfigurationError("n_contents, n_features, n_reservoir must be >= 1")
+    if not 0.0 < spectral_radius < 1.0:
+        raise ConfigurationError("spectral_radius must lie in (0, 1)")
+
+
+def _draw_weights(rng, n_contents, n_features, n_reservoir, density, out_scale):
+    """(W_in, W, W_out) of one content ESN; W is masked but not yet rescaled.
+
+    The draws come in the order W_in, the mask, W, W_out. Rescaling W to its
+    spectral radius consumes no randomness, so it may happen afterwards.
+    """
+    w_in = rng.uniform(-1.0, 1.0, (n_reservoir, n_features))
+    mask = rng.random((n_reservoir, n_reservoir)) < density
+    w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
+    w_out = rng.uniform(-out_scale, out_scale, (n_contents, n_reservoir + n_features))
+    return w_in, w, w_out
+
+
+def _spectral_radius(w):
+    return float(np.max(np.abs(np.linalg.eigvals(w))))
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _spectral_radii(reservoirs):
+    """max|eigvals| of each (N_w, N_w) reservoir in a stack, in stack order.
+
+    Large reservoirs are solved on a thread pool: `eigvals` releases the
+    interpreter lock, and a solve gives the same bits on any thread. The
+    workers run nothing but `_spectral_radius`.
+    """
+    workers = min(len(reservoirs), _usable_cpus())
+    if reservoirs.shape[-1] < POOL_MIN_RESERVOIR or workers < 2:
+        return [_spectral_radius(w) for w in reservoirs]
+    from concurrent.futures import ThreadPoolExecutor  # imported only where it is used
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(_spectral_radius, reservoirs))
 
 
 def require_context(x, n_features):
@@ -66,25 +118,18 @@ class ContentEsn:
     def __init__(self, n_contents, n_features=CONTEXT_FEATURES, n_reservoir=100,
                  learning_rate=0.01, spectral_radius=0.9, density=0.1,
                  out_scale=0.1, seed=0):
-        if n_contents < 1 or n_reservoir < 1 or n_features < 1:
-            raise ConfigurationError("n_contents, n_features, n_reservoir must be >= 1")
-        if not 0.0 < spectral_radius < 1.0:
-            raise ConfigurationError("spectral_radius must lie in (0, 1)")
-        rng = as_rng(seed)
+        _check_dimensions(n_contents, n_features, n_reservoir, spectral_radius)
         self.n_contents = n_contents
         self.n_features = n_features
         self.n_reservoir = n_reservoir
         self.learning_rate = float(learning_rate)
         self.spectral_radius = float(spectral_radius)
-        self.input_weights = rng.uniform(-1.0, 1.0, (n_reservoir, n_features))
-        mask = rng.random((n_reservoir, n_reservoir)) < density
-        w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
-        radius = float(np.max(np.abs(np.linalg.eigvals(w)))) if n_reservoir else 0.0
+        self.input_weights, w, self.output_weights = _draw_weights(
+            as_rng(seed), n_contents, n_features, n_reservoir, density, out_scale)
+        radius = _spectral_radius(w)
         if radius > 0.0:
             w *= spectral_radius / radius
         self.reservoir_weights = w
-        self.output_weights = rng.uniform(-out_scale, out_scale,
-                                          (n_contents, n_reservoir + n_features))
         self.state = np.zeros(n_reservoir)
 
     def set_weights(self, input_weights=None, reservoir_weights=None, output_weights=None):
@@ -138,10 +183,11 @@ class ContentEsn:
 class ContentEsnBank:
     """U content ESNs stepped together as stacked arrays.
 
-    Reservoirs, input weights and readouts of the U predictors live in
-    preallocated (U, N_w, N_w), (U, N_w, K) and (U, N, N_w+K) arrays. User u's
-    predictor is `make(u)` (a ContentEsn), copied in one at a time and then
-    dropped. A step computes exactly what ContentEsn computes for each user.
+    Takes ContentEsn's parameters, with one seed (or Generator) per user in
+    place of `seed`: user u's reservoir, input weights and readout are exactly
+    those of `ContentEsn(..., seed=seeds[u])`. They live in preallocated
+    (U, N_w, N_w), (U, N_w, K) and (U, N, N_w+K) arrays, and a step computes
+    exactly what ContentEsn computes for each user.
 
     Per slot: `predict(contexts)` advances every state and returns the
     projected predictions; `train_step(observed)` then takes one readout
@@ -153,29 +199,26 @@ class ContentEsnBank:
     # entries, so no (U, N, N_w+K) temporary is built
     UPDATE_CHUNK_ENTRIES = 1 << 18
 
-    def __init__(self, n_users, make):
-        esn = make(0)
+    def __init__(self, n_contents, seeds, n_features=CONTEXT_FEATURES, n_reservoir=100,
+                 learning_rate=0.01, spectral_radius=0.9, density=0.1, out_scale=0.1):
+        _check_dimensions(n_contents, n_features, n_reservoir, spectral_radius)
+        n_users = len(seeds)
         self.n_users = n_users
-        self.n_contents = esn.n_contents
-        self.n_features = esn.n_features
-        self.n_reservoir = esn.n_reservoir
-        self.learning_rate = esn.learning_rate
-        n_w, k, n = self.n_reservoir, self.n_features, self.n_contents
+        self.n_contents = n_contents
+        self.n_features = n_features
+        self.n_reservoir = n_reservoir
+        self.learning_rate = float(learning_rate)
+        n_w, k, n = n_reservoir, n_features, n_contents
         self.reservoir_weights = np.empty((n_users, n_w, n_w))
         self.input_weights = np.empty((n_users, n_w, k))
         self.output_weights = np.empty((n_users, n, n_w + k))
-        self.state = np.empty((n_users, n_w))
-        for u in range(n_users):
-            if u:
-                esn = make(u)
-            if ((esn.n_contents, esn.n_features, esn.n_reservoir, esn.learning_rate)
-                    != (n, k, n_w, self.learning_rate)):
-                raise ConfigurationError("bank members must share dimensions and learning rate")
-            self.reservoir_weights[u] = esn.reservoir_weights
-            self.input_weights[u] = esn.input_weights
-            self.output_weights[u] = esn.output_weights
-            self.state[u] = esn.state
-        del esn
+        self.state = np.zeros((n_users, n_w))
+        for u, seed in enumerate(seeds):
+            (self.input_weights[u], self.reservoir_weights[u],
+             self.output_weights[u]) = _draw_weights(as_rng(seed), n, k, n_w, density, out_scale)
+        for w, radius in zip(self.reservoir_weights, _spectral_radii(self.reservoir_weights)):
+            if radius > 0.0:
+                w *= spectral_radius / radius
         chunk = max(1, min(n_users, self.UPDATE_CHUNK_ENTRIES // (n * (n_w + k))))
         self._outer = np.empty((chunk, n, n_w + k))
         self._readout = None  # (z, raw) of the last predict

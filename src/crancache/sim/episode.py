@@ -28,7 +28,7 @@ from ..cache import (CacheState, SamplingPlan, cluster_rrhs, estimate_popularity
 from ..config import ExperimentConfig
 from ..data import generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
-from ..esn import ContentEsn, ContentEsnBank, LocationGrid, MobilityEsn
+from ..esn import ContentEsnBank, LocationGrid, MobilityEsn
 from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
                    WiredParams, effective_capacity_rows,
                    map_qos_exponents_lenient, per_content_rate,
@@ -196,10 +196,10 @@ class Simulation:
 
         self.content_bank = None
         if not self.oracle_like:
-            self.content_bank = ContentEsnBank(config["U"], lambda u: ContentEsn(
-                n_contents=config["N"], n_features=config["K"],
-                n_reservoir=config["N_w"], learning_rate=config["lambda_alpha"],
-                seed=rng_for(self.seed, "content_esn", u)))
+            self.content_bank = ContentEsnBank(
+                config["N"], [rng_for(self.seed, "content_esn", u) for u in range(config["U"])],
+                n_features=config["K"], n_reservoir=config["N_w"],
+                learning_rate=config["lambda_alpha"])
         spec = config.weight_spec()
         self.mobility = [
             _MobilityTracker(

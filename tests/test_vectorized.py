@@ -139,12 +139,10 @@ def test_content_bank_matches_per_user_esns(monkeypatch, n_reservoir, n_contents
     monkeypatch.setattr(ContentEsnBank, "UPDATE_CHUNK_ENTRIES", chunk_entries)
     users = 5
 
-    def make(u):
-        return ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir,
-                          learning_rate=0.03, seed=1000 + u)
-
-    esns = [make(u) for u in range(users)]
-    bank = ContentEsnBank(users, make)
+    esns = [ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir,
+                       learning_rate=0.03, seed=1000 + u) for u in range(users)]
+    bank = ContentEsnBank(n_contents, [1000 + u for u in range(users)],
+                          n_reservoir=n_reservoir, learning_rate=0.03)
     rng = np.random.default_rng(9)
     for _ in range(6):
         x = rng.uniform(0.0, 1.0, (users, 7))
