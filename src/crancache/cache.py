@@ -120,6 +120,8 @@ class ClusterSet:
     def __post_init__(self):
         coop = {}
         for members in self.clusters:
+            if len(members) == 1:  # cooperating_set's default covers a singleton
+                continue
             for rrh in members:
                 coop.setdefault(rrh, set()).update(members)
         self._cooperating = {rrh: frozenset(group) for rrh, group in coop.items()}
@@ -135,6 +137,11 @@ class ClusterSet:
         return self._cooperating.get(rrh, frozenset([rrh]))
 
 
+# anchors' total-variation rows are computed in blocks of at most this many
+# (anchor, user, content) entries
+TV_CHUNK_ENTRIES = 1 << 18
+
+
 def cluster_rrhs(rrh_user_distributions, threshold):
     """Group RRHs whose users share a request-distribution type.
 
@@ -144,28 +151,32 @@ def cluster_rrhs(rrh_user_distributions, threshold):
     Duplicate clusters collapse; user-less RRHs become singletons; output is
     sorted canonically (by size-then-members) for determinism.
     """
-    anchors = []
-    flat = []
+    owners, vecs = [], []
     for rrh in sorted(rrh_user_distributions):
         for dist in rrh_user_distributions[rrh]:
-            vec = np.asarray(dist, dtype=np.float64)
-            anchors.append(vec)
-            flat.append((rrh, vec))
+            owners.append(rrh)
+            vecs.append(np.asarray(dist, dtype=np.float64))
     clusters = set()
-    if flat:
-        mat = np.stack([vec for _, vec in flat])
-        owners = np.array([rrh for rrh, _ in flat])
-        for vec in anchors:
-            tv = 0.5 * np.abs(mat - vec[None, :]).sum(axis=1)
-            members = frozenset(owners[tv < threshold].tolist())
-            if members:
-                clusters.add(members)
-    covered = set().union(*clusters) if clusters else set()
-    for rrh in rrh_user_distributions:
-        if rrh not in covered:
-            clusters.add(frozenset([rrh]))
-    ordered = sorted(clusters, key=lambda c: (len(c), tuple(sorted(c))))
-    return ClusterSet(clusters=[tuple(sorted(c)) for c in ordered],
+    if vecs:
+        mat = np.stack(vecs)
+        owners = np.array(owners)
+        step = max(1, TV_CHUNK_ENTRIES // mat.size)
+        for lo in range(0, len(mat), step):
+            diff = mat[lo:lo + step, None] - mat[None]
+            np.abs(diff, out=diff)  # in place: a second temporary this size costs page faults
+            # row i: the total variation of every user's distribution from anchor lo + i
+            tv = 0.5 * diff.sum(axis=2)
+            for near in tv < threshold:
+                members = frozenset(owners[near].tolist())
+                if members:
+                    clusters.add(members)
+    covered = set().union(*clusters)
+    # singletons sort before every larger cluster, and among themselves by RRH
+    singles = sorted([rrh for rrh in rrh_user_distributions if rrh not in covered]
+                     + [rrh for c in clusters if len(c) == 1 for rrh in c])
+    groups = sorted((tuple(sorted(c)) for c in clusters if len(c) > 1),
+                    key=lambda c: (len(c), c))
+    return ClusterSet(clusters=[(rrh,) for rrh in singles] + groups,
                       similarity_threshold=threshold)
 
 
