@@ -178,7 +178,11 @@ class ExperimentConfig:
         for key in sorted(self.values):
             typ, _ = _SCHEMA[key]
             val = self.values[key]
-            text = f"{val:.12g}" if typ is float else str(val)
+            text = str(val)
+            if typ is float:
+                # the short form when it reads back as the same float
+                short = f"{val:.12g}"
+                text = short if float(short) == val else repr(val)
             lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 

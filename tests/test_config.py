@@ -1,5 +1,10 @@
 """Config parsing, validation, overrides, and canonical round-trips."""
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crancache.config import ExperimentConfig
 from crancache.errors import ConfigurationError
@@ -61,6 +66,56 @@ def test_roundtrip_is_canonical(tmp_path):
     path.write_text(first)
     again = ExperimentConfig.load(path).serialize()
     assert first == again
+
+
+def load_serialized(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_text(cfg.serialize())
+        return ExperimentConfig.load(path)
+
+
+def test_roundtrip_keeps_floats_that_12_digits_lose():
+    cfg = ExperimentConfig.default(lambda_alpha=0.1 + 0.2, P=1 / 3)
+    assert load_serialized(cfg).values == cfg.values
+    assert "lambda_alpha = 0.30000000000000004\n" in cfg.serialize()
+
+
+def test_default_floats_keep_their_short_text():
+    cfg = ExperimentConfig.default()
+    for line in cfg.serialize().splitlines():
+        key, _, text = line.partition(" = ")
+        if isinstance(cfg[key], float):
+            assert text == f"{cfg[key]:.12g}", key
+
+
+def finite(lo=None, hi=None, exclude_min=False, exclude_max=False):
+    return st.floats(lo, hi, exclude_min=exclude_min, exclude_max=exclude_max,
+                     allow_nan=False, allow_infinity=False)
+
+
+positive = finite(0.0, 1e12, exclude_min=True)
+valid_overrides = st.fixed_dictionaries({}, optional={
+    **{key: positive for key in ("r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F", "chi",
+                                 "lambda_alpha")},
+    **{key: finite(-1e6, 1e6) for key in ("P", "sigma2", "zipf_alpha", "w_lo", "w_hi")},
+    "epsilon": finite(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "delta": finite(0.0, 1.0, exclude_min=True),
+    "beta": finite(2.0, 1e3, exclude_min=True),
+    "lambda": finite(0.0, 1e6),
+    "S": finite(0.0, 1e6),
+    "w_a": finite(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    **{key: st.integers(1, 10 ** 6) for key in ("R", "U", "N_w", "H", "N_s", "W", "N_tr",
+                                                "n_mc", "archetypes", "waypoints")},
+    "seed": st.integers(0, 2 ** 40),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_overrides)
+def test_serialize_load_roundtrip_keeps_values(overrides):
+    cfg = ExperimentConfig.default(**overrides)
+    assert load_serialized(cfg).values == cfg.values
 
 
 def test_overrides_apply_and_validate():
