@@ -85,7 +85,7 @@ def _spectral_radii(reservoirs):
     workers = min(len(reservoirs), _usable_cpus())
     if reservoirs.shape[-1] < POOL_MIN_RESERVOIR or workers < 2:
         return [_spectral_radius(w) for w in reservoirs]
-    from concurrent.futures import ThreadPoolExecutor  # imported only where it is used
+    from concurrent.futures import ThreadPoolExecutor  # lazily: a cold package import skips it
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(_spectral_radius, reservoirs))
 
