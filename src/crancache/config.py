@@ -178,11 +178,9 @@ class ExperimentConfig:
         for key in sorted(self.values):
             typ, _ = _SCHEMA[key]
             val = self.values[key]
-            text = str(val)
-            if typ is float:
-                # the short form when it reads back as the same float
-                short = f"{val:.12g}"
-                text = short if float(short) == val else repr(val)
+            text = str(val)  # a float's repr
+            if typ is float and float(f"{val:.12g}") == val:
+                text = f"{val:.12g}"  # the short form, when it reads back as the same float
             lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
