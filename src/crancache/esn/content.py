@@ -7,6 +7,7 @@ probability vectors, so predictions are projected onto the simplex
 (clamp negatives, renormalize, uniform fallback) before use.
 """
 import os
+from functools import partial
 
 import numpy as np
 
@@ -15,8 +16,9 @@ from ..seeding import as_rng
 
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
 
-# a bank finds the spectral radii of reservoirs this large on a thread pool;
-# below it the pool costs more than the eigenvalue solves it would share out
+# a bank with reservoirs this large solves their spectral radii, and steps its
+# users every slot, on a thread pool; below it the pool costs more than the
+# work it would share out
 POOL_MIN_RESERVOIR = 256
 
 
@@ -75,19 +77,62 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _spectral_radii(reservoirs):
-    """max|eigvals| of each (N_w, N_w) reservoir in a stack, in stack order.
+def _map_blocks(fn, n_items, n_reservoir):
+    """[fn(lo, hi) for each block [lo, hi) of range(n_items)], in block order.
 
-    Large reservoirs are solved on a thread pool: `eigvals` releases the
-    interpreter lock, and a solve gives the same bits on any thread. The
-    workers run nothing but `_spectral_radius`.
+    With reservoirs of at least POOL_MIN_RESERVOIR units the items are cut
+    into contiguous blocks, one per usable CPU and at most n_items, and the
+    blocks run on a thread pool: the numpy and BLAS calls inside release the
+    interpreter lock, and each item's arithmetic is the same on any thread.
+    Otherwise, or with fewer than two blocks, fn(0, n_items) runs here. `fn`
+    must be a private helper: the benchmark's span tracer assumes one thread.
     """
-    workers = min(len(reservoirs), _usable_cpus())
-    if reservoirs.shape[-1] < POOL_MIN_RESERVOIR or workers < 2:
-        return [_spectral_radius(w) for w in reservoirs]
+    workers = min(n_items, _usable_cpus())
+    if n_reservoir < POOL_MIN_RESERVOIR or workers < 2:
+        return [fn(0, n_items)]
+    bounds = [n_items * b // workers for b in range(workers + 1)]
     from concurrent.futures import ThreadPoolExecutor  # lazily: a cold package import skips it
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(_spectral_radius, reservoirs))
+        return list(pool.map(fn, bounds[:-1], bounds[1:]))
+
+
+def _radii_block(reservoirs, lo, hi):
+    return list(map(_spectral_radius, reservoirs[lo:hi]))
+
+
+def _spectral_radii(reservoirs):
+    """max|eigvals| of each (N_w, N_w) reservoir in a stack, in stack order."""
+    blocks = _map_blocks(partial(_radii_block, reservoirs), len(reservoirs),
+                         reservoirs.shape[-1])
+    return [radius for block in blocks for radius in block]
+
+
+def _predict_block(bank, x, state, z, raw, lo, hi):
+    """Step users lo..hi of `bank` on contexts x into state, z and raw.
+
+    W@s and W_in@x stay separate products, so their sum rounds as
+    ContentEsn.state_update's does.
+    """
+    users, n_w = slice(lo, hi), bank.n_reservoir
+    state[users] = np.tanh(
+        np.matmul(bank.reservoir_weights[users], bank.state[users, :, None])[:, :, 0]
+        + np.matmul(bank.input_weights[users], x[users, :, None])[:, :, 0])
+    z[users, :n_w] = state[users]
+    z[users, n_w:] = x[users]
+    raw[users] = np.matmul(bank.output_weights[users], z[users, :, None])[:, :, 0]
+
+
+def _train_block(bank, z, residual, lo, hi):
+    """One readout gradient step for users lo..hi, in chunks of UPDATE_CHUNK_ENTRIES."""
+    per_user = bank.n_contents * (bank.n_reservoir + bank.n_features)
+    step = max(1, bank.UPDATE_CHUNK_ENTRIES // per_user)
+    outer = np.empty((min(step, hi - lo),) + bank.output_weights.shape[1:])
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        part = outer[:stop - start]
+        np.multiply(residual[start:stop, :, None], z[start:stop, None, :], out=part)
+        part *= bank.learning_rate
+        bank.output_weights[start:stop] += part
 
 
 def require_context(x, n_features):
@@ -192,11 +237,15 @@ class ContentEsnBank:
     Per slot: `predict(contexts)` advances every state and returns the
     projected predictions; `train_step(observed)` then takes one readout
     gradient step per user against its observed distribution, reusing the raw
-    readouts of that `predict`.
+    readouts of that `predict`. With reservoirs of POOL_MIN_RESERVOIR units or
+    more, both steps, like the spectral radii at construction, run on a
+    thread pool, one contiguous block of users per usable CPU. The pool lives
+    only for the call, so a bank holds no thread and deep-copies.
     """
 
     # readout updates run in chunks of users holding at most this many
-    # entries, so no (U, N, N_w+K) temporary is built
+    # entries, so no (U, N, N_w+K) temporary is built; each block of users
+    # has scratch of its own, as blocks may run on different threads
     UPDATE_CHUNK_ENTRIES = 1 << 18
 
     def __init__(self, n_contents, seeds, n_features=CONTEXT_FEATURES, n_reservoir=100,
@@ -219,8 +268,6 @@ class ContentEsnBank:
         for w, radius in zip(self.reservoir_weights, _spectral_radii(self.reservoir_weights)):
             if radius > 0.0:
                 w *= spectral_radius / radius
-        chunk = max(1, min(n_users, self.UPDATE_CHUNK_ENTRIES // (n * (n_w + k))))
-        self._outer = np.empty((chunk, n, n_w + k))
         self._readout = None  # (z, raw) of the last predict
 
     def predict(self, contexts):
@@ -231,10 +278,12 @@ class ContentEsnBank:
                 f"contexts have shape {x.shape}, expected ({self.n_users}, {self.n_features})")
         if not np.all(np.isfinite(x)):
             raise ConfigurationError("context vectors have non-finite entries")
-        self.state = np.tanh(np.matmul(self.reservoir_weights, self.state[:, :, None])[:, :, 0]
-                             + np.matmul(self.input_weights, x[:, :, None])[:, :, 0])
-        z = np.concatenate([self.state, x], axis=1)
-        raw = np.matmul(self.output_weights, z[:, :, None])[:, :, 0]
+        state = np.empty_like(self.state)
+        z = np.empty((self.n_users, self.n_reservoir + self.n_features))
+        raw = np.empty((self.n_users, self.n_contents))
+        _map_blocks(partial(_predict_block, self, x, state, z, raw), self.n_users,
+                    self.n_reservoir)
+        self.state = state
         self._readout = (z, raw)
         return project_to_simplex(raw)
 
@@ -247,10 +296,4 @@ class ContentEsnBank:
         if residual.shape != raw.shape:
             raise ConfigurationError("observed distributions have the wrong shape")
         self._readout = None
-        chunk = self._outer.shape[0]
-        for lo in range(0, self.n_users, chunk):
-            hi = min(lo + chunk, self.n_users)
-            outer = self._outer[:hi - lo]
-            np.multiply(residual[lo:hi, :, None], z[lo:hi, None, :], out=outer)
-            outer *= self.learning_rate
-            self.output_weights[lo:hi] += outer
+        _map_blocks(partial(_train_block, self, z, residual), self.n_users, self.n_reservoir)
