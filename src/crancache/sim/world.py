@@ -57,8 +57,12 @@ def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
 def resolve_delivery_path(content, serving_rrh, cache_state):
     """Source priority when several hold the content: local > cloud > remote > server.
 
-    The priority is effective-capacity greedy: the mapped exponents satisfy
-    theta_O <= theta_A <= theta_G <= theta_S whenever the paths are feasible.
+    The mapped exponents always satisfy theta_O <= theta_A <= theta_G, so the
+    local, cloud and remote paths come in order of effective capacity. The
+    server path's theta_S is the largest only while the per-content fronthaul
+    rate v_FU is at least the backhaul rate v_BU. With v_B = 6e8, v_F = 1.2e9,
+    one backhaul and three fronthaul transfers, theta_G = theta_O / 0.95
+    exceeds theta_S = theta_O / 0.9667, and the order still prefers remote.
     """
     if content in cache_state.rrh.get(serving_rrh, frozenset()):
         return PATH_LOCAL

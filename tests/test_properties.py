@@ -1,11 +1,18 @@
-"""Property tests: greedy selections, clustering and the cooperating-set map."""
+"""Property tests: greedy selections, clustering, the cooperating-set map,
+cache-state invariants and the ordering of the mapped QoS exponents."""
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
 from crancache import cache
-from crancache.cache import ClusterSet, cluster_rrhs, top_k_contents
+from crancache.cache import (CacheState, ClusterSet, cluster_rrhs, select_cloud_cache,
+                             select_rrh_cache, top_k_contents)
+from crancache.errors import ConfigurationError
+from crancache.qos import WiredParams, map_qos_exponents_lenient, per_content_rate
 from crancache.sim import enumerate_best_subset
 
 # small integers: subset sums are exact, so ties are real ties
@@ -96,3 +103,78 @@ def test_cluster_rrhs_equals_per_anchor_reference(groups, threshold, chunk):
     assert cluster_set.clusters == expected
     for rrh in groups:
         assert cluster_set.cooperating_set(rrh) == coop[rrh]
+
+
+# ids around the valid range 1..n: 0, negatives and n + 1 are outside it
+def cache_contents(n_contents):
+    return st.frozensets(st.integers(-1, n_contents + 1), max_size=n_contents + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, n), cache_contents(n),
+    st.dictionaries(st.integers(0, 5), cache_contents(n), max_size=4))))
+def test_cache_state_validate_raises_exactly_on_overflow_or_foreign_id(case):
+    n_contents, cloud_capacity, rrh_capacity, cloud, rrh = case
+    foreign = any(not 1 <= c <= n_contents for c in cloud.union(*rrh.values()))
+    overflow = len(cloud) > cloud_capacity or any(len(c) > rrh_capacity for c in rrh.values())
+    state = CacheState(cloud_capacity=cloud_capacity, rrh_capacity=rrh_capacity,
+                       n_contents=n_contents)
+    state.cloud, state.rrh = cloud, rrh
+    if foreign or overflow:
+        with pytest.raises(ConfigurationError):
+            state.validate()
+        with pytest.raises(ConfigurationError):
+            CacheState(cloud_capacity, rrh_capacity, n_contents, cloud=cloud, rrh=rrh)
+    else:
+        state.validate()
+        CacheState(cloud_capacity, rrh_capacity, n_contents, cloud=cloud, rrh=rrh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, n),
+    st.lists(st.integers(0, 4), min_size=1, max_size=5), st.integers(0, 2 ** 16))))
+def test_selected_caches_always_validate(case):
+    n_contents, cloud_capacity, rrh_capacity, users_per_rrh, seed = case
+    rng = np.random.default_rng(seed)
+    rrh = {}
+    demand = np.zeros(n_contents)
+    for r, users in enumerate(users_per_rrh):
+        dists = rng.dirichlet(np.ones(n_contents), size=users)
+        weights = rng.exponential(1.0, users)
+        rrh[r] = select_rrh_cache(dists, weights, rrh_capacity, n_contents)
+        demand += dists.sum(axis=0)
+    cloud = select_cloud_cache(demand / max(1, sum(users_per_rrh)), cloud_capacity)
+    CacheState(cloud_capacity, rrh_capacity, n_contents, cloud=cloud, rrh=rrh)
+
+
+# rates on a 1 Mbit/s grid split over at most 40 transfers, and L/(v D) >= 2e-6:
+# distinct per-content rates then give distinct denominators, so an order
+# between the rates is never hidden by rounding
+link_cases = st.tuples(
+    st.floats(1e-3, 10.0), st.integers(1, 10 ** 4), st.integers(1, 10 ** 4),
+    st.floats(1e5, 1e8), st.floats(1e-2, 10.0), st.integers(0, 40), st.integers(0, 40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(link_cases)
+def test_mapped_exponents_order(case):
+    theta_O, v_B, v_F, size, bound, n_B, n_F = case
+    wired = WiredParams(backhaul_rate=v_B * 1e6, fronthaul_rate=v_F * 1e6,
+                        content_size=size, delay_bound=bound)
+    v_BU = per_content_rate(wired.backhaul_rate, n_B)
+    v_FU = per_content_rate(wired.fronthaul_rate, n_F)
+    link = map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU)
+    assert link.theta_O <= link.theta_A <= link.theta_G  # +inf when infeasible
+    if math.isfinite(link.theta_G) and math.isfinite(link.theta_S):
+        assert (link.theta_G <= link.theta_S) == (v_FU >= v_BU)
+
+
+def test_remote_exponent_exceeds_server_when_fronthaul_share_is_slower():
+    """The desk rates with one backhaul and three fronthaul transfers."""
+    wired = WiredParams(backhaul_rate=6e8, fronthaul_rate=1.2e9, content_size=1e7,
+                        delay_bound=1.0)
+    link = map_qos_exponents_lenient(0.05, wired, per_content_rate(6e8, 1),
+                                     per_content_rate(1.2e9, 3))
+    assert link.theta_G == 0.05 / (1.0 - 2e7 / 4e8) > link.theta_S == 0.05 / (1.0 - 2e7 / 6e8)
