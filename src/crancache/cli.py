@@ -1,8 +1,12 @@
 """Command-line front end: experiments in, plot-ready CSV out.
 
 Subcommands: simulate, sweep, memcap, sample-size, gen-data. All outputs are
-deterministic given (config, seed). Exit codes: 0 success, 2 config error,
-3 infeasible instance (oracle guard).
+deterministic given (config, seed) and the BLAS thread count: with large
+reservoirs, such as the parameter-table default N_w = 1000, multi-threaded
+BLAS rounds the reservoirs' eigenvalue solves differently from one thread.
+Run with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for
+other BLAS builds) to replay a run bit for bit on any host. Exit codes:
+0 success, 2 config error, 3 infeasible instance (oracle guard).
 """
 import argparse
 import logging
