@@ -1,14 +1,19 @@
-"""Golden outputs: fixed-seed episodes must keep their exact numbers.
+"""Golden outputs: fixed-seed episodes and memcap sweeps keep their exact numbers.
 
 E_bar is pinned to 1e-9 and the per-slot CSV by its SHA-256, so a change to
 the slot pipeline that moves any realization (a reordered RNG draw, a
-regrouped floating-point sum) fails here. A change that alters the
-realization on purpose must say so and re-record these values.
+regrouped floating-point sum) fails here. The CLI's memcap.csv is pinned the
+same way, so a change to the cycle-reservoir drive or the readout fits must
+keep every bit. A change that alters the realization on purpose must say so
+and re-record these values.
 """
+import contextlib
 import hashlib
+import io
 
 import pytest
 
+from crancache import cli
 from crancache.config import ExperimentConfig
 from crancache.sim import run_episode
 
@@ -50,3 +55,29 @@ def test_golden_episode(case):
     report = run_episode(ExperimentConfig.default(**CONFIGS[name]), policy, seed)
     assert report.effective_capacity_avg == pytest.approx(e_bar, rel=0, abs=1e-9)
     assert hashlib.sha256(report.slot_csv().encode()).hexdigest() == digest
+
+
+# memcap arguments after the subcommand (seed 0) -> sha256 of memcap.csv
+GOLDEN_MEMCAP = {
+    "pointmass": (
+        [], "58753b12e019d045f96d9600433cb925ea7e3b82f04659d5bea3ab9537c63a1f"),
+    "symbinary": (
+        ["--dist", "symbinary"],
+        "5545c88e76c0c8fe7e985ae66485716b239db8ee689d206d200ae918f715e1e5"),
+    "uniform": (
+        ["--dist", "uniform"],
+        "65a70fc68ab6ae87db49ab7cb3eb0c9d4064699dbb682076df6e58db52987d67"),
+    "short-trace": (
+        ["--a", "0.5", "--W-range", "4,1,9,2", "--trace-len", "3000"],
+        "11bfa0db3a71c3f19a4a2656d82db2af3d36fb31072e2a7eeb76943feb46760e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MEMCAP))
+def test_golden_memcap(case, tmp_path):
+    extra, digest = GOLDEN_MEMCAP[case]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--seed", "0", "--out-dir", str(tmp_path), "memcap", *extra])
+    assert code == 0
+    text = (tmp_path / "memcap.csv").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
