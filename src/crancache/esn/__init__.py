@@ -3,7 +3,7 @@ from .content import (CONTEXT_FEATURES, ContentEsn, ContentEsnBank, project_to_s
                       require_context, require_distribution)
 from .memory import (empirical_memory_capacity, memory_capacity,
                      memory_capacity_bounds)
-from .mobility import (LocationGrid, MobilityEsn, WeightDistribution,
+from .mobility import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
                        build_cycle_reservoir, ridge_train)
 
 __all__ = [
@@ -12,6 +12,7 @@ __all__ = [
     "ContentEsnBank",
     "LocationGrid",
     "MobilityEsn",
+    "MobilityEsnBank",
     "WeightDistribution",
     "build_cycle_reservoir",
     "empirical_memory_capacity",

@@ -9,6 +9,7 @@ discretized grid over the coverage disk).
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .._kernels import cycle_drive
 from ..errors import ConfigurationError, NumericalRankError
@@ -124,11 +125,11 @@ class MobilityEsn:
     def __init__(self, n_units, weight_spec, horizon, ridge_lambda=0.5, seed=0):
         if n_units < 1 or horizon < 1:
             raise ConfigurationError("n_units and horizon must be >= 1")
-        rng = as_rng(seed)
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
         self.cycle_weight_spec = weight_spec
+        rng = as_rng(seed)
         self.reservoir_weights = build_cycle_reservoir(n_units, weight_spec, rng)
         self.input_weights = rng.uniform(-1.0, 1.0, n_units)
         self.output_weights = np.zeros((horizon, n_units))
@@ -178,14 +179,86 @@ class LocationGrid:
         self.n_cells = self.n_cols * self.n_cols
 
     def encode(self, x, y):
+        """Cell code of each position; x and y are scalars or equal-shape arrays."""
         last = self.n_cols - 1
-        col = int(min(max((x + self.radius) // self.pitch, 0), last))
-        row = int(min(max((y + self.radius) // self.pitch, 0), last))
-        return row * self.n_cols + col
+        col = np.clip((np.asarray(x, dtype=np.float64) + self.radius) // self.pitch, 0, last)
+        row = np.clip((np.asarray(y, dtype=np.float64) + self.radius) // self.pitch, 0, last)
+        return (row * self.n_cols + col).astype(np.int64)
 
     def decode(self, code):
-        code = min(max(round(float(code)), 0), self.n_cells - 1)
-        row, col = divmod(code, self.n_cols)
+        """(x, y) of the cell centre nearest each code; codes round half to even."""
+        code = np.clip(np.rint(np.asarray(code, dtype=np.float64)), 0, self.n_cells - 1)
+        row, col = np.divmod(code.astype(np.int64), self.n_cols)
         x = -self.radius + (col + 0.5) * self.pitch
         y = -self.radius + (row + 0.5) * self.pitch
         return x, y
+
+
+class MobilityEsnBank:
+    """The mobility ESNs of U users, stepped as one stacked cycle drive.
+
+    User u's reservoir and input weights are those of a `MobilityEsn` seeded
+    with `rngs[u]`. Each `observe` encodes all users' positions, drives every
+    reservoir one step with a single `cycle_drive` call, and records the codes
+    and states in histories preallocated for `n_observations` calls. The
+    readouts are ridge-fitted per user on the same (W, n) state windows and
+    (horizon, n) target windows that a lone `MobilityEsn` would be trained on.
+    """
+
+    def __init__(self, n_units, weight_spec, horizon, rngs, grid, n_observations,
+                 ridge_lambda=0.5):
+        esns = [MobilityEsn(n_units, weight_spec, horizon, ridge_lambda, seed=rng)
+                for rng in rngs]
+        n_users = len(esns)
+        self.n_units = n_units
+        self.horizon = horizon
+        self.ridge_lambda = float(ridge_lambda)
+        self.grid = grid
+        self.cycle_weights = np.array([e.cycle_weights for e in esns]).reshape(n_users, n_units)
+        self.input_weights = np.array([e.input_weights for e in esns]).reshape(n_users, n_units)
+        self.output_weights = np.zeros((n_users, horizon, n_units))
+        self.state = np.zeros((n_users, n_units))
+        self.codes = np.empty((n_observations, n_users))
+        self.states = np.empty((n_observations, n_users, n_units))
+        self.n_observed = 0
+        self.prediction = np.zeros(n_users)        # first predicted code per user
+        self.has_prediction = np.zeros(n_users, dtype=bool)
+
+    def observe(self, positions):
+        """Step every user's reservoir on the codes of its (U, 2) positions.
+
+        Users with a trained readout refresh their one-step prediction.
+        """
+        k = self.n_observed
+        codes = self.grid.encode(positions[:, 0], positions[:, 1])
+        self.codes[k] = codes
+        self.state = cycle_drive(self.cycle_weights, self.input_weights,
+                                 self.codes[k:k + 1], self.state)[0]
+        self.states[k] = self.state
+        self.n_observed = k + 1
+        trained = self.output_weights.any(axis=(1, 2))
+        if trained.any():
+            # one gemv per user, as in MobilityEsn.predict
+            ahead = np.matmul(self.output_weights[trained], self.state[trained, :, None])
+            self.prediction[trained] = ahead[:, 0, 0]
+            self.has_prediction |= trained
+
+    def retrain(self, max_pairs):
+        """Ridge-fit each readout on the latest <= max_pairs completed pairs."""
+        n_complete = self.n_observed - self.horizon
+        if n_complete < 1:
+            return
+        lo = max(0, n_complete - max_pairs)
+        # (U, W, n) states and (U, horizon, n) targets, C-contiguous per user
+        states = np.ascontiguousarray(self.states[lo:n_complete].transpose(1, 2, 0))
+        ahead = sliding_window_view(self.codes[lo + 1:n_complete + self.horizon],
+                                    self.horizon, axis=0)
+        targets = np.ascontiguousarray(ahead.transpose(1, 2, 0))
+        for u in range(len(self.state)):
+            self.output_weights[u] = ridge_train(states[u], targets[u], self.ridge_lambda)
+
+    def predicted_positions(self):
+        """(users, (k, 2) positions) for the users holding a prediction."""
+        users = np.flatnonzero(self.has_prediction)
+        x, y = self.grid.decode(self.prediction[users])
+        return users, np.column_stack((x, y))

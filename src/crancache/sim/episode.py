@@ -28,7 +28,7 @@ from ..cache import (CacheState, SamplingPlan, cluster_rrhs, estimate_popularity
 from ..config import ExperimentConfig
 from ..data import generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
-from ..esn import ContentEsnBank, LocationGrid, MobilityEsn
+from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
 from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
                    WiredParams, effective_capacity_rows,
                    map_qos_exponents_lenient, per_content_rate,
@@ -40,6 +40,7 @@ POLICY_PROPOSED = "proposed"
 POLICY_RANDOM_CLUSTERED = "random_clustered"
 POLICY_RANDOM_UNCLUSTERED = "random_unclustered"
 POLICY_ORACLE = "optimal_oracle"
+RANDOM_POLICIES = (POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED)
 
 ORACLE_SEARCH_LIMIT = 10 ** 6
 CAPACITY_UNIT = 1e-6  # slot service scored in Mbit
@@ -121,42 +122,6 @@ def enumerate_best_subset(scores, k):
     return best
 
 
-class _MobilityTracker:
-    """Collects sampled location codes and completed training pairs per user."""
-
-    def __init__(self, esn, grid, horizon):
-        self.esn = esn
-        self.grid = grid
-        self.horizon = horizon
-        self.codes = []
-        self.states = []
-        self.latest_prediction = None
-
-    def observe(self, position):
-        code = self.grid.encode(position[0], position[1])
-        self.codes.append(float(code))
-        self.states.append(self.esn.state_update(code).copy())
-        if self.esn.output_weights.any():
-            self.latest_prediction = self.esn.predict()
-
-    def training_window(self, max_pairs):
-        n_complete = len(self.codes) - self.horizon
-        if n_complete < 1:
-            return None
-        lo = max(0, n_complete - max_pairs)
-        states = np.stack(self.states[lo:n_complete], axis=1)
-        targets = np.stack(
-            [self.codes[j + 1: j + 1 + self.horizon] for j in range(lo, n_complete)],
-            axis=1,
-        )
-        return states, targets
-
-    def predicted_position(self):
-        if self.latest_prediction is None:
-            return None
-        return self.grid.decode(self.latest_prediction[0])
-
-
 class Simulation:
     """One seeded episode of one policy over T slots."""
 
@@ -194,27 +159,29 @@ class Simulation:
                                        config["r"], self.seed)
         self.grid = LocationGrid(config["r"])
 
-        self.content_bank = None
-        if not self.oracle_like:
+        # Only what the policy reads is built: random_unclustered reads no
+        # prediction, and oracle-like runs read the true distributions and
+        # the true serving RRHs. Streams are drawn per purpose, so skipping
+        # one moves no other draw.
+        self.content_bank = self.mobility = None
+        if policy != POLICY_RANDOM_UNCLUSTERED and not self.oracle_like:
+            users = range(config["U"])
             self.content_bank = ContentEsnBank(
-                config["N"], [rng_for(self.seed, "content_esn", u) for u in range(config["U"])],
+                config["N"], [rng_for(self.seed, "content_esn", u) for u in users],
                 n_features=config["K"], n_reservoir=config["N_w"],
                 learning_rate=config["lambda_alpha"])
-        spec = config.weight_spec()
-        self.mobility = [
-            _MobilityTracker(
-                MobilityEsn(config["W"], spec, config["N_s"],
-                            ridge_lambda=config["lambda"],
-                            seed=rng_for(self.seed, "mobility_esn", u)),
-                self.grid, config["N_s"])
-            for u in range(config["U"])
-        ]
+            self.mobility = MobilityEsnBank(
+                config["W"], config.weight_spec(), config["N_s"],
+                [rng_for(self.seed, "mobility_esn", u) for u in users], self.grid,
+                n_observations=(config["T"] - 1) // config["H"] + 1,
+                ridge_lambda=config["lambda"])
 
         self.caches = CacheState(cloud_capacity=config["C_c"],
                                  rrh_capacity=config["C_r"],
                                  n_contents=config["N"])
         self.cluster_set = None  # slot 1 runs with singleton cooperation
-        self.demand_stream = []  # (slot, demand vector, weight) since last refresh
+        # (slot, demand vector, weight) since the last refresh; random policies keep none
+        self.demand_stream = []
         self.cloud_trace = []
 
     # ----- per-slot pieces -------------------------------------------------
@@ -250,30 +217,26 @@ class Simulation:
             return self._true_distributions(slot)
         return self.content_bank.predict(self.workload.contexts(slot))
 
-    def _assoc_for_caching(self, slot, serving):
+    def _assoc_for_caching(self, serving):
         """Predicted serving RRH per user at the cache-decision instant."""
         assoc = serving.copy()
-        if self.oracle_like:
+        if self.mobility is None:
             return assoc
-        users, predicted = [], []
-        for u, tracker in enumerate(self.mobility):
-            pos = tracker.predicted_position()
-            if pos is not None:
-                users.append(u)
-                predicted.append(pos)
-        if users:
-            assoc[users] = nearest_rrh(np.asarray(predicted), self.topology.rrh_positions)
+        users, predicted = self.mobility.predicted_positions()
+        if len(users):
+            assoc[users] = nearest_rrh(predicted, self.topology.rrh_positions)
         return assoc
 
-    def _update_rrh_caches(self, slot, assoc, predictions, weights):
+    def _update_rrh_caches(self, slot, assoc, predictions, samples):
         cfg = self.cfg
         new = {}
-        if self.policy in (POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED):
+        if self.policy in RANDOM_POLICIES:
             for r in range(cfg["R"]):
                 rng = rng_for(self.seed, "random_cache", slot, r + 1)
                 picks = rng.choice(cfg["N"], size=cfg["C_r"], replace=False)
                 new[r] = frozenset(int(c) + 1 for c in picks)
         else:
+            weights = effective_capacity_rows(self.theta_O, samples)
             by_rrh = {}
             for u in range(cfg["U"]):
                 by_rrh.setdefault(assoc[u], []).append(u)
@@ -306,34 +269,28 @@ class Simulation:
         return (idx + 1).tolist()
 
     def _refresh_cloud(self, slot):
-        if not self.demand_stream:
-            return
-        slots = np.array([s for s, _, _ in self.demand_stream])
-        dists = np.stack([d for _, d, _ in self.demand_stream])
-        weights = np.array([w for _, _, w in self.demand_stream])
-        window = slot // self.cfg["T_tau"]
-        if self.policy == POLICY_ORACLE:
-            popularity = (dists * weights[:, None]).mean(axis=0)
-            cloud = enumerate_best_subset(popularity, self.cfg["C_c"])
-        elif self.policy in (POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED):
+        if self.policy in RANDOM_POLICIES:
             rng = rng_for(self.seed, "random_cache", slot, 0)
             picks = rng.choice(self.cfg["N"], size=self.cfg["C_c"], replace=False)
             cloud = frozenset(int(c) + 1 for c in picks)
+        elif not self.demand_stream:
+            return
         else:
-            rng = rng_for(self.seed, "sampling", window)
-            popularity = estimate_popularity(dists, weights, self.plan, rng,
-                                             strata=slots)
-            cloud = select_cloud_cache(popularity, self.cfg["C_c"])
+            slots = np.array([s for s, _, _ in self.demand_stream])
+            dists = np.stack([d for _, d, _ in self.demand_stream])
+            weights = np.array([w for _, _, w in self.demand_stream])
+            if self.policy == POLICY_ORACLE:
+                popularity = (dists * weights[:, None]).mean(axis=0)
+                cloud = enumerate_best_subset(popularity, self.cfg["C_c"])
+            else:
+                rng = rng_for(self.seed, "sampling", slot // self.cfg["T_tau"])
+                popularity = estimate_popularity(dists, weights, self.plan, rng,
+                                                 strata=slots)
+                cloud = select_cloud_cache(popularity, self.cfg["C_c"])
         self.caches.cloud = cloud
         self.caches.validate()
         self.cloud_trace.append((slot, tuple(sorted(cloud))))
         self.demand_stream = []
-
-    def _retrain_mobility(self):
-        for tracker in self.mobility:
-            window = tracker.training_window(self.cfg["N_tr"])
-            if window is not None:
-                tracker.esn.train(*window)
 
     # ----- main loop -------------------------------------------------------
 
@@ -343,16 +300,16 @@ class Simulation:
         positions = self.topology.user_tracks[slot - 1]
         serving = nearest_rrh(positions, self.topology.rrh_positions)
 
-        if (slot - 1) % cfg["H"] == 0:
-            for u, tracker in enumerate(self.mobility):
-                tracker.observe(positions[u])
+        if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
+            self.mobility.observe(positions)
 
         samples = self._capacity_samples(slot, serving)
-        predictions = self._predictions(slot)
-        weights_O = effective_capacity_rows(self.theta_O, samples)
+        predictions = None
+        if self.policy != POLICY_RANDOM_UNCLUSTERED:
+            predictions = self._predictions(slot)
 
-        assoc = self._assoc_for_caching(slot, serving)
-        self._update_rrh_caches(slot, assoc, predictions, weights_O)
+        assoc = self._assoc_for_caching(serving)
+        self._update_rrh_caches(slot, assoc, predictions, samples)
         self._update_clusters(assoc, predictions)
 
         requests = self._realize_requests(slot)
@@ -370,19 +327,21 @@ class Simulation:
         energies = effective_capacity_rows(thetas, samples)
         infeasible = int(np.isinf(thetas).sum())
 
-        weights_A = effective_capacity_rows(link.theta_A, samples)
-        for u in range(U):
-            demand = update_distribution(predictions[u],
-                                         self.caches.rrh.get(int(assoc[u]), frozenset()))
-            self.demand_stream.append((slot, demand, float(weights_A[u])))
+        if self.policy not in RANDOM_POLICIES:
+            weights_A = effective_capacity_rows(link.theta_A, samples)
+            for u in range(U):
+                demand = update_distribution(predictions[u],
+                                             self.caches.rrh.get(int(assoc[u]), frozenset()))
+                self.demand_stream.append((slot, demand, float(weights_A[u])))
 
-        if not self.oracle_like:
+        if self.content_bank is not None:
             observed = np.zeros((U, cfg["N"]))
             observed[np.arange(U), np.asarray(requests) - 1] = 1.0
             self.content_bank.train_step(observed)
 
         if slot % cfg["T_tau"] == 0:
-            self._retrain_mobility()
+            if self.mobility is not None:
+                self.mobility.retrain(cfg["N_tr"])
             self._refresh_cloud(slot)
 
         counts = {p: paths.count(p) for p in (PATH_LOCAL, PATH_CLOUD,
