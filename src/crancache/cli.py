@@ -22,7 +22,7 @@ from .data import (generate_mobility, generate_workload, write_content_trace,
 from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
                      UnsupportedFamilyError)
 from .esn import (MobilityEsn, WeightDistribution, empirical_memory_capacity,
-                  memory_capacity, memory_capacity_bounds, ridge_train)
+                  memory_capacity, memory_capacity_bounds, min_trace_len)
 from .seeding import rng_for
 from .sim import (POLICY_ORACLE, check_oracle_guard, run_episode)
 
@@ -173,10 +173,20 @@ def cmd_sweep(args):
 
 
 def _parse_w_range(text):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    """W values of LO:HI (inclusive) or a comma list; at least one, each >= 1."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"--W-range {text!r}: {exc}") from exc
+    if not values:
+        raise ConfigurationError(f"--W-range {text!r} names no reservoir size")
+    if min(values) < 1:
+        raise ConfigurationError(f"--W-range {text!r}: reservoir sizes must be >= 1")
+    return values
 
 
 def cmd_memcap(args):
@@ -184,10 +194,15 @@ def cmd_memcap(args):
         spec = WeightDistribution("uniform", lo=args.lo, hi=args.hi)
     else:
         spec = WeightDistribution(args.dist, a=args.a)
+    w_values = _parse_w_range(args.W_range)
+    needed = min_trace_len(max(w_values))
+    if args.trace_len < needed:
+        raise ConfigurationError(f"--trace-len {args.trace_len} is too short for "
+                                 f"W = {max(w_values)} (needs >= {needed})")
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     lines = ["W,analytic,bound_lo,bound_hi,empirical"]
-    for W in _parse_w_range(args.W_range):
+    for W in w_values:
         analytic = memory_capacity(spec, W)
         lo, hi = memory_capacity_bounds(spec, W)
         esn = MobilityEsn(W, spec, max(W - 1, 1), seed=rng_for(seed, "memcap", W))

@@ -2,7 +2,7 @@
 from .content import (CONTEXT_FEATURES, ContentEsn, ContentEsnBank, project_to_simplex,
                       require_context, require_distribution)
 from .memory import (empirical_memory_capacity, memory_capacity,
-                     memory_capacity_bounds)
+                     memory_capacity_bounds, min_trace_len)
 from .mobility import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
                        build_cycle_reservoir, ridge_train)
 
@@ -18,6 +18,7 @@ __all__ = [
     "empirical_memory_capacity",
     "memory_capacity",
     "memory_capacity_bounds",
+    "min_trace_len",
     "project_to_simplex",
     "require_context",
     "require_distribution",

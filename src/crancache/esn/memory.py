@@ -99,6 +99,11 @@ def memory_capacity_bounds(spec, n_units):
     )
 
 
+def min_trace_len(n_units):
+    """Shortest trace `empirical_memory_capacity` accepts for a W-unit reservoir."""
+    return max(20 * n_units, 200)
+
+
 def empirical_memory_capacity(esn, input_period, trace_len, seed, term_tol=1e-4):
     """Measure a built reservoir's capacity on a zero-mean periodic stream.
 
@@ -111,7 +116,7 @@ def empirical_memory_capacity(esn, input_period, trace_len, seed, term_tol=1e-4)
     W = esn.n_units
     if input_period < 1:
         raise ConfigurationError("input_period must be >= 1")
-    if trace_len < max(20 * W, 200):
+    if trace_len < min_trace_len(W):
         raise ConfigurationError("trace_len too short for a stable measurement")
     rng = as_rng(seed)
     # independent zero-mean unit-variance draws in each period phase

@@ -158,3 +158,20 @@ def test_config_file_plus_override(tmp_path):
                  "--override", "T=60", "simulate"])
     assert code == EXIT_OK
     assert len((out / "slots_proposed.csv").read_text().splitlines()) == 61
+
+
+@pytest.mark.parametrize("w_range, trace_len", [
+    ("5:3", "4000"),       # empty range
+    ("2,x", "4000"),       # non-integer value
+    ("0:3", "4000"),       # size below 1
+    ("1:20", "250"),       # W = 13..20 need more than 250 samples
+])
+def test_memcap_rejects_bad_arguments_before_any_work(tmp_path, capsys, w_range, trace_len):
+    out = tmp_path / "out"
+    code = main(["--out-dir", str(out), "memcap", "--W-range", w_range,
+                 "--trace-len", trace_len])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+    assert not out.exists()
