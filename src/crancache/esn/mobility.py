@@ -216,7 +216,9 @@ class MobilityEsnBank:
         self.grid = grid
         self.cycle_weights = np.array([e.cycle_weights for e in esns]).reshape(n_users, n_units)
         self.input_weights = np.array([e.input_weights for e in esns]).reshape(n_users, n_units)
-        self.output_weights = np.zeros((n_users, horizon, n_units))
+        # ridge solutions: readouts[u].T is user u's (horizon, W) output weights,
+        # in the transposed layout of MobilityEsn.output_weights
+        self.readouts = np.zeros((n_users, n_units, horizon))
         self.state = np.zeros((n_users, n_units))
         self.codes = np.empty((n_observations, n_users))
         self.states = np.empty((n_observations, n_users, n_units))
@@ -230,16 +232,16 @@ class MobilityEsnBank:
         Users with a trained readout refresh their one-step prediction.
         """
         k = self.n_observed
-        codes = self.grid.encode(positions[:, 0], positions[:, 1])
-        self.codes[k] = codes
+        self.codes[k] = self.grid.encode(positions[:, 0], positions[:, 1])
         self.state = cycle_drive(self.cycle_weights, self.input_weights,
                                  self.codes[k:k + 1], self.state)[0]
         self.states[k] = self.state
         self.n_observed = k + 1
-        trained = self.output_weights.any(axis=(1, 2))
+        trained = self.readouts.any(axis=(1, 2))
         if trained.any():
-            # one gemv per user, as in MobilityEsn.predict
-            ahead = np.matmul(self.output_weights[trained], self.state[trained, :, None])
+            # one gemv per user on the layout of MobilityEsn.predict, so the same bits
+            ahead = np.matmul(self.readouts[trained].transpose(0, 2, 1),
+                              self.state[trained, :, None])
             self.prediction[trained] = ahead[:, 0, 0]
             self.has_prediction |= trained
 
@@ -255,7 +257,7 @@ class MobilityEsnBank:
                                     self.horizon, axis=0)
         targets = np.ascontiguousarray(ahead.transpose(1, 2, 0))
         for u in range(len(self.state)):
-            self.output_weights[u] = ridge_train(states[u], targets[u], self.ridge_lambda)
+            self.readouts[u] = ridge_train(states[u], targets[u], self.ridge_lambda).T
 
     def predicted_positions(self):
         """(users, (k, 2) positions) for the users holding a prediction."""

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from crancache.errors import ConfigurationError, NumericalRankError
-from crancache.esn import (LocationGrid, MobilityEsn, WeightDistribution,
+from crancache.esn import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
                            build_cycle_reservoir, ridge_train)
+from crancache.seeding import rng_for
 
 
 def test_cycle_matrix_w2_pointmass():
@@ -157,3 +158,88 @@ def test_location_grid_roundtrip_within_cell():
         cx, cy = grid.decode(grid.encode(x, y))
         assert abs(cx - x) <= 25.0 + 1e-9 and abs(cy - y) <= 25.0 + 1e-9
     assert grid.n_cells == 40 * 40
+
+
+class ReferenceTracker:
+    """One user's per-ESN tracker, as the simulator ran it before the bank."""
+
+    def __init__(self, esn, grid, horizon):
+        self.esn, self.grid, self.horizon = esn, grid, horizon
+        self.codes, self.states = [], []
+        self.latest_prediction = None
+
+    def observe(self, position):
+        code = int(self.grid.encode(position[0], position[1]))
+        self.codes.append(float(code))
+        self.states.append(self.esn.state_update(code).copy())
+        if self.esn.output_weights.any():
+            self.latest_prediction = self.esn.predict()
+
+    def retrain(self, max_pairs):
+        n_complete = len(self.codes) - self.horizon
+        if n_complete < 1:
+            return
+        lo = max(0, n_complete - max_pairs)
+        states = np.stack(self.states[lo:n_complete], axis=1)
+        targets = np.stack(
+            [self.codes[j + 1: j + 1 + self.horizon] for j in range(lo, n_complete)], axis=1)
+        self.esn.train(states, targets)
+
+
+def test_bank_equals_per_user_esns_over_retrain_windows():
+    U, W, horizon, max_pairs, period = 5, 7, 3, 12, 6
+    spec = WeightDistribution("symbinary", a=0.9)
+    grid = LocationGrid(1000.0)
+    rng = np.random.default_rng(11)
+    n_obs = 70
+    # periodic tracks with jitter, some points on the disk edge and outside it
+    base = rng.uniform(-1100.0, 1100.0, size=(period, U, 2))
+    tracks = np.tile(base, (n_obs // period + 1, 1, 1))[:n_obs]
+    tracks += rng.normal(scale=30.0, size=tracks.shape)
+    bank = MobilityEsnBank(W, spec, horizon, [rng_for(5, "mobility_esn", u) for u in range(U)],
+                           grid, n_observations=n_obs, ridge_lambda=0.5)
+    refs = [ReferenceTracker(MobilityEsn(W, spec, horizon, ridge_lambda=0.5,
+                                         seed=rng_for(5, "mobility_esn", u)), grid, horizon)
+            for u in range(U)]
+    retrains = 0
+    for k in range(n_obs):
+        bank.observe(tracks[k])
+        for u, ref in enumerate(refs):
+            ref.observe(tracks[k, u])
+        assert np.array_equal(bank.state, np.stack([r.esn.state for r in refs]))
+        users, positions = bank.predicted_positions()
+        expected = [u for u, r in enumerate(refs) if r.latest_prediction is not None]
+        assert users.tolist() == expected
+        for u, pos in zip(users, positions):
+            assert np.array_equal(bank.prediction[u], refs[u].latest_prediction[0])
+            assert tuple(pos) == tuple(grid.decode(refs[u].latest_prediction[0]))
+        if (k + 1) % 15 == 0:
+            bank.retrain(max_pairs)
+            for ref in refs:
+                ref.retrain(max_pairs)
+            assert np.array_equal(bank.readouts.transpose(0, 2, 1),
+                                  np.stack([r.esn.output_weights for r in refs]))
+            retrains += 1
+    assert retrains >= 3 and bank.has_prediction.all()
+    assert np.array_equal(bank.codes, np.array([r.codes for r in refs]).T)
+
+
+def test_location_grid_codes_arrays_like_scalars():
+    grid = LocationGrid(1000.0, pitch=50.0)
+    rng = np.random.default_rng(2)
+    xy = rng.uniform(-1200.0, 1200.0, size=(500, 2))
+    codes = grid.encode(xy[:, 0], xy[:, 1])
+    last = grid.n_cols - 1
+    for (x, y), code in zip(xy, codes):
+        col = int(min(max((x + grid.radius) // grid.pitch, 0), last))
+        row = int(min(max((y + grid.radius) // grid.pitch, 0), last))
+        assert code == row * grid.n_cols + col
+    # predicted codes are reals: halves round to even, out-of-range codes clamp
+    reals = np.concatenate([rng.uniform(-50.0, grid.n_cells + 50.0, 500),
+                            np.arange(-3, 12) + 0.5])
+    xs, ys = grid.decode(reals)
+    for value, x, y in zip(reals, xs, ys):
+        code = min(max(round(float(value)), 0), grid.n_cells - 1)
+        row, col = divmod(code, grid.n_cols)
+        assert (x, y) == (-grid.radius + (col + 0.5) * grid.pitch,
+                          -grid.radius + (row + 0.5) * grid.pitch)

@@ -1,4 +1,6 @@
 """World stepping, path resolution, slot accounting, and policy behavior."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,33 @@ def test_proposed_beats_random_in_expectation():
         gaps_cu.append(c - u)
     assert np.mean(gaps_pc) > 0
     assert np.mean(gaps_cu) > 0
+
+
+def test_policies_build_only_the_predictors_they_read():
+    cfg = tiny_config()
+    learned = Simulation(cfg, POLICY_RANDOM_CLUSTERED, seed=0)
+    assert learned.content_bank is not None and learned.mobility is not None
+    bare = Simulation(cfg, POLICY_RANDOM_UNCLUSTERED, seed=0)
+    assert bare.content_bank is None and bare.mobility is None
+    oracle_fed = Simulation(cfg, POLICY_PROPOSED, seed=0, oracle_predictions=True)
+    assert oracle_fed.content_bank is None and oracle_fed.mobility is None
+    for sim in (learned, bare):
+        sim.run()
+        assert sim.demand_stream == []
+        assert [s for s, _ in sim.cloud_trace] == [30, 60]
+
+
+@pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED])
+def test_deep_copy_mid_episode_continues_bit_identically(policy):
+    # T_tau = 10 puts several mobility retrains before and after the copy
+    cfg = tiny_config(T=60, T_tau=10, H=2, N_tr=8, N_s=2, W=3)
+    sim = Simulation(cfg, policy, seed=4)
+    for slot in range(1, 26):
+        sim.run_slot(slot)
+    assert sim.mobility.has_prediction.any()
+    twin = copy.deepcopy(sim)  # the benchmark runs episodes on deep copies
+    for slot in range(26, 61):
+        assert twin.run_slot(slot) == sim.run_slot(slot)
+    for name in ("state", "states", "codes", "readouts", "prediction", "has_prediction"):
+        assert np.array_equal(getattr(twin.mobility, name), getattr(sim.mobility, name))
+    assert twin.cloud_trace == sim.cloud_trace
