@@ -125,11 +125,11 @@ class MobilityEsn:
     def __init__(self, n_units, weight_spec, horizon, ridge_lambda=0.5, seed=0):
         if n_units < 1 or horizon < 1:
             raise ConfigurationError("n_units and horizon must be >= 1")
+        rng = as_rng(seed)
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
         self.cycle_weight_spec = weight_spec
-        rng = as_rng(seed)
         self.reservoir_weights = build_cycle_reservoir(n_units, weight_spec, rng)
         self.input_weights = rng.uniform(-1.0, 1.0, n_units)
         self.output_weights = np.zeros((horizon, n_units))
@@ -214,8 +214,8 @@ class MobilityEsnBank:
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
         self.grid = grid
-        self.cycle_weights = np.array([e.cycle_weights for e in esns]).reshape(n_users, n_units)
-        self.input_weights = np.array([e.input_weights for e in esns]).reshape(n_users, n_units)
+        self.cycle_weights = np.array([e.cycle_weights for e in esns])
+        self.input_weights = np.array([e.input_weights for e in esns])
         # ridge solutions: readouts[u].T is user u's (horizon, W) output weights,
         # in the transposed layout of MobilityEsn.output_weights
         self.readouts = np.zeros((n_users, n_units, horizon))
@@ -223,13 +223,13 @@ class MobilityEsnBank:
         self.codes = np.empty((n_observations, n_users))
         self.states = np.empty((n_observations, n_users, n_units))
         self.n_observed = 0
-        self.prediction = np.zeros(n_users)        # first predicted code per user
+        self.prediction = np.zeros(n_users)  # predicted next code per user
         self.has_prediction = np.zeros(n_users, dtype=bool)
 
     def observe(self, positions):
         """Step every user's reservoir on the codes of its (U, 2) positions.
 
-        Users with a trained readout refresh their one-step prediction.
+        Users with a trained readout refresh their prediction of the next code.
         """
         k = self.n_observed
         self.codes[k] = self.grid.encode(positions[:, 0], positions[:, 1])
@@ -256,7 +256,7 @@ class MobilityEsnBank:
         ahead = sliding_window_view(self.codes[lo + 1:n_complete + self.horizon],
                                     self.horizon, axis=0)
         targets = np.ascontiguousarray(ahead.transpose(1, 2, 0))
-        for u in range(len(self.state)):
+        for u in range(len(states)):
             self.readouts[u] = ridge_train(states[u], targets[u], self.ridge_lambda).T
 
     def predicted_positions(self):
