@@ -44,8 +44,8 @@ def cycle_drive(cycle_w, w_in, inputs, state0):
     step is v[i] <- cycle_w[i]*v[(i-1) mod W] + w_in[i]*m_t.
 
     cycle_w, w_in and state0 share the shape (..., W): leading axes stack
-    independent reservoirs. inputs has shape (T,) (one sequence fed to every
-    reservoir) or (T, ...) (one sequence per reservoir).
+    independent reservoirs. inputs has shape (T, ...), one input sequence
+    per reservoir.
 
     Returns the C-contiguous (T, ..., W) array of post-update states.
     """
@@ -54,13 +54,10 @@ def cycle_drive(cycle_w, w_in, inputs, state0):
     inputs = np.asarray(inputs, dtype=np.float64)
     W = cycle_w.shape[-1]
     T = inputs.shape[0]
-    lead = cycle_w.shape[:-1]
     turns = range(min(W, T))  # rotations the T steps use
-    # input column per step, broadcast against the (..., W) rows
-    m = inputs.reshape((T,) + (1,) * (len(lead) + 1 - inputs.ndim) + inputs.shape[1:] + (1,))
-    states = np.empty((T,) + lead + (W,))
+    states = np.empty(inputs.shape + (W,))
     for r in turns:
-        np.multiply(_rotated(w_in, r), m[r::W], out=states[r::W])
+        np.multiply(_rotated(w_in, r), inputs[r::W, ..., None], out=states[r::W])
     prev = _rotated(np.asarray(state0, dtype=np.float64), -1)
     tmp = np.empty_like(prev)
     for row, c in zip(states, cycle([_rotated(cycle_w, r) for r in turns])):

@@ -212,7 +212,9 @@ class Simulation:
         return np.stack([self.workload.distribution(u, slot) for u in range(self.cfg["U"])])
 
     def _predictions(self, slot):
-        """(U, N) request-distribution predictions (BBU view)."""
+        """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
+        if self.policy == POLICY_RANDOM_UNCLUSTERED:
+            return None
         if self.oracle_like:
             return self._true_distributions(slot)
         return self.content_bank.predict(self.workload.contexts(slot))
@@ -304,9 +306,7 @@ class Simulation:
             self.mobility.observe(positions)
 
         samples = self._capacity_samples(slot, serving)
-        predictions = None
-        if self.policy != POLICY_RANDOM_UNCLUSTERED:
-            predictions = self._predictions(slot)
+        predictions = self._predictions(slot)
 
         assoc = self._assoc_for_caching(serving)
         self._update_rrh_caches(slot, assoc, predictions, samples)

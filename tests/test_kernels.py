@@ -40,12 +40,11 @@ def drives(draw):
     W = draw(st.integers(1, 16))
     T = draw(st.sampled_from(sorted({1, W - 1, W, W + 1, 3 * W + 2})))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    shared_input = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     cycle_w = rng.uniform(-1.0, 1.0, lead + (W,))
     w_in = rng.uniform(-1.0, 1.0, lead + (W,))
     state0 = rng.normal(size=lead + (W,))
-    inputs = rng.normal(scale=100.0, size=(T,) if shared_input else (T,) + lead)
+    inputs = rng.normal(scale=100.0, size=(T,) + lead)
     return cycle_w, w_in, inputs, state0
 
 
@@ -58,6 +57,6 @@ def test_rotating_drive_equals_plain_recurrence_bit_for_bit(case):
     assert states.shape == (T,) + lead + (W,)
     assert states.flags.c_contiguous
     for idx in np.ndindex(*lead):
-        m = inputs if inputs.ndim == 1 else inputs[(slice(None),) + idx]
-        expected = plain_cycle_drive(cycle_w[idx], w_in[idx], m, state0[idx])
+        expected = plain_cycle_drive(cycle_w[idx], w_in[idx], inputs[(slice(None),) + idx],
+                                     state0[idx])
         assert np.array_equal(states[(slice(None),) + idx], expected)
