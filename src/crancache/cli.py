@@ -68,6 +68,9 @@ def cmd_simulate(args):
         report = run_episode(cfg, policy, seed)
         (out / f"slots_{policy}.csv").write_text(report.slot_csv())
         (out / f"summary_{policy}.txt").write_text(report.summary_text())
+        predictors = report.predictor_csv()
+        if predictors is not None:
+            (out / f"predictors_{policy}.csv").write_text(predictors)
         summary_lines.append(f"{policy}: E_bar = {report.effective_capacity_avg:.10g}")
     print("\n".join(summary_lines))
     return EXIT_OK

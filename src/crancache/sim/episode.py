@@ -3,6 +3,9 @@
 Per slot: advance mobility, refresh per-user predictions, update RRH caches
 and clusters, realize one request per user, resolve delivery paths, split the
 wired pipes over the realized load, and score per-user effective capacities.
+A policy that reads predictions also records their quality per slot: the
+mean total-variation distance to the true distributions and the number of
+RRH clusters (`EpisodeReport.predictor_csv`).
 Every cloud-update period: retrain the mobility readouts, estimate the
 fronthaul-demand popularity from a bounded sample, and refresh the cloud
 cache.
@@ -57,6 +60,9 @@ class SlotMetrics:
     n_backhaul: int
     n_fronthaul: int
     infeasible: int
+    # predictor quality; None when the policy reads no prediction
+    tv_content: float | None = None  # mean over users of TV(predicted, true distribution)
+    n_clusters: int | None = None    # RRH clusters formed from the predictions
 
 
 @dataclass
@@ -75,6 +81,14 @@ class EpisodeReport:
                 f"{m.slot},{m.effective_sum:.10g},{m.hit_local:.6g},{m.hit_cloud:.6g},"
                 f"{m.hit_remote:.6g},{m.miss_server:.6g},{m.n_backhaul},{m.n_fronthaul}"
             )
+        return "\n".join(lines) + "\n"
+
+    def predictor_csv(self):
+        """Per-slot predictor quality, or None when the policy reads no prediction."""
+        if any(m.tv_content is None for m in self.slots):
+            return None
+        lines = ["k,tv_content,n_clusters"]
+        lines += [f"{m.slot},{m.tv_content:.10g},{m.n_clusters}" for m in self.slots]
         return "\n".join(lines) + "\n"
 
     def summary_text(self):
@@ -211,12 +225,12 @@ class Simulation:
     def _true_distributions(self, slot):
         return np.stack([self.workload.distribution(u, slot) for u in range(self.cfg["U"])])
 
-    def _predictions(self, slot):
+    def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
         if self.policy == POLICY_RANDOM_UNCLUSTERED:
             return None
         if self.oracle_like:
-            return self._true_distributions(slot)
+            return truth
         return self.content_bank.predict(self.workload.contexts(slot))
 
     def _assoc_for_caching(self, serving):
@@ -262,10 +276,10 @@ class Simulation:
             grouped[assoc[u]].append(predictions[u])
         self.cluster_set = cluster_rrhs(grouped, self.cfg["chi"])
 
-    def _realize_requests(self, slot):
+    def _realize_requests(self, slot, truth):
         rng = rng_for(self.seed, "requests", slot)
         uniforms = rng.random(self.cfg["U"])
-        cdf = np.cumsum(self._true_distributions(slot), axis=1)
+        cdf = np.cumsum(truth, axis=1)
         # a CDF that ends below the draw maps it to the last content
         idx = np.minimum((cdf <= uniforms[:, None]).sum(axis=1), self.cfg["N"] - 1)
         return (idx + 1).tolist()
@@ -306,13 +320,14 @@ class Simulation:
             self.mobility.observe(positions)
 
         samples = self._capacity_samples(slot, serving)
-        predictions = self._predictions(slot)
+        truth = self._true_distributions(slot)
+        predictions = self._predictions(slot, truth)
 
         assoc = self._assoc_for_caching(serving)
         self._update_rrh_caches(slot, assoc, predictions, samples)
         self._update_clusters(assoc, predictions)
 
-        requests = self._realize_requests(slot)
+        requests = self._realize_requests(slot, truth)
         paths = [resolve_delivery_path(requests[u], int(serving[u]), self.caches)
                  for u in range(U)]
         n_backhaul = sum(1 for p in paths if p == PATH_SERVER)
@@ -346,6 +361,10 @@ class Simulation:
 
         counts = {p: paths.count(p) for p in (PATH_LOCAL, PATH_CLOUD,
                                               PATH_REMOTE, PATH_SERVER)}
+        quality = {}
+        if predictions is not None:
+            quality = dict(tv_content=float(0.5 * np.abs(predictions - truth).sum(axis=1).mean()),
+                           n_clusters=len(self.cluster_set.clusters))
         return SlotMetrics(
             slot=slot,
             effective_sum=sum_effective_capacity(energies),
@@ -356,6 +375,7 @@ class Simulation:
             n_backhaul=n_backhaul,
             n_fronthaul=n_fronthaul,
             infeasible=infeasible,
+            **quality,
         )
 
     def run(self):

@@ -22,6 +22,9 @@ def test_simulate_writes_expected_files(tmp_path, capsys):
     assert len(slots.splitlines()) == 31
     summary = (tmp_path / "summary_proposed.txt").read_text()
     assert "E_bar = " in summary
+    predictors = (tmp_path / "predictors_proposed.csv").read_text().splitlines()
+    assert predictors[0] == "k,tv_content,n_clusters"
+    assert [row.split(",")[0] for row in predictors[1:]] == [str(k) for k in range(1, 31)]
     assert "proposed: E_bar" in capsys.readouterr().out
 
 
@@ -31,6 +34,9 @@ def test_simulate_policy_all_gates_oracle(tmp_path):
     for policy in ("proposed", "random_clustered", "random_unclustered",
                    "optimal_oracle"):
         assert (tmp_path / f"slots_{policy}.csv").exists()
+        # only a policy that reads predictions has a predictor file
+        assert (tmp_path / f"predictors_{policy}.csv").exists() == (
+            policy != "random_unclustered")
     # too-large instance: oracle silently skipped under "all"
     big = tmp_path / "big"
     code = main(["--out-dir", str(big), "--seed", "1",
@@ -47,7 +53,7 @@ def test_simulate_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(_tiny_args(out1) + ["simulate"]) == EXIT_OK
     assert main(_tiny_args(out2) + ["simulate"]) == EXIT_OK
-    for name in ("slots_proposed.csv", "summary_proposed.txt"):
+    for name in ("slots_proposed.csv", "summary_proposed.txt", "predictors_proposed.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -148,7 +148,7 @@ def test_request_draw_stays_in_catalog_when_cdf_ends_short():
     n = cfg["N"]
     sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
     sim.workload.distribution = lambda user, slot: np.full(n, 0.5 / n)
-    requests = sim._realize_requests(1)
+    requests = sim._realize_requests(1, sim._true_distributions(1))
     assert min(requests) >= 1
     assert max(requests) == n  # draws past the CDF's end map to the last content
     sim.run_slot(1)  # the content ESNs train on these requests
@@ -307,6 +307,35 @@ def test_policies_build_only_the_predictors_they_read():
         sim.run()
         assert sim.demand_stream == []
         assert [s for s, _ in sim.cloud_trace] == [30, 60]
+
+
+def test_predictor_quality_is_the_mean_tv_distance_of_the_predictions():
+    cfg = tiny_config(T=6, T_tau=6)
+    sim = Simulation(cfg, POLICY_PROPOSED, seed=2)
+    for slot in range(1, 7):
+        bank = copy.deepcopy(sim.content_bank)
+        metrics = sim.run_slot(slot)
+        predicted = bank.predict(sim.workload.contexts(slot))
+        truth = [sim.workload.distribution(u, slot) for u in range(cfg["U"])]
+        tv = [0.5 * np.abs(p - t).sum() for p, t in zip(predicted, truth)]
+        assert metrics.tv_content == pytest.approx(np.mean(tv), rel=0, abs=1e-15)
+        assert 0.0 < metrics.tv_content <= 1.0
+        assert metrics.n_clusters == len(sim.cluster_set.clusters) >= 1
+
+
+def test_predictor_csv_per_policy():
+    cfg = tiny_config(T=30)
+    proposed = run_episode(cfg, POLICY_PROPOSED, seed=1)
+    lines = proposed.predictor_csv().splitlines()
+    assert lines[0] == "k,tv_content,n_clusters"
+    assert len(lines) == 31
+    assert lines[1] == f"1,{proposed.slots[0].tv_content:.10g},{proposed.slots[0].n_clusters}"
+    # predictions that are the true distributions are off by nothing
+    fed = run_episode(cfg, POLICY_PROPOSED, seed=1, oracle_predictions=True)
+    assert all(m.tv_content == 0.0 for m in fed.slots)
+    bare = run_episode(cfg, POLICY_RANDOM_UNCLUSTERED, seed=1)
+    assert bare.predictor_csv() is None
+    assert all(m.tv_content is None and m.n_clusters is None for m in bare.slots)
 
 
 @pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED])
