@@ -28,7 +28,12 @@ def as_rng(seed):
 
 
 def rng_for(seed, purpose, *indices):
-    """Generator for (seed, purpose, *indices); purpose from the fixed table."""
+    """Generator for (seed, purpose, *indices); purpose from the fixed table.
+
+    SeedSequence pads entropy shorter than its four-word pool with zeros, so
+    trailing zero indices can name the same stream: rng_for(s, p) and
+    rng_for(s, p, 0) are one generator.
+    """
     tag = _PURPOSES[purpose]
     words = [int(seed) & 0xFFFFFFFF, tag, *(int(i) & 0xFFFFFFFF for i in indices)]
     # a uint32 array is the entropy SeedSequence would assemble from the list

@@ -1,11 +1,12 @@
-"""Content-ESN recurrence, simplex projection, and online training."""
+"""Content-ESN recurrence, simplex projection, online training, and the bank."""
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from crancache.errors import ConfigurationError
-from crancache.esn import ContentEsn, project_to_simplex
+from crancache.esn import ContentEsn, ContentEsnBank, content, project_to_simplex
 
 
 def tiny_esn(n_contents=3, n_features=1, n_reservoir=2, lr=0.1, seed=0):
@@ -153,3 +154,88 @@ def test_online_error_decays_on_stationary_mapping(lr):
             errs.append(esn.train_step(x, target))
         assert np.mean(errs[39:50]) < np.mean(errs[0:10])
 
+
+
+# ---- the bank: one shared reservoir, a state and a readout per user -------
+
+def rounds(users, n_contents, count, seed=5):
+    """`count` (contexts, observed distributions) pairs for a bank of `users`."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.0, 1.0, (users, 7)), rng.dirichlet(np.ones(n_contents), size=users))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("users", [1, 3, 32])
+def test_bank_solves_one_spectral_radius_whatever_the_user_count(monkeypatch, users):
+    solved = []
+    solve = content._spectral_radius
+    monkeypatch.setattr(content, "_spectral_radius",
+                        lambda w: solved.append(w.shape) or solve(w))
+    bank = ContentEsnBank(9, 4, [10 + u for u in range(users)], n_reservoir=40)
+    assert solved == [(40, 40)]
+    assert bank.reservoir_weights.shape == (40, 40)
+    assert bank.input_weights.shape == (40, 7)
+    assert bank.output_weights.shape == (users, 9, 47)
+    assert bank.state.shape == (users, 40)
+
+
+def test_one_user_bank_on_one_generator_is_content_esn():
+    n_contents, n_reservoir = 9, 30
+    esn = ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir, learning_rate=0.05, seed=8)
+    # ContentEsn draws W_in, the mask, W and W_out from its seed, in that order
+    rng = np.random.default_rng(8)
+    w_in = rng.uniform(-1.0, 1.0, (n_reservoir, 7))
+    mask = rng.random((n_reservoir, n_reservoir)) < 0.1
+    w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
+    w_out = rng.uniform(-0.1, 0.1, (n_contents, n_reservoir + 7))
+    w *= 0.9 / np.max(np.abs(np.linalg.eigvals(w)))
+    shared = np.random.default_rng(8)
+    bank = ContentEsnBank(n_contents, shared, [shared], n_reservoir=n_reservoir,
+                          learning_rate=0.05)
+    for weights in (esn, bank):
+        assert np.array_equal(weights.input_weights, w_in)
+        assert np.array_equal(weights.reservoir_weights, w)
+    assert np.array_equal(esn.output_weights, w_out)
+    assert np.array_equal(bank.output_weights[0], w_out)
+    for x, observed in rounds(1, n_contents, 6):
+        predictions = bank.predict(x)
+        bank.train_step(observed)
+        assert np.array_equal(esn.state_update(x[0]), bank.state[0])
+        assert np.array_equal(esn.predict(x[0]), predictions[0])
+        esn.train_step(x[0], observed[0])
+        assert np.array_equal(esn.output_weights, bank.output_weights[0])
+
+
+def test_deep_copied_bank_continues_bit_identically():
+    users, n_contents = 5, 9
+    bank = ContentEsnBank(n_contents, 89, [90 + u for u in range(users)], n_reservoir=64,
+                          learning_rate=0.05)
+    first, *later = rounds(users, n_contents, 4, seed=11)
+    bank.predict(first[0])
+    bank.train_step(first[1])
+    twin = copy.deepcopy(bank)
+    for x, observed in later:
+        assert np.array_equal(twin.predict(x), bank.predict(x))
+        twin.train_step(observed)
+        bank.train_step(observed)
+        assert np.array_equal(twin.state, bank.state)
+        assert np.array_equal(twin.output_weights, bank.output_weights)
+
+
+def test_bank_rejects_bad_contexts_and_unpaired_training():
+    bank = ContentEsnBank(4, 0, [1, 2], n_reservoir=6)
+    with pytest.raises(ConfigurationError):
+        bank.train_step(np.full((2, 4), 0.25))  # no predict yet
+    with pytest.raises(ConfigurationError):
+        bank.predict(np.zeros((3, 7)))
+    with pytest.raises(ConfigurationError):
+        bank.predict(np.full((2, 7), np.nan))
+    bank.predict(np.zeros((2, 7)))
+    with pytest.raises(ConfigurationError):
+        bank.train_step(np.full((2, 5), 0.2))
+
+
+def test_state_setter_checks_the_shape():
+    esn = tiny_esn()
+    with pytest.raises(ConfigurationError):
+        esn.state = np.zeros(3)
