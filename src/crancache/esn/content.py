@@ -116,7 +116,6 @@ class ContentEsnBank:
         self.n_features = n_features
         self.n_reservoir = n_reservoir
         self.learning_rate = float(learning_rate)
-        self.spectral_radius = float(spectral_radius)
         self.input_weights, self.reservoir_weights = _draw_reservoir(
             as_rng(reservoir_seed), n_features, n_reservoir, density, spectral_radius)
         shape = (n_contents, n_reservoir + n_features)
@@ -202,7 +201,7 @@ class ContentEsn:
         self.n_features = n_features
         self.n_reservoir = n_reservoir
         self.learning_rate = self._bank.learning_rate
-        self.spectral_radius = self._bank.spectral_radius
+        self.spectral_radius = float(spectral_radius)
 
     @property
     def input_weights(self):

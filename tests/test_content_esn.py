@@ -1,5 +1,6 @@
 """Content-ESN recurrence, simplex projection, online training, and the bank."""
 import copy
+import functools
 import math
 
 import numpy as np
@@ -177,6 +178,28 @@ def test_bank_solves_one_spectral_radius_whatever_the_user_count(monkeypatch, us
     assert bank.input_weights.shape == (40, 7)
     assert bank.output_weights.shape == (users, 9, 47)
     assert bank.state.shape == (users, 40)
+
+
+def test_bank_steps_the_content_esn_equations():
+    """Per user: s <- tanh(W s + W_in x), raw = W_out [s; x], and
+    W_out <- W_out + lr (observed - raw) [s; x]^T, written out as reference."""
+    users, n_contents, lr = 3, 6, 0.05
+    bank = ContentEsnBank(n_contents, 3, [4, 5, 6], n_reservoir=12, learning_rate=lr)
+    w, w_in = bank.reservoir_weights.copy(), bank.input_weights.copy()
+    assert not np.array_equal(w, w.T)  # a transposed W would show
+    w_out, state = bank.output_weights.copy(), bank.state.copy()
+    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
+    for x, observed in rounds(users, n_contents, 4):
+        predictions = bank.predict(x)
+        bank.train_step(observed)
+        for u in range(users):
+            state[u] = np.tanh(w @ state[u] + w_in @ x[u])
+            z = np.concatenate([state[u], x[u]])
+            raw = w_out[u] @ z
+            close(predictions[u], project_to_simplex(raw))
+            w_out[u] = w_out[u] + lr * np.outer(observed[u] - raw, z)
+        close(bank.state, state)
+        close(bank.output_weights, w_out)
 
 
 def test_one_user_bank_on_one_generator_is_content_esn():
