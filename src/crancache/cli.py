@@ -1,12 +1,18 @@
 """Command-line front end: experiments in, plot-ready CSV out.
 
-Subcommands: simulate, sweep, memcap, sample-size, gen-data. All outputs are
-deterministic given (config, seed) and the BLAS thread count: with large
+Subcommands: simulate, sweep, memcap, sample-size, gen-data. simulate writes
+slots_<policy>.csv and summary_<policy>.txt for every policy, and
+predictors_<policy>.csv for every policy that reads predictions. All outputs
+are deterministic given (config, seed) and the BLAS thread count. With large
 reservoirs, such as the parameter-table default N_w = 1000, multi-threaded
-BLAS rounds the reservoirs' eigenvalue solves differently from one thread.
-Run with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for
-other BLAS builds) to replay a run bit for bit on any host. Exit codes:
-0 success, 2 config error, 3 infeasible instance (oracle guard).
+BLAS rounds the content reservoir's eigenvalue solve and its per-slot matrix
+product differently from one thread, so reservoir states and readouts differ
+in their last bits. At the defaults (seed 0, T = 60, 2-CPU host) E_bar and
+every CSV still came out byte-identical under one and two threads, but
+nothing guarantees that. Run with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1
+or MKL_NUM_THREADS=1 for other BLAS builds) to replay a run bit for bit on
+any host. Exit codes: 0 success, 2 config error, 3 infeasible instance
+(oracle guard).
 """
 import argparse
 import logging
