@@ -1,5 +1,4 @@
 """Content-ESN recurrence, simplex projection, online training, and the bank."""
-import copy
 import functools
 import math
 
@@ -227,22 +226,6 @@ def test_one_user_bank_on_one_generator_is_content_esn():
         assert np.array_equal(esn.predict(x[0]), predictions[0])
         esn.train_step(x[0], observed[0])
         assert np.array_equal(esn.output_weights, bank.output_weights[0])
-
-
-def test_deep_copied_bank_continues_bit_identically():
-    users, n_contents = 5, 9
-    bank = ContentEsnBank(n_contents, 89, [90 + u for u in range(users)], n_reservoir=64,
-                          learning_rate=0.05)
-    first, *later = rounds(users, n_contents, 4, seed=11)
-    bank.predict(first[0])
-    bank.train_step(first[1])
-    twin = copy.deepcopy(bank)
-    for x, observed in later:
-        assert np.array_equal(twin.predict(x), bank.predict(x))
-        twin.train_step(observed)
-        bank.train_step(observed)
-        assert np.array_equal(twin.state, bank.state)
-        assert np.array_equal(twin.output_weights, bank.output_weights)
 
 
 def test_bank_rejects_bad_contexts_and_unpaired_training():

@@ -136,7 +136,6 @@ def test_user_on_an_rrh_gets_finite_capacity():
 @pytest.mark.parametrize("n_reservoir,n_contents,chunk_entries", [
     (48, 24, ContentEsnBank.UPDATE_CHUNK_ENTRIES),
     (7, 5, 2 * 5 * (7 + 7)),  # readout updates in chunks of two users
-    (256, 9, ContentEsnBank.UPDATE_CHUNK_ENTRIES),
 ])
 def test_content_bank_matches_per_user_esns(monkeypatch, n_reservoir, n_contents,
                                             chunk_entries):
