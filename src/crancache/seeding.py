@@ -18,7 +18,6 @@ _PURPOSES = {
     "sampling": 9,
     "memcap": 10,
     "reservoir": 11,
-    "distance": 12,
 }
 
 

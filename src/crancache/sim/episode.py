@@ -181,7 +181,7 @@ class Simulation:
         if policy != POLICY_RANDOM_UNCLUSTERED and not self.oracle_like:
             users = range(config["U"])
             self.content_bank = ContentEsnBank(
-                config["N"], rng_for(self.seed, "content_esn"),
+                config["N"], rng_for(self.seed, "reservoir"),
                 [rng_for(self.seed, "content_esn", u) for u in users],
                 n_features=config["K"], n_reservoir=config["N_w"],
                 learning_rate=config["lambda_alpha"])

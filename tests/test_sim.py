@@ -9,6 +9,7 @@ from crancache.config import ExperimentConfig
 from crancache.data import MobilitySchedule
 from crancache.errors import InstanceTooLargeError
 from crancache.qos import PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER
+from crancache.seeding import rng_for
 from crancache.sim import (POLICY_ORACLE, POLICY_PROPOSED,
                            POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED,
                            Simulation, check_oracle_guard, enumerate_best_subset,
@@ -352,3 +353,14 @@ def test_deep_copy_mid_episode_continues_bit_identically(policy):
     for name in ("state", "states", "codes", "readouts", "prediction", "has_prediction"):
         assert np.array_equal(getattr(twin.mobility, name), getattr(sim.mobility, name))
     assert twin.cloud_trace == sim.cloud_trace
+
+
+def test_content_reservoir_has_a_stream_of_its_own():
+    bank = Simulation(tiny_config(), POLICY_PROPOSED, seed=3).content_bank
+    w_in = rng_for(3, "reservoir").uniform(-1.0, 1.0, bank.input_weights.shape)
+    assert np.array_equal(bank.input_weights, w_in)
+    readout = rng_for(3, "content_esn", 0).uniform(-0.1, 0.1, bank.output_weights[0].shape)
+    assert np.array_equal(bank.output_weights[0], readout)
+    # a reservoir drawn from user 0's readout stream made this readout 0.1 * W_in
+    head = bank.output_weights[0].ravel()[:w_in.size]
+    assert not np.allclose(head, 0.1 * w_in.ravel())
