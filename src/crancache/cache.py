@@ -210,6 +210,13 @@ def select_rrh_cache(user_distributions, user_weights, capacity, n_contents):
     return top_k_contents(rrh_popularity(user_distributions, user_weights), capacity)
 
 
+def random_caches(rng, n_caches, n_contents, capacity):
+    """`n_caches` random `capacity`-subsets of the ids 1..n_contents: each row of
+    one (n_caches, n_contents) block of uniforms keeps the ids of its smallest keys."""
+    keys = rng.random((n_caches, n_contents))
+    return [frozenset(row) for row in (np.argsort(keys, axis=1)[:, :capacity] + 1).tolist()]
+
+
 def update_distribution(p, cached_contents):
     """Zero out the entries an RRH cache already serves; no renormalization.
 

@@ -28,8 +28,8 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
-# segment_capacity_rows draws users' interferer fading in chunks of at most
-# this many entries, which bounds its temporaries
+# segment_capacity_rows samples users in chunks of at most this many
+# (sample, sub-step, RRH) entries, which bounds its temporaries
 FADING_CHUNK_ENTRIES = 1 << 14
 
 PATH_LOCAL = "O"
@@ -224,57 +224,50 @@ def long_term_average(slot_sums):
     return float(slot_sums.mean()) if slot_sums.size else 0.0
 
 
-def segment_capacity_rows(starts, ends, serving_positions, interferer_positions,
-                          radio, n_mc, rngs, unit_scale=1.0):
+def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
+                          radio, n_mc, rng, unit_scale=1.0):
     """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
 
     User u slides from starts[u] to ends[u] over SLOT_SUBSTEPS equally spaced
-    positions; every sub-step redraws unit-mean exponential fading for the
-    serving RRH at serving_positions[u] and for each out-of-cluster
-    interferer in interferer_positions[u] (an (I_u, 2) array). rngs[u]
-    draws user u's serving fading, then its interferer fading. RRH-user
-    distances are floored at MIN_DISTANCE_M. Returns (U, n_mc) samples,
-    multiplied by `unit_scale` (the simulator scores in Mbit: scale 1e-6).
-
-    Users are grouped by interferer count: numpy's pairwise sum groups terms
-    by the summed length, so zero-padding the interferer axis could change
-    the last bits of a user's interference. Each group is sampled in chunks
-    of at most FADING_CHUNK_ENTRIES interferer fading entries.
+    positions. Of the A transmitting RRHs at rrh_positions, column serving[u]
+    serves user u and the other columns set in row u of the (U, A) mask
+    `interferes` interfere; every sub-step redraws their unit-mean exponential
+    fading, and the other columns carry zero power. `rng` draws an (n_mc,
+    SLOT_SUBSTEPS) block per user and used column, in that order. The column
+    axis is stored outside the sample axes, so interferer powers add one
+    column after the other and zero columns move no bit. RRH-user distances
+    are floored at MIN_DISTANCE_M. Returns (U, n_mc) samples times
+    `unit_scale` (the simulator scores in Mbit: 1e-6). Users go in chunks of
+    at most FADING_CHUNK_ENTRIES fading entries, or one at a time; chunking
+    moves no draw.
     """
-    starts = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-    ends = np.asarray(ends, dtype=np.float64).reshape(-1, 2)
-    serving = np.asarray(serving_positions, dtype=np.float64).reshape(-1, 2)
-    interferers = [np.asarray(p, dtype=np.float64).reshape(-1, 2) for p in interferer_positions]
-    counts = np.array([len(p) for p in interferers], dtype=np.int64)
-    n_users = len(interferers)
+    n_users, n_active = interferes.shape
+    used = interferes | (np.arange(n_active) == serving[:, None])
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
     points = starts[:, None, :] + frac[None, :, None] * (ends - starts)[:, None, :]
-    d_serv = np.maximum(np.linalg.norm(points - serving[:, None, :], axis=2), MIN_DISTANCE_M)
 
-    gamma = np.empty((n_users, n_mc, SLOT_SUBSTEPS))
-    for count in sorted(set(counts.tolist())):
-        group = np.flatnonzero(counts == count)
-        size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS * max(count, 1)))
-        for rows in (group[i:i + size] for i in range(0, len(group), size)):
-            h_serv = np.empty((len(rows), n_mc, SLOT_SUBSTEPS))
-            d_int = h_int = None
-            if count:
-                h_int = np.empty((len(rows), n_mc, SLOT_SUBSTEPS, count))
-                positions = np.stack([interferers[u] for u in rows])
-                d_int = np.linalg.norm(points[rows][:, :, None, :] - positions[:, None, :, :],
-                                       axis=3)
-                d_int = np.maximum(d_int, MIN_DISTANCE_M)[:, None]
-            for j, u in enumerate(rows):
-                rngs[u].standard_exponential(out=h_serv[j])
-                if count:
-                    rngs[u].standard_exponential(out=h_int[j])
-            gamma[rows] = sinr(d_serv[rows][:, None, :], h_serv, d_int, h_int, radio)
-    per_step = radio.bandwidth_hz * np.log2(1.0 + gamma)
-    return per_step.sum(axis=2) * unit_scale
+    samples = np.empty((n_users, n_mc))
+    size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS * n_active))
+    for lo in range(0, n_users, size):
+        rows, columns = slice(lo, lo + size), serving[lo:lo + size]
+        chunk = np.arange(len(columns))
+        d = np.linalg.norm(points[rows, None] - rrh_positions[:, None], axis=3)
+        d = np.maximum(d, MIN_DISTANCE_M)[:, :, None]
+        fading = np.zeros((len(chunk), n_active, n_mc, SLOT_SUBSTEPS))
+        fading[used[rows]] = rng.standard_exponential(
+            (np.count_nonzero(used[rows]), n_mc, SLOT_SUBSTEPS))
+        signal_fading = fading[chunk, columns]
+        fading[chunk, columns] = 0.0
+        gamma = sinr(d[chunk, columns], signal_fading, np.moveaxis(d, 1, -1),
+                     np.moveaxis(fading, 1, -1), radio)
+        samples[rows] = (radio.bandwidth_hz * np.log2(1.0 + gamma)).sum(axis=2)
+    return samples * unit_scale
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,
                              radio, n_mc, rng, unit_scale=1.0):
-    """segment_capacity_rows for one user; returns its (n_mc,) samples."""
-    return segment_capacity_rows([start], [end], [serving_pos], [interferer_positions],
-                                 radio, n_mc, [rng], unit_scale)[0]
+    """segment_capacity_rows for one user, served by column 0; returns its (n_mc,) samples."""
+    positions = np.vstack([serving_pos, np.reshape(interferer_positions, (-1, 2))])
+    return segment_capacity_rows(np.array([start]), np.array([end]), positions,
+                                 np.zeros(1, dtype=int), np.arange(len(positions))[None] > 0,
+                                 radio, n_mc, rng, unit_scale)[0]

@@ -31,7 +31,9 @@ def rng_for(seed, purpose, *indices):
 
     SeedSequence pads entropy shorter than its four-word pool with zeros, so
     trailing zero indices can name the same stream: rng_for(s, p) and
-    rng_for(s, p, 0) are one generator.
+    rng_for(s, p, 0) are one generator. An episode's tuples never meet that
+    way: () per run, (slot,) with 1-based slots, (slot, 0) and (slot, 1) for
+    the cloud and RRH random caches, (user,) per readout, (slot // T_tau,).
     """
     tag = _PURPOSES[purpose]
     words = [int(seed) & 0xFFFFFFFF, tag, *(int(i) & 0xFFFFFFFF for i in indices)]

@@ -13,8 +13,9 @@ cache.
 Policies: "proposed" (prediction-driven greedy selections), two random
 baselines (with/without clustering), and "optimal_oracle" (per-decision
 exhaustive subset search fed with ground-truth knowledge, gated by instance
-size). All request and channel randomness derives from (seed, purpose, slot,
-user) so different policies replay identical realizations.
+size). A slot draws its requests, fading and random caches from one generator
+per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
+requests; fading is drawn only for the RRHs a user hears.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -27,7 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from ..cache import (CacheState, SamplingPlan, cluster_rrhs, estimate_popularity,
-                     select_cloud_cache, select_rrh_cache, update_distribution)
+                     random_caches, select_cloud_cache, select_rrh_cache,
+                     update_distribution)
 from ..config import ExperimentConfig
 from ..data import generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
@@ -207,21 +209,20 @@ class Simulation:
         return self.cluster_set.cooperating_set(serving)
 
     def _capacity_samples(self, slot, serving):
-        """(U, n_mc) slot-capacity draws, user u from rng_for(seed, "channel", slot, u).
+        """(U, n_mc) slot-capacity draws, all users from rng_for(seed, "channel", slot).
 
         Idle RRHs transmit nothing: interference comes from RRHs that are
         actively serving users and sit outside the cooperating set.
         """
-        rrh_positions = self.topology.rrh_positions
-        active = sorted(set(serving.tolist()))
-        interferers = []
-        for rrh in serving:
-            coop = self._cooperating(rrh)
-            interferers.append(rrh_positions[[i for i in active if i not in coop]])
-        rngs = [rng_for(self.seed, "channel", slot, u) for u in range(len(serving))]
-        starts, ends = self.topology.segments(slot)
-        return segment_capacity_rows(starts, ends, rrh_positions[serving], interferers,
-                                     self.radio, self.n_mc, rngs, unit_scale=CAPACITY_UNIT)
+        active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
+        interferes = np.ones((len(serving), self.cfg["R"]), dtype=bool)
+        for u, rrh in enumerate(serving):
+            interferes[u, list(self._cooperating(rrh))] = False
+        return segment_capacity_rows(*self.topology.segments(slot),
+                                     self.topology.rrh_positions[active],
+                                     np.searchsorted(active, serving), interferes[:, active],
+                                     self.radio, self.n_mc, rng_for(self.seed, "channel", slot),
+                                     unit_scale=CAPACITY_UNIT)
 
     def _true_distributions(self, slot):
         return np.stack([self.workload.distribution(u, slot) for u in range(self.cfg["U"])])
@@ -248,10 +249,8 @@ class Simulation:
         cfg = self.cfg
         new = {}
         if self.policy in RANDOM_POLICIES:
-            for r in range(cfg["R"]):
-                rng = rng_for(self.seed, "random_cache", slot, r + 1)
-                picks = rng.choice(cfg["N"], size=cfg["C_r"], replace=False)
-                new[r] = frozenset(int(c) + 1 for c in picks)
+            rng = rng_for(self.seed, "random_cache", slot, 1)
+            new = dict(enumerate(random_caches(rng, cfg["R"], cfg["N"], cfg["C_r"])))
         else:
             weights = effective_capacity_rows(self.theta_O, samples)
             by_rrh = {}
@@ -288,8 +287,7 @@ class Simulation:
     def _refresh_cloud(self, slot):
         if self.policy in RANDOM_POLICIES:
             rng = rng_for(self.seed, "random_cache", slot, 0)
-            picks = rng.choice(self.cfg["N"], size=self.cfg["C_c"], replace=False)
-            cloud = frozenset(int(c) + 1 for c in picks)
+            cloud = random_caches(rng, 1, self.cfg["N"], self.cfg["C_c"])[0]
         elif not self.demand_stream:
             return
         else:

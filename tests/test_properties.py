@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from crancache import cache
-from crancache.cache import (CacheState, ClusterSet, cluster_rrhs, select_cloud_cache,
-                             select_rrh_cache, top_k_contents)
+from crancache.cache import (CacheState, ClusterSet, cluster_rrhs, random_caches,
+                             select_cloud_cache, select_rrh_cache, top_k_contents)
 from crancache.errors import ConfigurationError
 from crancache.qos import WiredParams, map_qos_exponents_lenient, per_content_rate
 from crancache.sim import enumerate_best_subset
@@ -25,6 +25,18 @@ def test_top_k_equals_exhaustive_search_with_ties(values, data):
     k = data.draw(st.integers(0, len(values)))
     vec = np.asarray(values, dtype=np.float64)
     assert top_k_contents(vec, k) == enumerate_best_subset(vec, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([0, 1, n]), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))))
+def test_random_caches_hold_capacity_distinct_ids(case):
+    n_contents, capacity, n_caches, seed = case
+    caches = random_caches(np.random.default_rng(seed), n_caches, n_contents, capacity)
+    assert len(caches) == n_caches
+    for cached in caches:
+        assert len(cached) == capacity  # a frozenset: distinct ids
+        assert all(type(c) is int and 1 <= c <= n_contents for c in cached)
 
 
 def scan_cooperating_set(clusters, rrh):

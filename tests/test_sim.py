@@ -355,6 +355,17 @@ def test_deep_copy_mid_episode_continues_bit_identically(policy):
     assert twin.cloud_trace == sim.cloud_trace
 
 
+@pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
+                                    POLICY_RANDOM_UNCLUSTERED, POLICY_ORACLE])
+def test_empty_caches_run_a_full_episode(policy):
+    report = run_episode(tiny_config(C_c=0, C_r=0), policy, seed=0)
+    assert len(report.slots) == 60
+    assert all(m.miss_server == 1.0 and m.n_backhaul == 4 for m in report.slots)
+    assert all(cloud == () for _, cloud in report.cloud_trace)
+    assert all(cached == frozenset() for cached in report.final_rrh_caches.values())
+    assert np.isfinite(report.effective_capacity_avg)
+
+
 def test_content_reservoir_has_a_stream_of_its_own():
     bank = Simulation(tiny_config(), POLICY_PROPOSED, seed=3).content_bank
     w_in = rng_for(3, "reservoir").uniform(-1.0, 1.0, bank.input_weights.shape)

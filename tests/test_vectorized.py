@@ -56,19 +56,21 @@ def reference_conditional(rank_permutation, base_probs, hour, weekday):
     return probs
 
 
-def reference_segment_samples(start, end, serving_pos, interferer_positions,
+def reference_segment_samples(start, end, rrh_positions, serving, interferes,
                               radio, n_mc, rng, unit_scale=1.0):
+    """One user's samples: an (n_mc, sub-step) fading block per used column from `rng`."""
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
     points = start[None, :] + frac[:, None] * (end - start)[None, :]
-    d_serv = np.linalg.norm(points - serving_pos[None, :], axis=1)
-    h_serv = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS))
-    signal = radio.tx_power_w * d_serv ** (-radio.pathloss_exponent) * h_serv
+    power = {}
+    for column in range(len(rrh_positions)):
+        if column == serving or interferes[column]:
+            d = np.linalg.norm(points - rrh_positions[column], axis=1)
+            h = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS))
+            power[column] = radio.tx_power_w * d ** (-radio.pathloss_exponent) * h
     interference = 0.0
-    if interferer_positions.size:
-        d_int = np.linalg.norm(points[:, None, :] - interferer_positions[None, :, :], axis=2)
-        h_int = rng.exponential(1.0, size=(n_mc, SLOT_SUBSTEPS, d_int.shape[1]))
-        interference = (radio.tx_power_w * d_int ** (-radio.pathloss_exponent) * h_int).sum(axis=-1)
-    gamma = signal / (interference + radio.noise_w)
+    for column in np.flatnonzero(interferes):  # one column after the other
+        interference = interference + power[column]
+    gamma = power[serving] / (interference + radio.noise_w)
     return (radio.bandwidth_hz * np.log2(1.0 + gamma)).sum(axis=1) * unit_scale
 
 
@@ -99,28 +101,67 @@ def test_effective_capacity_rows_honours_tau():
 @pytest.mark.parametrize("chunk_entries", [qos.FADING_CHUNK_ENTRIES, 1])
 def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk_entries):
     monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", chunk_entries)  # 1: a user per chunk
-    rng = np.random.default_rng(5)
-    # zero interferers, a few, and nine or more (where numpy's pairwise sum
-    # regroups terms, so padding the interferer axis would move bits)
-    counts = [0, 3, 9, 1, 12, 0, 9, 3, 17]
+    # zero interferers, a few, and nine or more (where numpy's pairwise sum,
+    # had it summed each user's interferers, would group them in eights)
+    starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
+    shared = np.random.default_rng(100)  # users draw in turn from one generator
+    expected = np.stack([
+        reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
+                                  n_mc, shared, unit_scale=1e-6)
+        for u in range(len(serving))])
+    got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
+                                np.random.default_rng(100), unit_scale=1e-6)
+    assert np.array_equal(got, expected)
+    for u in range(len(serving)):
+        # the one-user form puts the serving RRH first, then the interferers
+        positions = np.vstack([rrhs[serving[u]], rrhs[interferes[u]]])
+        alone = np.arange(len(positions)) > 0
+        single = segment_capacity_samples(starts[u], ends[u], rrhs[serving[u]],
+                                          rrhs[interferes[u]], RADIO, n_mc,
+                                          np.random.default_rng(200 + u), unit_scale=1e-6)
+        assert np.array_equal(single, reference_segment_samples(
+            starts[u], ends[u], positions, 0, alone, RADIO, n_mc,
+            np.random.default_rng(200 + u), unit_scale=1e-6))
+
+
+def channel_case(counts, n_active=20, seed=5):
+    """Segments, RRHs, serving columns and interferer masks with the given counts."""
+    rng = np.random.default_rng(seed)
     users = len(counts)
     starts = rng.uniform(-600.0, 600.0, (users, 2))
     ends = starts + rng.uniform(-30.0, 30.0, (users, 2))
-    serving = rng.uniform(-600.0, 600.0, (users, 2))
-    interferers = [rng.uniform(-600.0, 600.0, (c, 2)) for c in counts]
-    expected = np.stack([
-        reference_segment_samples(starts[u], ends[u], serving[u], interferers[u], RADIO,
-                                  n_mc, np.random.default_rng(100 + u), unit_scale=1e-6)
-        for u in range(users)])
-    got = segment_capacity_rows(starts, ends, serving, interferers, RADIO, n_mc,
-                                [np.random.default_rng(100 + u) for u in range(users)],
-                                unit_scale=1e-6)
-    assert np.array_equal(got, expected)
-    for u in range(users):
-        single = segment_capacity_samples(starts[u], ends[u], serving[u], interferers[u],
-                                          RADIO, n_mc, np.random.default_rng(100 + u),
-                                          unit_scale=1e-6)
-        assert np.array_equal(single, expected[u])
+    rrhs = rng.uniform(-600.0, 600.0, (n_active, 2))
+    serving = rng.integers(0, n_active, users)
+    interferes = np.zeros((users, n_active), dtype=bool)
+    for u, count in enumerate(counts):
+        others = np.delete(np.arange(n_active), serving[u])
+        interferes[u, rng.choice(others, size=count, replace=False)] = True
+    return starts, ends, rrhs, serving, interferes
+
+
+@pytest.mark.parametrize("n_mc", [1, 48])
+def test_segment_capacity_rows_chunking_moves_no_draw(monkeypatch, n_mc):
+    case = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17, 19, 5])
+    default = segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3))
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)
+    assert np.array_equal(segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3)),
+                          default)
+
+
+def test_fully_cooperating_user_matches_a_zero_interferer_reference():
+    starts, ends, rrhs, serving, _ = channel_case([0, 0, 0])
+    # every active RRH cooperates with every user's serving RRH
+    interferes = np.zeros((len(serving), len(rrhs)), dtype=bool)
+    got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, 24,
+                                np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
+    for u in range(len(serving)):
+        points = starts[u] + frac[:, None] * (ends[u] - starts[u])
+        d = np.linalg.norm(points - rrhs[serving[u]], axis=1)
+        h = rng.exponential(1.0, size=(24, SLOT_SUBSTEPS))
+        snr = RADIO.tx_power_w * d ** (-RADIO.pathloss_exponent) * h / RADIO.noise_w
+        assert np.array_equal(got[u], (RADIO.bandwidth_hz * np.log2(1.0 + snr)).sum(axis=1))
 
 
 def test_user_on_an_rrh_gets_finite_capacity():
