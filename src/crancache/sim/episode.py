@@ -215,12 +215,11 @@ class Simulation:
         actively serving users and sit outside the cooperating set.
         """
         active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
-        interferes = np.ones((len(serving), self.cfg["R"]), dtype=bool)
-        for u, rrh in enumerate(serving):
-            interferes[u, list(self._cooperating(rrh))] = False
+        cooperating = [self._cooperating(rrh) for rrh in serving]
+        interferes = np.array([[a not in coop for a in active.tolist()] for coop in cooperating])
         return segment_capacity_rows(*self.topology.segments(slot),
                                      self.topology.rrh_positions[active],
-                                     np.searchsorted(active, serving), interferes[:, active],
+                                     np.searchsorted(active, serving), interferes,
                                      self.radio, self.n_mc, rng_for(self.seed, "channel", slot),
                                      unit_scale=CAPACITY_UNIT)
 
