@@ -258,8 +258,8 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
             (np.count_nonzero(used[rows]), n_mc, SLOT_SUBSTEPS))
         signal_fading = fading[chunk, columns]
         fading[chunk, columns] = 0.0
-        gamma = sinr(d[chunk, columns], signal_fading, np.moveaxis(d, 1, -1),
-                     np.moveaxis(fading, 1, -1), radio)
+        gamma = sinr(d[chunk, columns], signal_fading, d.transpose(0, 2, 3, 1),
+                     fading.transpose(0, 2, 3, 1), radio)
         samples[rows] = (radio.bandwidth_hz * np.log2(1.0 + gamma)).sum(axis=2)
     return samples * unit_scale
 
