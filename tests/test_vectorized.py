@@ -97,12 +97,27 @@ def test_effective_capacity_rows_honours_tau():
 
 # ---- channel sampling -----------------------------------------------------------
 
+def channel_case(counts, n_active=20, seed=5):
+    """Segments, RRHs, serving columns and interferer masks with the given counts."""
+    rng = np.random.default_rng(seed)
+    users = len(counts)
+    starts = rng.uniform(-600.0, 600.0, (users, 2))
+    ends = starts + rng.uniform(-30.0, 30.0, (users, 2))
+    rrhs = rng.uniform(-600.0, 600.0, (n_active, 2))
+    serving = rng.integers(0, n_active, users)
+    interferes = np.zeros((users, n_active), dtype=bool)
+    for u, count in enumerate(counts):
+        others = np.delete(np.arange(n_active), serving[u])
+        interferes[u, rng.choice(others, size=count, replace=False)] = True
+    return starts, ends, rrhs, serving, interferes
+
+
 @pytest.mark.parametrize("n_mc", [1, 48])
 @pytest.mark.parametrize("chunk_entries", [qos.FADING_CHUNK_ENTRIES, 1])
 def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk_entries):
     monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", chunk_entries)  # 1: a user per chunk
-    # zero interferers, a few, and nine or more (where numpy's pairwise sum,
-    # had it summed each user's interferers, would group them in eights)
+    # zero interferers, a few, and nine or more (where numpy's pairwise sum
+    # would group them differently from one column after the other)
     starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
     shared = np.random.default_rng(100)  # users draw in turn from one generator
     expected = np.stack([
@@ -122,21 +137,6 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk
         assert np.array_equal(single, reference_segment_samples(
             starts[u], ends[u], positions, 0, alone, RADIO, n_mc,
             np.random.default_rng(200 + u), unit_scale=1e-6))
-
-
-def channel_case(counts, n_active=20, seed=5):
-    """Segments, RRHs, serving columns and interferer masks with the given counts."""
-    rng = np.random.default_rng(seed)
-    users = len(counts)
-    starts = rng.uniform(-600.0, 600.0, (users, 2))
-    ends = starts + rng.uniform(-30.0, 30.0, (users, 2))
-    rrhs = rng.uniform(-600.0, 600.0, (n_active, 2))
-    serving = rng.integers(0, n_active, users)
-    interferes = np.zeros((users, n_active), dtype=bool)
-    for u, count in enumerate(counts):
-        others = np.delete(np.arange(n_active), serving[u])
-        interferes[u, rng.choice(others, size=count, replace=False)] = True
-    return starts, ends, rrhs, serving, interferes
 
 
 @pytest.mark.parametrize("n_mc", [1, 48])
