@@ -81,28 +81,31 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
 
 
 def distribution_distance(p, q, sampled=False, plan=None, seed=0):
-    """Total-variation distance between two request distributions.
+    """Total-variation distance between request distributions along the last axis.
 
-    With `sampled`, estimates from plan.sample_size coordinate draws without
-    replacement, scaled back to the full support; plans at least as large as
-    the support degrade to the exact sum.
+    Leading axes broadcast; 1-D inputs give a float. With `sampled` (1-D only),
+    estimates from plan.sample_size coordinate draws without replacement,
+    scaled back to the full support; plans at least as large as the support
+    degrade to the exact sum.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
+    if p.shape[-1:] != q.shape[-1:]:
         raise ConfigurationError("distributions must share their length")
-    diffs = np.abs(p - q)
-    if not sampled:
-        return 0.5 * float(diffs.sum())
-    if plan is None:
-        raise ConfigurationError("sampled distance needs a SamplingPlan")
-    n = p.shape[0]
-    m = min(plan.sample_size, n)
-    if m >= n:
-        return 0.5 * float(diffs.sum())
-    rng = as_rng(seed)
-    coords = rng.choice(n, size=m, replace=False)
-    return 0.5 * float(diffs[coords].sum()) * n / m
+    diffs = p - q
+    np.abs(diffs, out=diffs)  # in place: a second temporary this size costs page faults
+    n = diffs.shape[-1]
+    if sampled:
+        if diffs.ndim != 1:
+            raise ConfigurationError("sampled distance takes two 1-D distributions")
+        if plan is None:
+            raise ConfigurationError("sampled distance needs a SamplingPlan")
+        m = min(plan.sample_size, n)
+        if m < n:
+            coords = as_rng(seed).choice(n, size=m, replace=False)
+            return 0.5 * float(diffs[coords].sum()) * n / m
+    tv = 0.5 * diffs.sum(axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
 @dataclass
@@ -114,7 +117,6 @@ class ClusterSet:
     cooperating-set map is built once, at construction.
     """
     clusters: list
-    similarity_threshold: float = 0.85
     _cooperating: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,10 +164,8 @@ def cluster_rrhs(rrh_user_distributions, threshold):
         owners = np.array(owners)
         step = max(1, TV_CHUNK_ENTRIES // mat.size)
         for lo in range(0, len(mat), step):
-            diff = mat[lo:lo + step, None] - mat[None]
-            np.abs(diff, out=diff)  # in place: a second temporary this size costs page faults
             # row i: the total variation of every user's distribution from anchor lo + i
-            tv = 0.5 * diff.sum(axis=2)
+            tv = distribution_distance(mat[lo:lo + step, None], mat[None])
             for near in tv < threshold:
                 members = frozenset(owners[near].tolist())
                 if members:
@@ -176,8 +176,7 @@ def cluster_rrhs(rrh_user_distributions, threshold):
                      + [rrh for c in clusters if len(c) == 1 for rrh in c])
     groups = sorted((tuple(sorted(c)) for c in clusters if len(c) > 1),
                     key=lambda c: (len(c), c))
-    return ClusterSet(clusters=[(rrh,) for rrh in singles] + groups,
-                      similarity_threshold=threshold)
+    return ClusterSet(clusters=[(rrh,) for rrh in singles] + groups)
 
 
 def top_k_contents(scores, k):
@@ -253,13 +252,10 @@ class CacheState:
     def validate(self):
         if len(self.cloud) > self.cloud_capacity:
             raise ConfigurationError("cloud cache exceeds its capacity")
-        self._check_ids(self.cloud)
         for rrh, contents in self.rrh.items():
             if len(contents) > self.rrh_capacity:
                 raise ConfigurationError(f"RRH {rrh} cache exceeds its capacity")
-            self._check_ids(contents)
-
-    def _check_ids(self, contents):
-        for content in contents:
+        ids = set(self.cloud).union(*self.rrh.values())
+        for content in (min(ids), max(ids)) if ids else ():
             if not 1 <= content <= self.n_contents:
                 raise ConfigurationError(f"content id {content} outside 1..{self.n_contents}")

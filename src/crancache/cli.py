@@ -2,7 +2,9 @@
 
 Subcommands: simulate, sweep, memcap, sample-size, gen-data. simulate writes
 slots_<policy>.csv and summary_<policy>.txt for every policy, and
-predictors_<policy>.csv for every policy that reads predictions. All outputs
+predictors_<policy>.csv for every policy that reads predictions. gen-data
+writes content.csv, the requests that simulate realizes for the same config
+and seed, and mobility.csv, the users' positions per slot. All outputs
 are deterministic given (config, seed) and the BLAS thread count. With large
 reservoirs, such as the parameter-table default N_w = 1000, multi-threaded
 BLAS rounds the content reservoir's eigenvalue solve and its per-slot matrix
@@ -27,8 +29,8 @@ from .data import (generate_mobility, generate_workload, write_content_trace,
                    write_mobility_trace)
 from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
                      UnsupportedFamilyError)
-from .esn import (MobilityEsn, WeightDistribution, empirical_memory_capacity,
-                  memory_capacity, memory_capacity_bounds, min_trace_len)
+from .esn import (MobilityEsn, WeightDistribution, empirical_memory_capacity, memory_capacity,
+                  memory_capacity_bounds, min_trace_len, readout_windows)
 from .seeding import rng_for
 from .sim import (POLICY_ORACLE, check_oracle_guard, run_episode)
 
@@ -140,12 +142,8 @@ def _sweep_mobility_rows(cfg, axis, value, reps, trace=600):
         pattern = rng.integers(0, 400, size=period).astype(float)
         codes = np.tile(pattern, trace // period + 2)[: trace + cfg["N_s"]]
         states = esn.drive(codes[:trace])
+        esn.train(*readout_windows(states, codes, cfg["N_s"], cfg["N_tr"]))
         n_complete = trace - cfg["N_s"]
-        lo = max(0, n_complete - cfg["N_tr"])
-        window_states = states[lo:n_complete].T
-        targets = np.stack([codes[j + 1: j + 1 + cfg["N_s"]]
-                            for j in range(lo, n_complete)], axis=1)
-        esn.train(window_states, targets)
         preds = esn.output_weights @ states[n_complete - 1]
         truth = codes[n_complete: n_complete + cfg["N_s"]]
         rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))

@@ -183,7 +183,3 @@ class ExperimentConfig:
                 text = f"{val:.12g}"  # the short form, when it reads back as the same float
             lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.serialize())

@@ -5,7 +5,8 @@ archetypes by block-local rank shuffles (blocks of three, rank 1 pinned so the
 head of the popularity curve survives) and modulated over (hour-of-day,
 weekday) buckets by block rotations. Mobility: exactly periodic waypoint
 tours inside the coverage disk. Both replace proprietary datasets; CSV
-ingestion is provided for external traces.
+ingestion is provided for external traces. The content trace (gen-data)
+holds the requests the simulator realizes for the same workload and seed.
 
 Trace schemas (headers are normative):
   content:  user_id,slot,t_hour,weekday,gender,occupation,age,device,reserved,content_id
@@ -115,10 +116,19 @@ class Workload:
         """K=7 feature vector of one user (a row of `contexts`)."""
         return self.contexts(slot)[user]
 
-    def sample_request(self, user, slot, rng):
-        """One realized content id (1-based) from the ground-truth conditional."""
-        probs = self.distribution(user, slot)
-        return int(rng.choice(self.n_contents, p=probs)) + 1
+    def distributions(self, slot):
+        """(n_users, n_contents) request distributions in `slot`, one `distribution` per user."""
+        return np.stack([self.distribution(u, slot) for u in range(self.n_users)])
+
+
+def draw_requests(distributions, rng):
+    """One content id (1-based) per row of `distributions`, by inverse CDF on one uniform
+    per row; a CDF that ends below its uniform maps it to the last content."""
+    distributions = np.asarray(distributions, dtype=np.float64)
+    uniforms = rng.random(distributions.shape[0])
+    cdf = np.cumsum(distributions, axis=1)
+    idx = np.minimum((cdf <= uniforms[:, None]).sum(axis=1), distributions.shape[1] - 1)
+    return idx + 1
 
 
 def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
@@ -152,6 +162,13 @@ def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
     return Workload(n_users=n_users, n_contents=n_contents, zipf_alpha=zipf_alpha,
                     archetypes=archetypes, user_archetype=user_archetype,
                     user_gender=user_gender, user_device=user_device, base_probs=base)
+
+
+def scatter_in_disk(n_points, radius, rng):
+    """Uniform points in the disk (area-uniform radial law)."""
+    radii = radius * np.sqrt(rng.random(n_points))
+    angles = rng.uniform(0.0, 2.0 * np.pi, n_points)
+    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
 
 @dataclass
@@ -212,9 +229,7 @@ def generate_mobility(n_users, disk_radius, waypoints_per_user, speed, seed,
     rng = rng_for(seed, "mobility")
     schedules = []
     for _ in range(n_users):
-        radii = disk_radius * np.sqrt(rng.random(waypoints_per_user))
-        angles = rng.uniform(0.0, 2.0 * np.pi, waypoints_per_user)
-        pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+        pts = scatter_in_disk(waypoints_per_user, disk_radius, rng)
         dwell = rng.integers(0, max_dwell + 1, size=waypoints_per_user)
         schedules.append(MobilitySchedule(waypoints=pts, dwell_slots=dwell,
                                           speed=float(speed)))
@@ -222,15 +237,14 @@ def generate_mobility(n_users, disk_radius, waypoints_per_user, speed, seed,
 
 
 def write_content_trace(path, workload, n_slots, seed):
-    """Sample one request per (user, slot) and write the content CSV."""
-    rng = rng_for(seed, "requests")
+    """Write the content CSV: the requests a `Simulation` with this workload and seed realizes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CONTENT_HEADER)
         for slot in range(1, n_slots + 1):
-            for user in range(workload.n_users):
-                ctx = workload.context(user, slot)
-                content = workload.sample_request(user, slot, rng)
+            requests = draw_requests(workload.distributions(slot), rng_for(seed, "requests", slot))
+            for user, (ctx, content) in enumerate(zip(workload.contexts(slot),
+                                                      requests.tolist())):
                 writer.writerow([user, slot] + [f"{v:.6g}" for v in ctx] + [content])
 
 

@@ -4,7 +4,7 @@ from .content import (CONTEXT_FEATURES, ContentEsn, ContentEsnBank, project_to_s
 from .memory import (empirical_memory_capacity, memory_capacity,
                      memory_capacity_bounds, min_trace_len)
 from .mobility import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
-                       build_cycle_reservoir, ridge_train)
+                       build_cycle_reservoir, readout_windows, ridge_train)
 
 __all__ = [
     "CONTEXT_FEATURES",
@@ -20,6 +20,7 @@ __all__ = [
     "memory_capacity_bounds",
     "min_trace_len",
     "project_to_simplex",
+    "readout_windows",
     "require_context",
     "require_distribution",
     "ridge_train",

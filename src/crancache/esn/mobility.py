@@ -98,25 +98,38 @@ def ridge_train(states, targets, ridge_lambda):
     """Ridge readout: W_out = S V^T (V V^T + lambda^2 I)^-1, solved by factorization.
 
     `states` is W x N_tr (columns are per-step reservoir states), `targets` is
-    N_s x N_tr. At lambda = 0 a rank-deficient state matrix raises
-    NumericalRankError instead of returning a garbage solve.
+    N_s x N_tr; leading axes stack independent fits. At lambda = 0 a rank-deficient
+    state matrix raises NumericalRankError instead of returning a garbage solve.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if states.shape[1] != targets.shape[1]:
+    if states.shape[-1] != targets.shape[-1]:
         raise ConfigurationError("states and targets must share the window length")
-    if states.shape[1] < 1:
+    if states.shape[-1] < 1:
         raise ConfigurationError("training window is empty")
-    n_units = states.shape[0]
-    gram = states @ states.T + (ridge_lambda ** 2) * np.eye(n_units)
-    if ridge_lambda == 0.0 and np.linalg.matrix_rank(states) < n_units:
+    n_units = states.shape[-2]
+    gram = states @ np.swapaxes(states, -1, -2) + (ridge_lambda ** 2) * np.eye(n_units)
+    if ridge_lambda == 0.0 and np.any(np.linalg.matrix_rank(states) < n_units):
         raise NumericalRankError("state matrix is rank-deficient and lambda = 0")
-    rhs = states @ targets.T
+    rhs = states @ np.swapaxes(targets, -1, -2)
     try:
         solution = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalRankError(str(exc)) from exc
-    return solution.T
+    return np.swapaxes(solution, -1, -2)
+
+
+def readout_windows(states, codes, horizon, max_pairs):
+    """The latest <= max_pairs training pairs of (n, ..., W) states after n > horizon
+    observed codes: state j against codes j+1..j+horizon. Returns C-contiguous
+    (..., W, m) states and (..., horizon, m) targets for `ridge_train`."""
+    n_complete = len(states) - horizon
+    if n_complete < 1:
+        raise ConfigurationError("no state has `horizon` observed codes after it")
+    lo = max(0, n_complete - max_pairs)
+    ahead = sliding_window_view(codes[lo + 1:n_complete + horizon], horizon, axis=0)
+    return (np.ascontiguousarray(np.moveaxis(states[lo:n_complete], 0, -1)),
+            np.ascontiguousarray(np.moveaxis(ahead, 0, -1)))
 
 
 class MobilityEsn:
@@ -247,17 +260,11 @@ class MobilityEsnBank:
 
     def retrain(self, max_pairs):
         """Ridge-fit each readout on the latest <= max_pairs completed pairs."""
-        n_complete = self.n_observed - self.horizon
-        if n_complete < 1:
+        if self.n_observed <= self.horizon:
             return
-        lo = max(0, n_complete - max_pairs)
-        # (U, W, n) states and (U, horizon, n) targets, C-contiguous per user
-        states = np.ascontiguousarray(self.states[lo:n_complete].transpose(1, 2, 0))
-        ahead = sliding_window_view(self.codes[lo + 1:n_complete + self.horizon],
-                                    self.horizon, axis=0)
-        targets = np.ascontiguousarray(ahead.transpose(1, 2, 0))
-        for u in range(len(states)):
-            self.readouts[u] = ridge_train(states[u], targets[u], self.ridge_lambda).T
+        states, targets = readout_windows(self.states[:self.n_observed], self.codes,
+                                          self.horizon, max_pairs)
+        self.readouts[:] = np.swapaxes(ridge_train(states, targets, self.ridge_lambda), 1, 2)
 
     def predicted_positions(self):
         """(users, (k, 2) positions) for the users holding a prediction."""

@@ -36,7 +36,6 @@ PATH_LOCAL = "O"
 PATH_CLOUD = "A"
 PATH_SERVER = "S"
 PATH_REMOTE = "G"
-PATHS = (PATH_LOCAL, PATH_CLOUD, PATH_SERVER, PATH_REMOTE)
 
 # wired hop counts per path: S counts BBU->RRH plus RRH->user with the
 # backhaul as external rate, A one fronthaul hop, G two, O none
@@ -126,11 +125,12 @@ def sinr(distance, fading, interferer_distances, interferer_fadings, radio):
 
 
 def slot_capacity(gamma_samples, bandwidth_hz):
-    """Cumulative slot capacity: sum of B log2(1+gamma) over the sub-steps."""
+    """Cumulative slot capacity: sum of B log2(1+gamma) over the last axis (the sub-steps)."""
     gamma_samples = np.atleast_1d(np.asarray(gamma_samples, dtype=np.float64))
-    if gamma_samples.size < 1:
+    if gamma_samples.shape[-1] < 1:
         raise ConfigurationError("need at least one SINR sample")
-    return float(bandwidth_hz * np.log2(1.0 + gamma_samples).sum())
+    capacity = (bandwidth_hz * np.log2(1.0 + gamma_samples)).sum(axis=-1)
+    return float(capacity) if capacity.ndim == 0 else capacity
 
 
 def map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU):
@@ -260,7 +260,7 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
         fading[chunk, columns] = 0.0
         gamma = sinr(d[chunk, columns], signal_fading, d.transpose(0, 2, 3, 1),
                      fading.transpose(0, 2, 3, 1), radio)
-        samples[rows] = (radio.bandwidth_hz * np.log2(1.0 + gamma)).sum(axis=2)
+        samples[rows] = slot_capacity(gamma, radio.bandwidth_hz)
     return samples * unit_scale
 
 

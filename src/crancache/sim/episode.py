@@ -27,11 +27,11 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cache import (CacheState, SamplingPlan, cluster_rrhs, estimate_popularity,
-                     random_caches, select_cloud_cache, select_rrh_cache,
-                     update_distribution)
+from ..cache import (CacheState, SamplingPlan, cluster_rrhs, distribution_distance,
+                     estimate_popularity, random_caches, rrh_popularity,
+                     select_cloud_cache, select_rrh_cache, update_distribution)
 from ..config import ExperimentConfig
-from ..data import generate_mobility, generate_workload
+from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
 from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
@@ -223,9 +223,6 @@ class Simulation:
                                      self.radio, self.n_mc, rng_for(self.seed, "channel", slot),
                                      unit_scale=CAPACITY_UNIT)
 
-    def _true_distributions(self, slot):
-        return np.stack([self.workload.distribution(u, slot) for u in range(self.cfg["U"])])
-
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
         if self.policy == POLICY_RANDOM_UNCLUSTERED:
@@ -256,11 +253,9 @@ class Simulation:
             for u in range(cfg["U"]):
                 by_rrh.setdefault(assoc[u], []).append(u)
             for r, users in by_rrh.items():
-                dists = [predictions[u] for u in users]
-                wts = [weights[u] for u in users]
+                dists, wts = predictions[users], weights[users]
                 if self.policy == POLICY_ORACLE:
-                    scores = (np.stack(dists) * np.asarray(wts)[:, None]).sum(axis=0) / len(users)
-                    new[r] = enumerate_best_subset(scores, cfg["C_r"])
+                    new[r] = enumerate_best_subset(rrh_popularity(dists, wts), cfg["C_r"])
                 else:
                     new[r] = select_rrh_cache(dists, wts, cfg["C_r"], cfg["N"])
         self.caches.rrh = new
@@ -275,14 +270,6 @@ class Simulation:
             grouped[assoc[u]].append(predictions[u])
         self.cluster_set = cluster_rrhs(grouped, self.cfg["chi"])
 
-    def _realize_requests(self, slot, truth):
-        rng = rng_for(self.seed, "requests", slot)
-        uniforms = rng.random(self.cfg["U"])
-        cdf = np.cumsum(truth, axis=1)
-        # a CDF that ends below the draw maps it to the last content
-        idx = np.minimum((cdf <= uniforms[:, None]).sum(axis=1), self.cfg["N"] - 1)
-        return (idx + 1).tolist()
-
     def _refresh_cloud(self, slot):
         if self.policy in RANDOM_POLICIES:
             rng = rng_for(self.seed, "random_cache", slot, 0)
@@ -294,7 +281,7 @@ class Simulation:
             dists = np.stack([d for _, d, _ in self.demand_stream])
             weights = np.array([w for _, _, w in self.demand_stream])
             if self.policy == POLICY_ORACLE:
-                popularity = (dists * weights[:, None]).mean(axis=0)
+                popularity = estimate_popularity(dists, weights, None, None)
                 cloud = enumerate_best_subset(popularity, self.cfg["C_c"])
             else:
                 rng = rng_for(self.seed, "sampling", slot // self.cfg["T_tau"])
@@ -318,14 +305,14 @@ class Simulation:
             self.mobility.observe(positions)
 
         samples = self._capacity_samples(slot, serving)
-        truth = self._true_distributions(slot)
+        truth = self.workload.distributions(slot)
         predictions = self._predictions(slot, truth)
 
         assoc = self._assoc_for_caching(serving)
         self._update_rrh_caches(slot, assoc, predictions, samples)
         self._update_clusters(assoc, predictions)
 
-        requests = self._realize_requests(slot, truth)
+        requests = draw_requests(truth, rng_for(self.seed, "requests", slot)).tolist()
         paths = [resolve_delivery_path(requests[u], int(serving[u]), self.caches)
                  for u in range(U)]
         n_backhaul = sum(1 for p in paths if p == PATH_SERVER)
@@ -361,7 +348,7 @@ class Simulation:
                                               PATH_REMOTE, PATH_SERVER)}
         quality = {}
         if predictions is not None:
-            quality = dict(tv_content=float(0.5 * np.abs(predictions - truth).sum(axis=1).mean()),
+            quality = dict(tv_content=float(distribution_distance(predictions, truth).mean()),
                            n_clusters=len(self.cluster_set.clusters))
         return SlotMetrics(
             slot=slot,

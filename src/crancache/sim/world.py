@@ -3,16 +3,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..data import scatter_in_disk
 from ..errors import ConfigurationError
 from ..qos import PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER
 from ..seeding import rng_for
-
-
-def scatter_in_disk(n_points, radius, rng):
-    """Uniform points in the disk (area-uniform radial law)."""
-    radii = radius * np.sqrt(rng.random(n_points))
-    angles = rng.uniform(0.0, 2.0 * np.pi, n_points)
-    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
 
 def nearest_rrh(positions, rrh_positions):

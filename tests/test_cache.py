@@ -100,6 +100,21 @@ def test_tv_distance_metric_axioms_on_random_triples():
         assert 0.0 <= dpq <= 1.0 + 1e-12
 
 
+def test_tv_distance_rows_equal_one_dimensional_calls():
+    rng = np.random.default_rng(8)
+    p = rng.dirichlet(np.ones(9), size=(4, 1))
+    q = rng.dirichlet(np.ones(9), size=6)
+    rows = distribution_distance(p, q)  # every p row against every q row
+    assert rows.shape == (4, 6)
+    for i in range(4):
+        for j in range(6):
+            assert rows[i, j] == distribution_distance(p[i, 0], q[j])
+    assert isinstance(distribution_distance(p[0, 0], q[0]), float)
+    plan = SamplingPlan(epsilon=0.3, delta=0.5)
+    with pytest.raises(ConfigurationError):
+        distribution_distance(p[:, 0], q[:4], sampled=True, plan=plan)
+
+
 def test_tv_distance_sampled_variant():
     rng = np.random.default_rng(7)
     p, q = rng.dirichlet(np.ones(50), size=2)
@@ -234,3 +249,9 @@ def test_cache_state_invariants():
     with pytest.raises(ConfigurationError):
         CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
                    cloud=frozenset([6]))
+    with pytest.raises(ConfigurationError, match="content id 0 outside"):
+        CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
+                   cloud=frozenset([1]), rrh={0: frozenset([2]), 1: frozenset([0])})
+    with pytest.raises(ConfigurationError, match="RRH 1 cache exceeds"):
+        CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
+                   rrh={0: frozenset([2]), 1: frozenset([3, 4])})

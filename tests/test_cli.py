@@ -155,6 +155,30 @@ def test_gen_data_round_trips(tmp_path):
     assert len(mobility) == 4 * 30
 
 
+def test_gen_data_requests_are_the_simulated_requests(tmp_path, monkeypatch):
+    from crancache.config import ExperimentConfig
+    from crancache.data import draw_requests, load_traces
+    from crancache.sim import Simulation, episode
+    assert main(_tiny_args(tmp_path) + ["gen-data"]) == EXIT_OK
+    content = load_traces(tmp_path / "content.csv", "content")
+
+    realized = []
+
+    def recording_draw(distributions, rng):
+        requests = draw_requests(distributions, rng)
+        realized.append(requests.tolist())
+        return requests
+
+    monkeypatch.setattr(episode, "draw_requests", recording_draw)
+    cfg = ExperimentConfig.default()
+    cfg.apply_overrides(TINY)
+    Simulation(cfg, "proposed", seed=3).run()
+    assert len(realized) == cfg["T"]
+    assert [row[:2] for row in content] == [(u, k) for k in range(1, cfg["T"] + 1)
+                                            for u in range(cfg["U"])]
+    assert [row[-1] for row in content] == [c for slot in realized for c in slot]
+
+
 def test_config_file_plus_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("T = 30\nT_tau = 30\nU = 4\nR = 3\nN = 6\nC_c = 2\nC_r = 1\n"

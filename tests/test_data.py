@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from crancache.data import (generate_mobility, generate_workload, load_traces,
-                            write_content_trace, write_mobility_trace, zipf_probs)
+from crancache.data import (draw_requests, generate_mobility, generate_workload,
+                            load_traces, write_content_trace, write_mobility_trace,
+                            zipf_probs)
 from crancache.errors import (ConfigurationError, TraceParseError,
                               TraceValidationError)
 from crancache.seeding import rng_for
@@ -34,11 +35,10 @@ def test_distributions_are_simplex_points():
 
 def test_marginal_top1_share_and_slope():
     wl = generate_workload(50, 100, 1.0, 4, seed=5)
-    rng = rng_for(5, "requests")
     counts = np.zeros(100)
     for slot in range(1, 401):
-        for u in range(50):
-            counts[wl.sample_request(u, slot, rng) - 1] += 1
+        requests = draw_requests(wl.distributions(slot), rng_for(5, "requests", slot))
+        np.add.at(counts, requests - 1, 1)
     freq = counts / counts.sum()
     h100 = zipf_probs(100, 1.0)[0]
     assert abs(freq.max() - h100) <= 0.02  # 1/H_100 ~ 0.1928

@@ -4,7 +4,7 @@ import pytest
 
 from crancache.errors import ConfigurationError, NumericalRankError
 from crancache.esn import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
-                           build_cycle_reservoir, ridge_train)
+                           build_cycle_reservoir, readout_windows, ridge_train)
 from crancache.seeding import rng_for
 
 
@@ -136,6 +136,52 @@ def test_ridge_rank_deficient_at_zero_lambda_raises():
     s = np.array([[1.0, 1.0]])
     with pytest.raises(NumericalRankError):
         ridge_train(v, s, 0.0)
+
+
+def test_stacked_ridge_equals_per_user_calls():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        users, width, horizon = (int(v) for v in rng.integers(1, 6, size=3))
+        n_pairs = int(rng.integers(1, 30))
+        lam = float(rng.choice([0.0, 0.1, 0.5])) if n_pairs >= width else 0.5
+        states = rng.normal(size=(users, width, n_pairs))
+        targets = rng.normal(size=(users, horizon, n_pairs))
+        stacked = ridge_train(states, targets, lam)
+        assert stacked.shape == (users, horizon, width)
+        for u in range(users):
+            assert np.array_equal(stacked[u], ridge_train(states[u], targets[u], lam))
+
+
+def test_stacked_ridge_with_one_rank_deficient_member_raises_at_zero_lambda():
+    rng = np.random.default_rng(13)
+    states = rng.normal(size=(3, 2, 5))
+    states[1, 1] = 2.0 * states[1, 0]  # member 1 has rank 1
+    targets = rng.normal(size=(3, 1, 5))
+    with pytest.raises(NumericalRankError):
+        ridge_train(states, targets, 0.0)
+    ridge_train(states, targets, 0.5)  # ridge keeps every member solvable
+
+
+@pytest.mark.parametrize("n_obs, horizon, max_pairs", [
+    (600, 3, 50), (20, 3, 100), (4, 3, 10), (30, 1, 7)])
+def test_readout_windows_match_per_pair_windows(n_obs, horizon, max_pairs):
+    rng = np.random.default_rng(n_obs + horizon)
+    # one trace, as the sweep pairs it, and three users' traces, as the bank does
+    for lead in ((), (3,)):
+        states = rng.normal(size=(n_obs, *lead, 5))
+        codes = rng.integers(0, 400, size=(n_obs + horizon, *lead)).astype(float)
+        got_states, got_targets = readout_windows(states, codes, horizon, max_pairs)
+        n_complete = n_obs - horizon
+        lo = max(0, n_complete - max_pairs)
+        want_states = np.moveaxis(states[lo:n_complete], 0, -1)
+        want_targets = np.stack([codes[j + 1: j + 1 + horizon] for j in range(lo, n_complete)],
+                                axis=-1)
+        want_targets = np.moveaxis(want_targets, 0, -2)
+        assert np.array_equal(got_states, want_states)
+        assert np.array_equal(got_targets, want_targets)
+        assert got_states.flags.c_contiguous and got_targets.flags.c_contiguous
+    with pytest.raises(ConfigurationError):
+        readout_windows(states[:horizon], codes, horizon, max_pairs)
 
 
 def test_drive_matches_stepwise_updates():

@@ -64,6 +64,16 @@ def test_slot_capacity_examples():
     assert slot_capacity([1.0, 3.0, 7.0], 2.0) == pytest.approx(12.0)
 
 
+def test_slot_capacity_rows_equal_one_dimensional_calls():
+    rng = np.random.default_rng(3)
+    gamma = rng.exponential(5.0, size=(3, 4, 10))
+    rows = slot_capacity(gamma, 1e6)
+    assert rows.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert rows[i, j] == slot_capacity(gamma[i, j], 1e6)
+
+
 def _solve_exponent_numerically(theta_O, d_max, hops, rate, size):
     """Bisection on exp(-t (D - NhL/v)) = exp(-theta_O D)."""
     target = math.exp(-theta_O * d_max)

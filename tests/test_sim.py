@@ -6,7 +6,7 @@ import pytest
 
 from crancache.cache import CacheState
 from crancache.config import ExperimentConfig
-from crancache.data import MobilitySchedule
+from crancache.data import MobilitySchedule, draw_requests
 from crancache.errors import InstanceTooLargeError
 from crancache.qos import PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER
 from crancache.seeding import rng_for
@@ -149,7 +149,7 @@ def test_request_draw_stays_in_catalog_when_cdf_ends_short():
     n = cfg["N"]
     sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
     sim.workload.distribution = lambda user, slot: np.full(n, 0.5 / n)
-    requests = sim._realize_requests(1, sim._true_distributions(1))
+    requests = draw_requests(sim.workload.distributions(1), rng_for(0, "requests", 1))
     assert min(requests) >= 1
     assert max(requests) == n  # draws past the CDF's end map to the last content
     sim.run_slot(1)  # the content ESNs train on these requests
