@@ -94,12 +94,12 @@ def distribution_distance(p, q, sampled=False, plan=None, seed=0):
         raise ConfigurationError("distributions must share their length")
     diffs = p - q
     np.abs(diffs, out=diffs)  # in place: a second temporary this size costs page faults
-    n = diffs.shape[-1]
     if sampled:
         if diffs.ndim != 1:
             raise ConfigurationError("sampled distance takes two 1-D distributions")
         if plan is None:
             raise ConfigurationError("sampled distance needs a SamplingPlan")
+        n = diffs.shape[0]
         m = min(plan.sample_size, n)
         if m < n:
             coords = as_rng(seed).choice(n, size=m, replace=False)
