@@ -113,20 +113,9 @@ class ClusterSet:
     """RRH clusters keyed by request-distribution similarity.
 
     An RRH may appear in several clusters (one per distinct distribution type
-    among its users); every RRH appears in at least one. The RRH ->
-    cooperating-set map is built once, at construction.
+    among its users); every RRH appears in at least one.
     """
     clusters: list
-    _cooperating: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        coop = {}
-        for members in self.clusters:
-            if len(members) == 1:  # cooperating_set's default covers a singleton
-                continue
-            for rrh in members:
-                coop.setdefault(rrh, set()).update(members)
-        self._cooperating = {rrh: frozenset(group) for rrh, group in coop.items()}
 
     def coverage(self):
         out = set()
@@ -136,7 +125,26 @@ class ClusterSet:
 
     def cooperating_set(self, rrh):
         """All RRHs sharing at least one cluster with `rrh` (incl. itself)."""
-        return self._cooperating.get(rrh, frozenset([rrh]))
+        together = {rrh}
+        for members in self.clusters:
+            if rrh in members:
+                together.update(members)
+        return frozenset(together)
+
+    def cooperation(self, rrhs):
+        """(A, A) mask over the ascending RRH ids `rrhs`: entry (i, j) is set
+        when rrhs[j] is in cooperating_set(rrhs[i])."""
+        rrhs = np.asarray(rrhs)
+        together = np.eye(len(rrhs), dtype=bool)
+        groups = [members for members in self.clusters if len(members) > 1]
+        if groups:
+            ids = np.concatenate(groups)
+            labels = np.repeat(np.arange(len(groups)), [len(m) for m in groups])
+            hit = np.isin(ids, rrhs)
+            member = np.zeros((len(groups), len(rrhs)))  # member[g, i]: rrhs[i] is in group g
+            member[labels[hit], np.searchsorted(rrhs, ids[hit])] = 1.0
+            together |= member.T @ member > 0.0  # rrhs i and j share a group
+        return together
 
 
 # anchors' total-variation rows are computed in blocks of at most this many
@@ -179,6 +187,11 @@ def cluster_rrhs(rrh_user_distributions, threshold):
     return ClusterSet(clusters=[(rrh,) for rrh in singles] + groups)
 
 
+def top_k_ids(scores, k):
+    """Ids (1-based) of the k largest scores along the last axis, ties to the lowest id."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")[..., :k] + 1
+
+
 def top_k_contents(scores, k):
     """Ids (1-based) of the k largest scores, ties to the lowest id."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -187,17 +200,35 @@ def top_k_contents(scores, k):
         raise ConfigurationError(f"cannot cache {k} of {n} contents")
     if k <= 0:
         return frozenset()
-    order = np.lexsort((np.arange(n), -scores))
-    return frozenset(int(i) + 1 for i in order[:k])
+    return frozenset(top_k_ids(scores, k).tolist())
+
+
+def rrh_popularities(assoc, user_distributions, user_weights):
+    """(rrhs, p_rn): the RRHs some user is associated with, ascending, and one
+    row per RRH averaging its users' weighted request percentages.
+
+    Each row sums its users' weighted distributions in user order.
+    """
+    dists = np.atleast_2d(np.asarray(user_distributions, dtype=np.float64))
+    weights = np.asarray(user_weights, dtype=np.float64)
+    if not dists.shape[0] == weights.shape[0] == len(assoc):
+        raise ConfigurationError("one weight and one RRH per user distribution required")
+    rrhs, owner, counts = np.unique(assoc, return_inverse=True, return_counts=True)
+    totals = np.zeros((len(rrhs), dists.shape[1]))
+    np.add.at(totals, owner, dists * weights[:, None])
+    return rrhs, totals / counts[:, None]
 
 
 def rrh_popularity(user_distributions, user_weights):
     """Average weighted request percentage p_rn over an RRH's users."""
-    dists = np.atleast_2d(np.asarray(user_distributions, dtype=np.float64))
-    weights = np.asarray(user_weights, dtype=np.float64)
-    if dists.shape[0] != weights.shape[0]:
-        raise ConfigurationError("one weight per user distribution required")
-    return (dists * weights[:, None]).sum(axis=0) / dists.shape[0]
+    n_users = np.atleast_2d(np.asarray(user_distributions)).shape[0]
+    return rrh_popularities(np.zeros(n_users, dtype=int), user_distributions, user_weights)[1][0]
+
+
+def select_rrh_caches(assoc, user_distributions, user_weights, capacity):
+    """{rrh: top `capacity` contents by p_rn} for every RRH some user is associated with."""
+    rrhs, popularity = rrh_popularities(assoc, user_distributions, user_weights)
+    return dict(zip(rrhs.tolist(), map(frozenset, top_k_ids(popularity, capacity).tolist())))
 
 
 def select_rrh_cache(user_distributions, user_weights, capacity, n_contents):

@@ -136,14 +136,21 @@ class ContentEsnBank:
         return z, np.matmul(self.output_weights, z[:, :, None])[:, :, 0]
 
     def _learn(self, z, residual):
-        """One readout gradient step per user, in chunks of UPDATE_CHUNK_ENTRIES."""
+        """One readout gradient step per user, in chunks of UPDATE_CHUNK_ENTRIES.
+
+        Each readout entry gains fl(fl(r z) lambda_alpha), r the raw residual.
+        einsum forms a product as 0.0 + r z, so a -0.0 product comes out +0.0;
+        adding either to an entry gives the same bits unless the entry is
+        -0.0, which the bank's draws and updates never make (uniform draws do
+        not give it, and a sum is -0.0 only when both of its terms are).
+        """
         per_user = self.n_contents * (self.n_reservoir + self.n_features)
         step = max(1, self.UPDATE_CHUNK_ENTRIES // per_user)
         outer = np.empty((min(step, self.n_users),) + self.output_weights.shape[1:])
         for start in range(0, self.n_users, step):
             stop = min(start + step, self.n_users)
             part = outer[:stop - start]
-            np.multiply(residual[start:stop, :, None], z[start:stop, None, :], out=part)
+            np.einsum("un,uf->unf", residual[start:stop], z[start:stop], out=part)
             part *= self.learning_rate
             self.output_weights[start:stop] += part
 

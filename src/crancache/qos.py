@@ -28,9 +28,9 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
-# segment_capacity_rows samples users in chunks of at most this many
-# (sample, sub-step, RRH) entries, which bounds its temporaries
-FADING_CHUNK_ENTRIES = 1 << 14
+# segment_capacity_rows samples (user, RRH) pairs in chunks of at most this
+# many (pair, sample, sub-step) entries, which bounds its temporaries
+FADING_CHUNK_ENTRIES = 1 << 18
 
 PATH_LOCAL = "O"
 PATH_CLOUD = "A"
@@ -104,22 +104,24 @@ def per_content_rate(pipe_rate, n_users):
     return pipe_rate if n_users == 0 else pipe_rate / n_users
 
 
+def path_gain(distance, radio):
+    """P d^-beta: the power received per unit of fading at `distance` metres."""
+    distance = np.asarray(distance, dtype=np.float64)
+    if np.any(distance <= 0.0):
+        raise GeometryError("RRH-user distance must be positive")
+    return radio.tx_power_w * distance ** (-radio.pathloss_exponent)
+
+
 def sinr(distance, fading, interferer_distances, interferer_fadings, radio):
     """Received SINR: P d^-beta |h|^2 over out-of-cluster interference plus noise.
 
     Accepts scalars or broadcastable arrays; distances in metres, result in
-    linear scale.
+    linear scale. Interferer powers sum along the last axis.
     """
-    distance = np.asarray(distance, dtype=np.float64)
-    if np.any(distance <= 0.0):
-        raise GeometryError("RRH-user distance must be positive")
-    signal = radio.tx_power_w * distance ** (-radio.pathloss_exponent) * np.asarray(fading)
+    signal = path_gain(distance, radio) * np.asarray(fading)
     interference = 0.0
     if interferer_distances is not None and len(np.atleast_1d(interferer_distances)):
-        d_i = np.asarray(interferer_distances, dtype=np.float64)
-        if np.any(d_i <= 0.0):
-            raise GeometryError("interferer distance must be positive")
-        powers = radio.tx_power_w * d_i ** (-radio.pathloss_exponent) * np.asarray(interferer_fadings)
+        powers = path_gain(interferer_distances, radio) * np.asarray(interferer_fadings)
         interference = powers.sum(axis=-1)
     return signal / (interference + radio.noise_w)
 
@@ -232,36 +234,44 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
     positions. Of the A transmitting RRHs at rrh_positions, column serving[u]
     serves user u and the other columns set in row u of the (U, A) mask
     `interferes` interfere; every sub-step redraws their unit-mean exponential
-    fading, and the other columns carry zero power. `rng` draws an (n_mc,
-    SLOT_SUBSTEPS) block per user and used column, in that order. The column
-    axis is stored outside the sample axes, so interferer powers add one
-    column after the other and zero columns move no bit. RRH-user distances
-    are floored at MIN_DISTANCE_M. Returns (U, n_mc) samples times
-    `unit_scale` (the simulator scores in Mbit: 1e-6). Users go in chunks of
-    at most FADING_CHUNK_ENTRIES fading entries, or one at a time; chunking
-    moves no draw.
+    fading. Only these used (user, column) pairs are drawn and given a power:
+    `rng` draws one (n_mc, SLOT_SUBSTEPS) block per pair, users in order and
+    columns in order within a user. Each user's interference starts from 0.0
+    and adds its interferers' powers one column after the other, so it does
+    not depend on which other columns exist. RRH-user distances are floored at
+    MIN_DISTANCE_M. Returns (U, n_mc) samples times `unit_scale` (the
+    simulator scores in Mbit: 1e-6). Pairs go in chunks of at most
+    FADING_CHUNK_ENTRIES fading entries, or one at a time, and a user's pairs
+    may straddle two chunks; chunking moves no draw and no sum.
     """
     n_users, n_active = interferes.shape
-    used = interferes | (np.arange(n_active) == serving[:, None])
+    users, columns = np.nonzero(interferes | (np.arange(n_active) == serving[:, None]))
+    # an interferer's rank among its user's interferers, from 1; 0 marks the serving pair
+    ranks = np.where(interferes, np.cumsum(interferes, axis=1), 0)[users, columns]
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
     points = starts[:, None, :] + frac[None, :, None] * (ends - starts)[:, None, :]
 
-    samples = np.empty((n_users, n_mc))
-    size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS * n_active))
-    for lo in range(0, n_users, size):
-        rows, columns = slice(lo, lo + size), serving[lo:lo + size]
-        chunk = np.arange(len(columns))
-        d = np.linalg.norm(points[rows, None] - rrh_positions[:, None], axis=3)
-        d = np.maximum(d, MIN_DISTANCE_M)[:, :, None]
-        fading = np.zeros((len(chunk), n_active, n_mc, SLOT_SUBSTEPS))
-        fading[used[rows]] = rng.standard_exponential(
-            (np.count_nonzero(used[rows]), n_mc, SLOT_SUBSTEPS))
-        signal_fading = fading[chunk, columns]
-        fading[chunk, columns] = 0.0
-        gamma = sinr(d[chunk, columns], signal_fading, d.transpose(0, 2, 3, 1),
-                     fading.transpose(0, 2, 3, 1), radio)
-        samples[rows] = slot_capacity(gamma, radio.bandwidth_hz)
-    return samples * unit_scale
+    signal = np.empty((n_users, n_mc, SLOT_SUBSTEPS))
+    interference = np.zeros((n_users, n_mc, SLOT_SUBSTEPS))
+    size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS))
+    for lo in range(0, len(users), size):
+        u, c, rank = users[lo:lo + size], columns[lo:lo + size], ranks[lo:lo + size]
+        dx = points[u, :, 0] - rrh_positions[c, 0, None]
+        dy = points[u, :, 1] - rrh_positions[c, 1, None]
+        d = np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE_M)
+        power = rng.standard_exponential((len(u), n_mc, SLOT_SUBSTEPS))
+        power *= path_gain(d, radio)[:, None, :]
+        serve = rank == 0
+        signal[u[serve]] = power[serve]
+        # rank by rank: a rank holds each user at most once, and a user's
+        # ranks come in column order
+        order = np.argsort(rank, kind="stable")
+        bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
+        for first, stop in zip(bounds[1:-1], bounds[2:]):
+            at = order[first:stop]
+            interference[u[at]] += power[at]
+    gamma = signal / (interference + radio.noise_w)
+    return slot_capacity(gamma, radio.bandwidth_hz) * unit_scale
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,

@@ -28,8 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from ..cache import (CacheState, SamplingPlan, cluster_rrhs, distribution_distance,
-                     estimate_popularity, random_caches, rrh_popularity,
-                     select_cloud_cache, select_rrh_cache, update_distribution)
+                     estimate_popularity, random_caches, rrh_popularities,
+                     select_cloud_cache, select_rrh_caches, update_distribution)
 from ..config import ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
@@ -203,10 +203,12 @@ class Simulation:
 
     # ----- per-slot pieces -------------------------------------------------
 
-    def _cooperating(self, serving):
-        if self.policy == POLICY_RANDOM_UNCLUSTERED or self.cluster_set is None:
-            return {serving}
-        return self.cluster_set.cooperating_set(serving)
+    def _cooperation(self, active):
+        """(A, A) cooperation mask over the ascending RRH ids `active`; singletons
+        while there are no clusters (slot 1, random_unclustered)."""
+        if self.cluster_set is None:
+            return np.eye(len(active), dtype=bool)
+        return self.cluster_set.cooperation(active)
 
     def _capacity_samples(self, slot, serving):
         """(U, n_mc) slot-capacity draws, all users from rng_for(seed, "channel", slot).
@@ -215,11 +217,10 @@ class Simulation:
         actively serving users and sit outside the cooperating set.
         """
         active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
-        cooperating = [self._cooperating(rrh) for rrh in serving]
-        interferes = np.array([[a not in coop for a in active.tolist()] for coop in cooperating])
+        column = np.searchsorted(active, serving)
         return segment_capacity_rows(*self.topology.segments(slot),
-                                     self.topology.rrh_positions[active],
-                                     np.searchsorted(active, serving), interferes,
+                                     self.topology.rrh_positions[active], column,
+                                     ~self._cooperation(active)[column],
                                      self.radio, self.n_mc, rng_for(self.seed, "channel", slot),
                                      unit_scale=CAPACITY_UNIT)
 
@@ -249,15 +250,12 @@ class Simulation:
             new = dict(enumerate(random_caches(rng, cfg["R"], cfg["N"], cfg["C_r"])))
         else:
             weights = effective_capacity_rows(self.theta_O, samples)
-            by_rrh = {}
-            for u in range(cfg["U"]):
-                by_rrh.setdefault(assoc[u], []).append(u)
-            for r, users in by_rrh.items():
-                dists, wts = predictions[users], weights[users]
-                if self.policy == POLICY_ORACLE:
-                    new[r] = enumerate_best_subset(rrh_popularity(dists, wts), cfg["C_r"])
-                else:
-                    new[r] = select_rrh_cache(dists, wts, cfg["C_r"], cfg["N"])
+            if self.policy == POLICY_ORACLE:
+                rrhs, popularity = rrh_popularities(assoc, predictions, weights)
+                new = {r: enumerate_best_subset(p, cfg["C_r"])
+                       for r, p in zip(rrhs.tolist(), popularity)}
+            else:
+                new = select_rrh_caches(assoc, predictions, weights, cfg["C_r"])
         self.caches.rrh = new
         self.caches.validate()
 

@@ -12,8 +12,9 @@ from ..seeding import rng_for
 def nearest_rrh(positions, rrh_positions):
     """Index of the closest RRH for each user position (row-wise)."""
     positions = np.atleast_2d(positions)
-    d2 = ((positions[:, None, :] - rrh_positions[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    dx = positions[:, 0, None] - rrh_positions[:, 0]
+    dy = positions[:, 1, None] - rrh_positions[:, 1]
+    return (dx * dx + dy * dy).argmin(axis=1)
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Property tests: greedy selections, clustering, the cooperating-set map,
-cache-state invariants and the ordering of the mapped QoS exponents."""
+"""Property tests: greedy selections, clustering, the cooperating-set map and
+mask, cache-state invariants and the ordering of the mapped QoS exponents."""
 import math
 
 from hypothesis import given, settings
@@ -10,7 +10,8 @@ import pytest
 
 from crancache import cache
 from crancache.cache import (CacheState, ClusterSet, cluster_rrhs, random_caches,
-                             select_cloud_cache, select_rrh_cache, top_k_contents)
+                             rrh_popularities, select_cloud_cache, select_rrh_cache,
+                             select_rrh_caches, top_k_contents)
 from crancache.errors import ConfigurationError
 from crancache.qos import WiredParams, map_qos_exponents_lenient, per_content_rate
 from crancache.sim import enumerate_best_subset
@@ -60,6 +61,16 @@ def test_cooperating_set_map_equals_cluster_scan(cluster_list):
     for rrh in range(14):  # 12 and 13 sit in no cluster
         assert cluster_set.cooperating_set(rrh) == scan_cooperating_set(cluster_list, rrh)
         assert cluster_set.cooperating_set(np.int64(rrh)) == scan_cooperating_set(cluster_list, rrh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clusters, st.lists(st.integers(0, 13), unique=True).map(sorted))
+def test_cooperation_mask_matches_cooperating_sets(cluster_list, rrhs):
+    mask = ClusterSet(clusters=cluster_list).cooperation(np.array(rrhs, dtype=int))
+    assert mask.shape == (len(rrhs), len(rrhs))
+    for i, rrh in enumerate(rrhs):
+        coop = scan_cooperating_set(cluster_list, rrh)
+        assert [bool(v) for v in mask[i]] == [other in coop for other in rrhs]
 
 
 def reference_cluster_rrhs(rrh_user_distributions, threshold):
@@ -190,3 +201,41 @@ def test_remote_exponent_exceeds_server_when_fronthaul_share_is_slower():
     link = map_qos_exponents_lenient(0.05, wired, per_content_rate(6e8, 1),
                                      per_content_rate(1.2e9, 3))
     assert link.theta_G == 0.05 / (1.0 - 2e7 / 4e8) > link.theta_S == 0.05 / (1.0 - 2e7 / 6e8)
+
+
+def reference_rrh_caches(assoc, dists, weights, capacity):
+    """The per-RRH loop the batched selection replaced: each RRH sums its users'
+    weighted rows in user order, divides by their count and sorts with lexsort."""
+    caches = {}
+    for rrh in sorted(set(assoc.tolist())):
+        users = np.flatnonzero(assoc == rrh)
+        popularity = (dists[users] * weights[users][:, None]).sum(axis=0) / len(users)
+        order = np.lexsort((np.arange(len(popularity)), -popularity))
+        caches[rrh] = (popularity, frozenset((order[:capacity] + 1).tolist()))
+    return caches
+
+
+# quarters and eighths: popularity ties between contents are common
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.data())
+def test_batched_rrh_caches_match_the_per_rrh_loop(n_users, n_contents, seed, dyadic, data):
+    rng = np.random.default_rng(seed)
+    capacity = data.draw(st.integers(0, n_contents))
+    assoc = rng.integers(0, 6, n_users)
+    if dyadic:
+        dists = rng.integers(0, 3, (n_users, n_contents)) / 8.0
+        weights = rng.integers(1, 4, n_users) / 4.0
+    else:
+        dists = rng.dirichlet(np.ones(n_contents), size=n_users)
+        weights = rng.uniform(0.0, 300.0, n_users)
+    expected = reference_rrh_caches(assoc, dists, weights, capacity)
+    rrhs, popularity = rrh_popularities(assoc, dists, weights)
+    assert rrhs.tolist() == list(expected)
+    for row, (pop, _) in zip(popularity, expected.values()):
+        if n_contents > 1:
+            assert np.array_equal(row, pop)
+        else:  # a one-column sum(axis=0) is summed pairwise from 8 rows on
+            np.testing.assert_allclose(row, pop, rtol=1e-13)  # 20 terms of eps
+    assert select_rrh_caches(assoc, dists, weights, capacity) == {
+        rrh: cached for rrh, (_, cached) in expected.items()}

@@ -56,6 +56,23 @@ def test_nearest_rrh_resolution():
     assert nearest_rrh(np.array([[90.0, 0.0]]), rrhs)[0] == 1
 
 
+def test_nearest_rrh_matches_the_broadcast_squared_distance():
+    """dx*dx + dy*dy is the two-term sum the (U, R, 2) form took, so the
+    argmins agree, exact ties included: users on the mirror line x = 0 of an
+    RRH pair are equally far from both, and the lower index wins."""
+    rng = np.random.default_rng(12)
+    rrhs = rng.uniform(-1000.0, 1000.0, (200, 2))
+    rrhs[80:100, 0] = rng.uniform(1.0, 20.0, 20) * np.repeat([1.0, -1.0], 10)
+    rrhs[100:120] = rrhs[80:100] * [-1.0, 1.0]  # mirrored across x = 0
+    on_mirror = np.column_stack([np.zeros(20), rrhs[80:100, 1] + 1.0])
+    users = np.vstack([rng.uniform(-1000.0, 1000.0, (300, 2)), on_mirror, rrhs[40:60]])
+    d2 = ((users[:, None, :] - rrhs[None, :, :]) ** 2).sum(axis=2)
+    expected = d2.argmin(axis=1)
+    tied = expected[300:320] == np.arange(80, 100)  # the lower index of an equidistant pair
+    assert tied[:10].sum() >= 8 and tied[10:].sum() >= 8  # both mirror orientations
+    assert np.array_equal(nearest_rrh(users, rrhs), expected)
+
+
 # ---- delivery-path table ----------------------------------------------------
 
 def _state(cloud=(), local=(), remote=()):
@@ -168,18 +185,18 @@ def test_user_on_an_rrh_keeps_a_finite_slot():
 def test_channel_draws_use_previous_slot_clusters():
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=1)
     seen = []
-    cooperating = sim._cooperating
+    cooperation = sim._cooperation
 
-    def spy(serving):
+    def spy(active):
         seen.append(sim.cluster_set)
-        return cooperating(serving)
+        return cooperation(active)
 
-    sim._cooperating = spy
+    sim._cooperation = spy
     previous = None  # slot 1 samples with singleton cooperation
     for k in range(1, 6):
         seen.clear()
         sim.run_slot(k)
-        assert len(seen) == sim.cfg["U"]
+        assert len(seen) == 1  # one cooperation mask per slot
         assert all(clusters is previous for clusters in seen)
         assert sim.cluster_set is not previous
         previous = sim.cluster_set
@@ -202,7 +219,7 @@ def test_random_unclustered_uses_singleton_cooperation():
     sim = Simulation(tiny_config(), POLICY_RANDOM_UNCLUSTERED, seed=1)
     sim.run_slot(1)
     assert sim.cluster_set is None
-    assert sim._cooperating(2) == {2}
+    assert np.array_equal(sim._cooperation(np.array([0, 2])), np.eye(2, dtype=bool))
     for cached in sim.caches.rrh.values():
         assert len(cached) == sim.cfg["C_r"]
 

@@ -115,7 +115,7 @@ def channel_case(counts, n_active=20, seed=5):
 @pytest.mark.parametrize("n_mc", [1, 48])
 @pytest.mark.parametrize("chunk_entries", [qos.FADING_CHUNK_ENTRIES, 1])
 def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk_entries):
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", chunk_entries)  # 1: a user per chunk
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", chunk_entries)  # 1: a (user, RRH) pair per chunk
     # zero interferers, a few, and nine or more (where numpy's pairwise sum
     # would group them differently from one column after the other)
     starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
@@ -146,6 +146,27 @@ def test_segment_capacity_rows_chunking_moves_no_draw(monkeypatch, n_mc):
     monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)
     assert np.array_equal(segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3)),
                           default)
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [5, 11])
+def test_users_straddling_a_chunk_boundary_match_the_reference(monkeypatch, pairs_per_chunk):
+    """Chunks of 5 or 11 (user, RRH) pairs: several users start in one chunk
+    and end in a later one, and their interference keeps adding one column
+    after the other across the boundary."""
+    n_mc = 8
+    starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
+    last_pair = np.cumsum(interferes.sum(axis=1) + 1) - 1
+    first_pair = np.concatenate([[0], last_pair[:-1] + 1])
+    assert np.count_nonzero(first_pair // pairs_per_chunk != last_pair // pairs_per_chunk) >= 3
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", pairs_per_chunk * n_mc * SLOT_SUBSTEPS)
+    shared = np.random.default_rng(31)
+    expected = np.stack([
+        reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
+                                  n_mc, shared)
+        for u in range(len(serving))])
+    got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
+                                np.random.default_rng(31))
+    assert np.array_equal(got, expected)
 
 
 def test_fully_cooperating_user_matches_a_zero_interferer_reference():
@@ -224,6 +245,39 @@ def test_content_bank_matches_per_user_esns(monkeypatch, n_reservoir, n_contents
         for u, esn in enumerate(esns):
             esn.train_step(x[u], observed[u])
             close(esn.output_weights, bank.output_weights[u])
+
+
+def reference_learn(weights, z, residual, learning_rate, step):
+    """The broadcast outer product the einsum update replaced, chunk by chunk."""
+    for start in range(0, weights.shape[0], step):
+        stop = start + step
+        part = residual[start:stop, :, None] * z[start:stop, None, :]
+        part *= learning_rate
+        weights[start:stop] += part
+
+
+@pytest.mark.parametrize("chunk_users", [5, 2])
+def test_einsum_update_equals_broadcast_reference_bit_for_bit(monkeypatch, chunk_users):
+    """Bit patterns compared, so signed zeros count. einsum turns a -0.0
+    product into +0.0; a readout entry absorbs either alike unless it is
+    -0.0, which the bank never makes, so the readouts below hold +0.0 but no
+    -0.0."""
+    grid = [-0.0, 0.0, -1.5, 0.25, 3.0, -7e-300]  # -7e-300 squared underflows to 0.0
+    n_contents, n_reservoir = 9, 32
+    monkeypatch.setattr(ContentEsnBank, "UPDATE_CHUNK_ENTRIES",
+                        chunk_users * n_contents * (n_reservoir + 7))
+    bank = ContentEsnBank(n_contents, 3, [4 + u for u in range(5)], n_reservoir=n_reservoir,
+                          learning_rate=0.05)
+    rng = np.random.default_rng(13)
+    bank.output_weights[...] = rng.choice(grid[1:], size=bank.output_weights.shape)
+    z = rng.choice(grid, size=(5, n_reservoir + 7))
+    residual = rng.choice(grid, size=(5, n_contents))
+    products = residual[:, :, None] * z[:, None, :]
+    assert (np.signbit(products) & (products == 0.0)).any()  # -0.0 products occur
+    expected = bank.output_weights.copy()
+    reference_learn(expected, z, residual, bank.learning_rate, chunk_users)
+    bank._learn(z, residual)
+    assert np.array_equal(bank.output_weights.view(np.uint64), expected.view(np.uint64))
 
 
 def test_project_to_simplex_rows_match_single_rows():
