@@ -2,7 +2,9 @@
 
 E_bar is pinned to 1e-9 and the per-slot CSV by its SHA-256, so a change to
 the slot pipeline that moves any realization (a reordered RNG draw, a
-regrouped floating-point sum) fails here. The CLI's memcap.csv is pinned the
+regrouped floating-point sum) fails here. The predictor CSV (with its cluster
+counts) and the cloud-cache sequence are pinned by their SHA-256 too, for the
+policies that cluster. The CLI's memcap.csv is pinned the
 same way, so a change to the cycle-reservoir drive or the readout fits must
 keep every bit. A change that alters the realization on purpose must say so
 and re-record these values.
@@ -59,6 +61,43 @@ def test_golden_episode(case):
     report = run_episode(ExperimentConfig.default(**CONFIGS[name]), policy, seed)
     assert report.effective_capacity_avg == pytest.approx(e_bar, rel=0, abs=1e-9)
     assert hashlib.sha256(report.slot_csv().encode()).hexdigest() == digest
+
+
+# (config, policy, seed) -> (sha256 of predictor_csv(), sha256 of repr(cloud_trace)).
+# slot_csv() shows neither the cluster count nor the cloud sequence, which
+# the clustering and the cloud refresh recompute every slot and period.
+GOLDEN_PREDICTOR = {
+    ("desk", "proposed", 0): (
+        "d117123daf4b52b14cd01ab657ef2aed63587583069ca8e746cdbf60410913d3",
+        "88372ea5e8f2e2c9d366b85369f44230bb6100eb9bb831e7f1eb6d511140c3aa"),
+    ("desk", "proposed", 1): (
+        "0884ba7cd9259400feb5f961067bf7bfd5f2475394f879ca5568095256011235",
+        "206cd4f586a35fdf9fb03096c5fcce025cb442b71c7179596a7fca40be3ec5e6"),
+    ("desk", "proposed", 2): (
+        "af5e1567c853bcb4a0289a234683705a2ac7453156d091a000947553c68f7211",
+        "a1adb7da8d707bf72bca5a3937fa62f7af7c1e7a2b0e69231779ac5149a1fa53"),
+    ("desk", "random_clustered", 0): (
+        "d117123daf4b52b14cd01ab657ef2aed63587583069ca8e746cdbf60410913d3",
+        "f793b8d21ae46abc1a9d8b65a99f8970584b6339dd8dae96dbc5095df3029077"),
+    ("desk", "random_clustered", 1): (
+        "0884ba7cd9259400feb5f961067bf7bfd5f2475394f879ca5568095256011235",
+        "3d6b7661a680a8ff54e79e28187dbece59f5bc199048b89150361f1aa8a4bab8"),
+    ("desk", "random_clustered", 2): (
+        "af5e1567c853bcb4a0289a234683705a2ac7453156d091a000947553c68f7211",
+        "15ab0a6c05fa4052dac051a327ea65163e7609fabdfab98af45bcc3ef1125e66"),
+    ("tiny", "optimal_oracle", 0): (
+        "c9a4a669fd3524ea0fcf3ea78a6c7a45305f55dc98908a468235b1ad5080f3da",
+        "92492780c83ced1fb947cc894987cb4d2b8eca68f7fb0a861b173e3ff5e23bee"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PREDICTOR), ids=lambda c: "-".join(map(str, c)))
+def test_golden_predictors_and_cloud_trace(case):
+    name, policy, seed = case
+    predictors, cloud = GOLDEN_PREDICTOR[case]
+    report = run_episode(ExperimentConfig.default(**CONFIGS[name]), policy, seed)
+    assert hashlib.sha256(report.predictor_csv().encode()).hexdigest() == predictors
+    assert hashlib.sha256(repr(report.cloud_trace).encode()).hexdigest() == cloud
 
 
 # memcap arguments after the subcommand (seed 0) -> sha256 of memcap.csv
