@@ -140,12 +140,12 @@ def _sweep_mobility_rows(cfg, axis, value, reps, trace=600):
         rng = rng_for(seed, "mobility", 1)
         period = min(cfg["W"], 8)
         pattern = rng.integers(0, 400, size=period).astype(float)
-        codes = np.tile(pattern, trace // period + 2)[: trace + cfg["N_s"]]
+        codes = np.resize(pattern, trace + cfg["N_s"])  # the pattern repeated
         states = esn.drive(codes[:trace])
         esn.train(*readout_windows(states, codes, cfg["N_s"], cfg["N_tr"]))
-        n_complete = trace - cfg["N_s"]
-        preds = esn.output_weights @ states[n_complete - 1]
-        truth = codes[n_complete: n_complete + cfg["N_s"]]
+        # scored on the codes after the driven trace, which no training pair saw
+        preds = esn.output_weights @ states[trace - 1]
+        truth = codes[trace:trace + cfg["N_s"]]
         rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
         rows.append((axis, value, "mobility", seed, "prediction_rmse", rmse))
     rows.append((axis, value, "mobility", cfg["seed"], "memory_capacity",

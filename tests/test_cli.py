@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
+import numpy as np
 import pytest
 
 from crancache.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from crancache.config import ExperimentConfig
+from crancache.esn import MobilityEsn
+from crancache.seeding import rng_for
 
 TINY = ["N=6", "R=3", "U=4", "C_c=2", "C_r=1", "T=30", "T_tau=30", "N_w=16",
         "n_mc=16", "archetypes=2", "v_B=6e8", "v_F=1.2e9"]
@@ -108,6 +112,30 @@ def test_sweep_mobility_axis(tmp_path):
     caps = {float(r[1]): float(r[5]) for r in rows if r[4] == "memory_capacity"}
     assert caps[8.0] > caps[4.0]
     assert any(r[4] == "prediction_rmse" for r in rows)
+
+
+def test_sweep_prediction_rmse_is_held_out(tmp_path):
+    """The readout is fitted on the last N_tr pairs, whose targets end at code
+    trace - 1; the RMSE scores the last state against the N_s codes after the
+    trace. A period of 4 codes and N_s = 10 put that state in another phase
+    of the pattern than the last training pair's."""
+    code = main(["--out-dir", str(tmp_path), "--override", "N_tr=50", "sweep",
+                 "--axis", "W", "--values", "4", "--reps", "1"])
+    assert code == EXIT_OK
+    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    [rmse] = [float(r[5]) for r in rows if r[4] == "prediction_rmse"]
+    cfg = ExperimentConfig.default(N_tr=50, W=4)
+    trace, horizon = 600, cfg["N_s"]
+    esn = MobilityEsn(4, cfg.weight_spec(), horizon, ridge_lambda=cfg["lambda"],
+                      seed=rng_for(cfg["seed"], "mobility_esn", 0))
+    pattern = rng_for(cfg["seed"], "mobility", 1).integers(0, 400, size=4).astype(float)
+    codes = np.concatenate([pattern] * (trace // 4 + 3))[:trace + horizon]
+    states = esn.drive(codes[:trace])
+    pairs = range(trace - horizon - 50, trace - horizon)
+    esn.train(np.ascontiguousarray(states[pairs.start:pairs.stop].T),
+              np.ascontiguousarray(np.array([codes[j + 1:j + 1 + horizon] for j in pairs]).T))
+    held_out = esn.output_weights @ states[trace - 1] - codes[trace:]
+    assert rmse == float(f"{np.sqrt(np.mean(held_out ** 2)):.10g}")
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):
