@@ -1,8 +1,9 @@
 """Cache decision engine: sample sizing, clustering, and content selection.
 
-Content ids are 1-based (1..N); probability vectors index id n at position
-n-1. All selections break ties toward the lowest content id so runs replay
-deterministically.
+Content ids are 1-based (1..N); probability vectors and cache masks index id
+n at position n-1. A cache is a boolean mask over the catalog: one (N,) row
+for the cloud, one (R, N) block for the RRHs. All selections break ties
+toward the lowest content id so runs replay deterministically.
 """
 import logging
 import math
@@ -152,39 +153,30 @@ class ClusterSet:
 TV_CHUNK_ENTRIES = 1 << 18
 
 
-def cluster_rrhs(rrh_user_distributions, threshold):
-    """Group RRHs whose users share a request-distribution type.
+def cluster_rrhs(assoc, distributions, threshold, n_rrhs):
+    """Group the RRHs 0..n_rrhs-1 whose users share a request-distribution type.
 
-    `rrh_user_distributions` maps rrh id -> list of per-user distributions.
-    Each user distribution anchors one candidate cluster: the set of RRHs
-    hosting any user within total-variation distance < threshold of it.
-    Duplicate clusters collapse; user-less RRHs become singletons; output is
-    sorted canonically (by size-then-members) for determinism.
+    User u sits at RRH assoc[u] with distribution row u. Each user anchors
+    one candidate cluster: the set of RRHs hosting any user within
+    total-variation distance < threshold of it. Duplicate clusters collapse;
+    user-less RRHs become singletons; output is sorted canonically (by
+    size-then-members) for determinism.
     """
-    owners, vecs = [], []
-    for rrh in sorted(rrh_user_distributions):
-        for dist in rrh_user_distributions[rrh]:
-            owners.append(rrh)
-            vecs.append(np.asarray(dist, dtype=np.float64))
-    clusters = set()
-    if vecs:
-        mat = np.stack(vecs)
-        owners = np.array(owners)
-        step = max(1, TV_CHUNK_ENTRIES // mat.size)
-        for lo in range(0, len(mat), step):
-            # row i: the total variation of every user's distribution from anchor lo + i
-            tv = distribution_distance(mat[lo:lo + step, None], mat[None])
-            for near in tv < threshold:
-                members = frozenset(owners[near].tolist())
-                if members:
-                    clusters.add(members)
-    covered = set().union(*clusters)
+    assoc = np.asarray(assoc)
+    mat = np.asarray(distributions, dtype=np.float64)
+    member = np.zeros((len(assoc), n_rrhs), dtype=bool)  # member[a, r]: anchor a's cluster holds r
+    step = max(1, TV_CHUNK_ENTRIES // max(mat.size, 1))
+    for lo in range(0, len(mat), step):
+        # row i: the total variation of every user's distribution from anchor lo + i
+        anchor, user = np.nonzero(distribution_distance(mat[lo:lo + step, None], mat[None])
+                                  < threshold)
+        member[lo + anchor, assoc[user]] = True
+    sizes = member.sum(axis=1)
     # singletons sort before every larger cluster, and among themselves by RRH
-    singles = sorted([rrh for rrh in rrh_user_distributions if rrh not in covered]
-                     + [rrh for c in clusters if len(c) == 1 for rrh in c])
-    groups = sorted((tuple(sorted(c)) for c in clusters if len(c) > 1),
+    singles = np.flatnonzero(~member.any(axis=0) | member[sizes == 1].any(axis=0))
+    groups = sorted({tuple(np.flatnonzero(c).tolist()) for c in member[sizes > 1]},
                     key=lambda c: (len(c), c))
-    return ClusterSet(clusters=[(rrh,) for rrh in singles] + groups)
+    return ClusterSet(clusters=[(rrh,) for rrh in singles.tolist()] + groups)
 
 
 def top_k_ids(scores, k):
@@ -225,10 +217,13 @@ def rrh_popularity(user_distributions, user_weights):
     return rrh_popularities(np.zeros(n_users, dtype=int), user_distributions, user_weights)[1][0]
 
 
-def select_rrh_caches(assoc, user_distributions, user_weights, capacity):
-    """{rrh: top `capacity` contents by p_rn} for every RRH some user is associated with."""
+def select_rrh_caches(assoc, user_distributions, user_weights, capacity, n_rrhs):
+    """(n_rrhs, N) mask: each RRH some user is associated with holds its top
+    `capacity` contents by p_rn; the others hold nothing."""
     rrhs, popularity = rrh_popularities(assoc, user_distributions, user_weights)
-    return dict(zip(rrhs.tolist(), map(frozenset, top_k_ids(popularity, capacity).tolist())))
+    mask = np.zeros((n_rrhs, popularity.shape[1]), dtype=bool)
+    mask[rrhs[:, None], top_k_ids(popularity, capacity) - 1] = True
+    return mask
 
 
 def select_rrh_cache(user_distributions, user_weights, capacity, n_contents):
@@ -241,21 +236,25 @@ def select_rrh_cache(user_distributions, user_weights, capacity, n_contents):
 
 
 def random_caches(rng, n_caches, n_contents, capacity):
-    """`n_caches` random `capacity`-subsets of the ids 1..n_contents: each row of
-    one (n_caches, n_contents) block of uniforms keeps the ids of its smallest keys."""
-    keys = rng.random((n_caches, n_contents))
-    return [frozenset(row) for row in (np.argsort(keys, axis=1)[:, :capacity] + 1).tolist()]
+    """(n_caches, n_contents) mask of random `capacity`-subsets: each row of one
+    block of uniforms holds the contents of its smallest keys."""
+    mask = np.zeros((n_caches, n_contents), dtype=bool)
+    np.put_along_axis(mask, np.argsort(rng.random(mask.shape), axis=1)[:, :capacity], True, axis=1)
+    return mask
 
 
-def update_distribution(p, cached_contents):
-    """Zero out the entries an RRH cache already serves; no renormalization.
+def content_mask(ids, n_contents):
+    """(n_contents,) mask holding the 1-based content ids `ids`."""
+    return np.isin(np.arange(1, n_contents + 1), list(ids))
 
-    The result is a fronthaul-demand measure, not a probability vector.
+
+def update_distribution(p, cached):
+    """Zero out the entries the `cached` mask already serves; no renormalization.
+
+    Rows of `p` pair with rows of `cached`. The result is a fronthaul-demand
+    measure, not a probability vector.
     """
-    out = np.array(p, dtype=np.float64, copy=True)
-    for content in cached_contents:
-        out[content - 1] = 0.0
-    return out
+    return np.where(cached, 0.0, p)
 
 
 def select_cloud_cache(popularity, capacity):
@@ -268,25 +267,24 @@ def select_cloud_cache(popularity, capacity):
 
 @dataclass
 class CacheState:
-    """Current cloud and per-RRH cache contents with their capacities."""
+    """Cloud and per-RRH caches as (N,) and (R, N) boolean masks, entry n-1 set
+    when the cache holds content n; the capacities bound each row's count."""
     cloud_capacity: int
     rrh_capacity: int
-    n_contents: int
-    cloud: frozenset = frozenset()
-    rrh: dict = None
+    cloud: np.ndarray
+    rrh: np.ndarray
 
     def __post_init__(self):
-        if self.rrh is None:
-            self.rrh = {}
         self.validate()
 
     def validate(self):
-        if len(self.cloud) > self.cloud_capacity:
+        cloud, rrh = np.asarray(self.cloud), np.asarray(self.rrh)
+        if not (cloud.dtype == rrh.dtype == bool and cloud.ndim == 1
+                and rrh.shape[1:] == cloud.shape):
+            raise ConfigurationError(f"cache masks must be boolean (N,) and (R, N) arrays, "
+                                     f"not {cloud.shape} and {rrh.shape}")
+        if cloud.sum() > self.cloud_capacity:
             raise ConfigurationError("cloud cache exceeds its capacity")
-        for rrh, contents in self.rrh.items():
-            if len(contents) > self.rrh_capacity:
-                raise ConfigurationError(f"RRH {rrh} cache exceeds its capacity")
-        ids = set(self.cloud).union(*self.rrh.values())
-        for content in (min(ids), max(ids)) if ids else ():
-            if not 1 <= content <= self.n_contents:
-                raise ConfigurationError(f"content id {content} outside 1..{self.n_contents}")
+        over = np.flatnonzero(rrh.sum(axis=1) > self.rrh_capacity)
+        if over.size:
+            raise ConfigurationError(f"RRH {over[0]} cache exceeds its capacity")

@@ -117,8 +117,8 @@ class Workload:
         return self.contexts(slot)[user]
 
     def distributions(self, slot):
-        """(n_users, n_contents) request distributions in `slot`, one `distribution` per user."""
-        return np.stack([self.distribution(u, slot) for u in range(self.n_users)])
+        """(n_users, n_contents) request distributions in `slot`, one table row per user."""
+        return self.distribution(slice(None), slot)
 
 
 def draw_requests(distributions, rng):

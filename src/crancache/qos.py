@@ -32,10 +32,8 @@ MIN_DISTANCE_M = 1e-3
 # many (pair, sample, sub-step) entries, which bounds its temporaries
 FADING_CHUNK_ENTRIES = 1 << 18
 
-PATH_LOCAL = "O"
-PATH_CLOUD = "A"
-PATH_SERVER = "S"
-PATH_REMOTE = "G"
+# delivery paths as integer codes, in order of source priority
+PATH_LOCAL, PATH_CLOUD, PATH_REMOTE, PATH_SERVER = range(4)
 
 # wired hop counts per path: S counts BBU->RRH plus RRH->user with the
 # backhaul as external rate, A one fronthaul hop, G two, O none
@@ -88,9 +86,10 @@ class LinkQos:
     theta_S: float
     theta_G: float
 
-    def for_path(self, path):
-        return {PATH_LOCAL: self.theta_O, PATH_CLOUD: self.theta_A,
-                PATH_SERVER: self.theta_S, PATH_REMOTE: self.theta_G}[path]
+    @property
+    def thetas(self):
+        """The four exponents in path-code order: local, cloud, remote, server."""
+        return np.array([self.theta_O, self.theta_A, self.theta_G, self.theta_S])
 
 
 def per_content_rate(pipe_rate, n_users):
@@ -156,8 +155,8 @@ def map_qos_exponents(theta_O, wired, v_BU, v_FU):
     if theta_O <= 0:
         raise ConfigurationError("theta_O must be positive")
     link = map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU)
-    for path in (PATH_SERVER, PATH_CLOUD, PATH_REMOTE):
-        if math.isinf(link.for_path(path)):
+    for path, theta in (("S", link.theta_S), ("A", link.theta_A), ("G", link.theta_G)):
+        if math.isinf(theta):
             raise InfeasibleLinkError(f"path {path} cannot meet the delay bound")
     return link
 

@@ -3,12 +3,15 @@
 Per slot: advance mobility, refresh per-user predictions, update RRH caches
 and clusters, realize one request per user, resolve delivery paths, split the
 wired pipes over the realized load, and score per-user effective capacities.
+Caches are boolean masks over the catalog (see CacheState) and delivery
+paths are the integer codes of the qos module, so each of these steps is one
+array pass over the users.
 A policy that reads predictions also records their quality per slot: the
 mean total-variation distance to the true distributions and the number of
 RRH clusters (`EpisodeReport.predictor_csv`).
 Every cloud-update period: retrain the mobility readouts, estimate the
-fronthaul-demand popularity from a bounded sample, and refresh the cloud
-cache.
+fronthaul-demand popularity from a bounded sample of the users' demand rows
+since the last refresh, and refresh the cloud cache.
 
 Policies: "proposed" (prediction-driven greedy selections), two random
 baselines (with/without clustering), and "optimal_oracle" (per-decision
@@ -27,9 +30,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cache import (CacheState, SamplingPlan, cluster_rrhs, distribution_distance,
-                     estimate_popularity, random_caches, rrh_popularities,
-                     select_cloud_cache, select_rrh_caches, update_distribution)
+from ..cache import (CacheState, SamplingPlan, cluster_rrhs, content_mask,
+                     distribution_distance, estimate_popularity, random_caches,
+                     rrh_popularities, select_cloud_cache, select_rrh_caches,
+                     update_distribution)
 from ..config import ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
@@ -74,7 +78,6 @@ class EpisodeReport:
     effective_capacity_avg: float
     slots: list
     cloud_trace: list            # (slot, sorted content ids) at each refresh
-    final_rrh_caches: dict
 
     def slot_csv(self):
         lines = ["k,E_k,hit_O,hit_A,hit_G,miss_S,N_B,N_F"]
@@ -195,9 +198,11 @@ class Simulation:
 
         self.caches = CacheState(cloud_capacity=config["C_c"],
                                  rrh_capacity=config["C_r"],
-                                 n_contents=config["N"])
+                                 cloud=np.zeros(config["N"], dtype=bool),
+                                 rrh=np.zeros((config["R"], config["N"]), dtype=bool))
         self.cluster_set = None  # slot 1 runs with singleton cooperation
-        # (slot, demand vector, weight) since the last refresh; random policies keep none
+        # one (slots, demand rows, weights) block of U users per slot since the
+        # last refresh; random policies keep none
         self.demand_stream = []
         self.cloud_trace = []
 
@@ -244,29 +249,24 @@ class Simulation:
 
     def _update_rrh_caches(self, slot, assoc, predictions, samples):
         cfg = self.cfg
-        new = {}
         if self.policy in RANDOM_POLICIES:
             rng = rng_for(self.seed, "random_cache", slot, 1)
-            new = dict(enumerate(random_caches(rng, cfg["R"], cfg["N"], cfg["C_r"])))
+            new = random_caches(rng, cfg["R"], cfg["N"], cfg["C_r"])
         else:
             weights = effective_capacity_rows(self.theta_O, samples)
             if self.policy == POLICY_ORACLE:
                 rrhs, popularity = rrh_popularities(assoc, predictions, weights)
-                new = {r: enumerate_best_subset(p, cfg["C_r"])
-                       for r, p in zip(rrhs.tolist(), popularity)}
+                new = np.zeros((cfg["R"], cfg["N"]), dtype=bool)
+                new[rrhs] = [content_mask(enumerate_best_subset(p, cfg["C_r"]), cfg["N"])
+                             for p in popularity]
             else:
-                new = select_rrh_caches(assoc, predictions, weights, cfg["C_r"])
+                new = select_rrh_caches(assoc, predictions, weights, cfg["C_r"], cfg["R"])
         self.caches.rrh = new
         self.caches.validate()
 
     def _update_clusters(self, assoc, predictions):
-        if self.policy == POLICY_RANDOM_UNCLUSTERED:
-            self.cluster_set = None
-            return
-        grouped = {r: [] for r in range(self.cfg["R"])}
-        for u in range(self.cfg["U"]):
-            grouped[assoc[u]].append(predictions[u])
-        self.cluster_set = cluster_rrhs(grouped, self.cfg["chi"])
+        self.cluster_set = (None if self.policy == POLICY_RANDOM_UNCLUSTERED else
+                            cluster_rrhs(assoc, predictions, self.cfg["chi"], self.cfg["R"]))
 
     def _refresh_cloud(self, slot):
         if self.policy in RANDOM_POLICIES:
@@ -275,20 +275,19 @@ class Simulation:
         elif not self.demand_stream:
             return
         else:
-            slots = np.array([s for s, _, _ in self.demand_stream])
-            dists = np.stack([d for _, d, _ in self.demand_stream])
-            weights = np.array([w for _, _, w in self.demand_stream])
+            slots, dists, weights = map(np.concatenate, zip(*self.demand_stream))
             if self.policy == POLICY_ORACLE:
                 popularity = estimate_popularity(dists, weights, None, None)
-                cloud = enumerate_best_subset(popularity, self.cfg["C_c"])
+                chosen = enumerate_best_subset(popularity, self.cfg["C_c"])
             else:
                 rng = rng_for(self.seed, "sampling", slot // self.cfg["T_tau"])
                 popularity = estimate_popularity(dists, weights, self.plan, rng,
                                                  strata=slots)
-                cloud = select_cloud_cache(popularity, self.cfg["C_c"])
+                chosen = select_cloud_cache(popularity, self.cfg["C_c"])
+            cloud = content_mask(chosen, self.cfg["N"])
         self.caches.cloud = cloud
         self.caches.validate()
-        self.cloud_trace.append((slot, tuple(sorted(cloud))))
+        self.cloud_trace.append((slot, tuple((np.flatnonzero(cloud) + 1).tolist())))
         self.demand_stream = []
 
     # ----- main loop -------------------------------------------------------
@@ -310,31 +309,29 @@ class Simulation:
         self._update_rrh_caches(slot, assoc, predictions, samples)
         self._update_clusters(assoc, predictions)
 
-        requests = draw_requests(truth, rng_for(self.seed, "requests", slot)).tolist()
-        paths = [resolve_delivery_path(requests[u], int(serving[u]), self.caches)
-                 for u in range(U)]
-        n_backhaul = sum(1 for p in paths if p == PATH_SERVER)
-        n_fronthaul = sum(1 for p in paths if p in (PATH_SERVER, PATH_CLOUD, PATH_REMOTE))
+        requests = draw_requests(truth, rng_for(self.seed, "requests", slot))
+        paths = resolve_delivery_path(requests, serving, self.caches)
+        counts = np.bincount(paths, minlength=4)
+        n_backhaul = int(counts[PATH_SERVER])
+        n_fronthaul = U - int(counts[PATH_LOCAL])
 
         v_BU = per_content_rate(self.wired.backhaul_rate, n_backhaul)
         v_FU = per_content_rate(self.wired.fronthaul_rate, n_fronthaul)
         link = map_qos_exponents_lenient(self.theta_O, self.wired, v_BU, v_FU)
 
         # an infeasible path (theta = +inf) scores zero
-        thetas = np.array([link.for_path(p) for p in paths])
+        thetas = link.thetas[paths]
         energies = effective_capacity_rows(thetas, samples)
         infeasible = int(np.isinf(thetas).sum())
 
         if self.policy not in RANDOM_POLICIES:
             weights_A = effective_capacity_rows(link.theta_A, samples)
-            for u in range(U):
-                demand = update_distribution(predictions[u],
-                                             self.caches.rrh.get(int(assoc[u]), frozenset()))
-                self.demand_stream.append((slot, demand, float(weights_A[u])))
+            demand = update_distribution(predictions, self.caches.rrh[assoc])
+            self.demand_stream.append((np.full(U, slot), demand, weights_A))
 
         if self.content_bank is not None:
             observed = np.zeros((U, cfg["N"]))
-            observed[np.arange(U), np.asarray(requests) - 1] = 1.0
+            observed[np.arange(U), requests - 1] = 1.0
             self.content_bank.train_step(observed)
 
         if slot % cfg["T_tau"] == 0:
@@ -342,8 +339,7 @@ class Simulation:
                 self.mobility.retrain(cfg["N_tr"])
             self._refresh_cloud(slot)
 
-        counts = {p: paths.count(p) for p in (PATH_LOCAL, PATH_CLOUD,
-                                              PATH_REMOTE, PATH_SERVER)}
+        shares = (counts / U).tolist()
         quality = {}
         if predictions is not None:
             quality = dict(tv_content=float(distribution_distance(predictions, truth).mean()),
@@ -351,10 +347,10 @@ class Simulation:
         return SlotMetrics(
             slot=slot,
             effective_sum=sum_effective_capacity(energies),
-            hit_local=counts[PATH_LOCAL] / U,
-            hit_cloud=counts[PATH_CLOUD] / U,
-            hit_remote=counts[PATH_REMOTE] / U,
-            miss_server=counts[PATH_SERVER] / U,
+            hit_local=shares[PATH_LOCAL],
+            hit_cloud=shares[PATH_CLOUD],
+            hit_remote=shares[PATH_REMOTE],
+            miss_server=shares[PATH_SERVER],
             n_backhaul=n_backhaul,
             n_fronthaul=n_fronthaul,
             infeasible=infeasible,
@@ -366,8 +362,7 @@ class Simulation:
         e_bar = float(np.mean([m.effective_sum for m in slots]))
         return EpisodeReport(policy=self.policy, seed=self.seed,
                              effective_capacity_avg=e_bar, slots=slots,
-                             cloud_trace=self.cloud_trace,
-                             final_rrh_caches=dict(self.caches.rrh))
+                             cloud_trace=self.cloud_trace)
 
 
 def run_episode(config, policy, seed, oracle_predictions=False):

@@ -49,8 +49,10 @@ def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
                     start_positions=starts)
 
 
-def resolve_delivery_path(content, serving_rrh, cache_state):
-    """Source priority when several hold the content: local > cloud > remote > server.
+def resolve_delivery_path(contents, serving, caches):
+    """Path code of each request for content id `contents` (1-based) at RRH
+    `serving`, scalars or equal-shaped arrays. Source priority when several
+    hold the content: local > cloud > remote (another RRH) > server.
 
     The mapped exponents always satisfy theta_O <= theta_A <= theta_G, so the
     local, cloud and remote paths come in order of effective capacity. The
@@ -59,11 +61,8 @@ def resolve_delivery_path(content, serving_rrh, cache_state):
     one backhaul and three fronthaul transfers, theta_G = theta_O / 0.95
     exceeds theta_S = theta_O / 0.9667, and the order still prefers remote.
     """
-    if content in cache_state.rrh.get(serving_rrh, frozenset()):
-        return PATH_LOCAL
-    if content in cache_state.cloud:
-        return PATH_CLOUD
-    for rrh, cached in cache_state.rrh.items():
-        if rrh != serving_rrh and content in cached:
-            return PATH_REMOTE
-    return PATH_SERVER
+    column = np.asarray(contents) - 1
+    # held by any RRH: when the serving one holds it, the local path comes first
+    return np.select([caches.rrh[serving, column], caches.cloud[column],
+                      caches.rrh[:, column].any(axis=0)],
+                     [PATH_LOCAL, PATH_CLOUD, PATH_REMOTE], PATH_SERVER)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from crancache.cache import (CacheState, SamplingPlan, cluster_rrhs,
+from crancache.cache import (CacheState, SamplingPlan, cluster_rrhs, content_mask,
                              distribution_distance, estimate_popularity,
                              hoeffding_sample_size, select_cloud_cache,
                              select_rrh_cache, update_distribution)
@@ -130,27 +130,22 @@ def test_tv_distance_sampled_variant():
 def test_cluster_worked_example():
     p1 = np.array([1.0, 0.0, 0.0])
     p2 = np.array([0.0, 1.0, 0.0])
-    groups = {"a": [p1, p2], "b": [p1], "c": [p2]}
-    clusters = cluster_rrhs(groups, threshold=0.1)
-    assert ("a", "b") in clusters.clusters
-    assert ("a", "c") in clusters.clusters
-    assert clusters.coverage() == {"a", "b", "c"}
+    # RRH 0 hosts a p1 and a p2 user, RRH 1 a p1 user, RRH 2 a p2 user
+    clusters = cluster_rrhs([0, 0, 1, 2], [p1, p2, p1, p2], threshold=0.1, n_rrhs=3)
+    assert (0, 1) in clusters.clusters
+    assert (0, 2) in clusters.clusters
+    assert clusters.coverage() == {0, 1, 2}
 
 
 def test_cluster_all_far_gives_singletons():
-    dists = np.eye(4)
-    groups = {i: [dists[i]] for i in range(4)}
-    clusters = cluster_rrhs(groups, threshold=0.5)
+    clusters = cluster_rrhs(np.arange(4), np.eye(4), threshold=0.5, n_rrhs=4)
     assert sorted(clusters.clusters) == [(0,), (1,), (2,), (3,)]
 
 
 def test_cluster_close_triple_merges():
     base = np.array([0.5, 0.3, 0.2])
-    groups = {}
-    for i, eps in enumerate([0.0, 0.05, -0.05]):
-        p = base + np.array([eps, -eps, 0.0])
-        groups[i] = [p]
-    clusters = cluster_rrhs(groups, threshold=0.85)
+    dists = [base + np.array([eps, -eps, 0.0]) for eps in (0.0, 0.05, -0.05)]
+    clusters = cluster_rrhs(np.arange(3), dists, threshold=0.85, n_rrhs=3)
     assert clusters.clusters == [(0, 1, 2)]
 
 
@@ -158,10 +153,10 @@ def test_cluster_userless_rrh_gets_singleton_and_cover_holds():
     rng = np.random.default_rng(8)
     for _ in range(20):
         n_rrh = int(rng.integers(2, 8))
-        groups = {r: [rng.dirichlet(np.ones(4))
-                      for _ in range(rng.integers(0, 3))]
-                  for r in range(n_rrh)}
-        clusters = cluster_rrhs(groups, threshold=float(rng.uniform(0.05, 0.9)))
+        assoc = np.repeat(np.arange(n_rrh), rng.integers(0, 3, n_rrh))  # 0 to 2 users each
+        dists = rng.dirichlet(np.ones(4), size=len(assoc))
+        clusters = cluster_rrhs(assoc, dists, threshold=float(rng.uniform(0.05, 0.9)),
+                                n_rrhs=n_rrh)
         assert clusters.coverage() == set(range(n_rrh))
 
 
@@ -214,11 +209,14 @@ def test_topk_matches_exhaustive_on_random_instances():
 
 def test_update_distribution_examples():
     p = np.array([0.5, 0.3, 0.2])
-    np.testing.assert_array_equal(update_distribution(p, frozenset()), p)
-    np.testing.assert_array_equal(update_distribution(p, {1, 2, 3}), np.zeros(3))
-    np.testing.assert_array_equal(update_distribution(p, {1}), [0.0, 0.3, 0.2])
+    np.testing.assert_array_equal(update_distribution(p, np.zeros(3, dtype=bool)), p)
+    np.testing.assert_array_equal(update_distribution(p, np.ones(3, dtype=bool)), np.zeros(3))
+    np.testing.assert_array_equal(update_distribution(p, content_mask({1}, 3)), [0.0, 0.3, 0.2])
     # no renormalization: the result is a demand measure
-    assert update_distribution(p, {1}).sum() == pytest.approx(0.5)
+    assert update_distribution(p, content_mask({1}, 3)).sum() == pytest.approx(0.5)
+    # rows of demand pair with rows of cache masks
+    rows = update_distribution(np.stack([p, p[::-1]]), np.array([[1, 0, 0], [0, 0, 1]], dtype=bool))
+    np.testing.assert_array_equal(rows, [[0.0, 0.3, 0.2], [0.2, 0.3, 0.0]])
 
 
 def test_select_cloud_cache_examples():
@@ -239,19 +237,24 @@ def test_select_cloud_matches_exhaustive():
             sum(pop[i - 1] for i in _brute_force_best(pop, k)))
 
 
+def _masks(ids_per_row, n_contents=5):
+    return np.array([content_mask(ids, n_contents) for ids in ids_per_row], dtype=bool)
+
+
 def test_cache_state_invariants():
-    state = CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
-                       cloud=frozenset([1, 5]), rrh={0: frozenset([3])})
+    state = CacheState(cloud_capacity=2, rrh_capacity=1,
+                       cloud=content_mask([1, 5], 5), rrh=_masks([[3]]))
     state.validate()
-    with pytest.raises(ConfigurationError):
-        CacheState(cloud_capacity=1, rrh_capacity=1, n_contents=5,
-                   cloud=frozenset([1, 2]))
-    with pytest.raises(ConfigurationError):
-        CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
-                   cloud=frozenset([6]))
-    with pytest.raises(ConfigurationError, match="content id 0 outside"):
-        CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
-                   cloud=frozenset([1]), rrh={0: frozenset([2]), 1: frozenset([0])})
+    with pytest.raises(ConfigurationError, match="cloud cache exceeds"):
+        CacheState(cloud_capacity=1, rrh_capacity=1,
+                   cloud=content_mask([1, 2], 5), rrh=_masks([[]]))
+    # a catalog one content wider than the RRH masks
+    with pytest.raises(ConfigurationError, match="cache masks must be"):
+        CacheState(cloud_capacity=2, rrh_capacity=1,
+                   cloud=content_mask([6], 6), rrh=_masks([[2], [3]]))
+    with pytest.raises(ConfigurationError, match="cache masks must be"):
+        CacheState(cloud_capacity=2, rrh_capacity=1,
+                   cloud=content_mask([1], 5), rrh=_masks([[2], [3]]).astype(int))
     with pytest.raises(ConfigurationError, match="RRH 1 cache exceeds"):
-        CacheState(cloud_capacity=2, rrh_capacity=1, n_contents=5,
-                   rrh={0: frozenset([2]), 1: frozenset([3, 4])})
+        CacheState(cloud_capacity=2, rrh_capacity=1,
+                   cloud=content_mask([], 5), rrh=_masks([[2], [3, 4]]))

@@ -1,20 +1,22 @@
 """Property tests: greedy selections, clustering, the cooperating-set map and
-mask, cache-state invariants and the ordering of the mapped QoS exponents."""
+mask, cache-state invariants, row-wise delivery paths and the ordering of the
+mapped QoS exponents."""
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 import pytest
 
 from crancache import cache
-from crancache.cache import (CacheState, ClusterSet, cluster_rrhs, random_caches,
-                             rrh_popularities, select_cloud_cache, select_rrh_cache,
+from crancache.cache import (CacheState, ClusterSet, cluster_rrhs, content_mask,
+                             random_caches, rrh_popularities, select_cloud_cache,
                              select_rrh_caches, top_k_contents)
 from crancache.errors import ConfigurationError
-from crancache.qos import WiredParams, map_qos_exponents_lenient, per_content_rate
-from crancache.sim import enumerate_best_subset
+from crancache.qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, WiredParams,
+                           map_qos_exponents_lenient, per_content_rate)
+from crancache.sim import enumerate_best_subset, resolve_delivery_path
 
 # small integers: subset sums are exact, so ties are real ties
 scores = st.lists(st.integers(-3, 3), min_size=1, max_size=9)
@@ -34,10 +36,12 @@ def test_top_k_equals_exhaustive_search_with_ties(values, data):
 def test_random_caches_hold_capacity_distinct_ids(case):
     n_contents, capacity, n_caches, seed = case
     caches = random_caches(np.random.default_rng(seed), n_caches, n_contents, capacity)
-    assert len(caches) == n_caches
-    for cached in caches:
-        assert len(cached) == capacity  # a frozenset: distinct ids
-        assert all(type(c) is int and 1 <= c <= n_contents for c in cached)
+    assert caches.shape == (n_caches, n_contents) and caches.dtype == bool
+    assert caches.sum(axis=1).tolist() == [capacity] * n_caches
+    # each row holds the contents of its smallest keys in one block of uniforms
+    keys = np.random.default_rng(seed).random((n_caches, n_contents))
+    for row, key in zip(caches, keys):
+        assert np.array_equal(row, content_mask(np.argsort(key)[:capacity] + 1, n_contents))
 
 
 def scan_cooperating_set(clusters, rrh):
@@ -114,13 +118,17 @@ thresholds = st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(1e-3, 
 
 
 @settings(max_examples=300, deadline=None)
-@given(grouped, thresholds, st.sampled_from([1, 4, cache.TV_CHUNK_ENTRIES]))
-def test_cluster_rrhs_equals_per_anchor_reference(groups, threshold, chunk):
+@given(grouped, thresholds, st.sampled_from([1, 4, cache.TV_CHUNK_ENTRIES]), st.randoms())
+def test_cluster_rrhs_equals_per_anchor_reference(groups, threshold, chunk, random):
     expected, coop = reference_cluster_rrhs(groups, threshold)
+    users = [(rrh, dist) for rrh in groups for dist in groups[rrh]]
+    random.shuffle(users)  # anchors come in user order, not grouped by RRH
+    assoc = np.array([rrh for rrh, _ in users], dtype=int)
+    dists = np.array([dist for _, dist in users]).reshape(len(users), 4)
     original = cache.TV_CHUNK_ENTRIES
     cache.TV_CHUNK_ENTRIES = chunk  # one anchor per block, several, or all at once
     try:
-        cluster_set = cluster_rrhs(groups, threshold)
+        cluster_set = cluster_rrhs(assoc, dists, threshold, n_rrhs=len(groups))
     finally:
         cache.TV_CHUNK_ENTRIES = original
     assert cluster_set.clusters == expected
@@ -128,30 +136,34 @@ def test_cluster_rrhs_equals_per_anchor_reference(groups, threshold, chunk):
         assert cluster_set.cooperating_set(rrh) == coop[rrh]
 
 
-# ids around the valid range 1..n: 0, negatives and n + 1 are outside it
-def cache_contents(n_contents):
-    return st.frozensets(st.integers(-1, n_contents + 1), max_size=n_contents + 2)
+def masks(n_rows, width):
+    return st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                    min_size=n_rows, max_size=n_rows).map(
+        lambda rows: np.array(rows, dtype=bool).reshape(n_rows, width))
 
 
+# RRH masks one content narrower than the catalog, as wide, or one wider
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(0, n), st.integers(0, n), cache_contents(n),
-    st.dictionaries(st.integers(0, 5), cache_contents(n), max_size=4))))
-def test_cache_state_validate_raises_exactly_on_overflow_or_foreign_id(case):
+    st.just(n), st.integers(0, n), st.integers(0, n), masks(1, n).map(lambda m: m[0]),
+    st.tuples(st.integers(0, 5), st.sampled_from([n - 1, n, n, n + 1])).flatmap(
+        lambda shape: masks(*shape)))))
+def test_cache_state_validate_raises_exactly_on_overflow_or_wrong_shape(case):
     n_contents, cloud_capacity, rrh_capacity, cloud, rrh = case
-    foreign = any(not 1 <= c <= n_contents for c in cloud.union(*rrh.values()))
-    overflow = len(cloud) > cloud_capacity or any(len(c) > rrh_capacity for c in rrh.values())
+    wrong_shape = rrh.shape[1] != n_contents
+    overflow = cloud.sum() > cloud_capacity or any(row.sum() > rrh_capacity for row in rrh)
     state = CacheState(cloud_capacity=cloud_capacity, rrh_capacity=rrh_capacity,
-                       n_contents=n_contents)
+                       cloud=np.zeros(n_contents, dtype=bool),
+                       rrh=np.zeros((len(rrh), n_contents), dtype=bool))
     state.cloud, state.rrh = cloud, rrh
-    if foreign or overflow:
+    if wrong_shape or overflow:
         with pytest.raises(ConfigurationError):
             state.validate()
         with pytest.raises(ConfigurationError):
-            CacheState(cloud_capacity, rrh_capacity, n_contents, cloud=cloud, rrh=rrh)
+            CacheState(cloud_capacity, rrh_capacity, cloud=cloud, rrh=rrh)
     else:
         state.validate()
-        CacheState(cloud_capacity, rrh_capacity, n_contents, cloud=cloud, rrh=rrh)
+        CacheState(cloud_capacity, rrh_capacity, cloud=cloud, rrh=rrh)
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,15 +173,14 @@ def test_cache_state_validate_raises_exactly_on_overflow_or_foreign_id(case):
 def test_selected_caches_always_validate(case):
     n_contents, cloud_capacity, rrh_capacity, users_per_rrh, seed = case
     rng = np.random.default_rng(seed)
-    rrh = {}
-    demand = np.zeros(n_contents)
-    for r, users in enumerate(users_per_rrh):
-        dists = rng.dirichlet(np.ones(n_contents), size=users)
-        weights = rng.exponential(1.0, users)
-        rrh[r] = select_rrh_cache(dists, weights, rrh_capacity, n_contents)
-        demand += dists.sum(axis=0)
-    cloud = select_cloud_cache(demand / max(1, sum(users_per_rrh)), cloud_capacity)
-    CacheState(cloud_capacity, rrh_capacity, n_contents, cloud=cloud, rrh=rrh)
+    assoc = np.repeat(np.arange(len(users_per_rrh)), users_per_rrh)
+    dists = rng.dirichlet(np.ones(n_contents), size=len(assoc))
+    weights = rng.exponential(1.0, len(assoc))
+    rrh = select_rrh_caches(assoc, dists, weights, rrh_capacity, len(users_per_rrh))
+    # an RRH with users holds a full cache, a user-less one holds nothing
+    assert rrh.sum(axis=1).tolist() == [rrh_capacity if users else 0 for users in users_per_rrh]
+    cloud = select_cloud_cache(dists.sum(axis=0) / max(1, len(assoc)), cloud_capacity)
+    CacheState(cloud_capacity, rrh_capacity, cloud=content_mask(cloud, n_contents), rrh=rrh)
 
 
 # rates on a 1 Mbit/s grid split over at most 40 transfers, and L/(v D) >= 2e-6:
@@ -237,5 +248,51 @@ def test_batched_rrh_caches_match_the_per_rrh_loop(n_users, n_contents, seed, dy
             assert np.array_equal(row, pop)
         else:  # a one-column sum(axis=0) is summed pairwise from 8 rows on
             np.testing.assert_allclose(row, pop, rtol=1e-13)  # 20 terms of eps
-    assert select_rrh_caches(assoc, dists, weights, capacity) == {
-        rrh: cached for rrh, (_, cached) in expected.items()}
+    mask = np.zeros((6, n_contents), dtype=bool)
+    for rrh, (_, cached) in expected.items():
+        mask[rrh] = content_mask(cached, n_contents)
+    assert np.array_equal(select_rrh_caches(assoc, dists, weights, capacity, 6), mask)
+
+
+def scan_delivery_path(content, serving, cloud_ids, rrh_ids):
+    """The per-request scan over a dict of RRH caches that the mask lookup replaced."""
+    if content in rrh_ids.get(serving, frozenset()):
+        return PATH_LOCAL
+    if content in cloud_ids:
+        return PATH_CLOUD
+    for rrh, cached in rrh_ids.items():
+        if rrh != serving and content in cached:
+            return PATH_REMOTE
+    return PATH_SERVER
+
+
+def ids(mask):
+    return frozenset((np.flatnonzero(mask) + 1).tolist())
+
+
+# RRH 0 alone holds content 1: local at RRH 0, remote elsewhere. Three RRHs
+# hold content 2 (local at each, remote at the fourth) and the cloud content 1.
+@example(case=(np.array([[1, 0], [0, 0], [0, 0]], dtype=bool), np.zeros(2, dtype=bool),
+               list(range(6))))
+@example(case=(np.array([[0, 1], [0, 1], [0, 1], [0, 0]], dtype=bool),
+               np.array([1, 0], dtype=bool), list(range(8))[::-1]))
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(lambda shape: st.tuples(
+    masks(*shape), masks(1, shape[1]).map(lambda m: m[0]),
+    st.permutations(range(shape[0] * shape[1])))))
+def test_row_wise_paths_equal_the_per_request_scan(case):
+    rrh, cloud, order = case
+    n_rrhs = rrh.shape[0]
+    caches = CacheState(cloud_capacity=int(cloud.sum()), rrh_capacity=int(rrh.sum(axis=1).max()),
+                        cloud=cloud, rrh=rrh)
+    rrh_ids = {r: ids(row) for r, row in enumerate(rrh)}
+    # every (content, serving RRH) pair once, in a drawn order
+    contents, serving = np.divmod(np.array(order), n_rrhs)
+    contents += 1
+    expected = [scan_delivery_path(c, s, ids(cloud), rrh_ids)
+                for c, s in zip(contents.tolist(), serving.tolist())]
+    assert resolve_delivery_path(contents, serving, caches).tolist() == expected
+    assert resolve_delivery_path(contents.reshape(-1, 1), serving.reshape(-1, 1),
+                                 caches).ravel().tolist() == expected
+    for c, s, path in zip(contents[:3].tolist(), serving[:3].tolist(), expected):
+        assert resolve_delivery_path(c, s, caches) == path

@@ -4,7 +4,7 @@ import copy
 import numpy as np
 import pytest
 
-from crancache.cache import CacheState
+from crancache.cache import CacheState, content_mask
 from crancache.config import ExperimentConfig
 from crancache.data import MobilitySchedule, draw_requests
 from crancache.errors import InstanceTooLargeError
@@ -76,9 +76,9 @@ def test_nearest_rrh_matches_the_broadcast_squared_distance():
 # ---- delivery-path table ----------------------------------------------------
 
 def _state(cloud=(), local=(), remote=()):
-    return CacheState(cloud_capacity=6, rrh_capacity=3, n_contents=6,
-                      cloud=frozenset(cloud),
-                      rrh={0: frozenset(local), 1: frozenset(remote)})
+    """Six contents; RRH 0 serves the request and RRH 1 is the remote one."""
+    return CacheState(cloud_capacity=6, rrh_capacity=3, cloud=content_mask(cloud, 6),
+                      rrh=np.stack([content_mask(local, 6), content_mask(remote, 6)]))
 
 
 def test_path_priority_local_beats_cloud():
@@ -117,8 +117,8 @@ def test_path_table_enumeration():
 
 def test_slot_accounting_no_caches_all_server():
     sim = Simulation(tiny_config(C_c=1, C_r=1), POLICY_PROPOSED, seed=2)
-    sim.caches.rrh = {}
-    sim.caches.cloud = frozenset()
+    sim.caches.rrh = np.zeros((sim.cfg["R"], sim.cfg["N"]), dtype=bool)
+    sim.caches.cloud = np.zeros(sim.cfg["N"], dtype=bool)
     # peek at one slot without letting the policy place anything
     sim._update_rrh_caches = lambda *a, **k: None
     metrics = sim.run_slot(1)
@@ -165,7 +165,7 @@ def test_request_draw_stays_in_catalog_when_cdf_ends_short():
     cfg = tiny_config(U=16)
     n = cfg["N"]
     sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
-    sim.workload.distribution = lambda user, slot: np.full(n, 0.5 / n)
+    sim.workload.table = np.full(sim.workload.table.shape, 0.5 / n)
     requests = draw_requests(sim.workload.distributions(1), rng_for(0, "requests", 1))
     assert min(requests) >= 1
     assert max(requests) == n  # draws past the CDF's end map to the last content
@@ -220,8 +220,7 @@ def test_random_unclustered_uses_singleton_cooperation():
     sim.run_slot(1)
     assert sim.cluster_set is None
     assert np.array_equal(sim._cooperation(np.array([0, 2])), np.eye(2, dtype=bool))
-    for cached in sim.caches.rrh.values():
-        assert len(cached) == sim.cfg["C_r"]
+    assert sim.caches.rrh.sum(axis=1).tolist() == [sim.cfg["C_r"]] * sim.cfg["R"]
 
 
 def test_random_clustered_runs_cluster_procedure():
@@ -237,9 +236,34 @@ def test_cache_invariants_hold_through_episode():
     for k in range(1, 31):
         sim.run_slot(k)
         sim.caches.validate()
-        assert len(sim.caches.cloud) <= cfg["C_c"]
-        for cached in sim.caches.rrh.values():
-            assert len(cached) <= cfg["C_r"]
+        assert sim.caches.cloud.shape == (cfg["N"],)
+        assert sim.caches.rrh.shape == (cfg["R"], cfg["N"])
+        assert sim.caches.cloud.sum() <= cfg["C_c"]
+        assert (sim.caches.rrh.sum(axis=1) <= cfg["C_r"]).all()
+
+
+def test_proposed_rrh_caches_do_not_go_stale():
+    """Each slot replaces every RRH cache: an RRH whose users have all left
+    holds nothing in the next slot."""
+    cfg = tiny_config(R=4)
+    sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
+    for slot, assoc in enumerate(([0, 0, 1, 1], [1, 1, 1, 1], [2, 3, 2, 3]), start=1):
+        sim._assoc_for_caching = lambda serving, assoc=assoc: np.array(assoc)
+        sim.run_slot(slot)
+        held = sim.caches.rrh.sum(axis=1).tolist()
+        assert held == [cfg["C_r"] if r in assoc else 0 for r in range(cfg["R"])]
+
+
+@pytest.mark.parametrize("policy", [POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED])
+def test_random_policies_fill_every_rrh_cache(policy):
+    """More RRHs than users: the user-less RRHs hold a full random cache too."""
+    cfg = tiny_config(R=12, T=30, T_tau=10)
+    sim = Simulation(cfg, policy, seed=5)
+    for slot in range(1, 31):
+        sim.run_slot(slot)
+        assert sim.caches.rrh.sum(axis=1).tolist() == [cfg["C_r"]] * cfg["R"]
+    assert sim.caches.cloud.sum() == cfg["C_c"]
+    assert [len(cloud) for _, cloud in sim.cloud_trace] == [cfg["C_c"]] * 3
 
 
 def test_theorem2_equality_on_tiny_instances():
@@ -275,7 +299,7 @@ def test_oracle_caches_modal_content_single_user():
     sim = Simulation(cfg, POLICY_ORACLE, seed=3)
     sim.run_slot(1)
     dist = sim.workload.distribution(0, 1)
-    assert sim.caches.rrh[0] == frozenset([int(np.argmax(dist)) + 1])
+    assert np.flatnonzero(sim.caches.rrh[0]).tolist() == [int(np.argmax(dist))]
 
 
 def test_full_rrh_capacity_caches_everything():
@@ -375,11 +399,12 @@ def test_deep_copy_mid_episode_continues_bit_identically(policy):
 @pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
                                     POLICY_RANDOM_UNCLUSTERED, POLICY_ORACLE])
 def test_empty_caches_run_a_full_episode(policy):
-    report = run_episode(tiny_config(C_c=0, C_r=0), policy, seed=0)
+    sim = Simulation(tiny_config(C_c=0, C_r=0), policy, seed=0)
+    report = sim.run()
     assert len(report.slots) == 60
     assert all(m.miss_server == 1.0 and m.n_backhaul == 4 for m in report.slots)
     assert all(cloud == () for _, cloud in report.cloud_trace)
-    assert all(cached == frozenset() for cached in report.final_rrh_caches.values())
+    assert sim.caches.rrh.shape == (3, 6) and not sim.caches.rrh.any()
     assert np.isfinite(report.effective_capacity_avg)
 
 
