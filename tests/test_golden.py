@@ -17,7 +17,7 @@ import pytest
 
 from crancache import cli
 from crancache.config import ExperimentConfig
-from crancache.sim import run_episode
+from crancache.sim import episode, run_episode
 
 DESK = dict(N=24, R=12, U=16, C_c=6, C_r=3, T=120, T_tau=30, N_w=48,
             n_mc=48, archetypes=4, zipf_alpha=1.0, v_B=6e8, v_F=1.2e9)
@@ -96,6 +96,38 @@ def test_golden_predictors_and_cloud_trace(case):
     name, policy, seed = case
     predictors, cloud = GOLDEN_PREDICTOR[case]
     report = run_episode(ExperimentConfig.default(**CONFIGS[name]), policy, seed)
+    assert hashlib.sha256(report.predictor_csv().encode()).hexdigest() == predictors
+    assert hashlib.sha256(repr(report.cloud_trace).encode()).hexdigest() == cloud
+
+
+# seed -> (sha256 of predictor_csv(), sha256 of repr(cloud_trace)) for desk
+# proposed episodes refreshed every 40 slots. Each refresh offers
+# U * T_tau = 16 * 40 = 640 demand rows, more than the Hoeffding sample of 600,
+# so the cloud cache is chosen from a stratified sample, not a full scan.
+SAMPLED_CLOUD = {
+    0: ("02f97127e925ee6ca7fcc77818deecdbf8012b50e0288d8eb405022755692eec",
+        "c6e5c4cf831ae92e73d2a37148976519f9c401f74446699791ba18944cf6ebcb"),
+    1: ("12d5bcb0bbdf5a1b91a10dea7a419a0a8f60df2e9c32529c1bef9f82b6edc53a",
+        "84ece6de4f64fe9ded7e4fc317953f344b854f67a21a0a2d2a09586dd155eeb4"),
+    2: ("78e6c1caea8b6722c8b2839264a3021d0252c344245025708fc7f014ae420e6a",
+        "4abaf69c0a6c98c013e570323b7df2ca9c7e6dd31d317f8e69b036bfc366a73f"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLED_CLOUD))
+def test_golden_sampled_cloud_refresh(seed, monkeypatch):
+    predictors, cloud = SAMPLED_CLOUD[seed]
+    offered = []
+
+    def spy(distributions, weights, plan, rng, strata=None):
+        offered.append((plan.sample_size, len(distributions)))
+        return estimate(distributions, weights, plan, rng, strata=strata)
+
+    estimate = episode.estimate_popularity
+    monkeypatch.setattr(episode, "estimate_popularity", spy)
+    report = run_episode(ExperimentConfig.default(**dict(DESK, T_tau=40)), "proposed", seed)
+    assert len(offered) == 3
+    assert all(sample < rows for sample, rows in offered)
     assert hashlib.sha256(report.predictor_csv().encode()).hexdigest() == predictors
     assert hashlib.sha256(repr(report.cloud_trace).encode()).hexdigest() == cloud
 
