@@ -11,6 +11,15 @@ user keeps its own state and output matrix. The output matrix is trained
 online, by a linear gradient step on the raw readout residual. Raw readouts
 are not probability vectors, so predictions are projected onto the simplex
 (clamp negatives, renormalize, uniform fallback) before use.
+
+A gradient step is the rank-1 product lambda_alpha r z^T. Forming it every
+slot would rewrite the whole (U, N, N_w+K) readout array, so the bank keeps
+the latest steps as their factors and reads them in the readout's dual form:
+W_out z = W_f z + R_p (Z_p z), with W_f the folded readout, Z_p the pending
+z rows and R_p the pending lambda_alpha r columns. Every PENDING_STEPS steps,
+and whenever the readout is read, the pending steps are folded into W_f with
+one matrix product (Lukosevicius 2012, on readout cost). The recursion is the
+same; only the rounding order inside a readout differs.
 """
 import numpy as np
 
@@ -101,11 +110,22 @@ class ContentEsnBank:
     and returns the projected predictions. `train_step(observed)` then takes
     one readout gradient step per user against its observed distribution,
     reusing the raw readouts of that `predict`.
+
+    A step is stored, not applied: z (U, N_w+K) goes to the pending rows
+    Z_p (U, P, N_w+K) and lambda_alpha r (U, N) to the pending columns
+    R_p (U, N, P), both allocated at the first step. Readouts add
+    R_p (Z_p z) to the folded W_f z. When P = PENDING_STEPS steps are pending
+    they are folded, W_f += R_p Z_p, by one batched product per chunk of
+    users. Reading `output_weights` folds first, so it is always the trained
+    readout.
     """
 
-    # readout updates run in chunks of users holding at most this many
-    # entries, so no (U, N, N_w+K) temporary is built
-    UPDATE_CHUNK_ENTRIES = 1 << 18
+    # readout folds run in chunks of users holding at most this many
+    # entries (1 MB), so no (U, N, N_w+K) temporary is built and a chunk's
+    # product is still in cache when it is added
+    UPDATE_CHUNK_ENTRIES = 1 << 17
+    # gradient steps held as rank-1 factors before they are folded
+    PENDING_STEPS = 8
 
     def __init__(self, n_contents, reservoir_seed, readout_seeds, n_features=CONTEXT_FEATURES,
                  n_reservoir=100, learning_rate=0.01, spectral_radius=0.9, density=0.1,
@@ -119,11 +139,19 @@ class ContentEsnBank:
         self.input_weights, self.reservoir_weights = _draw_reservoir(
             as_rng(reservoir_seed), n_features, n_reservoir, density, spectral_radius)
         shape = (n_contents, n_reservoir + n_features)
-        self.output_weights = np.empty((self.n_users,) + shape)
+        self._folded = np.empty((self.n_users,) + shape)
         for u, seed in enumerate(readout_seeds):
-            self.output_weights[u] = as_rng(seed).uniform(-out_scale, out_scale, shape)
+            self._folded[u] = as_rng(seed).uniform(-out_scale, out_scale, shape)
+        self._pending_z = self._pending_r = None  # Z_p and R_p, from the first step
+        self._n_pending = 0
         self.state = np.zeros((self.n_users, n_reservoir))
         self._readout = None  # (z, raw) of the last predict
+
+    @property
+    def output_weights(self):
+        """(U, N, N_w+K) readouts with every pending step folded in."""
+        self._fold()
+        return self._folded
 
     def _advance(self, x):
         """state <- tanh(W@state + W_in@x) for every user, one product per term."""
@@ -131,28 +159,41 @@ class ContentEsnBank:
         return self.state
 
     def _readouts(self, x):
-        """(z, raw): z = [state, x] per user and raw = W_out @ z."""
+        """(z, raw): z = [state, x] per user and raw = W_f z + R_p (Z_p z)."""
         z = np.concatenate([self.state, x], axis=1)
-        return z, np.matmul(self.output_weights, z[:, :, None])[:, :, 0]
+        raw = np.matmul(self._folded, z[:, :, None])[:, :, 0]
+        p = self._n_pending
+        if p:
+            coefficients = np.matmul(self._pending_z[:, :p], z[:, :, None])
+            raw += np.matmul(self._pending_r[:, :, :p], coefficients)[:, :, 0]
+        return z, raw
 
     def _learn(self, z, residual):
-        """One readout gradient step per user, in chunks of UPDATE_CHUNK_ENTRIES.
+        """Store one readout gradient step per user; fold at PENDING_STEPS."""
+        if self._pending_z is None:
+            self._pending_z = np.empty((self.n_users, self.PENDING_STEPS, z.shape[1]))
+            self._pending_r = np.empty((self.n_users, self.n_contents, self.PENDING_STEPS))
+        p = self._n_pending
+        self._pending_z[:, p] = z
+        np.multiply(residual, self.learning_rate, out=self._pending_r[:, :, p])
+        self._n_pending = p + 1
+        if self._n_pending == self.PENDING_STEPS:
+            self._fold()
 
-        Each readout entry gains fl(fl(r z) lambda_alpha), r the raw residual.
-        einsum forms a product as 0.0 + r z, so a -0.0 product comes out +0.0;
-        adding either to an entry gives the same bits unless the entry is
-        -0.0, which the bank's draws and updates never make (uniform draws do
-        not give it, and a sum is -0.0 only when both of its terms are).
-        """
-        per_user = self.n_contents * (self.n_reservoir + self.n_features)
+    def _fold(self):
+        """W_f += R_p Z_p, in chunks of UPDATE_CHUNK_ENTRIES; nothing stays pending."""
+        p = self._n_pending
+        if not p:
+            return
+        self._n_pending = 0
+        per_user = self._folded[0].size
         step = max(1, self.UPDATE_CHUNK_ENTRIES // per_user)
-        outer = np.empty((min(step, self.n_users),) + self.output_weights.shape[1:])
+        block = np.empty((min(step, self.n_users),) + self._folded.shape[1:])
         for start in range(0, self.n_users, step):
             stop = min(start + step, self.n_users)
-            part = outer[:stop - start]
-            np.einsum("un,uf->unf", residual[start:stop], z[start:stop], out=part)
-            part *= self.learning_rate
-            self.output_weights[start:stop] += part
+            part = np.matmul(self._pending_r[start:stop, :, :p],
+                             self._pending_z[start:stop, :p], out=block[:stop - start])
+            self._folded[start:stop] += part
 
     def predict(self, contexts):
         """Advance every state on its context row; (U, N) projected predictions."""

@@ -2,9 +2,11 @@
 
 Every comparison is exact (np.array_equal): the batched forms must
 reproduce the per-user computations bit for bit, or episode outputs move.
-The one exception is the content bank's reservoir step, one matrix product
-for all users, which is compared to per-user ESNs to 1e-12.
+The exceptions are the content bank's reservoir step, one matrix product
+for all users, which is compared to per-user ESNs to 1e-12, and its pending
+readout steps, compared to the dense LMS recursion to 1e-10 relative.
 """
+import copy
 import functools
 import math
 
@@ -247,37 +249,60 @@ def test_content_bank_matches_per_user_esns(monkeypatch, n_reservoir, n_contents
             close(esn.output_weights, bank.output_weights[u])
 
 
-def reference_learn(weights, z, residual, learning_rate, step):
-    """The broadcast outer product the einsum update replaced, chunk by chunk."""
-    for start in range(0, weights.shape[0], step):
-        stop = start + step
-        part = residual[start:stop, :, None] * z[start:stop, None, :]
-        part *= learning_rate
-        weights[start:stop] += part
-
-
-@pytest.mark.parametrize("chunk_users", [5, 2])
-def test_einsum_update_equals_broadcast_reference_bit_for_bit(monkeypatch, chunk_users):
-    """Bit patterns compared, so signed zeros count. einsum turns a -0.0
-    product into +0.0; a readout entry absorbs either alike unless it is
-    -0.0, which the bank never makes, so the readouts below hold +0.0 but no
-    -0.0."""
-    grid = [-0.0, 0.0, -1.5, 0.25, 3.0, -7e-300]  # -7e-300 squared underflows to 0.0
-    n_contents, n_reservoir = 9, 32
-    monkeypatch.setattr(ContentEsnBank, "UPDATE_CHUNK_ENTRIES",
-                        chunk_users * n_contents * (n_reservoir + 7))
-    bank = ContentEsnBank(n_contents, 3, [4 + u for u in range(5)], n_reservoir=n_reservoir,
-                          learning_rate=0.05)
+@pytest.mark.parametrize("chunk_users", [1, None], ids=["one-user-chunks", "default-chunks"])
+def test_pending_steps_match_dense_lms_recursion(monkeypatch, chunk_users):
+    """The bank's raw readouts and weights follow the dense recursion
+    W_out <- W_out + lr (observed - W_out z) z^T, written out per step,
+    across folds and with steps still pending at the end. Only the rounding
+    order differs, so they agree to 1e-10 relative."""
+    users, n_contents, n_reservoir, lr = 5, 9, 32, 0.05
+    if chunk_users is not None:
+        monkeypatch.setattr(ContentEsnBank, "UPDATE_CHUNK_ENTRIES",
+                            chunk_users * n_contents * (n_reservoir + 7))
+    close = functools.partial(np.testing.assert_allclose, rtol=1e-10, atol=0)
+    bank = ContentEsnBank(n_contents, 3, [4 + u for u in range(users)],
+                          n_reservoir=n_reservoir, learning_rate=lr)
+    steps = 5 * ContentEsnBank.PENDING_STEPS // 2 + 1
+    assert steps % ContentEsnBank.PENDING_STEPS
+    weights = bank.output_weights.copy()
     rng = np.random.default_rng(13)
-    bank.output_weights[...] = rng.choice(grid[1:], size=bank.output_weights.shape)
-    z = rng.choice(grid, size=(5, n_reservoir + 7))
-    residual = rng.choice(grid, size=(5, n_contents))
-    products = residual[:, :, None] * z[:, None, :]
-    assert (np.signbit(products) & (products == 0.0)).any()  # -0.0 products occur
-    expected = bank.output_weights.copy()
-    reference_learn(expected, z, residual, bank.learning_rate, chunk_users)
-    bank._learn(z, residual)
-    assert np.array_equal(bank.output_weights.view(np.uint64), expected.view(np.uint64))
+    rounds = [(rng.uniform(0.0, 1.0, (users, 7)), rng.dirichlet(np.ones(n_contents), size=users))
+              for _ in range(steps)]
+    copied_at = ContentEsnBank.PENDING_STEPS + 2
+    predictions = []
+    for step, (x, observed) in enumerate(rounds):
+        if step == copied_at:
+            assert bank._n_pending
+            twin = copy.deepcopy(bank)
+        predictions.append(bank.predict(x))
+        z = np.concatenate([bank.state, x], axis=1)
+        raw = np.einsum("unf,uf->un", weights, z)
+        close(bank._readout[1], raw)
+        bank.train_step(observed)
+        weights += lr * (observed - raw)[:, :, None] * z[:, None, :]
+    assert bank._n_pending
+    close(bank.output_weights, weights)  # folds what is pending
+    assert not bank._n_pending
+    for (x, observed), expected in zip(rounds[copied_at:], predictions[copied_at:]):
+        assert np.array_equal(twin.predict(x), expected)
+        twin.train_step(observed)
+    assert np.array_equal(twin.output_weights, bank.output_weights)
+
+
+def test_content_esn_set_weights_drops_pending_steps():
+    esn = ContentEsn(n_contents=6, n_reservoir=20, learning_rate=0.05, seed=2)
+    rng = np.random.default_rng(3)
+    for _ in range(ContentEsnBank.PENDING_STEPS + 3):
+        x = rng.uniform(0.0, 1.0, 7)
+        esn.state_update(x)
+        esn.train_step(x, rng.dirichlet(np.ones(6)))
+    assert esn._bank._n_pending
+    w = rng.uniform(-1.0, 1.0, (6, 27))
+    esn.set_weights(output_weights=w)
+    assert np.array_equal(esn.output_weights, w)
+    x = rng.uniform(0.0, 1.0, 7)
+    np.testing.assert_allclose(esn.raw_output(x), w @ np.concatenate([esn.state, x]),
+                               rtol=1e-12, atol=0)
 
 
 def test_project_to_simplex_rows_match_single_rows():
