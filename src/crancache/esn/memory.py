@@ -135,11 +135,13 @@ def empirical_memory_capacity(esn, input_period, trace_len, seed, term_tol=1e-4)
         target = stream[washout - k: trace_len - k]
         coef = np.linalg.solve(gram, V.T @ target)
         pred = V @ coef
-        denom = np.std(pred) * np.std(target)
+        dp = pred - pred.mean()
+        dt = target - target.mean()
+        denom = np.sqrt(np.mean(dp * dp)) * np.sqrt(np.mean(dt * dt))
         if denom <= 0.0:
             corr2 = 0.0
         else:
-            corr = float(np.mean((pred - pred.mean()) * (target - target.mean())) / denom)
+            corr = float(np.mean(dp * dt) / denom)
             corr2 = corr * corr
         total += corr2
         quiet = quiet + 1 if corr2 < term_tol else 0
