@@ -14,9 +14,9 @@ from .esn import (ContentEsn, LocationGrid, MobilityEsn, WeightDistribution,
                   build_cycle_reservoir, empirical_memory_capacity,
                   memory_capacity, memory_capacity_bounds, ridge_train)
 from .qos import (LinkQos, RadioParams, WiredParams, delay_violation_prob,
-                  effective_capacity, effective_capacity_from_samples,
-                  long_term_average, map_qos_exponents, per_content_rate, sinr,
-                  slot_capacity, sum_effective_capacity)
+                  effective_capacity_from_samples, long_term_average,
+                  map_qos_exponents, per_content_rate, sinr, slot_capacity,
+                  sum_effective_capacity)
 from .sim import (EpisodeReport, Simulation, resolve_delivery_path, run_episode)
 
 __version__ = "0.1.0"

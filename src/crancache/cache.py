@@ -211,12 +211,6 @@ def rrh_popularities(assoc, user_distributions, user_weights):
     return rrhs, totals / counts[:, None]
 
 
-def rrh_popularity(user_distributions, user_weights):
-    """Average weighted request percentage p_rn over an RRH's users."""
-    n_users = np.atleast_2d(np.asarray(user_distributions)).shape[0]
-    return rrh_popularities(np.zeros(n_users, dtype=int), user_distributions, user_weights)[1][0]
-
-
 def select_rrh_caches(assoc, user_distributions, user_weights, capacity, n_rrhs):
     """(n_rrhs, N) mask: each RRH some user is associated with holds its top
     `capacity` contents by p_rn; the others hold nothing."""
@@ -232,7 +226,9 @@ def select_rrh_cache(user_distributions, user_weights, capacity, n_contents):
         raise ConfigurationError("RRH cache larger than the catalog")
     if len(user_distributions) == 0:
         return frozenset()
-    return top_k_contents(rrh_popularity(user_distributions, user_weights), capacity)
+    assoc = np.zeros(len(user_distributions), dtype=int)  # every user at this one RRH
+    return top_k_contents(rrh_popularities(assoc, user_distributions, user_weights)[1][0],
+                          capacity)
 
 
 def random_caches(rng, n_caches, n_contents, capacity):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import SamplingPlan, hoeffding_sample_size
+from .cache import SamplingPlan, estimate_popularity, hoeffding_sample_size
 from .config import ExperimentConfig
 from .data import (generate_mobility, generate_workload, write_content_trace,
                    write_mobility_trace)
@@ -104,7 +104,11 @@ def _sweep_episode_rows(cfg, axis, value, reps):
 
 
 def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
-    """Hoeffding coverage counts: failure rate and mean error per point."""
+    """Hoeffding coverage counts: failure rate and mean error per point.
+
+    Each trial estimates the mean of a 0/1 population with the cloud
+    refresh's sampler, `estimate_popularity`, at unit weights.
+    """
     plan = SamplingPlan(epsilon=cfg["epsilon"], delta=cfg["delta"])
     rows = []
     for rep in range(reps):
@@ -115,9 +119,7 @@ def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
         failures = 0
         errors = np.empty(trials)
         for t in range(trials):
-            take = min(plan.sample_size, population)
-            idx = rng.choice(population, size=take, replace=False)
-            est = values[idx].mean()
+            [est] = estimate_popularity(values[:, None], np.ones(population), plan, rng)
             errors[t] = abs(est - truth)
             failures += errors[t] > plan.epsilon
         rows.append((axis, value, "sampling", cfg["seed"] + rep,

@@ -25,6 +25,7 @@ CONTENT_HEADER = ["user_id", "slot", "t_hour", "weekday", "gender",
 MOBILITY_HEADER = ["user_id", "t", "x_m", "y_m"]
 
 _BLOCK = 3  # rank-shuffle block size; rank 1 is never moved
+MAX_DWELL_SLOTS = 2  # a waypoint's dwell is uniform on 0..MAX_DWELL_SLOTS
 
 
 def zipf_probs(n_contents, alpha):
@@ -219,8 +220,7 @@ class MobilitySchedule:
         return pos + delta * (self.speed / dist), target_idx, dwell_left
 
 
-def generate_mobility(n_users, disk_radius, waypoints_per_user, speed, seed,
-                      max_dwell=2):
+def generate_mobility(n_users, disk_radius, waypoints_per_user, speed, seed):
     """Periodic schedules with waypoints uniform in the disk; seeded."""
     if disk_radius <= 0:
         raise ConfigurationError("disk radius must be positive")
@@ -230,7 +230,7 @@ def generate_mobility(n_users, disk_radius, waypoints_per_user, speed, seed,
     schedules = []
     for _ in range(n_users):
         pts = scatter_in_disk(waypoints_per_user, disk_radius, rng)
-        dwell = rng.integers(0, max_dwell + 1, size=waypoints_per_user)
+        dwell = rng.integers(0, MAX_DWELL_SLOTS + 1, size=waypoints_per_user)
         schedules.append(MobilitySchedule(waypoints=pts, dwell_slots=dwell,
                                           speed=float(speed)))
     return schedules

@@ -27,6 +27,9 @@ from ..errors import ConfigurationError
 from ..seeding import as_rng
 
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
+SPECTRAL_RADIUS = 0.9  # the recurrent matrix is rescaled to this radius (< 1)
+DENSITY = 0.1          # fraction of nonzero recurrent entries
+OUT_SCALE = 0.1        # half-width of the uniform readout init
 
 
 def project_to_simplex(raw):
@@ -53,21 +56,19 @@ def require_distribution(vec, tol=1e-9):
     return vec
 
 
-def _check_dimensions(n_contents, n_features, n_reservoir, spectral_radius):
+def _check_dimensions(n_contents, n_features, n_reservoir):
     if n_contents < 1 or n_reservoir < 1 or n_features < 1:
         raise ConfigurationError("n_contents, n_features, n_reservoir must be >= 1")
-    if not 0.0 < spectral_radius < 1.0:
-        raise ConfigurationError("spectral_radius must lie in (0, 1)")
 
 
-def _draw_reservoir(rng, n_features, n_reservoir, density, spectral_radius):
-    """(W_in, W): drawn in the order W_in, the mask, W; W rescaled to `spectral_radius`."""
+def _draw_reservoir(rng, n_features, n_reservoir):
+    """(W_in, W): drawn in the order W_in, the mask, W; W rescaled to SPECTRAL_RADIUS."""
     w_in = rng.uniform(-1.0, 1.0, (n_reservoir, n_features))
-    mask = rng.random((n_reservoir, n_reservoir)) < density
+    mask = rng.random((n_reservoir, n_reservoir)) < DENSITY
     w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
     radius = _spectral_radius(w)
     if radius > 0.0:
-        w *= spectral_radius / radius
+        w *= SPECTRAL_RADIUS / radius
     return w_in, w
 
 
@@ -128,20 +129,19 @@ class ContentEsnBank:
     PENDING_STEPS = 8
 
     def __init__(self, n_contents, reservoir_seed, readout_seeds, n_features=CONTEXT_FEATURES,
-                 n_reservoir=100, learning_rate=0.01, spectral_radius=0.9, density=0.1,
-                 out_scale=0.1):
-        _check_dimensions(n_contents, n_features, n_reservoir, spectral_radius)
+                 n_reservoir=100, learning_rate=0.01):
+        _check_dimensions(n_contents, n_features, n_reservoir)
         self.n_users = len(readout_seeds)
         self.n_contents = n_contents
         self.n_features = n_features
         self.n_reservoir = n_reservoir
         self.learning_rate = float(learning_rate)
         self.input_weights, self.reservoir_weights = _draw_reservoir(
-            as_rng(reservoir_seed), n_features, n_reservoir, density, spectral_radius)
+            as_rng(reservoir_seed), n_features, n_reservoir)
         shape = (n_contents, n_reservoir + n_features)
         self._folded = np.empty((self.n_users,) + shape)
         for u, seed in enumerate(readout_seeds):
-            self._folded[u] = as_rng(seed).uniform(-out_scale, out_scale, shape)
+            self._folded[u] = as_rng(seed).uniform(-OUT_SCALE, OUT_SCALE, shape)
         self._pending_z = self._pending_r = None  # Z_p and R_p, from the first step
         self._n_pending = 0
         self.state = np.zeros((self.n_users, n_reservoir))
@@ -232,24 +232,20 @@ class ContentEsn:
     n_features : context vector length (default 7).
     n_reservoir : reservoir units.
     learning_rate : gradient step for the online readout update.
-    spectral_radius : recurrent matrix is rescaled to this radius (< 1).
-    density : fraction of nonzero recurrent entries.
-    out_scale : half-width of the uniform readout init.
+
+    The reservoir's spectral radius, its density and the readout's initial
+    scale are the module constants SPECTRAL_RADIUS, DENSITY and OUT_SCALE.
     """
 
     def __init__(self, n_contents, n_features=CONTEXT_FEATURES, n_reservoir=100,
-                 learning_rate=0.01, spectral_radius=0.9, density=0.1,
-                 out_scale=0.1, seed=0):
+                 learning_rate=0.01, seed=0):
         rng = as_rng(seed)
         self._bank = ContentEsnBank(n_contents, rng, [rng], n_features=n_features,
-                                    n_reservoir=n_reservoir, learning_rate=learning_rate,
-                                    spectral_radius=spectral_radius, density=density,
-                                    out_scale=out_scale)
+                                    n_reservoir=n_reservoir, learning_rate=learning_rate)
         self.n_contents = n_contents
         self.n_features = n_features
         self.n_reservoir = n_reservoir
         self.learning_rate = self._bank.learning_rate
-        self.spectral_radius = float(spectral_radius)
 
     @property
     def input_weights(self):

@@ -29,6 +29,9 @@ from ..errors import (ConfigurationError, DegenerateDistributionError,
                       MeasurementError, UnsupportedFamilyError)
 from ..seeding import as_rng
 
+SERIES_TOL = 1e-12  # truncation bound on the tail of each moment series
+TERM_TOL = 1e-4     # a delay contributing less than this counts as quiet
+
 
 def _series(moment, start, step, max_abs, tol):
     """Sum_{j>=0} moment(start + step*j), truncated via the geometric tail bound."""
@@ -49,7 +52,7 @@ def _series(moment, start, step, max_abs, tol):
     return total
 
 
-def memory_capacity(spec, n_units, series_tol=1e-12):
+def memory_capacity(spec, n_units):
     """Analytic memory capacity M for a W-unit cycle reservoir.
 
     Closed forms for pointmass/symbinary; truncated moment series otherwise.
@@ -74,12 +77,12 @@ def memory_capacity(spec, n_units, series_tol=1e-12):
         raise DegenerateDistributionError("weight distribution concentrated at 0")
     total = 0.0
     for k in range(W):
-        denom = _series(spec.moment, 2 * k, 2 * W, q, series_tol)
+        denom = _series(spec.moment, 2 * k, 2 * W, q, SERIES_TOL)
         if denom == 0.0:
             raise DegenerateDistributionError(f"zero moment series at delay phase {k}")
-        numer = _series(lambda m: spec.moment(m) ** 2, k, W, q, series_tol)
+        numer = _series(lambda m: spec.moment(m) ** 2, k, W, q, SERIES_TOL)
         total += numer / denom
-    base = _series(spec.moment, 0, 2 * W, q, series_tol)
+    base = _series(spec.moment, 0, 2 * W, q, SERIES_TOL)
     return total - 1.0 / base
 
 
@@ -104,13 +107,13 @@ def min_trace_len(n_units):
     return max(20 * n_units, 200)
 
 
-def empirical_memory_capacity(esn, input_period, trace_len, seed, term_tol=1e-4):
+def empirical_memory_capacity(esn, input_period, trace_len, seed):
     """Measure a built reservoir's capacity on a zero-mean periodic stream.
 
     Drives the reservoir over `trace_len` unit-variance samples, then for each
     delay k >= 1 fits a linear readout reconstructing the k-step-old input and
     accumulates the squared correlation. Stops once a full period of W
-    consecutive delays contributes below `term_tol` (echoes recur at multiples
+    consecutive delays contributes below TERM_TOL (echoes recur at multiples
     of W), capped at 5W+50. Delay 0 is excluded to match the analytic formula.
     """
     W = esn.n_units
@@ -144,7 +147,7 @@ def empirical_memory_capacity(esn, input_period, trace_len, seed, term_tol=1e-4)
             corr = float(np.mean(dp * dt) / denom)
             corr2 = corr * corr
         total += corr2
-        quiet = quiet + 1 if corr2 < term_tol else 0
+        quiet = quiet + 1 if corr2 < TERM_TOL else 0
         if quiet >= W:
             break
     return total

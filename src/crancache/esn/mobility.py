@@ -176,34 +176,36 @@ class MobilityEsn:
         return self.output_weights
 
 
+CELL_PITCH_M = 50.0  # side of a LocationGrid cell
+
+
 class LocationGrid:
     """Row-major discretization of the coverage disk into square cells.
 
     The mobility ESN consumes scalar inputs, so positions are encoded as the
-    index of their grid cell (pitch defaults to 50 m on a radius-r disk).
+    index of their grid cell (CELL_PITCH_M on a side, on a radius-r disk).
     """
 
-    def __init__(self, radius, pitch=50.0):
-        if radius <= 0 or pitch <= 0:
-            raise ConfigurationError("radius and pitch must be positive")
+    def __init__(self, radius):
+        if radius <= 0:
+            raise ConfigurationError("radius must be positive")
         self.radius = float(radius)
-        self.pitch = float(pitch)
-        self.n_cols = int(np.ceil(2.0 * radius / pitch))
+        self.n_cols = int(np.ceil(2.0 * radius / CELL_PITCH_M))
         self.n_cells = self.n_cols * self.n_cols
 
     def encode(self, x, y):
         """Cell code of each position; x and y are scalars or equal-shape arrays."""
         last = self.n_cols - 1
-        col = np.clip((np.asarray(x, dtype=np.float64) + self.radius) // self.pitch, 0, last)
-        row = np.clip((np.asarray(y, dtype=np.float64) + self.radius) // self.pitch, 0, last)
+        col = np.clip((np.asarray(x, dtype=np.float64) + self.radius) // CELL_PITCH_M, 0, last)
+        row = np.clip((np.asarray(y, dtype=np.float64) + self.radius) // CELL_PITCH_M, 0, last)
         return (row * self.n_cols + col).astype(np.int64)
 
     def decode(self, code):
         """(x, y) of the cell centre nearest each code; codes round half to even."""
         code = np.clip(np.rint(np.asarray(code, dtype=np.float64)), 0, self.n_cells - 1)
         row, col = np.divmod(code.astype(np.int64), self.n_cols)
-        x = -self.radius + (col + 0.5) * self.pitch
-        y = -self.radius + (row + 0.5) * self.pitch
+        x = -self.radius + (col + 0.5) * CELL_PITCH_M
+        y = -self.radius + (row + 0.5) * CELL_PITCH_M
         return x, y
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError, InfeasibleLinkError
-from .seeding import as_rng
 
 SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # Floor on sampled RRH-user distances, so a user on an RRH keeps a finite
@@ -111,18 +110,13 @@ def path_gain(distance, radio):
     return radio.tx_power_w * distance ** (-radio.pathloss_exponent)
 
 
-def sinr(distance, fading, interferer_distances, interferer_fadings, radio):
-    """Received SINR: P d^-beta |h|^2 over out-of-cluster interference plus noise.
+def sinr(signal_power, interference_power, radio):
+    """Received SINR: signal power over interference plus noise, linear scale.
 
-    Accepts scalars or broadcastable arrays; distances in metres, result in
-    linear scale. Interferer powers sum along the last axis.
+    Powers in watts (scalars or broadcastable arrays); `path_gain` turns
+    distances into the power received per unit of fading.
     """
-    signal = path_gain(distance, radio) * np.asarray(fading)
-    interference = 0.0
-    if interferer_distances is not None and len(np.atleast_1d(interferer_distances)):
-        powers = path_gain(interferer_distances, radio) * np.asarray(interferer_fadings)
-        interference = powers.sum(axis=-1)
-    return signal / (interference + radio.noise_w)
+    return signal_power / (interference_power + radio.noise_w)
 
 
 def slot_capacity(gamma_samples, bandwidth_hz):
@@ -205,15 +199,6 @@ def effective_capacity_from_samples(theta, capacity_samples, tau=1.0):
     return float(effective_capacity_rows(theta, samples.reshape(1, -1), tau)[0])
 
 
-def effective_capacity(theta, capacity_sampler, tau, n_mc, seed):
-    """Seeded Monte-Carlo effective capacity; `capacity_sampler(rng, n)` draws C."""
-    if n_mc < 1:
-        raise ConfigurationError("n_mc must be >= 1")
-    rng = as_rng(seed)
-    samples = np.asarray(capacity_sampler(rng, n_mc), dtype=np.float64)
-    return effective_capacity_from_samples(theta, samples, tau)
-
-
 def sum_effective_capacity(values):
     """Sum of per-user effective capacities for one slot."""
     return float(np.asarray(values, dtype=np.float64).sum())
@@ -226,7 +211,7 @@ def long_term_average(slot_sums):
 
 
 def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
-                          radio, n_mc, rng, unit_scale=1.0):
+                          radio, n_mc, rng):
     """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
 
     User u slides from starts[u] to ends[u] over SLOT_SUBSTEPS equally spaced
@@ -238,8 +223,8 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
     columns in order within a user. Each user's interference starts from 0.0
     and adds its interferers' powers one column after the other, so it does
     not depend on which other columns exist. RRH-user distances are floored at
-    MIN_DISTANCE_M. Returns (U, n_mc) samples times `unit_scale` (the
-    simulator scores in Mbit: 1e-6). Pairs go in chunks of at most
+    MIN_DISTANCE_M; powers come from `path_gain` and gamma from `sinr`.
+    Returns (U, n_mc) samples in bit. Pairs go in chunks of at most
     FADING_CHUNK_ENTRIES fading entries, or one at a time, and a user's pairs
     may straddle two chunks; chunking moves no draw and no sum.
     """
@@ -269,14 +254,13 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
         for first, stop in zip(bounds[1:-1], bounds[2:]):
             at = order[first:stop]
             interference[u[at]] += power[at]
-    gamma = signal / (interference + radio.noise_w)
-    return slot_capacity(gamma, radio.bandwidth_hz) * unit_scale
+    return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,
-                             radio, n_mc, rng, unit_scale=1.0):
+                             radio, n_mc, rng):
     """segment_capacity_rows for one user, served by column 0; returns its (n_mc,) samples."""
     positions = np.vstack([serving_pos, np.reshape(interferer_positions, (-1, 2))])
     return segment_capacity_rows(np.array([start]), np.array([end]), positions,
                                  np.zeros(1, dtype=int), np.arange(len(positions))[None] > 0,
-                                 radio, n_mc, rng, unit_scale)[0]
+                                 radio, n_mc, rng)[0]

@@ -3,7 +3,6 @@ from .episode import (POLICY_ORACLE, POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
                       POLICY_RANDOM_UNCLUSTERED, EpisodeReport, Simulation,
                       SlotMetrics, check_oracle_guard, enumerate_best_subset,
                       oracle_search_space, run_episode)
-from ..data import scatter_in_disk
 from .world import Topology, build_topology, nearest_rrh, resolve_delivery_path
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "oracle_search_space",
     "resolve_delivery_path",
     "run_episode",
-    "scatter_in_disk",
 ]

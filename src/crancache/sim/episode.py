@@ -39,7 +39,7 @@ from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
 from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
-                   WiredParams, effective_capacity_rows,
+                   WiredParams, effective_capacity_rows, long_term_average,
                    map_qos_exponents_lenient, per_content_rate,
                    segment_capacity_rows, sum_effective_capacity)
 from ..seeding import rng_for
@@ -216,7 +216,7 @@ class Simulation:
         return self.cluster_set.cooperation(active)
 
     def _capacity_samples(self, slot, serving):
-        """(U, n_mc) slot-capacity draws, all users from rng_for(seed, "channel", slot).
+        """(U, n_mc) slot-capacity draws in Mbit, all users from rng_for(seed, "channel", slot).
 
         Idle RRHs transmit nothing: interference comes from RRHs that are
         actively serving users and sit outside the cooperating set.
@@ -226,8 +226,8 @@ class Simulation:
         return segment_capacity_rows(*self.topology.segments(slot),
                                      self.topology.rrh_positions[active], column,
                                      ~self._cooperation(active)[column],
-                                     self.radio, self.n_mc, rng_for(self.seed, "channel", slot),
-                                     unit_scale=CAPACITY_UNIT)
+                                     self.radio, self.n_mc,
+                                     rng_for(self.seed, "channel", slot)) * CAPACITY_UNIT
 
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
@@ -359,7 +359,7 @@ class Simulation:
 
     def run(self):
         slots = [self.run_slot(k) for k in range(1, self.cfg["T"] + 1)]
-        e_bar = float(np.mean([m.effective_sum for m in slots]))
+        e_bar = long_term_average([m.effective_sum for m in slots])
         return EpisodeReport(policy=self.policy, seed=self.seed,
                              effective_capacity_avg=e_bar, slots=slots,
                              cloud_trace=self.cloud_trace)

@@ -24,14 +24,6 @@ class Topology:
     user_tracks: np.ndarray          # (T, U, 2) positions at slots 1..T
     start_positions: np.ndarray      # (U, 2) positions before slot 1
 
-    @property
-    def n_rrhs(self):
-        return self.rrh_positions.shape[0]
-
-    @property
-    def n_users(self):
-        return self.user_tracks.shape[1]
-
     def segments(self, slot):
         """(starts, ends), each (U, 2): every user's movement during 1-based `slot`."""
         starts = self.start_positions if slot == 1 else self.user_tracks[slot - 2]

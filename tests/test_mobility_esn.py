@@ -5,6 +5,7 @@ import pytest
 from crancache.errors import ConfigurationError, NumericalRankError
 from crancache.esn import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
                            build_cycle_reservoir, readout_windows, ridge_train)
+from crancache.esn.mobility import CELL_PITCH_M
 from crancache.seeding import rng_for
 
 
@@ -195,7 +196,7 @@ def test_drive_matches_stepwise_updates():
 
 
 def test_location_grid_roundtrip_within_cell():
-    grid = LocationGrid(1000.0, pitch=50.0)
+    grid = LocationGrid(1000.0)
     rng = np.random.default_rng(8)
     for _ in range(100):
         r = 999.0 * np.sqrt(rng.random())
@@ -271,14 +272,14 @@ def test_bank_equals_per_user_esns_over_retrain_windows():
 
 
 def test_location_grid_codes_arrays_like_scalars():
-    grid = LocationGrid(1000.0, pitch=50.0)
+    grid = LocationGrid(1000.0)
     rng = np.random.default_rng(2)
     xy = rng.uniform(-1200.0, 1200.0, size=(500, 2))
     codes = grid.encode(xy[:, 0], xy[:, 1])
     last = grid.n_cols - 1
     for (x, y), code in zip(xy, codes):
-        col = int(min(max((x + grid.radius) // grid.pitch, 0), last))
-        row = int(min(max((y + grid.radius) // grid.pitch, 0), last))
+        col = int(min(max((x + grid.radius) // CELL_PITCH_M, 0), last))
+        row = int(min(max((y + grid.radius) // CELL_PITCH_M, 0), last))
         assert code == row * grid.n_cols + col
     # predicted codes are reals: halves round to even, out-of-range codes clamp
     reals = np.concatenate([rng.uniform(-50.0, grid.n_cells + 50.0, 500),
@@ -287,5 +288,5 @@ def test_location_grid_codes_arrays_like_scalars():
     for value, x, y in zip(reals, xs, ys):
         code = min(max(round(float(value)), 0), grid.n_cells - 1)
         row, col = divmod(code, grid.n_cols)
-        assert (x, y) == (-grid.radius + (col + 0.5) * grid.pitch,
-                          -grid.radius + (row + 0.5) * grid.pitch)
+        assert (x, y) == (-grid.radius + (col + 0.5) * CELL_PITCH_M,
+                          -grid.radius + (row + 0.5) * CELL_PITCH_M)

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from crancache import qos
 from crancache.errors import ConfigurationError, GeometryError, InfeasibleLinkError
 from crancache.qos import (HOP_COUNTS, PATH_CLOUD, PATH_LOCAL, PATH_REMOTE,
                            PATH_SERVER, RadioParams, WiredParams,
-                           delay_violation_prob, effective_capacity,
-                           effective_capacity_from_samples, long_term_average,
-                           map_qos_exponents, per_content_rate,
-                           segment_capacity_samples, sinr, slot_capacity,
-                           sum_effective_capacity)
+                           delay_violation_prob, effective_capacity_from_samples,
+                           long_term_average, map_qos_exponents, path_gain,
+                           per_content_rate, segment_capacity_samples, sinr,
+                           slot_capacity, sum_effective_capacity)
 
 RADIO = RadioParams()
 
@@ -25,13 +25,13 @@ def test_per_content_rate_split():
 
 
 def test_sinr_no_interferers_is_snr():
-    gamma = sinr(100.0, 1.0, None, None, RADIO)
+    gamma = sinr(path_gain(100.0, RADIO) * 1.0, 0.0, RADIO)
     expect = RADIO.tx_power_w * 100.0 ** -4 / RADIO.noise_w
     assert gamma == pytest.approx(expect)
 
 
 def test_sinr_equal_distance_interferer_below_one():
-    gamma = sinr(100.0, 1.0, [100.0], [1.0], RADIO)
+    gamma = sinr(path_gain(100.0, RADIO) * 1.0, path_gain(100.0, RADIO) * 1.0, RADIO)
     p_rx = RADIO.tx_power_w * 100.0 ** -4
     assert gamma == pytest.approx(p_rx / (p_rx + RADIO.noise_w))
     assert gamma < 1.0
@@ -39,23 +39,44 @@ def test_sinr_equal_distance_interferer_below_one():
 
 def test_sinr_distance_scaling_regimes():
     # noise-limited: doubling distance with beta=4 cuts gamma ~16x
-    g1 = sinr(50.0, 1.0, None, None, RADIO)
-    g2 = sinr(100.0, 1.0, None, None, RADIO)
+    g1 = sinr(path_gain(50.0, RADIO), 0.0, RADIO)
+    g2 = sinr(path_gain(100.0, RADIO), 0.0, RADIO)
     assert g1 / g2 == pytest.approx(16.0, rel=1e-9)
     # interference-limited: scaling tx power leaves gamma unchanged
     quiet = RadioParams(noise_dbm=-300.0)
     loud = RadioParams(noise_dbm=-300.0, tx_power_dbm=40.0)
-    ga = sinr(80.0, 1.0, [120.0, 250.0], [0.7, 1.3], quiet)
-    gb = sinr(80.0, 1.0, [120.0, 250.0], [0.7, 1.3], loud)
+    def gamma(radio):
+        interference = (path_gain([120.0, 250.0], radio) * [0.7, 1.3]).sum()
+        return sinr(path_gain(80.0, radio) * 1.0, interference, radio)
+    ga, gb = gamma(quiet), gamma(loud)
     assert ga == pytest.approx(gb, rel=1e-9)
     assert ga > 0.0
 
 
 def test_sinr_zero_distance_raises():
+    # distances enter the SINR only through path_gain, which rejects zero
     with pytest.raises(GeometryError):
-        sinr(0.0, 1.0, None, None, RADIO)
+        sinr(path_gain(0.0, RADIO), 0.0, RADIO)
     with pytest.raises(GeometryError):
-        sinr(10.0, 1.0, [0.0], [1.0], RADIO)
+        path_gain([10.0, 0.0], RADIO)
+
+
+def test_segment_capacity_rows_compute_gamma_through_sinr(monkeypatch):
+    """The channel sampler has no SINR of its own: it calls qos.sinr."""
+    case = (np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[30.0, 40.0], [290.0, 10.0]]),
+            np.array([[200.0, 0.0], [500.0, 500.0], [-400.0, 100.0]]), np.array([0, 1]),
+            np.array([[False, True, True], [True, False, False]]), RADIO, 16)
+    expected = qos.segment_capacity_rows(*case, np.random.default_rng(4))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sinr(*args)
+
+    monkeypatch.setattr(qos, "sinr", counted)
+    got = qos.segment_capacity_rows(*case, np.random.default_rng(4))
+    assert len(calls) == 1
+    assert np.array_equal(got, expected)
 
 
 def test_slot_capacity_examples():
@@ -148,9 +169,9 @@ def test_prop1_consistency_over_random_feasible_draws():
 
 def test_effective_capacity_deterministic_sampler():
     for theta in (0.01, 0.5, 3.0):
-        e = effective_capacity(theta, lambda rng, n: np.full(n, 7.5), 1.0, 64, 0)
+        e = effective_capacity_from_samples(theta, np.full(64, 7.5), 1.0)
         assert e == pytest.approx(7.5, rel=1e-12)
-    e = effective_capacity(2.0, lambda rng, n: np.full(n, 6.0), 2.0, 16, 0)
+    e = effective_capacity_from_samples(2.0, np.full(16, 6.0), 2.0)
     assert e == pytest.approx(3.0)
 
 

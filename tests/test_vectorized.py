@@ -127,7 +127,7 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk
                                   n_mc, shared, unit_scale=1e-6)
         for u in range(len(serving))])
     got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
-                                np.random.default_rng(100), unit_scale=1e-6)
+                                np.random.default_rng(100)) * 1e-6
     assert np.array_equal(got, expected)
     for u in range(len(serving)):
         # the one-user form puts the serving RRH first, then the interferers
@@ -135,7 +135,7 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk
         alone = np.arange(len(positions)) > 0
         single = segment_capacity_samples(starts[u], ends[u], rrhs[serving[u]],
                                           rrhs[interferes[u]], RADIO, n_mc,
-                                          np.random.default_rng(200 + u), unit_scale=1e-6)
+                                          np.random.default_rng(200 + u)) * 1e-6
         assert np.array_equal(single, reference_segment_samples(
             starts[u], ends[u], positions, 0, alone, RADIO, n_mc,
             np.random.default_rng(200 + u), unit_scale=1e-6))
