@@ -208,8 +208,8 @@ def cmd_memcap(args):
     if args.trace_len < needed:
         raise ConfigurationError(f"--trace-len {args.trace_len} is too short for "
                                  f"W = {max(w_values)} (needs >= {needed})")
+    seed = _load_config(args)["seed"]
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
     lines = ["W,analytic,bound_lo,bound_hi,empirical"]
     for W in w_values:
         analytic = memory_capacity(spec, W)

@@ -164,6 +164,20 @@ def test_memcap_symbinary_bounds(tmp_path, capsys):
     assert float(row[3]) == 6.0
 
 
+def test_memcap_honours_the_configured_seed(tmp_path):
+    """memcap reads its seed from the config, as the other subcommands do."""
+    config = tmp_path / "seed5.cfg"
+    config.write_text("seed = 5\n")
+    memcap = ["memcap", "--W-range", "2:3", "--trace-len", "4000"]
+    written = {}
+    for name, flags in [("flag", ["--seed", "5"]), ("override", ["--override", "seed=5"]),
+                        ("config", ["--config", str(config)]), ("default", [])]:
+        assert main(["--out-dir", str(tmp_path / name)] + flags + memcap) == EXIT_OK
+        written[name] = (tmp_path / name / "memcap.csv").read_bytes()
+    assert written["override"] == written["flag"] == written["config"]
+    assert written["default"] != written["flag"]
+
+
 def test_sample_size_command(capsys):
     assert main(["sample-size", "0.05", "0.05"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "600"
