@@ -43,9 +43,10 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
 
     Draws plan.sample_size items uniformly without replacement (stratified
     proportionally when `strata` labels are given) and returns the mean of
-    distribution * weight over the sample. Streams shorter than the plan fall
-    back to a full scan with a logged notice. Pass plan=None to force the
-    full scan.
+    distribution * weight over the sample. A plan of 0 items (delta = 1)
+    still draws one, so the estimate is a sample mean. Streams shorter than
+    the plan fall back to a full scan with a logged notice. Pass plan=None to
+    force the full scan.
     """
     distributions = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -54,7 +55,7 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
         raise ConfigurationError("one weight per distribution required")
     if n_items == 0:
         raise ConfigurationError("empty distribution stream")
-    wanted = n_items if plan is None else plan.sample_size
+    wanted = n_items if plan is None else max(plan.sample_size, 1)
     if wanted >= n_items:
         if plan is not None and plan.sample_size > n_items:
             log.info("sample size %d exceeds stream length %d; scanning fully",
@@ -76,7 +77,7 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
             quota = min(base + (1 if rank < extra else 0), len(members))
             if quota:
                 picks.append(rng.choice(members, size=quota, replace=False))
-        chosen = np.concatenate(picks) if picks else np.arange(n_items)
+        chosen = np.concatenate(picks)
     sample = distributions[chosen] * weights[chosen][:, None]
     return sample.mean(axis=0)
 

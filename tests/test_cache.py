@@ -1,4 +1,5 @@
 """Sample sizing, popularity estimation, clustering, and cache selection."""
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -78,6 +79,20 @@ def test_estimate_stratified_is_deterministic_and_balanced():
     np.testing.assert_array_equal(a, b)
     truth = dists.mean(axis=0)
     assert np.abs(a - truth).max() < plan.epsilon
+
+
+@pytest.mark.parametrize("strata", [None, np.repeat(np.arange(4), 10)])
+def test_estimate_zero_sample_plan_draws_one_item(strata):
+    """At delta = 1 the Hoeffding size is 0; both paths still draw one row."""
+    rng = np.random.default_rng(6)
+    dists = rng.dirichlet(np.ones(5), size=40)
+    weights = rng.uniform(0.5, 2.0, 40)
+    plan = SamplingPlan(epsilon=0.2, delta=1.0)
+    assert plan.sample_size == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_popularity(dists, weights, plan, seed=3, strata=strata)
+    assert any(np.array_equal(est, row) for row in dists * weights[:, None])
 
 
 def test_tv_distance_examples():

@@ -103,6 +103,15 @@ def test_sweep_epsilon_axis_failure_direction(tmp_path):
     assert sum(errs[0.3]) > sum(errs[0.03])  # looser plan, larger error
 
 
+def test_sweep_delta_one_scores_a_one_item_sample(tmp_path):
+    code = main(["--out-dir", str(tmp_path), "sweep", "--axis", "delta", "--values", "1.0"])
+    assert code == EXIT_OK
+    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    metrics = {r[4]: float(r[5]) for r in rows}
+    assert metrics["sample_size"] == 0  # the Hoeffding size; one item is still drawn
+    assert 0.0 < metrics["mean_abs_error"] <= 1.0
+
+
 def test_sweep_mobility_axis(tmp_path):
     code = main(["--out-dir", str(tmp_path), "sweep", "--axis", "W",
                  "--values", "4", "8", "--reps", "1"])
