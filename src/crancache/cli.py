@@ -29,8 +29,8 @@ from .data import (generate_mobility, generate_workload, write_content_trace,
                    write_mobility_trace)
 from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
                      UnsupportedFamilyError)
-from .esn import (MobilityEsn, WeightDistribution, empirical_memory_capacity, memory_capacity,
-                  memory_capacity_bounds, min_trace_len, readout_windows)
+from .esn import (LocationGrid, MobilityEsn, WeightDistribution, empirical_memory_capacity,
+                  memory_capacity, memory_capacity_bounds, min_trace_len, readout_windows)
 from .seeding import rng_for
 from .sim import (POLICY_ORACLE, check_oracle_guard, run_episode)
 
@@ -132,17 +132,21 @@ def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
 
 
 def _sweep_mobility_rows(cfg, axis, value, reps, trace=600):
-    """Mobility-readout accuracy and memory capacity per reservoir/window size."""
+    """Held-out mobility-readout accuracy and memory capacity per reservoir/window size.
+
+    The reservoir and its input are user 0's in `simulate`: the location
+    codes of its random-waypoint tour at every H-th slot.
+    """
     rows = []
     spec = cfg.weight_spec()
+    grid = LocationGrid(cfg["r"])
     for rep in range(reps):
         seed = cfg["seed"] + rep
         esn = MobilityEsn(cfg["W"], spec, cfg["N_s"], ridge_lambda=cfg["lambda"],
                           seed=rng_for(seed, "mobility_esn", 0))
-        rng = rng_for(seed, "mobility", 1)
-        period = min(cfg["W"], 8)
-        pattern = rng.integers(0, 400, size=period).astype(float)
-        codes = np.resize(pattern, trace + cfg["N_s"])  # the pattern repeated
+        [tour] = generate_mobility(1, cfg["r"], cfg["waypoints"], cfg["S"], seed)
+        positions = tour.positions((trace + cfg["N_s"]) * cfg["H"])[::cfg["H"]]
+        codes = grid.encode(positions[:, 0], positions[:, 1])
         states = esn.drive(codes[:trace])
         esn.train(*readout_windows(states, codes, cfg["N_s"], cfg["N_tr"]))
         # scored on the codes after the driven trace, which no training pair saw

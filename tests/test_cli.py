@@ -4,7 +4,8 @@ import pytest
 
 from crancache.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from crancache.config import ExperimentConfig
-from crancache.esn import MobilityEsn
+from crancache.data import generate_mobility
+from crancache.esn import LocationGrid, MobilityEsn
 from crancache.seeding import rng_for
 
 TINY = ["N=6", "R=3", "U=4", "C_c=2", "C_r=1", "T=30", "T_tau=30", "N_w=16",
@@ -124,10 +125,10 @@ def test_sweep_mobility_axis(tmp_path):
 
 
 def test_sweep_prediction_rmse_is_held_out(tmp_path):
-    """The readout is fitted on the last N_tr pairs, whose targets end at code
-    trace - 1; the RMSE scores the last state against the N_s codes after the
-    trace. A period of 4 codes and N_s = 10 put that state in another phase
-    of the pattern than the last training pair's."""
+    """The reservoir is driven with user 0's location codes in `simulate`, one
+    per H slots. The readout is fitted on the last N_tr pairs, whose targets
+    end at code trace - 1; the RMSE scores the last state against the N_s
+    codes after the trace."""
     code = main(["--out-dir", str(tmp_path), "--override", "N_tr=50", "sweep",
                  "--axis", "W", "--values", "4", "--reps", "1"])
     assert code == EXIT_OK
@@ -137,13 +138,16 @@ def test_sweep_prediction_rmse_is_held_out(tmp_path):
     trace, horizon = 600, cfg["N_s"]
     esn = MobilityEsn(4, cfg.weight_spec(), horizon, ridge_lambda=cfg["lambda"],
                       seed=rng_for(cfg["seed"], "mobility_esn", 0))
-    pattern = rng_for(cfg["seed"], "mobility", 1).integers(0, 400, size=4).astype(float)
-    codes = np.concatenate([pattern] * (trace // 4 + 3))[:trace + horizon]
+    tour = generate_mobility(cfg["U"], cfg["r"], cfg["waypoints"], cfg["S"], cfg["seed"])[0]
+    grid = LocationGrid(cfg["r"])
+    codes = np.array([grid.encode(x, y) for x, y in tour.positions(2000)[::cfg["H"]]],
+                     dtype=float)[:trace + horizon]
     states = esn.drive(codes[:trace])
     pairs = range(trace - horizon - 50, trace - horizon)
     esn.train(np.ascontiguousarray(states[pairs.start:pairs.stop].T),
               np.ascontiguousarray(np.array([codes[j + 1:j + 1 + horizon] for j in pairs]).T))
     held_out = esn.output_weights @ states[trace - 1] - codes[trace:]
+    assert len(held_out) == horizon
     assert rmse == float(f"{np.sqrt(np.mean(held_out ** 2)):.10g}")
 
 
