@@ -27,9 +27,10 @@ from ..errors import ConfigurationError
 from ..seeding import as_rng
 
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
-SPECTRAL_RADIUS = 0.9  # the recurrent matrix is rescaled to this radius (< 1)
-DENSITY = 0.1          # fraction of nonzero recurrent entries
-OUT_SCALE = 0.1        # half-width of the uniform readout init
+SPECTRAL_RADIUS = 0.9    # the recurrent matrix is rescaled to this radius (< 1)
+DENSITY = 0.1            # fraction of nonzero recurrent entries
+OUT_SCALE = 0.1          # half-width of the uniform readout init
+DISTRIBUTION_TOL = 1e-9  # rounding slack when validating a probability vector
 
 
 def project_to_simplex(raw):
@@ -44,14 +45,14 @@ def project_to_simplex(raw):
         return np.where(total > 0.0, p / total, 1.0 / raw.shape[-1])
 
 
-def require_distribution(vec, tol=1e-9):
+def require_distribution(vec):
     """Validate a probability vector: non-negative entries summing to one."""
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1:
         raise ConfigurationError("distribution must be a 1-d vector")
-    if np.any(vec < -tol):
+    if np.any(vec < -DISTRIBUTION_TOL):
         raise ConfigurationError("distribution has negative entries")
-    if abs(vec.sum() - 1.0) > tol:
+    if abs(vec.sum() - 1.0) > DISTRIBUTION_TOL:
         raise ConfigurationError(f"distribution sums to {vec.sum()!r}, not 1")
     return vec
 
