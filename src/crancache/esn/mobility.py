@@ -15,6 +15,8 @@ from .._kernels import cycle_drive
 from ..errors import ConfigurationError, NumericalRankError
 from ..seeding import as_rng
 
+CELL_PITCH_M = 50.0  # side of a LocationGrid cell, metres
+
 
 @dataclass(frozen=True)
 class WeightDistribution:
@@ -174,9 +176,6 @@ class MobilityEsn:
         """Ridge-fit the readout on a collected window (states W x N_tr)."""
         self.output_weights = ridge_train(states, targets, self.ridge_lambda)
         return self.output_weights
-
-
-CELL_PITCH_M = 50.0  # side of a LocationGrid cell
 
 
 class LocationGrid:
