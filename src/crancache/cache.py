@@ -2,8 +2,10 @@
 
 Content ids are 1-based (1..N); probability vectors and cache masks index id
 n at position n-1. A cache is a boolean mask over the catalog: one (N,) row
-for the cloud, one (R, N) block for the RRHs. All selections break ties
-toward the lowest content id so runs replay deterministically.
+for the cloud, one (R, N) block for the RRHs. RRH clusters are a boolean
+(G, R) membership mask too (ClusterSet), and cooperation is read from it.
+All selections break ties toward the lowest content id so runs replay
+deterministically.
 """
 import logging
 import math
@@ -114,39 +116,34 @@ def distribution_distance(p, q, sampled=False, plan=None, seed=0):
 class ClusterSet:
     """RRH clusters keyed by request-distribution similarity.
 
-    An RRH may appear in several clusters (one per distinct distribution type
-    among its users); every RRH appears in at least one.
+    `member` is a (G, R) boolean mask with one distinct row per cluster; entry
+    (g, r) is set when RRH r is in cluster g. An RRH may sit in several rows
+    (one per distinct distribution type among its users); an RRH in no row is
+    a cluster of its own, so a mask with no rows leaves every RRH alone.
     """
-    clusters: list
+    member: np.ndarray
 
-    def coverage(self):
-        out = set()
-        for members in self.clusters:
-            out |= set(members)
-        return out
+    def __len__(self):
+        return len(self.member) + int((~self.member.any(axis=0)).sum())
+
+    @property
+    def clusters(self):
+        """Member tuples of every cluster, singletons included, sorted by
+        size, then members."""
+        groups = [tuple(np.flatnonzero(row).tolist()) for row in self.member]
+        groups += [(rrh,) for rrh in np.flatnonzero(~self.member.any(axis=0)).tolist()]
+        return sorted(groups, key=lambda c: (len(c), c))
 
     def cooperating_set(self, rrh):
         """All RRHs sharing at least one cluster with `rrh` (incl. itself)."""
-        together = {rrh}
-        for members in self.clusters:
-            if rrh in members:
-                together.update(members)
-        return frozenset(together)
+        together = self.member[self.member[:, rrh]].any(axis=0)
+        return frozenset(np.flatnonzero(together).tolist()) | {int(rrh)}
 
     def cooperation(self, rrhs):
-        """(A, A) mask over the ascending RRH ids `rrhs`: entry (i, j) is set
-        when rrhs[j] is in cooperating_set(rrhs[i])."""
-        rrhs = np.asarray(rrhs)
-        together = np.eye(len(rrhs), dtype=bool)
-        groups = [members for members in self.clusters if len(members) > 1]
-        if groups:
-            ids = np.concatenate(groups)
-            labels = np.repeat(np.arange(len(groups)), [len(m) for m in groups])
-            hit = np.isin(ids, rrhs)
-            member = np.zeros((len(groups), len(rrhs)))  # member[g, i]: rrhs[i] is in group g
-            member[labels[hit], np.searchsorted(rrhs, ids[hit])] = 1.0
-            together |= member.T @ member > 0.0  # rrhs i and j share a group
-        return together
+        """(A, A) mask over the RRH ids `rrhs`: entry (i, j) is set when
+        rrhs[j] is in cooperating_set(rrhs[i])."""
+        m = self.member[:, rrhs]  # m[g, i]: rrhs[i] is in cluster g
+        return np.eye(m.shape[1], dtype=bool) | (m.T @ m)
 
 
 # anchors' total-variation rows are computed in blocks of at most this many
@@ -159,9 +156,9 @@ def cluster_rrhs(assoc, distributions, threshold, n_rrhs):
 
     User u sits at RRH assoc[u] with distribution row u. Each user anchors
     one candidate cluster: the set of RRHs hosting any user within
-    total-variation distance < threshold of it. Duplicate clusters collapse;
-    user-less RRHs become singletons; output is sorted canonically (by
-    size-then-members) for determinism.
+    total-variation distance < threshold of it. The result keeps one row per
+    distinct nonempty candidate; user-less RRHs sit in no row, so each is a
+    cluster of its own.
     """
     assoc = np.asarray(assoc)
     mat = np.asarray(distributions, dtype=np.float64)
@@ -172,12 +169,12 @@ def cluster_rrhs(assoc, distributions, threshold, n_rrhs):
         anchor, user = np.nonzero(distribution_distance(mat[lo:lo + step, None], mat[None])
                                   < threshold)
         member[lo + anchor, assoc[user]] = True
-    sizes = member.sum(axis=1)
-    # singletons sort before every larger cluster, and among themselves by RRH
-    singles = np.flatnonzero(~member.any(axis=0) | member[sizes == 1].any(axis=0))
-    groups = sorted({tuple(np.flatnonzero(c).tolist()) for c in member[sizes > 1]},
-                    key=lambda c: (len(c), c))
-    return ClusterSet(clusters=[(rrh,) for rrh in singles.tolist()] + groups)
+    # rows compare as their packed bytes; np.unique(member, axis=0) costs far more
+    packed = np.packbits(member, axis=1)
+    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1])))[:, 0],
+                         return_index=True)
+    rows = member[first]
+    return ClusterSet(member=rows[rows.any(axis=1)])  # a NaN distribution marks no RRH
 
 
 def top_k_ids(scores, k):

@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cache import (CacheState, SamplingPlan, cluster_rrhs, content_mask,
+from ..cache import (CacheState, ClusterSet, SamplingPlan, cluster_rrhs, content_mask,
                      distribution_distance, estimate_popularity, random_caches,
                      rrh_popularities, select_cloud_cache, select_rrh_caches,
                      update_distribution)
@@ -200,20 +200,15 @@ class Simulation:
                                  rrh_capacity=config["C_r"],
                                  cloud=np.zeros(config["N"], dtype=bool),
                                  rrh=np.zeros((config["R"], config["N"]), dtype=bool))
-        self.cluster_set = None  # slot 1 runs with singleton cooperation
+        # no clusters yet: slot 1 (and every random_unclustered slot) runs with
+        # singleton cooperation
+        self.cluster_set = ClusterSet(member=np.zeros((0, config["R"]), dtype=bool))
         # one (slots, demand rows, weights) block of U users per slot since the
         # last refresh; random policies keep none
         self.demand_stream = []
         self.cloud_trace = []
 
     # ----- per-slot pieces -------------------------------------------------
-
-    def _cooperation(self, active):
-        """(A, A) cooperation mask over the ascending RRH ids `active`; singletons
-        while there are no clusters (slot 1, random_unclustered)."""
-        if self.cluster_set is None:
-            return np.eye(len(active), dtype=bool)
-        return self.cluster_set.cooperation(active)
 
     def _capacity_samples(self, slot, serving):
         """(U, n_mc) slot-capacity draws in Mbit, all users from rng_for(seed, "channel", slot).
@@ -225,7 +220,7 @@ class Simulation:
         column = np.searchsorted(active, serving)
         return segment_capacity_rows(*self.topology.segments(slot),
                                      self.topology.rrh_positions[active], column,
-                                     ~self._cooperation(active)[column],
+                                     ~self.cluster_set.cooperation(active)[column],
                                      self.radio, self.n_mc,
                                      rng_for(self.seed, "channel", slot)) * CAPACITY_UNIT
 
@@ -265,8 +260,8 @@ class Simulation:
         self.caches.validate()
 
     def _update_clusters(self, assoc, predictions):
-        self.cluster_set = (None if self.policy == POLICY_RANDOM_UNCLUSTERED else
-                            cluster_rrhs(assoc, predictions, self.cfg["chi"], self.cfg["R"]))
+        if self.policy != POLICY_RANDOM_UNCLUSTERED:
+            self.cluster_set = cluster_rrhs(assoc, predictions, self.cfg["chi"], self.cfg["R"])
 
     def _refresh_cloud(self, slot):
         if self.policy in RANDOM_POLICIES:
@@ -343,7 +338,7 @@ class Simulation:
         quality = {}
         if predictions is not None:
             quality = dict(tv_content=float(distribution_distance(predictions, truth).mean()),
-                           n_clusters=len(self.cluster_set.clusters))
+                           n_clusters=len(self.cluster_set))
         return SlotMetrics(
             slot=slot,
             effective_sum=sum_effective_capacity(energies),

@@ -149,7 +149,7 @@ def test_cluster_worked_example():
     clusters = cluster_rrhs([0, 0, 1, 2], [p1, p2, p1, p2], threshold=0.1, n_rrhs=3)
     assert (0, 1) in clusters.clusters
     assert (0, 2) in clusters.clusters
-    assert clusters.coverage() == {0, 1, 2}
+    assert set().union(*clusters.clusters) == {0, 1, 2}
 
 
 def test_cluster_all_far_gives_singletons():
@@ -172,7 +172,7 @@ def test_cluster_userless_rrh_gets_singleton_and_cover_holds():
         dists = rng.dirichlet(np.ones(4), size=len(assoc))
         clusters = cluster_rrhs(assoc, dists, threshold=float(rng.uniform(0.05, 0.9)),
                                 n_rrhs=n_rrh)
-        assert clusters.coverage() == set(range(n_rrh))
+        assert set().union(*clusters.clusters) == set(range(n_rrh))
 
 
 def test_select_rrh_cache_single_user_argmax():

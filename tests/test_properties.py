@@ -58,10 +58,19 @@ clusters = st.lists(
     max_size=10)
 
 
+def cluster_set_of(cluster_list, n_rrhs=14):
+    """The ClusterSet whose mask rows are the distinct clusters of `cluster_list`."""
+    distinct = sorted(set(cluster_list))
+    member = np.zeros((len(distinct), n_rrhs), dtype=bool)
+    for row, members in zip(member, distinct):
+        row[list(members)] = True
+    return ClusterSet(member=member)
+
+
 @settings(max_examples=300, deadline=None)
 @given(clusters)
 def test_cooperating_set_map_equals_cluster_scan(cluster_list):
-    cluster_set = ClusterSet(clusters=cluster_list)
+    cluster_set = cluster_set_of(cluster_list)
     for rrh in range(14):  # 12 and 13 sit in no cluster
         assert cluster_set.cooperating_set(rrh) == scan_cooperating_set(cluster_list, rrh)
         assert cluster_set.cooperating_set(np.int64(rrh)) == scan_cooperating_set(cluster_list, rrh)
@@ -70,7 +79,7 @@ def test_cooperating_set_map_equals_cluster_scan(cluster_list):
 @settings(max_examples=300, deadline=None)
 @given(clusters, st.lists(st.integers(0, 13), unique=True).map(sorted))
 def test_cooperation_mask_matches_cooperating_sets(cluster_list, rrhs):
-    mask = ClusterSet(clusters=cluster_list).cooperation(np.array(rrhs, dtype=int))
+    mask = cluster_set_of(cluster_list).cooperation(np.array(rrhs, dtype=int))
     assert mask.shape == (len(rrhs), len(rrhs))
     for i, rrh in enumerate(rrhs):
         coop = scan_cooperating_set(cluster_list, rrh)
@@ -132,8 +141,14 @@ def test_cluster_rrhs_equals_per_anchor_reference(groups, threshold, chunk, rand
     finally:
         cache.TV_CHUNK_ENTRIES = original
     assert cluster_set.clusters == expected
+    assert len(cluster_set) == len(expected)
     for rrh in groups:
         assert cluster_set.cooperating_set(rrh) == coop[rrh]
+    rrhs = random.sample(sorted(groups), random.randint(0, len(groups)))  # any order
+    mask = cluster_set.cooperation(np.array(rrhs, dtype=int))
+    assert mask.shape == (len(rrhs), len(rrhs))
+    for i, rrh in enumerate(rrhs):
+        assert [bool(v) for v in mask[i]] == [other in coop[rrh] for other in rrhs]
 
 
 def masks(n_rows, width):

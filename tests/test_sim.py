@@ -4,7 +4,7 @@ import copy
 import numpy as np
 import pytest
 
-from crancache.cache import CacheState, content_mask
+from crancache.cache import CacheState, ClusterSet, content_mask
 from crancache.config import ExperimentConfig
 from crancache.data import MobilitySchedule, draw_requests
 from crancache.errors import InstanceTooLargeError
@@ -182,17 +182,18 @@ def test_user_on_an_rrh_keeps_a_finite_slot():
         assert np.isfinite(metrics.effective_sum)
 
 
-def test_channel_draws_use_previous_slot_clusters():
+def test_channel_draws_use_previous_slot_clusters(monkeypatch):
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=1)
     seen = []
-    cooperation = sim._cooperation
+    cooperation = ClusterSet.cooperation
 
-    def spy(active):
-        seen.append(sim.cluster_set)
-        return cooperation(active)
+    def spy(self, rrhs):
+        seen.append(self)
+        return cooperation(self, rrhs)
 
-    sim._cooperation = spy
-    previous = None  # slot 1 samples with singleton cooperation
+    monkeypatch.setattr(ClusterSet, "cooperation", spy)
+    previous = sim.cluster_set  # slot 1 samples with singleton cooperation: no clusters
+    assert len(previous.member) == 0
     for k in range(1, 6):
         seen.clear()
         sim.run_slot(k)
@@ -218,16 +219,16 @@ def test_run_is_deterministic():
 def test_random_unclustered_uses_singleton_cooperation():
     sim = Simulation(tiny_config(), POLICY_RANDOM_UNCLUSTERED, seed=1)
     sim.run_slot(1)
-    assert sim.cluster_set is None
-    assert np.array_equal(sim._cooperation(np.array([0, 2])), np.eye(2, dtype=bool))
+    assert sim.cluster_set.member.shape == (0, sim.cfg["R"])  # no clusters
+    assert np.array_equal(sim.cluster_set.cooperation(np.array([0, 2])), np.eye(2, dtype=bool))
     assert sim.caches.rrh.sum(axis=1).tolist() == [sim.cfg["C_r"]] * sim.cfg["R"]
 
 
 def test_random_clustered_runs_cluster_procedure():
     sim = Simulation(tiny_config(), POLICY_RANDOM_CLUSTERED, seed=1)
     sim.run_slot(1)
-    assert sim.cluster_set is not None
-    assert sim.cluster_set.coverage() == set(range(sim.cfg["R"]))
+    assert len(sim.cluster_set.member) > 0
+    assert set().union(*sim.cluster_set.clusters) == set(range(sim.cfg["R"]))
 
 
 def test_cache_invariants_hold_through_episode():
@@ -362,7 +363,7 @@ def test_predictor_quality_is_the_mean_tv_distance_of_the_predictions():
         tv = [0.5 * np.abs(p - t).sum() for p, t in zip(predicted, truth)]
         assert metrics.tv_content == pytest.approx(np.mean(tv), rel=0, abs=1e-15)
         assert 0.0 < metrics.tv_content <= 1.0
-        assert metrics.n_clusters == len(sim.cluster_set.clusters) >= 1
+        assert metrics.n_clusters == len(sim.cluster_set) == len(sim.cluster_set.clusters) >= 1
 
 
 def test_predictor_csv_per_policy():
