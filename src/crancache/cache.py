@@ -89,8 +89,9 @@ def distribution_distance(p, q, sampled=False, plan=None, seed=0):
 
     Leading axes broadcast; 1-D inputs give a float. With `sampled` (1-D only),
     estimates from plan.sample_size coordinate draws without replacement,
-    scaled back to the full support; plans at least as large as the support
-    degrade to the exact sum.
+    scaled back to the full support; a plan of 0 draws (delta = 1) still
+    draws one, and plans at least as large as the support degrade to the
+    exact sum.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -104,7 +105,7 @@ def distribution_distance(p, q, sampled=False, plan=None, seed=0):
         if plan is None:
             raise ConfigurationError("sampled distance needs a SamplingPlan")
         n = diffs.shape[0]
-        m = min(plan.sample_size, n)
+        m = min(max(plan.sample_size, 1), n)
         if m < n:
             coords = as_rng(seed).choice(n, size=m, replace=False)
             return 0.5 * float(diffs[coords].sum()) * n / m

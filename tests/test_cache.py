@@ -140,6 +140,10 @@ def test_tv_distance_sampled_variant():
     ests = [distribution_distance(p, q, sampled=True, plan=small_plan, seed=s)
             for s in range(3000)]
     assert np.mean(ests) == pytest.approx(exact, abs=0.02)  # unbiased scaling
+    zero_plan = SamplingPlan(epsilon=0.2, delta=1.0)  # 0 draws: one coordinate is still drawn
+    ests = [distribution_distance(p, q, sampled=True, plan=zero_plan, seed=s) for s in range(3)]
+    coords = [np.random.default_rng(s).choice(50, size=1, replace=False) for s in range(3)]
+    assert ests == [0.5 * float(np.abs(p - q)[c].sum()) * 50 for c in coords]
 
 
 def test_cluster_worked_example():
