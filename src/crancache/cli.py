@@ -107,9 +107,15 @@ def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
     """Hoeffding coverage counts: failure rate and mean error per point.
 
     Each trial estimates the mean of a 0/1 population with the cloud
-    refresh's sampler, `estimate_popularity`, at unit weights.
+    refresh's sampler, `estimate_popularity`, at unit weights. A plan that
+    covers the population scans it fully, with one notice per point and no
+    draw.
     """
     plan = SamplingPlan(epsilon=cfg["epsilon"], delta=cfg["delta"])
+    draw_plan = plan if plan.sample_size < population else None
+    if draw_plan is None:
+        log.info("sample size %d covers the population of %d; scanning fully",
+                 plan.sample_size, population)
     rows = []
     for rep in range(reps):
         rng = rng_for(cfg["seed"] + rep, "sampling", 0)
@@ -119,7 +125,7 @@ def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
         failures = 0
         errors = np.empty(trials)
         for t in range(trials):
-            [est] = estimate_popularity(values[:, None], np.ones(population), plan, rng)
+            [est] = estimate_popularity(values[:, None], np.ones(population), draw_plan, rng)
             errors[t] = abs(est - truth)
             failures += errors[t] > plan.epsilon
         rows.append((axis, value, "sampling", cfg["seed"] + rep,

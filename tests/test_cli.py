@@ -1,4 +1,6 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
+import logging
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ def test_sweep_epsilon_axis_failure_direction(tmp_path):
         if r[4] == "mean_abs_error":
             errs.setdefault(float(r[1]), []).append(float(r[5]))
     assert sum(errs[0.3]) > sum(errs[0.03])  # looser plan, larger error
+
+
+def test_sweep_full_scan_notice_once_per_point(tmp_path, caplog):
+    # sample sizes 14979 and 6657 exceed the 4000-item population; 0.05 draws 600
+    caplog.set_level(logging.INFO, logger="crancache")
+    code = main(["--out-dir", str(tmp_path), "sweep", "--axis", "epsilon",
+                 "--values", "0.01", "0.015", "0.05", "--reps", "2"])
+    assert code == EXIT_OK
+    notices = [r for r in caplog.records if "scanning fully" in r.getMessage()]
+    assert len(notices) == 2
+    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    errors = {float(r[1]) for r in rows if r[4] == "mean_abs_error" and float(r[5]) == 0.0}
+    assert errors == {0.01, 0.015}  # a full scan is exact
 
 
 def test_sweep_delta_one_scores_a_one_item_sample(tmp_path):
