@@ -156,10 +156,8 @@ def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
         ))
     user_archetype = np.arange(n_users) % n_archetypes
     user_gender = rng.integers(0, 2, size=n_users)
-    user_device = np.array([
-        1 if rng.random() < archetypes[user_archetype[u]].device_mix else 0
-        for u in range(n_users)
-    ])
+    device_mix = np.array([arch.device_mix for arch in archetypes])
+    user_device = (rng.random(n_users) < device_mix[user_archetype]).astype(int)
     return Workload(n_users=n_users, n_contents=n_contents, zipf_alpha=zipf_alpha,
                     archetypes=archetypes, user_archetype=user_archetype,
                     user_gender=user_gender, user_device=user_device, base_probs=base)
