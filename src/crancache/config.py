@@ -13,7 +13,7 @@ from .esn.mobility import WeightDistribution
 
 _POLICIES = ("proposed", "random_clustered", "random_unclustered", "optimal_oracle")
 
-# key -> (type, default, validator description)
+# key -> (type, default); ExperimentConfig.validate checks the ranges
 _SCHEMA = {
     "r": (float, 1000.0),          # disk radius, m
     "R": (int, 1000),              # RRH count
