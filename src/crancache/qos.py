@@ -11,6 +11,12 @@ exp(-theta_O * D_max). Effective capacity is the log-MGF rate of the cumulative
 slot service; base-2 logs are paired with base-2 exponents throughout so the
 theta -> 0 limit returns the mean capacity.
 
+The channel sampler comes in two parts: `pair_layout` lists the (user, RRH)
+pairs a slot draws and their path gains, and `capacity_from_fading` adds up
+signal and interference from the pairs' faded powers and scores the slot
+capacity. `segment_capacity_rows` composes the two with the fading drawn in
+between, chunk by chunk; a caller may draw the same chunks elsewhere.
+
 dBm values are converted to linear scale once, in RadioParams; all math here
 is linear-scale and unit-agnostic.
 """
@@ -27,8 +33,11 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
-# segment_capacity_rows samples (user, RRH) pairs in chunks of at most this
-# many (pair, sample, sub-step) entries, which bounds its temporaries
+# Fading is drawn for (user, RRH) pairs in chunks of at most this many (pair,
+# sample, sub-step) entries, which bounds the temporaries of one chunk. The
+# simulator's fading worker (sim.episode) also takes it as its gate and its
+# lookahead bound: a slot whose pairs fit one chunk draws inline, and a larger
+# one draws on the worker at most two chunks ahead of the accumulation.
 FADING_CHUNK_ENTRIES = 1 << 18
 
 # delivery paths as integer codes, in order of source priority
@@ -210,51 +219,93 @@ def long_term_average(slot_sums):
     return float(slot_sums.mean()) if slot_sums.size else 0.0
 
 
-def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
-                          radio, n_mc, rng):
-    """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
+@dataclass(frozen=True)
+class PairLayout:
+    """The used (user, column) pairs of one slot's channel draw, before any fading.
+
+    Pairs go users in order and columns in order within a user. `serves`
+    marks each user's serving pair (the others interfere) and `gains` holds
+    each pair's `path_gain` at the SLOT_SUBSTEPS sub-step points. The
+    fading of pairs [lo, hi) is one (hi - lo, n_mc, SLOT_SUBSTEPS) block of
+    unit-mean exponentials times gains[lo:hi, None, :]; `chunks` lists the
+    (lo, hi) bounds of the blocks in draw order, each of at most
+    FADING_CHUNK_ENTRIES entries or one pair.
+    """
+    n_users: int
+    n_mc: int
+    users: np.ndarray
+    serves: np.ndarray
+    gains: np.ndarray
+    chunks: list
+
+    def draw_fading(self, rng):
+        """Yield the fading blocks of `chunks`, each drawn from `rng` when asked for."""
+        for lo, hi in self.chunks:
+            block = rng.standard_exponential((hi - lo, self.n_mc, SLOT_SUBSTEPS))
+            yield np.multiply(block, self.gains[lo:hi, None, :], out=block)
+
+
+def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
+    """The PairLayout of U movement segments: which pairs are drawn, and their gains.
 
     User u slides from starts[u] to ends[u] over SLOT_SUBSTEPS equally spaced
     positions. Of the A transmitting RRHs at rrh_positions, column serving[u]
     serves user u and the other columns set in row u of the (U, A) mask
-    `interferes` interfere; every sub-step redraws their unit-mean exponential
-    fading. Only these used (user, column) pairs are drawn and given a power:
-    `rng` draws one (n_mc, SLOT_SUBSTEPS) block per pair, users in order and
-    columns in order within a user. Each user's interference starts from 0.0
-    and adds its interferers' powers one column after the other, so it does
-    not depend on which other columns exist. RRH-user distances are floored at
-    MIN_DISTANCE_M; powers come from `path_gain` and gamma from `sinr`.
-    Returns (U, n_mc) samples in bit. Pairs go in chunks of at most
-    FADING_CHUNK_ENTRIES fading entries, or one at a time, and a user's pairs
-    may straddle two chunks; chunking moves no draw and no sum.
+    `interferes` interfere. RRH-user distances are floored at MIN_DISTANCE_M.
     """
     n_users, n_active = interferes.shape
-    users, columns = np.nonzero(interferes | (np.arange(n_active) == serving[:, None]))
-    # an interferer's rank among its user's interferers, from 1; 0 marks the serving pair
-    ranks = np.where(interferes, np.cumsum(interferes, axis=1), 0)[users, columns]
+    own = np.arange(n_active) == serving[:, None]
+    users, columns = np.nonzero(interferes | own)
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
     points = starts[:, None, :] + frac[None, :, None] * (ends - starts)[:, None, :]
-
-    signal = np.empty((n_users, n_mc, SLOT_SUBSTEPS))
-    interference = np.zeros((n_users, n_mc, SLOT_SUBSTEPS))
+    dx = points[users, :, 0] - rrh_positions[columns, 0, None]
+    dy = points[users, :, 1] - rrh_positions[columns, 1, None]
+    d = np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE_M)
     size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS))
-    for lo in range(0, len(users), size):
-        u, c, rank = users[lo:lo + size], columns[lo:lo + size], ranks[lo:lo + size]
-        dx = points[u, :, 0] - rrh_positions[c, 0, None]
-        dy = points[u, :, 1] - rrh_positions[c, 1, None]
-        d = np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE_M)
-        power = rng.standard_exponential((len(u), n_mc, SLOT_SUBSTEPS))
-        power *= path_gain(d, radio)[:, None, :]
-        serve = rank == 0
+    chunks = [(lo, min(lo + size, len(users))) for lo in range(0, len(users), size)]
+    return PairLayout(n_users, n_mc, users, own[users, columns], path_gain(d, radio), chunks)
+
+
+def capacity_from_fading(layout, blocks, radio):
+    """(U, n_mc) cumulative slot capacities in bit, from the layout's faded powers.
+
+    `blocks` yields the powers of `layout.chunks` in order (see PairLayout);
+    they are overwritten. Each user's interference starts from 0.0 and adds
+    its interferers' powers one column after the other, continuing across a
+    chunk boundary, so it does not depend on which other columns exist or on
+    where the chunks cut. The serving rows are set to 0.0 first, which moves
+    no bit of a sum, so a user's interference is the sum over its rows: one
+    reduction along the first axis, which numpy adds row after row. (The
+    tests compare users with more than eight interferers, where a pairwise
+    sum would group them differently, against a column-by-column loop.)
+    Gamma comes from `sinr`.
+    """
+    signal = np.empty((layout.n_users, layout.n_mc, SLOT_SUBSTEPS))
+    interference = np.zeros_like(signal)
+    for (lo, hi), power in zip(layout.chunks, blocks):
+        u, serve = layout.users[lo:hi], layout.serves[lo:hi]
         signal[u[serve]] = power[serve]
-        # rank by rank: a rank holds each user at most once, and a user's
-        # ranks come in column order
-        order = np.argsort(rank, kind="stable")
-        bounds = np.searchsorted(rank[order], np.arange(rank.max() + 2))
-        for first, stop in zip(bounds[1:-1], bounds[2:]):
-            at = order[first:stop]
-            interference[u[at]] += power[at]
+        power[serve] = 0.0
+        power[0] += interference[u[0]]  # the sum so far of a user the chunk cut
+        bounds = np.flatnonzero(np.diff(u, prepend=-1, append=-1)).tolist()
+        for first, stop in zip(bounds[:-1], bounds[1:]):
+            np.add.reduce(power[first:stop], axis=0, out=interference[u[first]])
     return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
+
+
+def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
+                          radio, n_mc, rng):
+    """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
+
+    The composition of `pair_layout` and `capacity_from_fading`, with the
+    fading drawn from `rng` chunk by chunk on the calling thread: one
+    (n_mc, SLOT_SUBSTEPS) block per used pair, users in order and columns in
+    order within a user, every sub-step redrawing the fading. Returns
+    (U, n_mc) samples in bit. A user's pairs may straddle two chunks;
+    chunking moves no draw and no sum.
+    """
+    layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
+    return capacity_from_fading(layout, layout.draw_fading(rng), radio)
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,

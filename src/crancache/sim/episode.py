@@ -1,8 +1,12 @@
 """Slot-by-slot episode execution for the caching policies.
 
-Per slot: advance mobility, refresh per-user predictions, update RRH caches
-and clusters, realize one request per user, resolve delivery paths, split the
-wired pipes over the realized load, and score per-user effective capacities.
+Per slot: advance mobility; lay out the channel's (user, RRH) pairs and their
+path gains under the previous slot's clusters and start drawing their
+fading; meanwhile refresh per-user predictions, the association for caching
+and the clusters; accumulate the slot-capacity samples from the fading;
+update RRH caches, realize one request per user, resolve delivery paths,
+split the wired pipes over the realized load, and score per-user effective
+capacities.
 Caches are boolean masks over the catalog (see CacheState) and delivery
 paths are the integer codes of the qos module, so each of these steps is one
 array pass over the users.
@@ -20,11 +24,25 @@ size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
 requests; fading is drawn only for the RRHs a user hears.
 
+A slot whose fading fits one qos.FADING_CHUNK_ENTRIES chunk (every desk-scale
+slot) draws it inline. A larger slot hands its chunks to one worker thread,
+at most two ahead of the accumulation, while the main thread predicts: the
+draw and the content bank's matrix products both release the GIL. The
+worker is handed only numpy callables implemented in C (the exponential
+draw into a buffer, then the multiply by the gains), never package code: a
+worker running Python code contends with the main thread for the GIL, which
+made slots slower, and the benchmark's span tracer assumes that package code
+runs on one thread. The worker draws in pair order from the slot's channel
+generator, so the outputs do not depend on which thread draws.
+
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
 log-MGF (see qos module notes); reported sums are in Mbit per slot.
 """
+import contextlib
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -38,10 +56,10 @@ from ..config import ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
-from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
-                   WiredParams, effective_capacity_rows, long_term_average,
-                   map_qos_exponents_lenient, per_content_rate,
-                   segment_capacity_rows, sum_effective_capacity)
+from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, SLOT_SUBSTEPS,
+                   RadioParams, WiredParams, capacity_from_fading, effective_capacity_rows,
+                   long_term_average, map_qos_exponents_lenient, pair_layout,
+                   per_content_rate, sum_effective_capacity)
 from ..seeding import rng_for
 from .world import build_topology, nearest_rrh, resolve_delivery_path
 
@@ -53,6 +71,10 @@ RANDOM_POLICIES = (POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED)
 
 ORACLE_SEARCH_LIMIT = 10 ** 6
 CAPACITY_UNIT = 1e-6  # slot service scored in Mbit
+# draws the fading of slots larger than one chunk (see the module docstring);
+# its thread starts at the first hand-off, not at import
+_FADING_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crancache-fading")
+FADING_LOOKAHEAD = 2  # chunks the worker may draw ahead of the accumulation
 
 
 @dataclass
@@ -110,6 +132,56 @@ class EpisodeReport:
             f"infeasible = {sum(m.infeasible for m in self.slots)}",
         ]
         return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def _fading_blocks(layout, rng):
+    """Yield an iterator over the fading blocks of `layout.chunks`, drawn from `rng`.
+
+    A layout of one chunk draws inline, when the block is asked for.
+    Otherwise the first FADING_LOOKAHEAD chunks go to _FADING_WORKER at
+    once, each as two numpy calls: the exponential draw into a preallocated
+    buffer, then the multiply by the pairs' gains in place. Each later chunk
+    is handed off once the caller has taken the block FADING_LOOKAHEAD chunks
+    before it, and reuses that block's buffer. One worker runs the jobs in
+    order, so the draws are those of `layout.draw_fading(rng)`. A job's
+    exception comes out of the iterator, and leaving the block cancels or
+    waits for every job still pending, so none outlives the slot.
+    """
+    chunks = layout.chunks
+    if len(chunks) == 1:
+        yield layout.draw_fading(rng)
+        return
+    size = chunks[0][1]  # pairs in a full chunk
+    buffers = np.empty((FADING_LOOKAHEAD, size, layout.n_mc, SLOT_SUBSTEPS))
+    jobs = deque()
+
+    def hand_off(i):
+        lo, hi = chunks[i]
+        block = buffers[i % FADING_LOOKAHEAD, :hi - lo]
+        jobs.append((block, _FADING_WORKER.submit(rng.standard_exponential, out=block),
+                     _FADING_WORKER.submit(np.multiply, block, layout.gains[lo:hi, None, :],
+                                           out=block)))
+
+    def blocks():
+        for i in range(len(chunks)):
+            block, draw, scale = jobs[0]
+            draw.result()
+            scale.result()
+            jobs.popleft()
+            yield block
+            if i + FADING_LOOKAHEAD < len(chunks):
+                hand_off(i + FADING_LOOKAHEAD)
+
+    for i in range(min(FADING_LOOKAHEAD, len(chunks))):
+        hand_off(i)
+    try:
+        yield blocks()
+    finally:
+        pending = [future for _, *futures in jobs for future in futures]
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def oracle_search_space(n_contents, cloud_slots, rrh_slots, n_rrhs):
@@ -210,19 +282,18 @@ class Simulation:
 
     # ----- per-slot pieces -------------------------------------------------
 
-    def _capacity_samples(self, slot, serving):
-        """(U, n_mc) slot-capacity draws in Mbit, all users from rng_for(seed, "channel", slot).
+    def _pair_layout(self, slot, serving):
+        """The slot's channel PairLayout, with the current (previous slot's) clusters.
 
         Idle RRHs transmit nothing: interference comes from RRHs that are
         actively serving users and sit outside the cooperating set.
         """
         active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
         column = np.searchsorted(active, serving)
-        return segment_capacity_rows(*self.topology.segments(slot),
-                                     self.topology.rrh_positions[active], column,
-                                     ~self.cluster_set.cooperation(active)[column],
-                                     self.radio, self.n_mc,
-                                     rng_for(self.seed, "channel", slot)) * CAPACITY_UNIT
+        return pair_layout(*self.topology.segments(slot),
+                           self.topology.rrh_positions[active], column,
+                           ~self.cluster_set.cooperation(active)[column],
+                           self.radio, self.n_mc)
 
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
@@ -296,13 +367,15 @@ class Simulation:
         if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
             self.mobility.observe(positions)
 
-        samples = self._capacity_samples(slot, serving)
-        truth = self.workload.distributions(slot)
-        predictions = self._predictions(slot, truth)
-
-        assoc = self._assoc_for_caching(serving)
+        layout = self._pair_layout(slot, serving)
+        with _fading_blocks(layout, rng_for(self.seed, "channel", slot)) as fading:
+            truth = self.workload.distributions(slot)
+            predictions = self._predictions(slot, truth)
+            assoc = self._assoc_for_caching(serving)
+            self._update_clusters(assoc, predictions)
+            # (U, n_mc) slot-capacity draws in Mbit
+            samples = capacity_from_fading(layout, fading, self.radio) * CAPACITY_UNIT
         self._update_rrh_caches(slot, assoc, predictions, samples)
-        self._update_clusters(assoc, predictions)
 
         requests = draw_requests(truth, rng_for(self.seed, "requests", slot))
         paths = resolve_delivery_path(requests, serving, self.caches)

@@ -1,15 +1,19 @@
 """World stepping, path resolution, slot accounting, and policy behavior."""
 import copy
+import inspect
+import sys
 
 import numpy as np
 import pytest
 
+from crancache import qos
 from crancache.cache import CacheState, ClusterSet, content_mask
 from crancache.config import ExperimentConfig
 from crancache.data import MobilitySchedule, draw_requests
 from crancache.errors import InstanceTooLargeError
 from crancache.qos import PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER
 from crancache.seeding import rng_for
+from crancache.sim import episode
 from crancache.sim import (POLICY_ORACLE, POLICY_PROPOSED,
                            POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED,
                            Simulation, check_oracle_guard, enumerate_best_subset,
@@ -418,3 +422,122 @@ def test_content_reservoir_has_a_stream_of_its_own():
     # a reservoir drawn from user 0's readout stream made this readout 0.1 * W_in
     head = bank.output_weights[0].ravel()[:w_in.size]
     assert not np.allclose(head, 0.1 * w_in.ravel())
+
+
+# ---- the fading worker ----------------------------------------------------------
+
+def spy_on_fading(monkeypatch):
+    """Record each slot's PairLayout, every callable handed to the fading
+    worker, and how many chunks were drawn ahead of the accumulation at
+    each hand-off of a draw."""
+    seen = {"layouts": [], "callables": [], "ahead": [], "drawn": 0, "taken": 0}
+    submit = episode._FADING_WORKER.submit
+    accumulate = episode.capacity_from_fading
+
+    def spy_submit(fn, *args, **kwargs):
+        seen["callables"].append(fn)
+        if getattr(fn, "__name__", "") == "standard_exponential":
+            seen["drawn"] += 1
+            seen["ahead"].append(seen["drawn"] - seen["taken"])
+        return submit(fn, *args, **kwargs)
+
+    def counted(blocks):
+        for block in blocks:
+            seen["taken"] += 1
+            yield block
+
+    def spy_accumulate(layout, blocks, radio):
+        seen["layouts"].append(layout)
+        try:
+            return accumulate(layout, counted(blocks), radio)
+        finally:
+            seen["drawn"] = seen["taken"] = 0  # a slot hands off before it accumulates
+
+    monkeypatch.setattr(episode._FADING_WORKER, "submit", spy_submit)
+    monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
+    return seen
+
+
+def straddles(layout):
+    """Whether some user's pairs fall into two chunks."""
+    return any(layout.users[lo - 1] == layout.users[lo] for lo, _ in layout.chunks[1:])
+
+
+@pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
+                                    POLICY_RANDOM_UNCLUSTERED])
+def test_fading_worker_matches_inline_draws(monkeypatch, policy):
+    inline = run_episode(tiny_config(), policy, seed=2)
+    seen = spy_on_fading(monkeypatch)
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)  # one (user, RRH) pair per chunk
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often between hand-offs and reads
+    try:
+        handed_off = run_episode(tiny_config(), policy, seed=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen["layouts"]) == 60
+    assert all(len(layout.chunks) >= 3 for layout in seen["layouts"])
+    assert any(straddles(layout) for layout in seen["layouts"])
+    assert len(seen["callables"]) == 2 * sum(len(layout.users) for layout in seen["layouts"])
+    assert handed_off.slot_csv() == inline.slot_csv()
+    assert handed_off.predictor_csv() == inline.predictor_csv()
+    assert handed_off.cloud_trace == inline.cloud_trace
+
+
+def default_size_simulation():
+    """Parameter-table slot sizes (U = 32, R = 1000, n_mc = 64) at a small reservoir."""
+    return Simulation(ExperimentConfig.default(T=60, N_w=16), POLICY_PROPOSED, seed=0)
+
+
+def test_fading_worker_matches_inline_draws_at_default_size(monkeypatch):
+    sim = default_size_simulation()
+    twin = copy.deepcopy(sim)
+    seen = spy_on_fading(monkeypatch)
+    handed_off = [sim.run_slot(slot) for slot in range(1, 4)]
+    assert all(len(layout.chunks) >= 2 for layout in seen["layouts"])
+    assert any(straddles(layout) for layout in seen["layouts"])
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1 << 40)  # every slot one chunk
+    seen["callables"].clear()
+    inline = [twin.run_slot(slot) for slot in range(1, 4)]
+    assert not seen["callables"]
+    assert handed_off == inline
+    assert np.array_equal(twin.caches.rrh, sim.caches.rrh)
+
+
+def test_fading_worker_runs_only_numpy_callables(monkeypatch):
+    """A spy on the worker's submit sees every hand-off, whether or not an
+    earlier test already started the worker's thread."""
+    seen = spy_on_fading(monkeypatch)
+    sim = default_size_simulation()
+    for slot in range(1, 4):
+        sim.run_slot(slot)
+    assert len(seen["callables"]) >= 2 * 2 * 3  # two calls per chunk, two chunks or more per slot
+    for fn in seen["callables"]:
+        # a ufunc, or a Generator method compiled to C: no Python function body
+        assert not inspect.isfunction(getattr(fn, "__func__", fn))
+        assert isinstance(fn, np.ufunc) or isinstance(fn.__self__, np.random.Generator)
+    assert max(seen["ahead"]) == 2  # the worker draws at most two chunks ahead
+
+
+class DrawFailed(Exception):
+    pass
+
+
+class FailingChannel:
+    """A channel generator whose exponential draws raise."""
+
+    def standard_exponential(self, *args, **kwargs):
+        raise DrawFailed("no fading")
+
+
+def test_fading_worker_exception_reaches_the_caller(monkeypatch):
+    seen = spy_on_fading(monkeypatch)
+    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(episode, "rng_for", lambda seed, purpose, *keys: (
+        FailingChannel() if purpose == "channel" else rng_for(seed, purpose, *keys)))
+    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
+    with pytest.raises(DrawFailed):
+        sim.run_slot(1)
+    assert seen["callables"]  # the failing draw ran on the worker
+    # nothing is left queued: the worker takes the next job at once
+    assert episode._FADING_WORKER.submit(int).result(timeout=30) == 0
