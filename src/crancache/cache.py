@@ -43,12 +43,12 @@ class SamplingPlan:
 def estimate_popularity(distributions, weights, plan, seed, strata=None):
     """Weighted mean of per-user demand vectors from a sublinear sample.
 
-    Draws plan.sample_size items uniformly without replacement (stratified
-    proportionally when `strata` labels are given) and returns the mean of
-    distribution * weight over the sample. A plan of 0 items (delta = 1)
-    still draws one, so the estimate is a sample mean. Streams shorter than
-    the plan fall back to a full scan with a logged notice. Pass plan=None to
-    force the full scan.
+    Draws plan.sample_size items uniformly without replacement, stratified
+    proportionally over the `strata` labels (one stratum when they are
+    omitted), and returns the mean of distribution * weight over the sample.
+    A plan of 0 items (delta = 1) still draws one, so the estimate is a
+    sample mean. Streams shorter than the plan fall back to a full scan with
+    a logged notice. Pass plan=None to force the full scan.
     """
     distributions = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -63,11 +63,8 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
             log.info("sample size %d exceeds stream length %d; scanning fully",
                      plan.sample_size, n_items)
         chosen = np.arange(n_items)
-    elif strata is None:
-        rng = as_rng(seed)
-        chosen = rng.choice(n_items, size=wanted, replace=False)
     else:
-        strata = np.asarray(strata)
+        strata = np.zeros(n_items) if strata is None else np.asarray(strata)
         if strata.shape != (n_items,):
             raise ConfigurationError("one stratum label per item required")
         rng = as_rng(seed)
@@ -84,14 +81,10 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
     return sample.mean(axis=0)
 
 
-def distribution_distance(p, q, sampled=False, plan=None, seed=0):
+def distribution_distance(p, q):
     """Total-variation distance between request distributions along the last axis.
 
-    Leading axes broadcast; 1-D inputs give a float. With `sampled` (1-D only),
-    estimates from plan.sample_size coordinate draws without replacement,
-    scaled back to the full support; a plan of 0 draws (delta = 1) still
-    draws one, and plans at least as large as the support degrade to the
-    exact sum.
+    Leading axes broadcast; 1-D inputs give a float.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -99,16 +92,6 @@ def distribution_distance(p, q, sampled=False, plan=None, seed=0):
         raise ConfigurationError("distributions must share their length")
     diffs = p - q
     np.abs(diffs, out=diffs)  # in place: a second temporary this size costs page faults
-    if sampled:
-        if diffs.ndim != 1:
-            raise ConfigurationError("sampled distance takes two 1-D distributions")
-        if plan is None:
-            raise ConfigurationError("sampled distance needs a SamplingPlan")
-        n = diffs.shape[0]
-        m = min(max(plan.sample_size, 1), n)
-        if m < n:
-            coords = as_rng(seed).choice(n, size=m, replace=False)
-            return 0.5 * float(diffs[coords].sum()) * n / m
     tv = 0.5 * diffs.sum(axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
@@ -137,12 +120,12 @@ class ClusterSet:
 
     def cooperating_set(self, rrh):
         """All RRHs sharing at least one cluster with `rrh` (incl. itself)."""
-        together = self.member[self.member[:, rrh]].any(axis=0)
-        return frozenset(np.flatnonzero(together).tolist()) | {int(rrh)}
+        return frozenset(np.flatnonzero(
+            self.cooperation(np.arange(self.member.shape[1]))[rrh]).tolist())
 
     def cooperation(self, rrhs):
-        """(A, A) mask over the RRH ids `rrhs`: entry (i, j) is set when
-        rrhs[j] is in cooperating_set(rrhs[i])."""
+        """(A, A) mask over the RRH ids `rrhs`: entry (i, j) is set when i == j
+        or rrhs[i] and rrhs[j] share a cluster."""
         m = self.member[:, rrhs]  # m[g, i]: rrhs[i] is in cluster g
         return np.eye(m.shape[1], dtype=bool) | (m.T @ m)
 

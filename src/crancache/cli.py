@@ -34,7 +34,7 @@ from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
 from .esn import (LocationGrid, MobilityEsn, WeightDistribution, empirical_memory_capacity,
                   memory_capacity, memory_capacity_bounds, min_trace_len, readout_windows)
 from .seeding import rng_for
-from .sim import (POLICY_ORACLE, check_oracle_guard, run_episode)
+from .sim import run_episode
 
 log = logging.getLogger("crancache")
 
@@ -64,18 +64,16 @@ def cmd_simulate(args):
     out = _out_dir(args)
     seed = cfg["seed"]
     policies = cfg.policies()
-    explicit_oracle = POLICY_ORACLE in [p.strip() for p in cfg["policy"].split(",")]
+    explicit_oracle = cfg["policy"].strip() != "all"  # an oracle that runs was named
     summary_lines = []
     for policy in policies:
-        if policy == POLICY_ORACLE:
-            try:
-                check_oracle_guard(cfg["N"], cfg["C_c"], cfg["C_r"], cfg["R"])
-            except InstanceTooLargeError as exc:
-                if explicit_oracle:
-                    raise
-                log.info("skipping oracle: %s", exc)
-                continue
-        report = run_episode(cfg, policy, seed)
+        try:
+            report = run_episode(cfg, policy, seed)
+        except InstanceTooLargeError as exc:  # only the oracle is size-gated
+            if explicit_oracle:
+                raise
+            log.info("skipping oracle: %s", exc)
+            continue
         (out / f"slots_{policy}.csv").write_text(report.slot_csv())
         (out / f"summary_{policy}.txt").write_text(report.summary_text())
         predictors = report.predictor_csv()
@@ -91,12 +89,10 @@ def _sweep_episode_rows(cfg, axis, value, reps):
     for rep in range(reps):
         seed = cfg["seed"] + rep
         for policy in cfg.policies():
-            if policy == POLICY_ORACLE:
-                try:
-                    check_oracle_guard(cfg["N"], cfg["C_c"], cfg["C_r"], cfg["R"])
-                except InstanceTooLargeError:
-                    continue
-            report = run_episode(cfg, policy, seed)
+            try:
+                report = run_episode(cfg, policy, seed)
+            except InstanceTooLargeError:  # an oracle too large to search
+                continue
             rows.append((axis, value, policy, seed, "E_bar",
                          report.effective_capacity_avg))
             n = max(len(report.slots), 1)
@@ -211,10 +207,7 @@ def _parse_w_range(text):
 
 
 def cmd_memcap(args):
-    if args.dist == "uniform":
-        spec = WeightDistribution("uniform", lo=args.lo, hi=args.hi)
-    else:
-        spec = WeightDistribution(args.dist, a=args.a)
+    spec = WeightDistribution(args.dist, a=args.a, lo=args.lo, hi=args.hi)
     w_values = _parse_w_range(args.W_range)
     needed = min_trace_len(max(w_values))
     if args.trace_len < needed:

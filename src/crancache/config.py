@@ -5,13 +5,21 @@ parameter table they come from (r, R, B, L, theta_s_O, N_w, C_c, C_r, K,
 delta, epsilon, H, T_tau, P, beta, lambda_alpha, T, sigma2, D_max, N_s,
 lambda, chi, S). Workload size (U, N), wired rates (v_B, v_F) and the
 mobility-reservoir knobs are ours; their defaults are desk-scale.
+
+Validation reads each rule from its one home: the policy names from POLICIES
+below (the simulator takes its policy constants from it), the context width
+K from esn.content.CONTEXT_FEATURES, and the cycle-weight family from
+WeightDistribution, which rejects an unknown `w_dist` and reads only its own
+family's fields (w_a for pointmass and symbinary, w_lo and w_hi for uniform).
 """
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .esn.content import CONTEXT_FEATURES
 from .esn.mobility import WeightDistribution
 
-_POLICIES = ("proposed", "random_clustered", "random_unclustered", "optimal_oracle")
+# every episode policy; the `policy` key takes a comma list of them or "all"
+POLICIES = ("proposed", "random_clustered", "random_unclustered", "optimal_oracle")
 
 # key -> (type, default); ExperimentConfig.validate checks the ranges
 _SCHEMA = {
@@ -128,8 +136,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key} must be positive (got {v[key]})")
         if v["S"] < 0:
             raise ConfigurationError("S (speed) cannot be negative")
-        if v["K"] != 7:
-            raise ConfigurationError("the context schema is fixed at K = 7 features")
+        if v["K"] != CONTEXT_FEATURES:
+            raise ConfigurationError(
+                f"the context schema is fixed at K = {CONTEXT_FEATURES} features")
         if not 0.0 < v["epsilon"] < 1.0:
             raise ConfigurationError("epsilon must lie in (0, 1)")
         if not 0.0 < v["delta"] <= 1.0:
@@ -152,25 +161,20 @@ class ExperimentConfig:
             raise ConfigurationError("seed must be non-negative")
         self.weight_spec()  # raises on a bad family
         for name in self.policies():
-            if name not in _POLICIES:
+            if name not in POLICIES:
                 raise ConfigurationError(
-                    f"unknown policy {name!r}; pick from {_POLICIES} or 'all'"
+                    f"unknown policy {name!r}; pick from {POLICIES} or 'all'"
                 )
 
     def policies(self):
         raw = self.values["policy"]
         if raw.strip() == "all":
-            return list(_POLICIES)
+            return list(POLICIES)
         return [p.strip() for p in raw.split(",") if p.strip()]
 
     def weight_spec(self):
-        kind = self.values["w_dist"]
-        if kind == "uniform":
-            return WeightDistribution("uniform", lo=self.values["w_lo"],
-                                      hi=self.values["w_hi"])
-        if kind in ("pointmass", "symbinary"):
-            return WeightDistribution(kind, a=self.values["w_a"])
-        raise ConfigurationError(f"unknown w_dist {kind!r}")
+        v = self.values
+        return WeightDistribution(v["w_dist"], a=v["w_a"], lo=v["w_lo"], hi=v["w_hi"])
 
     def serialize(self):
         """Canonical text form: sorted keys, one `key = value` per line."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, TraceParseError, TraceValidationError
+from .esn.content import CONTEXT_FEATURES
 from .seeding import rng_for
 
 CONTENT_HEADER = ["user_id", "slot", "t_hour", "weekday", "gender",
@@ -45,7 +46,6 @@ def slot_weekday(slot):
 @dataclass
 class UserArchetype:
     """A demographic template plus its content-ranking permutation."""
-    index: int
     age_band: float          # normalized 0..1
     occupation_code: float   # normalized 0..1
     device_mix: float        # probability of device type 1
@@ -76,7 +76,6 @@ class Workload:
     """
     n_users: int
     n_contents: int
-    zipf_alpha: float
     archetypes: list
     user_archetype: np.ndarray
     user_gender: np.ndarray
@@ -91,7 +90,7 @@ class Workload:
         table.flags.writeable = False
         self.table = table
         arch = [self.archetypes[a] for a in self.user_archetype]
-        static = np.zeros((self.n_users, 7))
+        static = np.zeros((self.n_users, CONTEXT_FEATURES))
         static[:, 2] = self.user_gender
         static[:, 3] = [a.occupation_code for a in arch]
         static[:, 4] = [a.age_band for a in arch]
@@ -104,7 +103,7 @@ class Workload:
         return self.table[self.user_archetype[user], rotation]
 
     def contexts(self, slot):
-        """(n_users, 7) context vectors, all entries normalized to [0, 1].
+        """(n_users, CONTEXT_FEATURES) context vectors, each entry normalized to [0, 1].
 
         Columns: request hour, weekday, gender, occupation, age, device, reserved.
         """
@@ -114,7 +113,7 @@ class Workload:
         return out
 
     def context(self, user, slot):
-        """K=7 feature vector of one user (a row of `contexts`)."""
+        """Context feature vector of one user (a row of `contexts`)."""
         return self.contexts(slot)[user]
 
     def distributions(self, slot):
@@ -148,7 +147,6 @@ def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
             rng.shuffle(block)
             perm[start:start + _BLOCK] = block
         archetypes.append(UserArchetype(
-            index=a,
             age_band=(a + 0.5) / n_archetypes,
             occupation_code=(a % max(n_archetypes, 2)) / max(n_archetypes - 1, 1),
             device_mix=float(rng.uniform(0.2, 0.8)),
@@ -158,9 +156,9 @@ def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
     user_gender = rng.integers(0, 2, size=n_users)
     device_mix = np.array([arch.device_mix for arch in archetypes])
     user_device = (rng.random(n_users) < device_mix[user_archetype]).astype(int)
-    return Workload(n_users=n_users, n_contents=n_contents, zipf_alpha=zipf_alpha,
-                    archetypes=archetypes, user_archetype=user_archetype,
-                    user_gender=user_gender, user_device=user_device, base_probs=base)
+    return Workload(n_users=n_users, n_contents=n_contents, archetypes=archetypes,
+                    user_archetype=user_archetype, user_gender=user_gender,
+                    user_device=user_device, base_probs=base)
 
 
 def scatter_in_disk(n_points, radius, rng):

@@ -144,7 +144,6 @@ class MobilityEsn:
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
-        self.cycle_weight_spec = weight_spec
         self.reservoir_weights = build_cycle_reservoir(n_units, weight_spec, rng)
         self.input_weights = rng.uniform(-1.0, 1.0, n_units)
         self.output_weights = np.zeros((horizon, n_units))

@@ -37,7 +37,8 @@ MIN_DISTANCE_M = 1e-3
 # sample, sub-step) entries, which bounds the temporaries of one chunk. The
 # simulator's fading worker (sim.episode) also takes it as its gate and its
 # lookahead bound: a slot whose pairs fit one chunk draws inline, and a larger
-# one draws on the worker at most two chunks ahead of the accumulation.
+# one draws on the worker at most sim.episode.FADING_LOOKAHEAD chunks ahead of
+# the accumulation.
 FADING_CHUNK_ENTRIES = 1 << 18
 
 # delivery paths as integer codes, in order of source priority
@@ -172,13 +173,14 @@ def delay_violation_prob(theta, delay_bound, hop_count, wired_rate, content_size
     return math.exp(-theta * slack)
 
 
-def effective_capacity_rows(thetas, capacity_samples, tau=1.0):
+def effective_capacity_rows(thetas, capacity_samples):
     """Log-MGF effective rate of each row of pre-drawn cumulative-capacity samples.
 
     Row u scores samples[u] at exponent thetas[u] (a scalar applies to every
-    row): E = -(1/(theta tau)) log2 mean(2^(-theta C)). theta <= 0 falls back
-    to the theta->0 limit mean(C)/tau; theta = +inf scores zero (infeasible
-    path). Each row is computed exactly as a lone row would be.
+    row): E = -(1/theta) log2 mean(2^(-theta C)), per slot, since the slot
+    is the time unit. theta <= 0 falls back to the theta->0 limit mean(C);
+    theta = +inf scores zero (infeasible path). Each row is computed exactly
+    as a lone row would be.
     """
     samples = np.asarray(capacity_samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] < 1:
@@ -187,7 +189,7 @@ def effective_capacity_rows(thetas, capacity_samples, tau=1.0):
     out = np.zeros(samples.shape[0])
     limit = thetas <= 0.0
     if limit.any():
-        out[limit] = samples[limit].mean(axis=1) / tau
+        out[limit] = samples[limit].mean(axis=1)
     live = ~limit & ~np.isinf(thetas)
     if live.any():
         theta = thetas[live]
@@ -196,16 +198,16 @@ def effective_capacity_rows(thetas, capacity_samples, tau=1.0):
         means = np.exp(exponents - peak[:, None]).mean(axis=1)
         # math.log, not np.log: the vectorized log may round differently
         log2_mean = (peak + np.array([math.log(m) for m in means])) / math.log(2.0)
-        out[live] = -log2_mean / (theta * tau)
+        out[live] = -log2_mean / theta
     return out
 
 
-def effective_capacity_from_samples(theta, capacity_samples, tau=1.0):
+def effective_capacity_from_samples(theta, capacity_samples):
     """effective_capacity_rows for one set of samples; returns a float."""
     samples = np.atleast_1d(np.asarray(capacity_samples, dtype=np.float64))
     if samples.size < 1:
         raise ConfigurationError("need at least one capacity sample")
-    return float(effective_capacity_rows(theta, samples.reshape(1, -1), tau)[0])
+    return float(effective_capacity_rows(theta, samples.reshape(1, -1))[0])
 
 
 def sum_effective_capacity(values):

@@ -26,14 +26,15 @@ requests; fading is drawn only for the RRHs a user hears.
 
 A slot whose fading fits one qos.FADING_CHUNK_ENTRIES chunk (every desk-scale
 slot) draws it inline. A larger slot hands its chunks to one worker thread,
-at most two ahead of the accumulation, while the main thread predicts: the
-draw and the content bank's matrix products both release the GIL. The
-worker is handed only numpy callables implemented in C (the exponential
-draw into a buffer, then the multiply by the gains), never package code: a
-worker running Python code contends with the main thread for the GIL, which
-made slots slower, and the benchmark's span tracer assumes that package code
-runs on one thread. The worker draws in pair order from the slot's channel
-generator, so the outputs do not depend on which thread draws.
+at most FADING_LOOKAHEAD ahead of the accumulation, while the main thread
+predicts: the draw and the content bank's matrix products both release the
+GIL. The worker is handed only numpy callables implemented in C (the
+exponential draw into a buffer, then the multiply by the gains), never
+package code: a worker running Python code contends with the main thread
+for the GIL, which made slots slower, and the benchmark's span tracer
+assumes that package code runs on one thread. The worker draws in pair order
+from the slot's channel generator, so the outputs do not depend on which
+thread draws.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -52,7 +53,7 @@ from ..cache import (CacheState, ClusterSet, SamplingPlan, cluster_rrhs, content
                      distribution_distance, estimate_popularity, random_caches,
                      rrh_popularities, select_cloud_cache, select_rrh_caches,
                      update_distribution)
-from ..config import ExperimentConfig
+from ..config import POLICIES, ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
@@ -63,10 +64,7 @@ from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, SLOT_SUBSTE
 from ..seeding import rng_for
 from .world import build_topology, nearest_rrh, resolve_delivery_path
 
-POLICY_PROPOSED = "proposed"
-POLICY_RANDOM_CLUSTERED = "random_clustered"
-POLICY_RANDOM_UNCLUSTERED = "random_unclustered"
-POLICY_ORACLE = "optimal_oracle"
+POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED, POLICY_ORACLE = POLICIES
 RANDOM_POLICIES = (POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED)
 
 ORACLE_SEARCH_LIMIT = 10 ** 6
@@ -218,8 +216,7 @@ class Simulation:
 
     def __init__(self, config: ExperimentConfig, policy, seed,
                  oracle_predictions=False):
-        if policy not in (POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
-                          POLICY_RANDOM_UNCLUSTERED, POLICY_ORACLE):
+        if policy not in POLICIES:
             raise ConfigurationError(f"unknown policy {policy!r}")
         self.cfg = config
         self.policy = policy

@@ -95,6 +95,20 @@ def test_estimate_zero_sample_plan_draws_one_item(strata):
     assert any(np.array_equal(est, row) for row in dists * weights[:, None])
 
 
+@pytest.mark.parametrize("n, epsilon, delta, m", [(4000, 0.05, 0.05, 600), (100, 0.3, 0.5, 4)])
+def test_estimate_unstratified_draw_is_one_plain_choice(n, epsilon, delta, m):
+    """Without strata the sample is the rows of one choice(n, m) on the seed's generator."""
+    rng = np.random.default_rng(9)
+    dists = rng.dirichlet(np.ones(5), size=n)
+    weights = rng.uniform(0.5, 2.0, n)
+    plan = SamplingPlan(epsilon=epsilon, delta=delta)
+    assert plan.sample_size == m
+    for seed in range(3):
+        rows = np.random.default_rng(seed).choice(n, m, replace=False)
+        expected = (dists[rows] * weights[rows][:, None]).mean(axis=0)
+        assert np.array_equal(estimate_popularity(dists, weights, plan, seed), expected)
+
+
 def test_tv_distance_examples():
     assert distribution_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert distribution_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
@@ -125,25 +139,6 @@ def test_tv_distance_rows_equal_one_dimensional_calls():
         for j in range(6):
             assert rows[i, j] == distribution_distance(p[i, 0], q[j])
     assert isinstance(distribution_distance(p[0, 0], q[0]), float)
-    plan = SamplingPlan(epsilon=0.3, delta=0.5)
-    with pytest.raises(ConfigurationError):
-        distribution_distance(p[:, 0], q[:4], sampled=True, plan=plan)
-
-
-def test_tv_distance_sampled_variant():
-    rng = np.random.default_rng(7)
-    p, q = rng.dirichlet(np.ones(50), size=2)
-    exact = distribution_distance(p, q)
-    big_plan = SamplingPlan(epsilon=0.01, delta=0.01)  # plan >= support: exact
-    assert distribution_distance(p, q, sampled=True, plan=big_plan, seed=1) == pytest.approx(exact)
-    small_plan = SamplingPlan(epsilon=0.3, delta=0.5)  # 4 coordinate draws
-    ests = [distribution_distance(p, q, sampled=True, plan=small_plan, seed=s)
-            for s in range(3000)]
-    assert np.mean(ests) == pytest.approx(exact, abs=0.02)  # unbiased scaling
-    zero_plan = SamplingPlan(epsilon=0.2, delta=1.0)  # 0 draws: one coordinate is still drawn
-    ests = [distribution_distance(p, q, sampled=True, plan=zero_plan, seed=s) for s in range(3)]
-    coords = [np.random.default_rng(s).choice(50, size=1, replace=False) for s in range(3)]
-    assert ests == [0.5 * float(np.abs(p - q)[c].sum()) * 50 for c in coords]
 
 
 def test_cluster_worked_example():

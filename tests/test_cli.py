@@ -90,6 +90,17 @@ def test_sweep_episode_axis(tmp_path):
     assert any(r[4] == "E_bar" for r in body)
 
 
+@pytest.mark.parametrize("size, oracle_runs", [([], True), (["N=40", "R=6"], False)])
+def test_sweep_policy_all_skips_only_an_oracle_too_large(tmp_path, size, oracle_runs):
+    code = main(_tiny_args(tmp_path, ["policy=all"] + size)
+                + ["sweep", "--axis", "C_c", "--values", "2"])
+    assert code == EXIT_OK
+    rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    others = {"proposed", "random_clustered", "random_unclustered"}
+    assert {r[2] for r in rows} == others | ({"optimal_oracle"} if oracle_runs else set())
+    assert all(sum(r[2] == policy for r in rows) == 2 for policy in others)  # E_bar, hit_O
+
+
 def test_sweep_epsilon_axis_failure_direction(tmp_path):
     code = main(["--out-dir", str(tmp_path), "--seed", "2",
                  "sweep", "--axis", "epsilon", "--values", "0.03", "0.3",

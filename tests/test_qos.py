@@ -169,10 +169,8 @@ def test_prop1_consistency_over_random_feasible_draws():
 
 def test_effective_capacity_deterministic_sampler():
     for theta in (0.01, 0.5, 3.0):
-        e = effective_capacity_from_samples(theta, np.full(64, 7.5), 1.0)
+        e = effective_capacity_from_samples(theta, np.full(64, 7.5))
         assert e == pytest.approx(7.5, rel=1e-12)
-    e = effective_capacity_from_samples(2.0, np.full(16, 6.0), 2.0)
-    assert e == pytest.approx(3.0)
 
 
 def test_effective_capacity_theta_zero_limit():

@@ -26,16 +26,16 @@ RADIO = RadioParams()
 
 # ---- per-user references: the per-user code the batched forms replaced ---------
 
-def reference_effective_capacity(theta, samples, tau=1.0):
+def reference_effective_capacity(theta, samples):
     samples = np.asarray(samples, dtype=np.float64)
     if theta <= 0.0:
-        return float(samples.mean() / tau)
+        return float(samples.mean())
     if math.isinf(theta):
         return 0.0
     exponents = -theta * samples * math.log(2.0)
     peak = exponents.max()
     log2_mean = (peak + math.log(np.exp(exponents - peak).mean())) / math.log(2.0)
-    return float(-log2_mean / (theta * tau))
+    return float(-log2_mean / theta)
 
 
 def reference_project_to_simplex(raw):
@@ -88,13 +88,6 @@ def test_effective_capacity_rows_match_per_row_reference():
         expected = np.array([reference_effective_capacity(theta, s) for s in samples])
         assert np.array_equal(effective_capacity_rows(theta, samples), expected)
         assert [effective_capacity_from_samples(theta, s) for s in samples] == list(expected)
-
-
-def test_effective_capacity_rows_honours_tau():
-    samples = np.random.default_rng(2).uniform(1.0, 5.0, (3, 20))
-    for theta in (0.2, 0.0):
-        expected = np.array([reference_effective_capacity(theta, s, tau=2.5) for s in samples])
-        assert np.array_equal(effective_capacity_rows(theta, samples, tau=2.5), expected)
 
 
 # ---- channel sampling -----------------------------------------------------------
