@@ -34,7 +34,7 @@ from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
 from .esn import (LocationGrid, MobilityEsn, WeightDistribution, empirical_memory_capacity,
                   memory_capacity, memory_capacity_bounds, min_trace_len, readout_windows)
 from .seeding import rng_for
-from .sim import run_episode
+from .sim import POLICY_ORACLE, check_oracle_guard, run_episode
 
 log = logging.getLogger("crancache")
 
@@ -61,19 +61,20 @@ def _out_dir(args):
 
 def cmd_simulate(args):
     cfg = _load_config(args)
-    out = _out_dir(args)
     seed = cfg["seed"]
     policies = cfg.policies()
-    explicit_oracle = cfg["policy"].strip() != "all"  # an oracle that runs was named
+    if POLICY_ORACLE in policies:  # only the oracle is size-gated
+        try:
+            check_oracle_guard(cfg["N"], cfg["C_c"], cfg["C_r"], cfg["R"])
+        except InstanceTooLargeError as exc:
+            if cfg["policy"].strip() != "all":
+                raise  # a named oracle that cannot run: refused before any policy runs
+            log.info("skipping oracle: %s", exc)
+            policies.remove(POLICY_ORACLE)
+    out = _out_dir(args)
     summary_lines = []
     for policy in policies:
-        try:
-            report = run_episode(cfg, policy, seed)
-        except InstanceTooLargeError as exc:  # only the oracle is size-gated
-            if explicit_oracle:
-                raise
-            log.info("skipping oracle: %s", exc)
-            continue
+        report = run_episode(cfg, policy, seed)
         (out / f"slots_{policy}.csv").write_text(report.slot_csv())
         (out / f"summary_{policy}.txt").write_text(report.summary_text())
         predictors = report.predictor_csv()

@@ -70,6 +70,15 @@ def test_simulate_oracle_guard_exit_code(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
+def test_simulate_refuses_a_named_oracle_too_large_before_any_policy_runs(tmp_path, capsys):
+    code = main(_tiny_args(tmp_path, ["N=40", "R=6",
+                                      "policy=proposed,random_clustered,optimal_oracle"])
+                + ["simulate"])
+    assert code == EXIT_INFEASIBLE
+    assert list(tmp_path.iterdir()) == []
+    assert "E_bar" not in capsys.readouterr().out
+
+
 def test_config_error_exit_code(tmp_path):
     code = main(["--out-dir", str(tmp_path), "--override", "epsilon=7",
                  "simulate"])
