@@ -13,6 +13,7 @@ Trace schemas (headers are normative):
   mobility: user_id,t,x_m,y_m
 """
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,6 +169,16 @@ def scatter_in_disk(n_points, radius, rng):
     return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
 
+def _length(delta):
+    """Euclidean length of a vector, with the bits of `np.linalg.norm(delta)`.
+
+    The same BLAS dot and correctly rounded square root, without the wrapper:
+    a plain dx*dx + dy*dy can round differently where BLAS fuses the
+    multiply-add.
+    """
+    return math.sqrt(float(delta.dot(delta)))
+
+
 @dataclass
 class MobilitySchedule:
     """An exactly periodic waypoint tour: move at constant speed, then dwell.
@@ -186,7 +197,7 @@ class MobilitySchedule:
             return 1
         for i in range(n):
             nxt = (i + 1) % n
-            dist = float(np.linalg.norm(self.waypoints[nxt] - self.waypoints[i]))
+            dist = _length(self.waypoints[nxt] - self.waypoints[i])
             travel = int(np.ceil(dist / self.speed)) if dist > 0 else 1
             total += travel + int(self.dwell_slots[nxt])
         return max(total, 1)
@@ -209,7 +220,7 @@ class MobilitySchedule:
             return pos, target_idx, dwell_left
         target = self.waypoints[target_idx]
         delta = target - pos
-        dist = float(np.linalg.norm(delta))
+        dist = _length(delta)
         if dist <= self.speed or dist == 0.0:
             new_idx = (target_idx + 1) % len(self.waypoints)
             return target.astype(np.float64).copy(), new_idx, int(self.dwell_slots[target_idx])

@@ -150,3 +150,41 @@ def test_trace_out_of_disk_coordinate(tmp_path):
     path.write_text("user_id,t,x_m,y_m\n0,1,5000.0,0.0\n")
     with pytest.raises(TraceValidationError):
         load_traces(path, "mobility", disk_radius=1000.0)
+
+
+def _norm_positions(schedule, n_slots):
+    """Positions at slots 1..n_slots, stepped with np.linalg.norm leg distances."""
+    pts, dwell, speed = schedule.waypoints, schedule.dwell_slots, schedule.speed
+    pos, target_idx, dwell_left = pts[0].astype(np.float64).copy(), 1 % len(pts), int(dwell[0])
+    out = np.empty((n_slots, 2))
+    for k in range(n_slots):
+        if dwell_left > 0:
+            dwell_left -= 1
+        elif speed > 0:
+            delta = pts[target_idx] - pos
+            dist = float(np.linalg.norm(delta))
+            if dist <= speed or dist == 0.0:
+                pos = pts[target_idx].astype(np.float64).copy()
+                dwell_left = int(dwell[target_idx])
+                target_idx = (target_idx + 1) % len(pts)
+            else:
+                pos = pos + delta * (speed / dist)
+        out[k] = pos
+    return out
+
+
+def _norm_period(schedule):
+    n, total = len(schedule.waypoints), 0
+    for i in range(n):
+        dist = float(np.linalg.norm(schedule.waypoints[(i + 1) % n] - schedule.waypoints[i]))
+        total += (int(np.ceil(dist / schedule.speed)) if dist > 0 else 1)
+        total += int(schedule.dwell_slots[(i + 1) % n])
+    return max(total, 1)
+
+
+@pytest.mark.parametrize("speed", [1.4, 7.0, 33.3])
+def test_tracks_match_a_norm_reference_bit_for_bit(speed):
+    for seed in range(8):
+        for schedule in generate_mobility(4, 500.0, 5, speed, seed):
+            assert np.array_equal(schedule.positions(400), _norm_positions(schedule, 400))
+            assert schedule.period() == _norm_period(schedule)
