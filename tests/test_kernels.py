@@ -96,7 +96,7 @@ def test_blocked_drive_keeps_the_first_block_and_rounds_the_rest(case):
         got = states[(slice(None),) + idx]
         expected = plain_cycle_drive(cycle_w[idx], w_in[idx], inputs[(slice(None),) + idx],
                                      state0[idx])
-        # one block is the plain loop: every bit, for a drive of any length
+        # the first block keeps every bit, so a drive of at most one block is the plain loop's
         assert np.array_equal(got[:B], expected[:B])
         # later blocks are reassociated by the carry: equal to rounding
         np.testing.assert_allclose(got[B:], expected[B:], rtol=0,
