@@ -4,13 +4,14 @@ E_bar is pinned to 1e-9 and the per-slot CSV by its SHA-256, so a change to
 the slot pipeline that moves any realization (a reordered RNG draw, a
 regrouped floating-point sum) fails here. The predictor CSV (with its cluster
 counts) and the cloud-cache sequence are pinned by their SHA-256 too, for the
-policies that cluster. The CLI's memcap.csv is pinned the
-same way. The cycle-reservoir drive keeps every bit of its first block only
-(see `crancache._kernels`): beyond it, its carries round differently from
-the plain recurrence, and an ill-conditioned fit at large W can show that in
-a printed digit, as the uniform case's W = 10 row does. Any other change to
-the drive or the readout fits must keep every bit. A change that alters the
-realization on purpose must say so and re-record these values.
+policies that cluster. The CLI's memcap.csv is pinned the same way; it
+prints ten significant digits of each capacity. The readout fits of all
+delays come from one QR of the reservoir states (see `crancache.esn.memory`)
+and agree with a long-double Householder-QR fit of the same states to a few
+1e-9, so a change that rounds the states or the fits differently can still
+move the last printed digit of a large-W row. A change to the drive or the
+fits must say which rows it moves and re-record these values; a change that
+alters the realization on purpose must say so too.
 """
 import contextlib
 import hashlib
@@ -144,7 +145,7 @@ GOLDEN_MEMCAP = {
         "5545c88e76c0c8fe7e985ae66485716b239db8ee689d206d200ae918f715e1e5"),
     "uniform": (
         ["--dist", "uniform"],
-        "e74e9367c8ea9b701334b89ab69249ed59ff20acd2005bbf23aae3bb30eca4f4"),
+        "04c201fc9e867d2638504ab3d5bb86a173fcd175d17158f22fff246860a36722"),
     "short-trace": (
         ["--a", "0.5", "--W-range", "4,1,9,2", "--trace-len", "3000"],
         "11bfa0db3a71c3f19a4a2656d82db2af3d36fb31072e2a7eeb76943feb46760e"),
