@@ -35,8 +35,8 @@ beta = Qt V'y_k and g = s^2 + RIDGE
 No term divides by s, so a reservoir whose states span fewer than W
 dimensions (s_i = 0) stays finite. V'V is never formed: it would square the
 condition number of V, about 9e7 for a uniform(-0.5, 0.5) reservoir of
-W = 10 units, to about 9e15, which leaves a solve of the normal equations
-with almost no correct digits at a ridge of 1e-10 (Bjorck 1996, Numerical
+W = 10 units, to about 9e15, and a solve of the normal equations at a
+ridge of 1e-10 keeps few correct digits (Bjorck 1996, Numerical
 Methods for Least Squares Problems, sec. 2.2). The right-hand sides V'y_k of
 all delays come from one blocked product with a window view of the stream.
 """
@@ -129,15 +129,14 @@ def min_trace_len(n_units):
 
 
 def _quiet_sum(terms, n_quiet):
-    """Sum of `terms` in order, up to and including the n_quiet-th consecutive
-    term below TERM_TOL; the whole vector when no such run occurs."""
-    terms = np.asarray(terms, dtype=float)
+    """Sum of the non-empty vector `terms` in order, up to and including the
+    n_quiet-th consecutive term below TERM_TOL; all of it when no such run occurs."""
     idx = np.arange(terms.size)
     last_loud = np.maximum.accumulate(np.where(terms < TERM_TOL, -1, idx))
     stops = np.flatnonzero(idx - last_loud >= n_quiet)
     stop = stops[0] + 1 if stops.size else terms.size
     # cumsum adds left to right, as a running total would
-    return float(np.cumsum(terms[:stop])[-1]) if stop else 0.0
+    return float(np.cumsum(terms[:stop])[-1])
 
 
 def _ridge_correlations(V, stream, washout, n_delays):
@@ -165,10 +164,10 @@ def _ridge_correlations(V, stream, washout, n_delays):
         block = np.ascontiguousarray(windows[first + i:first + min(i + rows, n)])
         B += block.T @ V[i:i + rows]
     beta = B @ Qt.T
-    ones = Qt @ V.sum(axis=0)
+    qt_sums = Qt @ V.sum(axis=0)  # Qt V'1
     sum_py = (beta * beta) @ (1.0 / g)
     sum_pp = (beta * beta) @ (s * s / (g * g))
-    sum_p = beta @ (ones / g)
+    sum_p = beta @ (qt_sums / g)
     # per-delay sums of y_k and y_k^2 from prefix sums of the stream
     csum = np.concatenate(([0.0], np.cumsum(stream)))
     csq = np.concatenate(([0.0], np.cumsum(stream * stream)))

@@ -239,7 +239,7 @@ def _sequential_quiet_sum(terms, n_quiet):
 quiet_terms = st.lists(st.one_of(
     st.floats(0.0, memory.TERM_TOL, exclude_max=True),
     st.floats(memory.TERM_TOL, 1.0),
-    st.sampled_from([0.0, memory.TERM_TOL])), max_size=80)
+    st.sampled_from([0.0, memory.TERM_TOL])), min_size=1, max_size=80)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,7 +247,6 @@ quiet_terms = st.lists(st.one_of(
 @example([0.5, 0.3, 1e-5, 2e-5, 3e-5, 0.9], 3)          # stops after three quiet terms
 @example([0.5, 1e-5, 1e-5, 0.2, 1e-5, 1e-5, 1e-5, 0.7], 3)  # a loud term resets the run
 @example([0.5, 1e-5, 1e-5, 0.2, 1e-5, 1e-5], 3)         # no stop before the cap
-@example([], 1)
 def test_quiet_sum_matches_the_sequential_rule(terms, n_quiet):
     assert memory._quiet_sum(np.array(terms), n_quiet) == _sequential_quiet_sum(terms, n_quiet)
 
