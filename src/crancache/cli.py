@@ -8,8 +8,8 @@ and seed, and mobility.csv, the users' positions per slot. All outputs
 are deterministic given (config, seed) and the BLAS thread count. With large
 reservoirs, such as the parameter-table default N_w = 1000, multi-threaded
 BLAS rounds the content reservoir's eigenvalue solve and its per-slot matrix
-product differently from one thread, so reservoir states and readouts differ
-in their last bits. At the defaults (seed 0, T = 60, 2-CPU host) E_bar and
+products differently from one thread, so reservoir states and the content
+readout that all users share differ in their last bits. At the defaults (seed 0, T = 60, 2-CPU host) E_bar and
 every CSV still came out byte-identical under one and two threads, but
 nothing guarantees that. Run with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1
 or MKL_NUM_THREADS=1 for other BLAS builds) to replay a run bit for bit on

@@ -3,23 +3,27 @@
 Every user has an echo-state network of its own, and all of them share one
 reservoir: input weights and a sparse recurrent matrix rescaled to a spectral
 radius below one. The reservoir is random and never trained; only the
-readouts learn (Jaeger 2001, GMD Report 148; Lukosevicius 2012, A Practical
+readout learns (Jaeger 2001, GMD Report 148; Lukosevicius 2012, A Practical
 Guide to Applying Echo State Networks). Drawing a reservoir per user would
 leave each user's predictor with the same distribution and change only the
 correlation across users, at U times the memory and eigenvalue solves. Each
-user keeps its own state and output matrix. The output matrix is trained
-online, by a linear gradient step on the raw readout residual. Raw readouts
-are not probability vectors, so predictions are projected onto the simplex
-(clamp negatives, renormalize, uniform fallback) before use.
+user keeps its own state and its own context. Raw readouts are not
+probability vectors, so predictions are projected onto the simplex (clamp
+negatives, renormalize, uniform fallback) before use.
 
-A gradient step is the rank-1 product lambda_alpha r z^T. Forming it every
-slot would rewrite the whole (U, N, N_w+K) readout array, so the bank keeps
-the latest steps as their factors and reads them in the readout's dual form:
-W_out z = W_f z + R_p (Z_p z), with W_f the folded readout, Z_p the pending
-z rows and R_p the pending lambda_alpha r columns. Every PENDING_STEPS steps,
-and whenever the readout is read, the pending steps are folded into W_f with
-one matrix product (Lukosevicius 2012, on readout cost). The recursion is the
-same; only the rounding order inside a readout differs.
+All users share one readout W_out (N, N_w+K), fitted online on every user's
+(z, observed) pairs, z = [state; context]. This departs from the paper, which
+trains a readout per user. Each slot takes one normalized gradient step on
+the raw residuals R (U, N) of the users' readouts Z (U, N_w+K):
+
+    W_out <- W_out + lambda_alpha R^T Z / sum_u |z_u|^2,
+
+which is stable for 0 < lambda_alpha < 2, whatever the reservoir size. The
+readout starts at zero, so the first predictions are uniform. Both are a
+declared realization change: the per-user readouts it replaces started from
+uniform noise and took the un-normalized step lambda_alpha r z^T, which
+diverges once lambda_alpha |z|^2 exceeds 2 (about 4 at the parameter-table
+defaults, N_w = 1000) and needed a (U, N, N_w+K) array, 26 MB there.
 """
 import numpy as np
 
@@ -29,7 +33,6 @@ from ..seeding import as_rng
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
 SPECTRAL_RADIUS = 0.9    # the recurrent matrix is rescaled to this radius (< 1)
 DENSITY = 0.1            # fraction of nonzero recurrent entries
-OUT_SCALE = 0.1          # half-width of the uniform readout init
 DISTRIBUTION_TOL = 1e-9  # rounding slack when validating a probability vector
 
 
@@ -96,63 +99,37 @@ def _as_array(value, shape, name):
 
 
 class ContentEsnBank:
-    """U content ESNs on one shared reservoir, stepped together.
+    """U content ESNs on one shared reservoir and one shared readout, stepped together.
 
-    Takes ContentEsn's parameters, with `reservoir_seed` and one readout seed
-    (or Generator) per user in place of `seed`. W_in (N_w, K), the recurrent
-    mask and W (N_w, N_w) are drawn in that order from `reservoir_seed`, and W
-    is rescaled after one spectral-radius solve. User u's readout
-    (N, N_w + K) is the next uniform draw from `readout_seeds[u]`. States
-    (U, N_w) and readouts (U, N, N_w + K) are per user. Passing one Generator
-    as both sources draws W_in, the mask, W and W_out from one stream, which
-    is what ContentEsn does.
+    Takes ContentEsn's parameters, with the user count `n_users` in addition.
+    W_in (N_w, K), the recurrent mask and W (N_w, N_w) are drawn from `seed`
+    in that order, and W is rescaled after one spectral-radius solve. The
+    readout `output_weights` (N, N_w + K) starts at zero; states (U, N_w)
+    are per user.
 
     Per slot: `predict(contexts)` advances every state,
-    S <- tanh(S W^T + X W_in^T), which is one matrix product for all users,
-    and returns the projected predictions. `train_step(observed)` then takes
-    one readout gradient step per user against its observed distribution,
-    reusing the raw readouts of that `predict`.
-
-    A step is stored, not applied: z (U, N_w+K) goes to the pending rows
-    Z_p (U, P, N_w+K) and lambda_alpha r (U, N) to the pending columns
-    R_p (U, N, P), both allocated at the first step. Readouts add
-    R_p (Z_p z) to the folded W_f z. When P = PENDING_STEPS steps are pending
-    they are folded, W_f += R_p Z_p, by one batched product per chunk of
-    users. Reading `output_weights` folds first, so it is always the trained
-    readout.
+    S <- tanh(S W^T + X W_in^T), reads the raw readouts Z W_out^T with
+    Z = [S, X], one matrix product each for all users, and returns the
+    projected predictions. `train_step(observed)` then takes one normalized
+    gradient step on the residuals of that `predict` (see the module
+    docstring).
     """
 
-    # readout folds run in chunks of users holding at most this many
-    # entries (1 MB), so no (U, N, N_w+K) temporary is built and a chunk's
-    # product is still in cache when it is added
-    UPDATE_CHUNK_ENTRIES = 1 << 17
-    # gradient steps held as rank-1 factors before they are folded
-    PENDING_STEPS = 8
-
-    def __init__(self, n_contents, reservoir_seed, readout_seeds, n_features=CONTEXT_FEATURES,
+    def __init__(self, n_contents, n_users, seed, n_features=CONTEXT_FEATURES,
                  n_reservoir=100, learning_rate=0.01):
         _check_dimensions(n_contents, n_features, n_reservoir)
-        self.n_users = len(readout_seeds)
+        if n_users < 1:
+            raise ConfigurationError("n_users must be >= 1")
+        self.n_users = n_users
         self.n_contents = n_contents
         self.n_features = n_features
         self.n_reservoir = n_reservoir
         self.learning_rate = float(learning_rate)
         self.input_weights, self.reservoir_weights = _draw_reservoir(
-            as_rng(reservoir_seed), n_features, n_reservoir)
-        shape = (n_contents, n_reservoir + n_features)
-        self._folded = np.empty((self.n_users,) + shape)
-        for u, seed in enumerate(readout_seeds):
-            self._folded[u] = as_rng(seed).uniform(-OUT_SCALE, OUT_SCALE, shape)
-        self._pending_z = self._pending_r = None  # Z_p and R_p, from the first step
-        self._n_pending = 0
-        self.state = np.zeros((self.n_users, n_reservoir))
+            as_rng(seed), n_features, n_reservoir)
+        self.output_weights = np.zeros((n_contents, n_reservoir + n_features))
+        self.state = np.zeros((n_users, n_reservoir))
         self._readout = None  # (z, raw) of the last predict
-
-    @property
-    def output_weights(self):
-        """(U, N, N_w+K) readouts with every pending step folded in."""
-        self._fold()
-        return self._folded
 
     def _advance(self, x):
         """state <- tanh(W@state + W_in@x) for every user, one product per term."""
@@ -160,41 +137,15 @@ class ContentEsnBank:
         return self.state
 
     def _readouts(self, x):
-        """(z, raw): z = [state, x] per user and raw = W_f z + R_p (Z_p z)."""
+        """(z, raw): z = [state, x] per user and raw = z W_out^T."""
         z = np.concatenate([self.state, x], axis=1)
-        raw = np.matmul(self._folded, z[:, :, None])[:, :, 0]
-        p = self._n_pending
-        if p:
-            coefficients = np.matmul(self._pending_z[:, :p], z[:, :, None])
-            raw += np.matmul(self._pending_r[:, :, :p], coefficients)[:, :, 0]
-        return z, raw
+        return z, z @ self.output_weights.T
 
     def _learn(self, z, residual):
-        """Store one readout gradient step per user; fold at PENDING_STEPS."""
-        if self._pending_z is None:
-            self._pending_z = np.empty((self.n_users, self.PENDING_STEPS, z.shape[1]))
-            self._pending_r = np.empty((self.n_users, self.n_contents, self.PENDING_STEPS))
-        p = self._n_pending
-        self._pending_z[:, p] = z
-        np.multiply(residual, self.learning_rate, out=self._pending_r[:, :, p])
-        self._n_pending = p + 1
-        if self._n_pending == self.PENDING_STEPS:
-            self._fold()
-
-    def _fold(self):
-        """W_f += R_p Z_p, in chunks of UPDATE_CHUNK_ENTRIES; nothing stays pending."""
-        p = self._n_pending
-        if not p:
-            return
-        self._n_pending = 0
-        per_user = self._folded[0].size
-        step = max(1, self.UPDATE_CHUNK_ENTRIES // per_user)
-        block = np.empty((min(step, self.n_users),) + self._folded.shape[1:])
-        for start in range(0, self.n_users, step):
-            stop = min(start + step, self.n_users)
-            part = np.matmul(self._pending_r[start:stop, :, :p],
-                             self._pending_z[start:stop, :p], out=block[:stop - start])
-            self._folded[start:stop] += part
+        """W_out += lambda_alpha residual^T z / |z|^2; no step when every z is zero."""
+        norm = np.vdot(z, z)
+        if norm > 0.0:
+            self.output_weights += (residual * (self.learning_rate / norm)).T @ z
 
     def predict(self, contexts):
         """Advance every state on its context row; (U, N) projected predictions."""
@@ -209,7 +160,7 @@ class ContentEsnBank:
         return project_to_simplex(self._readout[1])
 
     def train_step(self, observed):
-        """One readout gradient step per user on the raw residual of the last predict."""
+        """One normalized readout step on the raw residuals of the last predict."""
         if self._readout is None:
             raise ConfigurationError("train_step needs a predict first")
         z, raw = self._readout
@@ -223,25 +174,24 @@ class ContentEsnBank:
 class ContentEsn:
     """Echo-state predictor for one user's content-request distribution.
 
-    The one-user ContentEsnBank whose reservoir and readout come from the
-    same generator, so W_in, the recurrent mask, W and W_out are drawn from
-    `seed` in that order.
+    The one-user ContentEsnBank: W_in, the recurrent mask and W are drawn
+    from `seed` in that order, and the readout starts at zero.
 
     Parameters
     ----------
     n_contents : catalog size (output dimension).
     n_features : context vector length (default 7).
     n_reservoir : reservoir units.
-    learning_rate : gradient step for the online readout update.
+    learning_rate : normalized gradient step of the online readout update,
+        stable in (0, 2).
 
-    The reservoir's spectral radius, its density and the readout's initial
-    scale are the module constants SPECTRAL_RADIUS, DENSITY and OUT_SCALE.
+    The reservoir's spectral radius and its density are the module constants
+    SPECTRAL_RADIUS and DENSITY.
     """
 
     def __init__(self, n_contents, n_features=CONTEXT_FEATURES, n_reservoir=100,
                  learning_rate=0.01, seed=0):
-        rng = as_rng(seed)
-        self._bank = ContentEsnBank(n_contents, rng, [rng], n_features=n_features,
+        self._bank = ContentEsnBank(n_contents, 1, seed, n_features=n_features,
                                     n_reservoir=n_reservoir, learning_rate=learning_rate)
         self.n_contents = n_contents
         self.n_features = n_features
@@ -258,7 +208,7 @@ class ContentEsn:
 
     @property
     def output_weights(self):
-        return self._bank.output_weights[0]
+        return self._bank.output_weights
 
     @property
     def state(self):
@@ -277,8 +227,8 @@ class ContentEsn:
             self._bank.reservoir_weights = _as_array(reservoir_weights, (n_w, n_w),
                                                        "reservoir_weights")
         if output_weights is not None:
-            self._bank.output_weights[0] = _as_array(output_weights, (self.n_contents, n_w + k),
-                                                       "output_weights")
+            self._bank.output_weights[:] = _as_array(output_weights, (self.n_contents, n_w + k),
+                                                     "output_weights")
 
     def state_update(self, x):
         """Advance the reservoir: state <- tanh(W@state + W_in@x)."""
@@ -294,7 +244,7 @@ class ContentEsn:
         return project_to_simplex(self.raw_output(x))
 
     def train_step(self, x, observed):
-        """One readout gradient step against the observed distribution.
+        """One normalized readout step against the observed distribution.
 
         The update uses the raw (pre-projection) residual; the returned error
         is the L1 distance between the observed and the projected prediction.

@@ -6,13 +6,13 @@ streams for different purposes never interleave.
 """
 import numpy as np
 
+# a tag is part of the seed of every stream of its purpose, so tags never change
 _PURPOSES = {
     "topology": 1,
     "workload": 2,
     "mobility": 3,
     "requests": 4,
     "channel": 5,
-    "content_esn": 6,
     "mobility_esn": 7,
     "random_cache": 8,
     "sampling": 9,
@@ -33,7 +33,7 @@ def rng_for(seed, purpose, *indices):
     trailing zero indices can name the same stream: rng_for(s, p) and
     rng_for(s, p, 0) are one generator. An episode's tuples never meet that
     way: () per run, (slot,) with 1-based slots, (slot, 0) and (slot, 1) for
-    the cloud and RRH random caches, (user,) per readout, (slot // T_tau,).
+    the cloud and RRH random caches, (user,) per mobility readout, (slot // T_tau,).
     """
     tag = _PURPOSES[purpose]
     words = [int(seed) & 0xFFFFFFFF, tag, *(int(i) & 0xFFFFFFFF for i in indices)]

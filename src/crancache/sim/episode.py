@@ -2,11 +2,13 @@
 
 Per slot: advance mobility; lay out the channel's (user, RRH) pairs and their
 path gains under the previous slot's clusters and start drawing their
-fading; meanwhile refresh per-user predictions, the association for caching
-and the clusters; accumulate the slot-capacity samples from the fading;
-update RRH caches, realize one request per user, resolve delivery paths,
-split the wired pipes over the realized load, and score per-user effective
-capacities.
+fading; meanwhile predict every user's request distribution (each user
+steps a reservoir state of its own, and one readout serves all users), the
+association for caching and the clusters; accumulate the slot-capacity
+samples from the fading; update RRH caches, realize one request per user,
+resolve delivery paths, split the wired pipes over the realized load, score
+per-user effective capacities, and take one step of the shared content
+readout on all users' requests.
 Caches are boolean masks over the catalog (see CacheState) and delivery
 paths are the integer codes of the qos module, so each of these steps is one
 array pass over the users.
@@ -253,15 +255,13 @@ class Simulation:
         # one moves no other draw.
         self.content_bank = self.mobility = None
         if policy != POLICY_RANDOM_UNCLUSTERED and not self.oracle_like:
-            users = range(config["U"])
             self.content_bank = ContentEsnBank(
-                config["N"], rng_for(self.seed, "reservoir"),
-                [rng_for(self.seed, "content_esn", u) for u in users],
+                config["N"], config["U"], rng_for(self.seed, "reservoir"),
                 n_features=config["K"], n_reservoir=config["N_w"],
                 learning_rate=config["lambda_alpha"])
             self.mobility = MobilityEsnBank(
                 config["W"], config.weight_spec(), config["N_s"],
-                [rng_for(self.seed, "mobility_esn", u) for u in users], self.grid,
+                [rng_for(self.seed, "mobility_esn", u) for u in range(config["U"])], self.grid,
                 n_observations=(config["T"] - 1) // config["H"] + 1,
                 ridge_lambda=config["lambda"])
 

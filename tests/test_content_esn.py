@@ -156,7 +156,7 @@ def test_online_error_decays_on_stationary_mapping(lr):
 
 
 
-# ---- the bank: one shared reservoir, a state and a readout per user -------
+# ---- the bank: one shared reservoir and readout, a state per user --------
 
 def rounds(users, n_contents, count, seed=5):
     """`count` (contexts, observed distributions) pairs for a bank of `users`."""
@@ -171,19 +171,20 @@ def test_bank_solves_one_spectral_radius_whatever_the_user_count(monkeypatch, us
     solve = content._spectral_radius
     monkeypatch.setattr(content, "_spectral_radius",
                         lambda w: solved.append(w.shape) or solve(w))
-    bank = ContentEsnBank(9, 4, [10 + u for u in range(users)], n_reservoir=40)
+    bank = ContentEsnBank(9, users, 4, n_reservoir=40)
     assert solved == [(40, 40)]
     assert bank.reservoir_weights.shape == (40, 40)
     assert bank.input_weights.shape == (40, 7)
-    assert bank.output_weights.shape == (users, 9, 47)
+    assert np.array_equal(bank.output_weights, np.zeros((9, 47)))
     assert bank.state.shape == (users, 40)
 
 
 def test_bank_steps_the_content_esn_equations():
-    """Per user: s <- tanh(W s + W_in x), raw = W_out [s; x], and
-    W_out <- W_out + lr (observed - raw) [s; x]^T, written out as reference."""
-    users, n_contents, lr = 3, 6, 0.05
-    bank = ContentEsnBank(n_contents, 3, [4, 5, 6], n_reservoir=12, learning_rate=lr)
+    """Per user: s <- tanh(W s + W_in x) and raw = W_out [s; x]; then one
+    pooled step W_out <- W_out + lr sum_u (observed_u - raw_u) z_u^T / sum_u |z_u|^2,
+    written out per user as reference."""
+    users, n_contents, lr = 3, 6, 0.5
+    bank = ContentEsnBank(n_contents, users, 3, n_reservoir=12, learning_rate=lr)
     w, w_in = bank.reservoir_weights.copy(), bank.input_weights.copy()
     assert not np.array_equal(w, w.T)  # a transposed W would show
     w_out, state = bank.output_weights.copy(), bank.state.copy()
@@ -191,45 +192,48 @@ def test_bank_steps_the_content_esn_equations():
     for x, observed in rounds(users, n_contents, 4):
         predictions = bank.predict(x)
         bank.train_step(observed)
+        step, norm = np.zeros_like(w_out), 0.0
         for u in range(users):
             state[u] = np.tanh(w @ state[u] + w_in @ x[u])
             z = np.concatenate([state[u], x[u]])
-            raw = w_out[u] @ z
+            raw = w_out @ z
             close(predictions[u], project_to_simplex(raw))
-            w_out[u] = w_out[u] + lr * np.outer(observed[u] - raw, z)
+            step += np.outer(observed[u] - raw, z)
+            norm += z @ z
+        w_out = w_out + lr * step / norm
         close(bank.state, state)
         close(bank.output_weights, w_out)
+    assert np.abs(w_out).max() > 0.01  # the readout did learn
 
 
 def test_one_user_bank_on_one_generator_is_content_esn():
     n_contents, n_reservoir = 9, 30
     esn = ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir, learning_rate=0.05, seed=8)
-    # ContentEsn draws W_in, the mask, W and W_out from its seed, in that order
+    # ContentEsn draws W_in, the mask and W from its seed, in that order
     rng = np.random.default_rng(8)
     w_in = rng.uniform(-1.0, 1.0, (n_reservoir, 7))
     mask = rng.random((n_reservoir, n_reservoir)) < 0.1
     w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
-    w_out = rng.uniform(-0.1, 0.1, (n_contents, n_reservoir + 7))
     w *= 0.9 / np.max(np.abs(np.linalg.eigvals(w)))
-    shared = np.random.default_rng(8)
-    bank = ContentEsnBank(n_contents, shared, [shared], n_reservoir=n_reservoir,
+    bank = ContentEsnBank(n_contents, 1, np.random.default_rng(8), n_reservoir=n_reservoir,
                           learning_rate=0.05)
     for weights in (esn, bank):
         assert np.array_equal(weights.input_weights, w_in)
         assert np.array_equal(weights.reservoir_weights, w)
-    assert np.array_equal(esn.output_weights, w_out)
-    assert np.array_equal(bank.output_weights[0], w_out)
+        assert np.array_equal(weights.output_weights, np.zeros((n_contents, n_reservoir + 7)))
     for x, observed in rounds(1, n_contents, 6):
         predictions = bank.predict(x)
         bank.train_step(observed)
         assert np.array_equal(esn.state_update(x[0]), bank.state[0])
         assert np.array_equal(esn.predict(x[0]), predictions[0])
         esn.train_step(x[0], observed[0])
-        assert np.array_equal(esn.output_weights, bank.output_weights[0])
+        assert np.array_equal(esn.output_weights, bank.output_weights)
 
 
 def test_bank_rejects_bad_contexts_and_unpaired_training():
-    bank = ContentEsnBank(4, 0, [1, 2], n_reservoir=6)
+    with pytest.raises(ConfigurationError):
+        ContentEsnBank(4, 0, 0, n_reservoir=6)
+    bank = ContentEsnBank(4, 2, 0, n_reservoir=6)
     with pytest.raises(ConfigurationError):
         bank.train_step(np.full((2, 4), 0.25))  # no predict yet
     with pytest.raises(ConfigurationError):
@@ -239,6 +243,37 @@ def test_bank_rejects_bad_contexts_and_unpaired_training():
     bank.predict(np.zeros((2, 7)))
     with pytest.raises(ConfigurationError):
         bank.train_step(np.full((2, 5), 0.2))
+
+
+def test_zero_readout_input_takes_no_step():
+    """All-zero states and contexts carry no direction to step along."""
+    bank = ContentEsnBank(4, 2, 0, n_reservoir=6)
+    np.testing.assert_array_equal(bank.predict(np.zeros((2, 7))), np.full((2, 4), 0.25))
+    bank.train_step(np.eye(4)[:2])
+    assert not bank.output_weights.any()
+
+
+def test_normalized_step_keeps_the_readout_finite_near_its_stability_bound():
+    """lambda_alpha = 1.95 at |z|^2 of about 20: an un-normalized step
+    (lambda_alpha |z|^2 far above 2) overflows within a few hundred steps.
+    The normalized step keeps the readout finite over thousands of one-hot
+    targets, with overflow and invalid operations raising."""
+    users, n_contents, lr = 4, 5, 1.95
+    bank = ContentEsnBank(n_contents, users, 0, n_reservoir=64, learning_rate=lr)
+    rng = np.random.default_rng(1)
+    observed = np.zeros((users, n_contents))
+    smallest_gain = math.inf
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for _ in range(3000):
+            bank.predict(rng.uniform(0.0, 1.0, (users, 7)))
+            z = bank._readout[0]
+            smallest_gain = min(smallest_gain, lr * float(np.min(np.sum(z * z, axis=1))))
+            observed[:] = 0.0
+            observed[np.arange(users), rng.integers(0, n_contents, users)] = 1.0
+            bank.train_step(observed)
+    assert smallest_gain > 2.0
+    assert np.all(np.isfinite(bank.output_weights))
+    assert np.abs(bank.output_weights).max() < 10.0
 
 
 def test_state_setter_checks_the_shape():

@@ -2,12 +2,9 @@
 
 Every comparison is exact (np.array_equal): the batched forms must
 reproduce the per-user computations bit for bit, or episode outputs move.
-The exceptions are the content bank's reservoir step, one matrix product
-for all users, which is compared to per-user ESNs to 1e-12, and its pending
-readout steps, compared to the dense LMS recursion to 1e-10 relative.
+The content bank, whose reservoir step is one matrix product for all users,
+is compared to per-user ESNs in test_bank_pool.py and test_content_esn.py.
 """
-import copy
-import functools
 import math
 
 import numpy as np
@@ -15,7 +12,7 @@ import pytest
 
 from crancache import qos
 from crancache.data import generate_workload, slot_hour, slot_weekday
-from crancache.esn import ContentEsn, ContentEsnBank, project_to_simplex
+from crancache.esn import project_to_simplex
 from crancache.qos import (SLOT_SUBSTEPS, RadioParams, effective_capacity_from_samples,
                            effective_capacity_rows, segment_capacity_rows,
                            segment_capacity_samples)
@@ -188,115 +185,7 @@ def test_user_on_an_rrh_gets_finite_capacity():
     assert np.all(np.isfinite(samples)) and np.all(samples > 0)
 
 
-# ---- content ESNs ---------------------------------------------------------------
-
-@pytest.mark.parametrize("n_reservoir,n_contents,chunk_entries", [
-    (48, 24, ContentEsnBank.UPDATE_CHUNK_ENTRIES),
-    (7, 5, 2 * 5 * (7 + 7)),  # readout updates in chunks of two users
-])
-def test_content_bank_matches_per_user_esns(monkeypatch, n_reservoir, n_contents,
-                                            chunk_entries):
-    """One shared reservoir, one readout per user.
-
-    The bank steps all users with one product per term, S @ W.T, where a
-    per-user ESN takes W @ s; a user's row of the product may differ from
-    that in its last bits, and with U, so states and readouts are compared
-    to 1e-12 (measured: at most 5.3e-14 at N_w = 1000).
-    """
-    monkeypatch.setattr(ContentEsnBank, "UPDATE_CHUNK_ENTRIES", chunk_entries)
-    users = 5
-
-    bank = ContentEsnBank(n_contents, 999, [1000 + u for u in range(users)],
-                          n_reservoir=n_reservoir, learning_rate=0.03)
-    # the reservoir is W_in, the mask and W drawn from its own generator,
-    # with W rescaled by one spectral radius
-    rng = np.random.default_rng(999)
-    w_in = rng.uniform(-1.0, 1.0, (n_reservoir, 7))
-    mask = rng.random((n_reservoir, n_reservoir)) < 0.1
-    w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
-    w *= 0.9 / np.max(np.abs(np.linalg.eigvals(w)))
-    assert np.array_equal(bank.input_weights, w_in)
-    assert np.array_equal(bank.reservoir_weights, w)
-    esns = []
-    for u in range(users):
-        readout = np.random.default_rng(1000 + u).uniform(-0.1, 0.1,
-                                                          (n_contents, n_reservoir + 7))
-        assert np.array_equal(bank.output_weights[u], readout)
-        esn = ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir, learning_rate=0.03)
-        esn.set_weights(w_in, w, readout)
-        esns.append(esn)
-
-    close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
-    rng = np.random.default_rng(9)
-    for _ in range(6):
-        x = rng.uniform(0.0, 1.0, (users, 7))
-        predictions = bank.predict(x)
-        for u, esn in enumerate(esns):
-            close(esn.state_update(x[u]), bank.state[u])
-            close(esn.predict(x[u]), predictions[u])
-        observed = np.zeros((users, n_contents))
-        observed[np.arange(users), rng.integers(0, n_contents, users)] = 1.0
-        bank.train_step(observed)
-        for u, esn in enumerate(esns):
-            esn.train_step(x[u], observed[u])
-            close(esn.output_weights, bank.output_weights[u])
-
-
-@pytest.mark.parametrize("chunk_users", [1, None], ids=["one-user-chunks", "default-chunks"])
-def test_pending_steps_match_dense_lms_recursion(monkeypatch, chunk_users):
-    """The bank's raw readouts and weights follow the dense recursion
-    W_out <- W_out + lr (observed - W_out z) z^T, written out per step,
-    across folds and with steps still pending at the end. Only the rounding
-    order differs, so they agree to 1e-10 relative."""
-    users, n_contents, n_reservoir, lr = 5, 9, 32, 0.05
-    if chunk_users is not None:
-        monkeypatch.setattr(ContentEsnBank, "UPDATE_CHUNK_ENTRIES",
-                            chunk_users * n_contents * (n_reservoir + 7))
-    close = functools.partial(np.testing.assert_allclose, rtol=1e-10, atol=0)
-    bank = ContentEsnBank(n_contents, 3, [4 + u for u in range(users)],
-                          n_reservoir=n_reservoir, learning_rate=lr)
-    steps = 5 * ContentEsnBank.PENDING_STEPS // 2 + 1
-    assert steps % ContentEsnBank.PENDING_STEPS
-    weights = bank.output_weights.copy()
-    rng = np.random.default_rng(13)
-    rounds = [(rng.uniform(0.0, 1.0, (users, 7)), rng.dirichlet(np.ones(n_contents), size=users))
-              for _ in range(steps)]
-    copied_at = ContentEsnBank.PENDING_STEPS + 2
-    predictions = []
-    for step, (x, observed) in enumerate(rounds):
-        if step == copied_at:
-            assert bank._n_pending
-            twin = copy.deepcopy(bank)
-        predictions.append(bank.predict(x))
-        z = np.concatenate([bank.state, x], axis=1)
-        raw = np.einsum("unf,uf->un", weights, z)
-        close(bank._readout[1], raw)
-        bank.train_step(observed)
-        weights += lr * (observed - raw)[:, :, None] * z[:, None, :]
-    assert bank._n_pending
-    close(bank.output_weights, weights)  # folds what is pending
-    assert not bank._n_pending
-    for (x, observed), expected in zip(rounds[copied_at:], predictions[copied_at:]):
-        assert np.array_equal(twin.predict(x), expected)
-        twin.train_step(observed)
-    assert np.array_equal(twin.output_weights, bank.output_weights)
-
-
-def test_content_esn_set_weights_drops_pending_steps():
-    esn = ContentEsn(n_contents=6, n_reservoir=20, learning_rate=0.05, seed=2)
-    rng = np.random.default_rng(3)
-    for _ in range(ContentEsnBank.PENDING_STEPS + 3):
-        x = rng.uniform(0.0, 1.0, 7)
-        esn.state_update(x)
-        esn.train_step(x, rng.dirichlet(np.ones(6)))
-    assert esn._bank._n_pending
-    w = rng.uniform(-1.0, 1.0, (6, 27))
-    esn.set_weights(output_weights=w)
-    assert np.array_equal(esn.output_weights, w)
-    x = rng.uniform(0.0, 1.0, 7)
-    np.testing.assert_allclose(esn.raw_output(x), w @ np.concatenate([esn.state, x]),
-                               rtol=1e-12, atol=0)
-
+# ---- content predictions --------------------------------------------------------
 
 def test_project_to_simplex_rows_match_single_rows():
     raw = np.random.default_rng(4).normal(size=(6, 9))
@@ -335,7 +224,7 @@ def test_workload_table_matches_archetype_conditionals(n_contents):
 
 def test_rng_for_streams_match_word_list_seeding():
     for seed, purpose, indices in [(0, "channel", (1, 0)), (7919, "requests", (120,)),
-                                   (2 ** 40 + 3, "content_esn", (31,)), (5, "topology", ()),
+                                   (2 ** 40 + 3, "mobility_esn", (31,)), (5, "topology", ()),
                                    (0, "sampling", (0, 2 ** 32 + 1))]:
         words = [seed & 0xFFFFFFFF, _PURPOSES[purpose], *(i & 0xFFFFFFFF for i in indices)]
         expected = np.random.default_rng(np.random.SeedSequence(words)).random(8)
