@@ -38,7 +38,7 @@ _SCHEMA = {
     "T_tau": (int, 30),            # cloud cache update period, slots
     "P": (float, 20.0),            # tx power, dBm
     "beta": (float, 4.0),          # pathloss exponent
-    "lambda_alpha": (float, 0.01),  # content-ESN learning rate
+    "lambda_alpha": (float, 0.01),  # normalized step of the shared content readout, in (0, 2)
     "T": (int, 300),               # horizon, slots
     "sigma2": (float, -95.0),      # noise power, dBm
     "D_max": (float, 1.0),         # delay bound, s
@@ -147,8 +147,11 @@ class ExperimentConfig:
             raise ConfigurationError("beta must exceed 2")
         if v["chi"] <= 0.0:
             raise ConfigurationError("chi must be positive")
-        if not 0.0 < v["lambda_alpha"]:
-            raise ConfigurationError("lambda_alpha must be positive")
+        if v["N"] < 2:
+            raise ConfigurationError(f"N must be >= 2: a catalog needs two contents (got {v['N']})")
+        if not 0.0 < v["lambda_alpha"] < 2.0:
+            raise ConfigurationError(
+                "lambda_alpha must lie in (0, 2), where the normalized readout step is stable")
         if v["lambda"] < 0.0:
             raise ConfigurationError("lambda cannot be negative")
         if v["C_c"] > v["N"] or v["C_r"] > v["N"]:

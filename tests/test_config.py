@@ -52,6 +52,25 @@ def test_range_validation():
         ExperimentConfig.default(S=-1.0)
 
 
+def test_one_content_catalog_rejected_at_load(tmp_path):
+    path = tmp_path / "one.cfg"
+    path.write_text("N = 1\nC_c = 1\nC_r = 1\n")
+    with pytest.raises(ConfigurationError, match="N must be >= 2"):
+        ExperimentConfig.load(path)
+    path.write_text("N = 2\nC_c = 1\nC_r = 1\n")
+    assert ExperimentConfig.load(path)["N"] == 2
+
+
+def test_lambda_alpha_bounded_by_the_stability_of_the_normalized_step(tmp_path):
+    path = tmp_path / "step.cfg"
+    for value in ("2.0", "2.5", "0", "-0.1"):
+        path.write_text(f"lambda_alpha = {value}\n")
+        with pytest.raises(ConfigurationError, match="lambda_alpha"):
+            ExperimentConfig.load(path)
+    path.write_text("lambda_alpha = 1.99\n")
+    assert ExperimentConfig.load(path)["lambda_alpha"] == 1.99
+
+
 def test_comments_and_whitespace(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("# leading comment\nT = 60  # trailing\n\n  U = 8\n")
@@ -96,8 +115,8 @@ def finite(lo=None, hi=None, exclude_min=False, exclude_max=False):
 
 positive = finite(0.0, 1e12, exclude_min=True)
 valid_overrides = st.fixed_dictionaries({}, optional={
-    **{key: positive for key in ("r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F", "chi",
-                                 "lambda_alpha")},
+    **{key: positive for key in ("r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F", "chi")},
+    "lambda_alpha": finite(0.0, 2.0, exclude_min=True, exclude_max=True),
     **{key: finite(-1e6, 1e6) for key in ("P", "sigma2", "zipf_alpha", "w_lo", "w_hi")},
     "epsilon": finite(0.0, 1.0, exclude_min=True, exclude_max=True),
     "delta": finite(0.0, 1.0, exclude_min=True),
