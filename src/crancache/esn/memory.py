@@ -1,8 +1,8 @@
 """Analytic and empirical memory capacity of the cycle-reservoir ESN.
 
 The analytic value for a W-unit cycle reservoir with weights drawn from a
-distribution with moments mu(m) = E[w^m], driven by a zero-mean periodic
-stream, is
+distribution with moments mu(m) = E[w^m], driven by a zero-mean i.i.d.
+stream of unit variance, is
 
     M = sum_{k=0}^{W-1} ( sum_j mu(2Wj+2k) )^-1 * sum_j mu(Wj+k)^2
         - ( sum_j mu(2Wj) )^-1.
@@ -186,9 +186,10 @@ def _ridge_correlations(V, stream, washout, n_delays):
 
 
 def empirical_memory_capacity(esn, input_period, trace_len, seed):
-    """Measure a built reservoir's capacity on a zero-mean periodic stream.
+    """Measure a built reservoir's capacity on a zero-mean i.i.d. stream.
 
-    Drives the reservoir over `trace_len` unit-variance samples, then for each
+    Drives the reservoir over `trace_len` i.i.d. uniform samples of zero mean
+    and unit variance, drawn from `seed`, then for each
     delay k >= 1 fits a linear readout reconstructing the k-step-old input and
     accumulates the squared correlation. Stops once a full period of W
     consecutive delays contributes below TERM_TOL (echoes recur at multiples
@@ -201,17 +202,16 @@ def empirical_memory_capacity(esn, input_period, trace_len, seed):
     (seeds 0-4, 1000 and 7919000, trace 20 000) agree to within 5.2e-9. A
     per-delay solve of the normal equations missed the same reference by up
     to 2.4e-2 there (6.62952724 against 6.605396285 at W = 8, seed 1000).
+
+    `input_period` is unused: the stream is i.i.d., whatever the period. A
+    periodic stream would make delays k and k + p one target, so the sum
+    would count the same echo more than once. The parameter stays in the
+    signature for callers that pass it positionally.
     """
     W = esn.n_units
-    if input_period < 1:
-        raise ConfigurationError("input_period must be >= 1")
     if trace_len < min_trace_len(W):
         raise ConfigurationError("trace_len too short for a stable measurement")
-    rng = as_rng(seed)
-    # independent zero-mean unit-variance draws in each period phase
-    n_cycles = int(np.ceil(trace_len / input_period))
-    stream = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n_cycles, input_period))
-    stream = stream.reshape(-1)[:trace_len]
+    stream = as_rng(seed).uniform(-np.sqrt(3.0), np.sqrt(3.0), size=trace_len)
     if np.var(stream) <= 0.0:
         raise MeasurementError("input stream has degenerate variance")
     states = cycle_drive(esn.cycle_weights, esn.input_weights, stream, np.zeros(W))
