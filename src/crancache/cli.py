@@ -9,14 +9,14 @@ are deterministic given (config, seed) and the BLAS thread count. With large
 reservoirs, such as the parameter-table default N_w = 1000, multi-threaded
 BLAS rounds the content reservoir's eigenvalue solve and its per-slot matrix
 products differently from one thread, so reservoir states and the content
-readout that all users share differ in their last bits. At the defaults (seed 0, T = 60, 2-CPU host) E_bar and
-every CSV still came out byte-identical under one and two threads, but
-nothing guarantees that. Run with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1
-or MKL_NUM_THREADS=1 for other BLAS builds) to replay a run bit for bit on
-any host. The worker thread that draws the channel fading of large slots
-moves no bits either: it draws from the slot's own generator in the order
-the calling thread would. Exit codes: 0 success, 2 config error, 3
-infeasible instance (oracle guard).
+readout that all users share differ in their last bits. At the defaults
+(seed 0, T = 60, 2-CPU host) E_bar and every CSV still came out
+byte-identical under one and two threads, but nothing guarantees that. Run
+with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for other
+BLAS builds) to replay a run bit for bit on any host. The worker thread
+that draws the channel fading of large slots moves no bits either: it draws
+from the slot's own generator in the order the calling thread would. Exit
+codes: 0 success, 2 config error, 3 infeasible instance (oracle guard).
 """
 import argparse
 import logging

@@ -142,7 +142,7 @@ class ContentEsnBank:
         return z, z @ self.output_weights.T
 
     def _learn(self, z, residual):
-        """W_out += lambda_alpha residual^T z / |z|^2; no step when every z is zero."""
+        """W_out += lambda_alpha residual^T z / sum_u |z_u|^2; no step when every z is zero."""
         norm = np.vdot(z, z)
         if norm > 0.0:
             self.output_weights += (residual * (self.learning_rate / norm)).T @ z

@@ -70,7 +70,7 @@ def test_pooled_bank_matches_per_user_esns(n_reservoir, users):
         if users == 1:
             esns[0].train_step(x[0], observed[0])
             same(esns[0].output_weights, bank.output_weights)
-    assert np.abs(bank.output_weights).max() > 1e-4  # the readout did learn, far above the tolerance
+    assert np.abs(bank.output_weights).max() > 1e-4  # learned, far above the tolerance
 
 
 def test_deep_copied_bank_continues_bit_identically():

@@ -148,6 +148,14 @@ def test_empirical_never_exceeds_units_plus_slack():
         assert _measure(spec, W, 8000, int(rng.integers(1000))) <= W + 0.2
 
 
+def test_empirical_stream_is_iid_whatever_the_period():
+    """input_period is unused: the stream is i.i.d., so every period gives
+    the same value, bit for bit."""
+    esn = MobilityEsn(4, WeightDistribution("pointmass", a=0.8), 2, seed=0)
+    values = {empirical_memory_capacity(esn, period, 3000, 7) for period in (1, 3, 4, 64, 5000)}
+    assert len(values) == 1
+
+
 def test_empirical_rejects_short_traces():
     esn = MobilityEsn(5, WeightDistribution("pointmass", a=0.8), 2, seed=0)
     with pytest.raises(ConfigurationError):
