@@ -11,16 +11,30 @@ exp(-theta_O * D_max). Effective capacity is the log-MGF rate of the cumulative
 slot service; base-2 logs are paired with base-2 exponents throughout so the
 theta -> 0 limit returns the mean capacity.
 
-The channel sampler comes in two parts: `pair_layout` lists the (user, RRH)
-pairs a slot draws and their path gains, and `capacity_from_fading` adds up
-signal and interference from the pairs' faded powers and scores the slot
-capacity. `segment_capacity_rows` composes the two with the fading drawn in
-between, chunk by chunk; a caller may draw the same chunks elsewhere.
+The channel sampler has three steps, and `segment_capacity_rows` runs them
+in order. `pair_layout` lists the (user, RRH) pairs a slot draws, with their
+path gains, and cuts them into chunks of at most FADING_CHUNK_ENTRIES draws.
+`fading_blocks` draws each chunk's fading from the slot's generator, in pair
+order. A layout of one chunk (every desk-scale slot) draws inline, when the
+block is asked for. A larger one hands its chunks to one worker thread, at
+most FADING_LOOKAHEAD ahead of the accumulation, so that a caller can work
+while the fading is drawn: the draw and numpy's matrix products both release
+the GIL. The worker is handed only numpy callables implemented in C (the
+exponential draw into a buffer, then the multiply by the gains), never
+package code: a worker running Python code contends with the main thread for
+the GIL, which made slots slower, and the benchmark's span tracer assumes
+that package code runs on one thread. One worker draws the chunks in order,
+so the samples do not depend on which thread draws. `capacity_from_fading`
+then adds up signal and interference from the faded powers, chunk after
+chunk, and scores the slot capacity.
 
 dBm values are converted to linear scale once, in RadioParams; all math here
 is linear-scale and unit-agnostic.
 """
+import contextlib
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +48,14 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
 # Fading is drawn for (user, RRH) pairs in chunks of at most this many (pair,
-# sample, sub-step) entries, which bounds the temporaries of one chunk. The
-# simulator's fading worker (sim.episode) also takes it as its gate and its
-# lookahead bound: a slot whose pairs fit one chunk draws inline, and a larger
-# one draws on the worker at most sim.episode.FADING_LOOKAHEAD chunks ahead of
-# the accumulation.
+# sample, sub-step) entries, which bounds the temporaries of one chunk. It is
+# also the gate of the fading worker: a slot whose pairs fit one chunk draws
+# inline.
 FADING_CHUNK_ENTRIES = 1 << 18
+FADING_LOOKAHEAD = 2  # chunks the worker may draw ahead of the accumulation
+# draws the fading of layouts larger than one chunk (see the module
+# docstring); its thread starts at the first hand-off, not at import
+_FADING_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crancache-fading")
 
 # delivery paths as integer codes, in order of source priority
 PATH_LOCAL, PATH_CLOUD, PATH_REMOTE, PATH_SERVER = range(4)
@@ -60,15 +76,14 @@ class RadioParams:
     pathloss_exponent: float = 4.0
     noise_dbm: float = -95.0
     bandwidth_hz: float = 1e6
-    cell_radius_m: float = 1000.0
     tx_power_w: float = field(init=False)
     noise_w: float = field(init=False)
 
     def __post_init__(self):
         if self.pathloss_exponent <= 2.0:
             raise ConfigurationError("pathloss exponent must exceed 2")
-        if self.bandwidth_hz <= 0 or self.cell_radius_m <= 0:
-            raise ConfigurationError("bandwidth and cell radius must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ConfigurationError("bandwidth must be positive")
         object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))
         object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
 
@@ -240,12 +255,6 @@ class PairLayout:
     gains: np.ndarray
     chunks: list
 
-    def draw_fading(self, rng):
-        """Yield the fading blocks of `chunks`, each drawn from `rng` when asked for."""
-        for lo, hi in self.chunks:
-            block = rng.standard_exponential((hi - lo, self.n_mc, SLOT_SUBSTEPS))
-            yield np.multiply(block, self.gains[lo:hi, None, :], out=block)
-
 
 def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
     """The PairLayout of U movement segments: which pairs are drawn, and their gains.
@@ -266,6 +275,62 @@ def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
     size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS))
     chunks = [(lo, min(lo + size, len(users))) for lo in range(0, len(users), size)]
     return PairLayout(n_users, n_mc, users, own[users, columns], path_gain(d, radio), chunks)
+
+
+@contextlib.contextmanager
+def fading_blocks(layout, rng):
+    """Yield an iterator over the fading blocks of `layout.chunks`, drawn from `rng`.
+
+    A layout of one chunk draws inline, when the block is asked for.
+    Otherwise the first FADING_LOOKAHEAD chunks go to _FADING_WORKER at
+    once, each as two numpy calls: the exponential draw into a preallocated
+    buffer, then the multiply by the pairs' gains in place. Each later chunk
+    is handed off once the caller has taken the block FADING_LOOKAHEAD chunks
+    before it, and reuses that block's buffer. One worker runs the jobs in
+    order, so the draws are those of the inline path. A job's exception
+    comes out of the iterator, and leaving the block cancels or waits for
+    every job still pending, so none outlives it.
+    """
+    chunks = layout.chunks
+
+    def drawn_inline():
+        for lo, hi in chunks:
+            block = rng.standard_exponential((hi - lo, layout.n_mc, SLOT_SUBSTEPS))
+            yield np.multiply(block, layout.gains[lo:hi, None, :], out=block)
+
+    if len(chunks) <= 1:
+        yield drawn_inline()
+        return
+    size = chunks[0][1]  # pairs in a full chunk
+    buffers = np.empty((FADING_LOOKAHEAD, size, layout.n_mc, SLOT_SUBSTEPS))
+    jobs = deque()
+
+    def hand_off(i):
+        lo, hi = chunks[i]
+        block = buffers[i % FADING_LOOKAHEAD, :hi - lo]
+        jobs.append((block, _FADING_WORKER.submit(rng.standard_exponential, out=block),
+                     _FADING_WORKER.submit(np.multiply, block, layout.gains[lo:hi, None, :],
+                                           out=block)))
+
+    def blocks():
+        for i in range(len(chunks)):
+            block, draw, scale = jobs[0]
+            draw.result()
+            scale.result()
+            jobs.popleft()
+            yield block
+            if i + FADING_LOOKAHEAD < len(chunks):
+                hand_off(i + FADING_LOOKAHEAD)
+
+    for i in range(min(FADING_LOOKAHEAD, len(chunks))):
+        hand_off(i)
+    try:
+        yield blocks()
+    finally:
+        pending = [future for _, *futures in jobs for future in futures]
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def capacity_from_fading(layout, blocks, radio):
@@ -299,15 +364,16 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
                           radio, n_mc, rng):
     """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
 
-    The composition of `pair_layout` and `capacity_from_fading`, with the
-    fading drawn from `rng` chunk by chunk on the calling thread: one
-    (n_mc, SLOT_SUBSTEPS) block per used pair, users in order and columns in
-    order within a user, every sub-step redrawing the fading. Returns
-    (U, n_mc) samples in bit. A user's pairs may straddle two chunks;
-    chunking moves no draw and no sum.
+    `pair_layout`, then `fading_blocks`, then `capacity_from_fading`: the
+    fading is drawn from `rng` as one (n_mc, SLOT_SUBSTEPS) block per used
+    pair, users in order and columns in order within a user, every sub-step
+    redrawing the fading. Returns (U, n_mc) samples in bit. A user's pairs
+    may straddle two chunks; chunking, and the thread that draws, move no
+    draw and no sum.
     """
     layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
-    return capacity_from_fading(layout, layout.draw_fading(rng), radio)
+    with fading_blocks(layout, rng) as blocks:
+        return capacity_from_fading(layout, blocks, radio)
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,

@@ -24,28 +24,15 @@ baselines (with/without clustering), and "optimal_oracle" (per-decision
 exhaustive subset search fed with ground-truth knowledge, gated by instance
 size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
-requests; fading is drawn only for the RRHs a user hears.
-
-A slot whose fading fits one qos.FADING_CHUNK_ENTRIES chunk (every desk-scale
-slot) draws it inline. A larger slot hands its chunks to one worker thread,
-at most FADING_LOOKAHEAD ahead of the accumulation, while the main thread
-predicts: the draw and the content bank's matrix products both release the
-GIL. The worker is handed only numpy callables implemented in C (the
-exponential draw into a buffer, then the multiply by the gains), never
-package code: a worker running Python code contends with the main thread
-for the GIL, which made slots slower, and the benchmark's span tracer
-assumes that package code runs on one thread. The worker draws in pair order
-from the slot's channel generator, so the outputs do not depend on which
-thread draws.
+requests; fading is drawn only for the RRHs a user hears. A slot larger than
+one fading chunk draws its fading on a worker thread while the main thread
+predicts (see the qos module docstring).
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
 log-MGF (see qos module notes); reported sums are in Mbit per slot.
 """
-import contextlib
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -59,8 +46,8 @@ from ..config import POLICIES, ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
-from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, SLOT_SUBSTEPS,
-                   RadioParams, WiredParams, capacity_from_fading, effective_capacity_rows,
+from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
+                   WiredParams, capacity_from_fading, effective_capacity_rows, fading_blocks,
                    long_term_average, map_qos_exponents_lenient, pair_layout,
                    per_content_rate, sum_effective_capacity)
 from ..seeding import rng_for
@@ -71,10 +58,6 @@ RANDOM_POLICIES = (POLICY_RANDOM_CLUSTERED, POLICY_RANDOM_UNCLUSTERED)
 
 ORACLE_SEARCH_LIMIT = 10 ** 6
 CAPACITY_UNIT = 1e-6  # slot service scored in Mbit
-# draws the fading of slots larger than one chunk (see the module docstring);
-# its thread starts at the first hand-off, not at import
-_FADING_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crancache-fading")
-FADING_LOOKAHEAD = 2  # chunks the worker may draw ahead of the accumulation
 
 
 @dataclass
@@ -134,56 +117,6 @@ class EpisodeReport:
         return "\n".join(lines) + "\n"
 
 
-@contextlib.contextmanager
-def _fading_blocks(layout, rng):
-    """Yield an iterator over the fading blocks of `layout.chunks`, drawn from `rng`.
-
-    A layout of one chunk draws inline, when the block is asked for.
-    Otherwise the first FADING_LOOKAHEAD chunks go to _FADING_WORKER at
-    once, each as two numpy calls: the exponential draw into a preallocated
-    buffer, then the multiply by the pairs' gains in place. Each later chunk
-    is handed off once the caller has taken the block FADING_LOOKAHEAD chunks
-    before it, and reuses that block's buffer. One worker runs the jobs in
-    order, so the draws are those of `layout.draw_fading(rng)`. A job's
-    exception comes out of the iterator, and leaving the block cancels or
-    waits for every job still pending, so none outlives the slot.
-    """
-    chunks = layout.chunks
-    if len(chunks) == 1:
-        yield layout.draw_fading(rng)
-        return
-    size = chunks[0][1]  # pairs in a full chunk
-    buffers = np.empty((FADING_LOOKAHEAD, size, layout.n_mc, SLOT_SUBSTEPS))
-    jobs = deque()
-
-    def hand_off(i):
-        lo, hi = chunks[i]
-        block = buffers[i % FADING_LOOKAHEAD, :hi - lo]
-        jobs.append((block, _FADING_WORKER.submit(rng.standard_exponential, out=block),
-                     _FADING_WORKER.submit(np.multiply, block, layout.gains[lo:hi, None, :],
-                                           out=block)))
-
-    def blocks():
-        for i in range(len(chunks)):
-            block, draw, scale = jobs[0]
-            draw.result()
-            scale.result()
-            jobs.popleft()
-            yield block
-            if i + FADING_LOOKAHEAD < len(chunks):
-                hand_off(i + FADING_LOOKAHEAD)
-
-    for i in range(min(FADING_LOOKAHEAD, len(chunks))):
-        hand_off(i)
-    try:
-        yield blocks()
-    finally:
-        pending = [future for _, *futures in jobs for future in futures]
-        for future in pending:
-            future.cancel()
-        wait(pending)
-
-
 def oracle_search_space(n_contents, cloud_slots, rrh_slots, n_rrhs):
     """log10 of the joint subset space C(N,C_c) * C(N,C_r)^R."""
     return (math.log10(math.comb(n_contents, cloud_slots))
@@ -230,8 +163,7 @@ class Simulation:
         self.radio = RadioParams(tx_power_dbm=config["P"],
                                  pathloss_exponent=config["beta"],
                                  noise_dbm=config["sigma2"],
-                                 bandwidth_hz=config["B"],
-                                 cell_radius_m=config["r"])
+                                 bandwidth_hz=config["B"])
         self.wired = WiredParams(backhaul_rate=config["v_B"],
                                  fronthaul_rate=config["v_F"],
                                  content_size=config["L"],
@@ -365,7 +297,7 @@ class Simulation:
             self.mobility.observe(positions)
 
         layout = self._pair_layout(slot, serving)
-        with _fading_blocks(layout, rng_for(self.seed, "channel", slot)) as fading:
+        with fading_blocks(layout, rng_for(self.seed, "channel", slot)) as fading:
             truth = self.workload.distributions(slot)
             predictions = self._predictions(slot, truth)
             assoc = self._assoc_for_caching(serving)

@@ -447,7 +447,7 @@ def spy_on_fading(monkeypatch):
     worker, and how many chunks were drawn ahead of the accumulation at
     each hand-off of a draw."""
     seen = {"layouts": [], "callables": [], "ahead": [], "drawn": 0, "taken": 0}
-    submit = episode._FADING_WORKER.submit
+    submit = qos._FADING_WORKER.submit
     accumulate = episode.capacity_from_fading
 
     def spy_submit(fn, *args, **kwargs):
@@ -469,7 +469,7 @@ def spy_on_fading(monkeypatch):
         finally:
             seen["drawn"] = seen["taken"] = 0  # a slot hands off before it accumulates
 
-    monkeypatch.setattr(episode._FADING_WORKER, "submit", spy_submit)
+    monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
     monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
     return seen
 
@@ -556,4 +556,4 @@ def test_fading_worker_exception_reaches_the_caller(monkeypatch):
         sim.run_slot(1)
     assert seen["callables"]  # the failing draw ran on the worker
     # nothing is left queued: the worker takes the next job at once
-    assert episode._FADING_WORKER.submit(int).result(timeout=30) == 0
+    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0

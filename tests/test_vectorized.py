@@ -151,6 +151,14 @@ def test_users_straddling_a_chunk_boundary_match_the_reference(monkeypatch, pair
     first_pair = np.concatenate([[0], last_pair[:-1] + 1])
     assert np.count_nonzero(first_pair // pairs_per_chunk != last_pair // pairs_per_chunk) >= 3
     monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", pairs_per_chunk * n_mc * SLOT_SUBSTEPS)
+    handed_off = []
+    submit = qos._FADING_WORKER.submit
+
+    def spy_submit(fn, *args, **kwargs):
+        handed_off.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
     shared = np.random.default_rng(31)
     expected = np.stack([
         reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
@@ -159,6 +167,8 @@ def test_users_straddling_a_chunk_boundary_match_the_reference(monkeypatch, pair
     got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
                                 np.random.default_rng(31))
     assert np.array_equal(got, expected)
+    # every chunk was drawn on the worker: the draw, then the multiply by the gains
+    assert len(handed_off) == 2 * math.ceil((last_pair[-1] + 1) / pairs_per_chunk)
 
 
 def test_fully_cooperating_user_matches_a_zero_interferer_reference():
