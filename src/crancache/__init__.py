@@ -9,7 +9,7 @@ from .cache import (CacheState, SamplingPlan, cluster_rrhs, distribution_distanc
                     estimate_popularity, hoeffding_sample_size, select_cloud_cache,
                     select_rrh_cache, update_distribution)
 from .config import ExperimentConfig
-from .data import generate_mobility, generate_workload, load_traces
+from .data import generate_mobility, generate_workload
 from .esn import (ContentEsn, LocationGrid, MobilityEsn, WeightDistribution,
                   build_cycle_reservoir, empirical_memory_capacity,
                   memory_capacity, memory_capacity_bounds, ridge_train)

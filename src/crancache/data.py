@@ -4,9 +4,9 @@ Content demand: a Zipf(alpha) base over N contents, differentiated into user
 archetypes by block-local rank shuffles (blocks of three, rank 1 pinned so the
 head of the popularity curve survives) and modulated over (hour-of-day,
 weekday) buckets by block rotations. Mobility: exactly periodic waypoint
-tours inside the coverage disk. Both replace proprietary datasets; CSV
-ingestion is provided for external traces. The content trace (gen-data)
-holds the requests the simulator realizes for the same workload and seed.
+tours inside the coverage disk. Both replace proprietary datasets. The
+content trace (gen-data) holds the requests the simulator realizes for the
+same workload and seed.
 
 Trace schemas (headers are normative):
   content:  user_id,slot,t_hour,weekday,gender,occupation,age,device,reserved,content_id
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, TraceParseError, TraceValidationError
+from .errors import ConfigurationError
 from .esn.content import CONTEXT_FEATURES
 from .seeding import rng_for
 
@@ -263,50 +263,3 @@ def write_mobility_trace(path, schedules, n_slots):
             for t, (x, y) in enumerate(sched.positions(n_slots), start=1):
                 writer.writerow([user, t, f"{x:.3f}", f"{y:.3f}"])
 
-
-def load_traces(path, kind, disk_radius=1000.0):
-    """Parse a trace CSV into row tuples, validating strictly.
-
-    kind is "content" or "mobility". Malformed rows raise TraceParseError with
-    the line and column; mobility coordinates outside the disk raise
-    TraceValidationError.
-    """
-    if kind == "content":
-        header, n_cols = CONTENT_HEADER, len(CONTENT_HEADER)
-    elif kind == "mobility":
-        header, n_cols = MOBILITY_HEADER, len(MOBILITY_HEADER)
-    else:
-        raise ConfigurationError(f"unknown trace kind {kind!r}")
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            return records
-        if first != header:
-            raise TraceParseError(f"{path}:1: header {first!r} != {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
-                raise TraceParseError(
-                    f"{path}:{line_no}: expected {n_cols} columns, got {len(row)}"
-                )
-            parsed = []
-            for col_no, (name, value) in enumerate(zip(header, row), start=1):
-                try:
-                    if name in ("user_id", "slot", "t", "content_id"):
-                        parsed.append(int(value))
-                    else:
-                        parsed.append(float(value))
-                except ValueError as exc:
-                    raise TraceParseError(
-                        f"{path}:{line_no}:{col_no}: bad {name} value {value!r}"
-                    ) from exc
-            if kind == "mobility":
-                x, y = parsed[2], parsed[3]
-                if x * x + y * y > disk_radius * disk_radius + 1e-6:
-                    raise TraceValidationError(
-                        f"{path}:{line_no}: ({x}, {y}) outside the radius-{disk_radius} disk"
-                    )
-            records.append(tuple(parsed))
-    return records

@@ -33,13 +33,5 @@ class MeasurementError(CranCacheError):
     """Degenerate input for an empirical measurement (e.g. zero variance)."""
 
 
-class TraceParseError(CranCacheError):
-    """Malformed trace file row; carries line/column context in the message."""
-
-
-class TraceValidationError(CranCacheError):
-    """Well-formed trace row violating a semantic constraint."""
-
-
 class InstanceTooLargeError(CranCacheError):
     """Exhaustive-oracle guard: the subset space is not enumerable."""

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
+import csv
 import logging
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from crancache.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from crancache.config import ExperimentConfig
-from crancache.data import generate_mobility
+from crancache.data import CONTENT_HEADER, MOBILITY_HEADER, generate_mobility
 from crancache.esn import LocationGrid, MobilityEsn
 from crancache.seeding import rng_for
 
@@ -235,22 +236,32 @@ def test_sample_size_command(capsys):
     assert capsys.readouterr().out.strip() == "1665"
 
 
+def read_trace(path, header):
+    """A gen-data CSV's rows below `header`, each a list of strings of the header's length."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    assert all(len(row) == len(header) for row in rows[1:])
+    return rows[1:]
+
+
 def test_gen_data_round_trips(tmp_path):
     code = main(_tiny_args(tmp_path) + ["gen-data"])
     assert code == EXIT_OK
-    from crancache.data import load_traces
-    content = load_traces(tmp_path / "content.csv", "content")
-    mobility = load_traces(tmp_path / "mobility.csv", "mobility")
+    content = read_trace(tmp_path / "content.csv", CONTENT_HEADER)
+    mobility = read_trace(tmp_path / "mobility.csv", MOBILITY_HEADER)
     assert len(content) == 4 * 30
     assert len(mobility) == 4 * 30
+    radius = ExperimentConfig.default()["r"]
+    assert all(float(x) ** 2 + float(y) ** 2 <= radius ** 2 + 1e-6 for _, _, x, y in mobility)
 
 
 def test_gen_data_requests_are_the_simulated_requests(tmp_path, monkeypatch):
-    from crancache.config import ExperimentConfig
-    from crancache.data import draw_requests, load_traces
+    from crancache.data import draw_requests
     from crancache.sim import Simulation, episode
     assert main(_tiny_args(tmp_path) + ["gen-data"]) == EXIT_OK
-    content = load_traces(tmp_path / "content.csv", "content")
+    content = [tuple(map(int, (row[0], row[1], row[-1])))
+               for row in read_trace(tmp_path / "content.csv", CONTENT_HEADER)]
 
     realized = []
 
