@@ -268,7 +268,13 @@ def build_parser():
     sweep.add_argument("--values", nargs="+", required=True)
     sweep.add_argument("--reps", type=int, default=1)
 
-    memcap = sub.add_parser("memcap", help="analytic vs empirical memory capacity")
+    memcap = sub.add_parser(
+        "memcap", help="analytic vs empirical memory capacity",
+        description="Write memcap.csv: W,analytic,bound_lo,bound_hi,empirical. The analytic "
+                    "value and the bounds are ensemble values over the weight family. "
+                    "empirical measures the one reservoir built from the seed, so symbinary "
+                    "and uniform rows can read above bound_hi (symbinary, W = 15: 14.15 "
+                    "against 8).")
     memcap.add_argument("--dist", choices=("pointmass", "symbinary", "uniform"),
                         default="pointmass")
     memcap.add_argument("--a", type=float, default=0.9)

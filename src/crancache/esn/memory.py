@@ -111,6 +111,10 @@ def memory_capacity_bounds(spec, n_units):
     """(lo, hi) interval containing the analytic capacity.
 
     Zero-mean family: (0, floor(W/2)+1); strictly positive family: (0, W).
+    Like `memory_capacity`, the bounds are ensemble values over the weight
+    family. `empirical_memory_capacity` measures one built reservoir, so a
+    symbinary or uniform reservoir can measure above `hi` (symbinary,
+    W = 15, memcap's seed 0: 14.15 against 8).
     """
     if n_units < 1:
         raise ConfigurationError("n_units must be >= 1")
