@@ -11,8 +11,8 @@ from .cache import (CacheState, SamplingPlan, cluster_rrhs, distribution_distanc
 from .config import ExperimentConfig
 from .data import generate_mobility, generate_workload
 from .esn import (ContentEsn, LocationGrid, MobilityEsn, WeightDistribution,
-                  build_cycle_reservoir, empirical_memory_capacity,
-                  memory_capacity, memory_capacity_bounds, ridge_train)
+                  empirical_memory_capacity, memory_capacity, memory_capacity_bounds,
+                  ridge_train)
 from .qos import (LinkQos, RadioParams, WiredParams, delay_violation_prob,
                   effective_capacity_from_samples, long_term_average,
                   map_qos_exponents, per_content_rate, sinr, slot_capacity,

@@ -4,7 +4,7 @@ from .content import (CONTEXT_FEATURES, ContentEsn, ContentEsnBank, project_to_s
 from .memory import (empirical_memory_capacity, memory_capacity,
                      memory_capacity_bounds, min_trace_len)
 from .mobility import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
-                       build_cycle_reservoir, readout_windows, ridge_train)
+                       readout_windows, ridge_train)
 
 __all__ = [
     "CONTEXT_FEATURES",
@@ -14,7 +14,6 @@ __all__ = [
     "MobilityEsn",
     "MobilityEsnBank",
     "WeightDistribution",
-    "build_cycle_reservoir",
     "empirical_memory_capacity",
     "memory_capacity",
     "memory_capacity_bounds",

@@ -1,10 +1,13 @@
 """Minimum-complexity cycle-reservoir predictor for periodic user positions.
 
-State updates are linear (no nonlinearity): v <- W v + W_in m, where W is a
-weighted cyclic permutation (row i carries its weight in column (i-1) mod W).
-The readout is trained offline by ridge regression on a window of collected
-states; positions enter and leave as scalar location codes (indices into a
-discretized grid over the coverage disk).
+A W-unit reservoir is two weight vectors: cycle weights w and input weights
+w_in. Unit i reads unit (i-1) mod W through w_i, and state updates are linear
+(no nonlinearity): v_i <- w_i v_{(i-1) mod W} + w_in_i m. In matrix form this
+is v <- C v + w_in m, with C the weighted cyclic permutation whose row i holds
+w_i in column (i-1) mod W; C is never built. The readout is trained offline
+by ridge regression on a window of collected states; positions enter and
+leave as scalar location codes (indices into a discretized grid over the
+coverage disk).
 """
 from dataclasses import dataclass
 
@@ -31,12 +34,9 @@ class WeightDistribution:
     hi: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "pointmass":
+        if self.kind in ("pointmass", "symbinary"):
             if not abs(self.a) < 1.0:
-                raise ConfigurationError("pointmass weight must satisfy |a| < 1")
-        elif self.kind == "symbinary":
-            if not abs(self.a) < 1.0:
-                raise ConfigurationError("symbinary weight must satisfy |a| < 1")
+                raise ConfigurationError(f"{self.kind} weight must satisfy |a| < 1")
         elif self.kind == "uniform":
             if not (self.lo < self.hi and abs(self.lo) < 1.0 and abs(self.hi) < 1.0):
                 raise ConfigurationError("uniform support must satisfy -1 < lo < hi < 1")
@@ -84,16 +84,11 @@ class WeightDistribution:
         return False
 
 
-def build_cycle_reservoir(n_units, spec, seed):
-    """Cycle matrix with weights drawn from `spec`; deterministic per seed."""
-    if n_units < 1:
-        raise ConfigurationError("reservoir needs at least one unit")
+def _draw_weights(n_units, spec, seed):
+    """(cycle_weights, input_weights) of one reservoir, from one generator:
+    `spec` draws the cycle weights, then the input weights are uniform on [-1, 1]."""
     rng = as_rng(seed)
-    weights = spec.sample(rng, n_units)
-    mat = np.zeros((n_units, n_units))
-    rows = np.arange(n_units)
-    mat[rows, (rows - 1) % n_units] = weights
-    return mat
+    return spec.sample(rng, n_units), rng.uniform(-1.0, 1.0, n_units)
 
 
 def ridge_train(states, targets, ridge_lambda):
@@ -140,19 +135,12 @@ class MobilityEsn:
     def __init__(self, n_units, weight_spec, horizon, ridge_lambda=0.5, seed=0):
         if n_units < 1 or horizon < 1:
             raise ConfigurationError("n_units and horizon must be >= 1")
-        rng = as_rng(seed)
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
-        self.reservoir_weights = build_cycle_reservoir(n_units, weight_spec, rng)
-        self.input_weights = rng.uniform(-1.0, 1.0, n_units)
+        self.cycle_weights, self.input_weights = _draw_weights(n_units, weight_spec, seed)
         self.output_weights = np.zeros((horizon, n_units))
         self.state = np.zeros(n_units)
-
-    @property
-    def cycle_weights(self):
-        rows = np.arange(self.n_units)
-        return self.reservoir_weights[rows, (rows - 1) % self.n_units]
 
     def state_update(self, code):
         """Linear state advance for one observed location code."""
@@ -220,15 +208,16 @@ class MobilityEsnBank:
 
     def __init__(self, n_units, weight_spec, horizon, rngs, grid, n_observations,
                  ridge_lambda=0.5):
-        esns = [MobilityEsn(n_units, weight_spec, horizon, ridge_lambda, seed=rng)
-                for rng in rngs]
-        n_users = len(esns)
+        if n_units < 1 or horizon < 1:
+            raise ConfigurationError("n_units and horizon must be >= 1")
+        weights = [_draw_weights(n_units, weight_spec, rng) for rng in rngs]
+        n_users = len(weights)
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
         self.grid = grid
-        self.cycle_weights = np.array([e.cycle_weights for e in esns])
-        self.input_weights = np.array([e.input_weights for e in esns])
+        self.cycle_weights = np.array([w for w, _ in weights])
+        self.input_weights = np.array([w_in for _, w_in in weights])
         # ridge solutions: readouts[u].T is user u's (horizon, W) output weights,
         # in the transposed layout of MobilityEsn.output_weights
         self.readouts = np.zeros((n_users, n_units, horizon))

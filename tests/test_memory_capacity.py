@@ -134,8 +134,7 @@ def test_empirical_agrees_with_analytic_pointmass():
 
 def test_empirical_zeroweight_cycle_forgets_instantly():
     esn = MobilityEsn(5, WeightDistribution("pointmass", a=0.5), 2, seed=0)
-    rows = np.arange(5)
-    esn.reservoir_weights[rows, (rows - 1) % 5] = 0.0  # kill the cycle
+    esn.cycle_weights[:] = 0.0  # kill the cycle
     measured = empirical_memory_capacity(esn, 5, 5000, 1)
     assert measured < 0.2  # delay-0 is excluded; nothing older survives
 
@@ -167,7 +166,7 @@ def test_empirical_zero_state_column_stays_finite():
     # is exactly zero, and so are the last row and column of R and the last
     # singular value of the states
     esn = MobilityEsn(5, WeightDistribution("pointmass", a=0.9), 2, seed=0)
-    esn.reservoir_weights[4, 3] = 0.0
+    esn.cycle_weights[4] = 0.0
     esn.input_weights[4] = 0.0
     measured = empirical_memory_capacity(esn, 5, 5000, 1)
     assert np.isfinite(measured)

@@ -1,47 +1,57 @@
-"""Cycle reservoir construction, linear dynamics, and ridge readout."""
+"""Cycle reservoir weights, linear dynamics, and ridge readout."""
 import numpy as np
 import pytest
 
 from crancache.errors import ConfigurationError, NumericalRankError
 from crancache.esn import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
-                           build_cycle_reservoir, readout_windows, ridge_train)
+                           readout_windows, ridge_train)
 from crancache.esn.mobility import CELL_PITCH_M
 from crancache.seeding import rng_for
 
 
-def test_cycle_matrix_w2_pointmass():
-    mat = build_cycle_reservoir(2, WeightDistribution("pointmass", a=0.5), 0)
-    np.testing.assert_array_equal(mat, [[0.0, 0.5], [0.5, 0.0]])
+SPECS = [WeightDistribution("pointmass", a=0.5), WeightDistribution("symbinary", a=0.9),
+         WeightDistribution("uniform", lo=-0.5, hi=0.8)]
 
 
-def test_cycle_matrix_w4_structure_and_rank():
-    mat = build_cycle_reservoir(4, WeightDistribution("pointmass", a=0.3), 0)
-    assert np.count_nonzero(mat) == 4
-    assert np.linalg.matrix_rank(mat) == 4
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_weights_are_spec_sample_then_input_uniform(spec):
+    for W in (1, 2, 7):
+        esn = MobilityEsn(W, spec, 2, seed=rng_for(3, "mobility_esn", W))
+        rng = rng_for(3, "mobility_esn", W)
+        assert np.array_equal(esn.cycle_weights, spec.sample(rng, W))
+        assert np.array_equal(esn.input_weights, rng.uniform(-1.0, 1.0, W))
+    np.testing.assert_array_equal(MobilityEsn(2, SPECS[0], 1, seed=0).cycle_weights,
+                                  [0.5, 0.5])
 
 
-def test_cycle_matrix_deterministic_per_seed():
+def test_weights_deterministic_per_seed():
     spec = WeightDistribution("symbinary", a=0.9)
-    a = build_cycle_reservoir(10, spec, 42)
-    b = build_cycle_reservoir(10, spec, 42)
-    np.testing.assert_array_equal(a, b)
-    c = build_cycle_reservoir(10, spec, 43)
-    assert not np.array_equal(a, c)
-
-
-def test_cycle_matrix_one_nonzero_per_row_and_column():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        W = int(rng.integers(1, 20))
-        mat = build_cycle_reservoir(W, WeightDistribution("uniform", lo=0.1, hi=0.9), rng)
-        nz = mat != 0
-        assert nz.sum() == W
-        assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
+    a, b, c = (MobilityEsn(10, spec, 2, seed=seed) for seed in (42, 42, 43))
+    assert np.array_equal(a.cycle_weights, b.cycle_weights)
+    assert np.array_equal(a.input_weights, b.input_weights)
+    assert not np.array_equal(a.cycle_weights, c.cycle_weights)
+    assert not np.array_equal(a.input_weights, c.input_weights)
 
 
 def test_zero_units_rejected():
+    spec = WeightDistribution("pointmass", a=0.5)
     with pytest.raises(ConfigurationError):
-        build_cycle_reservoir(0, WeightDistribution("pointmass", a=0.5), 0)
+        MobilityEsn(0, spec, 2, seed=0)
+    with pytest.raises(ConfigurationError):
+        MobilityEsnBank(0, spec, 2, [rng_for(0, "mobility_esn", u) for u in range(3)],
+                        LocationGrid(1000.0), n_observations=5)
+
+
+def test_bank_weights_equal_per_user_esns():
+    rng = np.random.default_rng(0)
+    for spec in SPECS:
+        W, U = int(rng.integers(1, 20)), int(rng.integers(1, 6))
+        bank = MobilityEsnBank(W, spec, 2, [rng_for(8, "mobility_esn", u) for u in range(U)],
+                               LocationGrid(1000.0), n_observations=5)
+        for u in range(U):
+            esn = MobilityEsn(W, spec, 2, seed=rng_for(8, "mobility_esn", u))
+            assert np.array_equal(bank.cycle_weights[u], esn.cycle_weights)
+            assert np.array_equal(bank.input_weights[u], esn.input_weights)
 
 
 def test_weight_distribution_support_validation():
