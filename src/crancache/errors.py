@@ -29,9 +29,5 @@ class NumericalRankError(CranCacheError):
     """Unregularized ridge solve on a rank-deficient state matrix."""
 
 
-class MeasurementError(CranCacheError):
-    """Degenerate input for an empirical measurement (e.g. zero variance)."""
-
-
 class InstanceTooLargeError(CranCacheError):
     """Exhaustive-oracle guard: the subset space is not enumerable."""
