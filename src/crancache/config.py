@@ -163,11 +163,16 @@ class ExperimentConfig:
         if v["seed"] < 0:
             raise ConfigurationError("seed must be non-negative")
         self.weight_spec()  # raises on a bad family
-        for name in self.policies():
+        names = self.policies()
+        if not names:
+            raise ConfigurationError(f"policy names no policy; pick from {POLICIES} or 'all'")
+        for name in names:
             if name not in POLICIES:
                 raise ConfigurationError(
                     f"unknown policy {name!r}; pick from {POLICIES} or 'all'"
                 )
+        if len(set(names)) < len(names):
+            raise ConfigurationError(f"policy {v['policy']!r} repeats a policy")
 
     def policies(self):
         raw = self.values["policy"]

@@ -87,6 +87,9 @@ def test_config_error_exit_code(tmp_path):
     code = main(["--out-dir", str(tmp_path), "--override", "bogus=1",
                  "simulate"])
     assert code == EXIT_CONFIG
+    for policy in ("", "proposed,proposed"):  # names no policy, repeats one
+        assert main(_tiny_args(tmp_path, [f"policy={policy}"]) + ["simulate"]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_episode_axis(tmp_path):

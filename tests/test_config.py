@@ -155,6 +155,13 @@ def test_policy_list_parsing():
     assert cfg.policies() == ["proposed", "random_clustered"]
 
 
+@pytest.mark.parametrize("policy", ["", " , ", "proposed,proposed",
+                                    "proposed, random_clustered,proposed"])
+def test_policy_list_naming_no_policy_or_repeating_one_rejected(policy):
+    with pytest.raises(ConfigurationError, match="policy"):
+        ExperimentConfig.default(policy=policy)
+
+
 def test_weight_spec_construction():
     cfg = ExperimentConfig.default(w_dist="symbinary", w_a=0.7)
     spec = cfg.weight_spec()
