@@ -52,11 +52,10 @@ class UserArchetype:
     device_mix: float        # probability of device type 1
     rank_permutation: np.ndarray  # rank position -> content index (0-based)
 
-    def conditional(self, base_probs, hour, weekday):
-        """Request distribution in the (hour, weekday) bucket."""
+    def conditional(self, base_probs, rotation):
+        """Request distribution at block `rotation` (0 <= rotation < _BLOCK)."""
         n = base_probs.shape[0]
         perm = self.rank_permutation.copy()
-        rotation = (hour + weekday) % _BLOCK
         if rotation:  # rotate every block of ranks 2..n, a short last block too
             cut = 1 + (n - 1) // _BLOCK * _BLOCK
             perm[1:cut] = np.roll(perm[1:cut].reshape(-1, _BLOCK), rotation, axis=1).ravel()
@@ -86,15 +85,14 @@ class Workload:
     _static_context: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = np.stack([[arch.conditional(self.base_probs, rotation, 0)
+        table = np.stack([[arch.conditional(self.base_probs, rotation)
                            for rotation in range(_BLOCK)] for arch in self.archetypes])
         table.flags.writeable = False
         self.table = table
-        arch = [self.archetypes[a] for a in self.user_archetype]
         static = np.zeros((self.n_users, CONTEXT_FEATURES))
         static[:, 2] = self.user_gender
-        static[:, 3] = [a.occupation_code for a in arch]
-        static[:, 4] = [a.age_band for a in arch]
+        static[:, 3] = np.array([a.occupation_code for a in self.archetypes])[self.user_archetype]
+        static[:, 4] = np.array([a.age_band for a in self.archetypes])[self.user_archetype]
         static[:, 5] = self.user_device
         self._static_context = static
 

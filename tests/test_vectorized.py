@@ -219,7 +219,8 @@ def test_workload_table_matches_archetype_conditionals(n_contents):
         for user in range(wl.n_users):
             arch = wl.archetypes[wl.user_archetype[user]]
             expected = reference_conditional(arch.rank_permutation, wl.base_probs, hour, weekday)
-            assert np.array_equal(arch.conditional(wl.base_probs, hour, weekday), expected)
+            rotation = (hour + weekday) % 3
+            assert np.array_equal(arch.conditional(wl.base_probs, rotation), expected)
             assert np.array_equal(wl.distribution(user, slot), expected)
             context = np.array([hour / 23.0, weekday / 6.0, float(wl.user_gender[user]),
                                 arch.occupation_code, arch.age_band,
