@@ -13,27 +13,31 @@ theta -> 0 limit returns the mean capacity.
 
 The channel sampler has three steps, and `segment_capacity_rows` runs them
 in order. `pair_layout` lists the (user, RRH) pairs a slot draws, with their
-path gains, and cuts them into chunks of at most FADING_CHUNK_ENTRIES draws.
-`fading_blocks` draws each chunk's fading from the slot's generator, in pair
-order. A layout of one chunk (every desk-scale slot) draws inline, when the
-block is asked for. A larger one hands its chunks to one worker thread, at
-most FADING_LOOKAHEAD ahead of the accumulation, so that a caller can work
-while the fading is drawn: the draw and numpy's matrix products both release
-the GIL. The worker is handed only numpy callables implemented in C (the
-exponential draw into a buffer, then the multiply by the gains), never
-package code: a worker running Python code contends with the main thread for
-the GIL, which made slots slower, and the benchmark's span tracer assumes
-that package code runs on one thread. One worker draws the chunks in order,
-so the samples do not depend on which thread draws. `capacity_from_fading`
-then adds up signal and interference from the faded powers, chunk after
-chunk, and scores the slot capacity.
+path gains. `fading_block` draws the slot's fading as one (pairs, n_mc,
+SLOT_SUBSTEPS) block from the slot's generator, in C order. A block of at
+most MAX_INLINE_FADING_ENTRIES entries (every desk-scale slot) is drawn
+inline, when the caller asks for it. A larger one is handed at once to one
+worker thread, so that the caller can work while the fading is drawn: the
+draw and numpy's matrix products both release the GIL. The worker is handed
+only numpy callables implemented in C (the exponential draw into the block,
+then the multiply by the gains), never package code: a worker running
+Python code contends with the main thread for the GIL, which made slots
+slower, and the benchmark's span tracer assumes that package code runs on
+one thread. Either way one generator fills the block in the same order, so
+the samples do not depend on which thread draws. `capacity_from_fading`
+then adds up signal and interference from the faded powers and scores the
+slot capacity.
+
+The block holds U x (active RRHs) x n_mc x SLOT_SUBSTEPS floats at most: at
+the parameter-table defaults (U = 32, n_mc = 64) that is 5.2 MB for the
+worst slot, in which 1024 pairs are drawn, and at U = 128 it is 84 MB (a
+size the benchmark does not run).
 
 dBm values are converted to linear scale once, in RadioParams; all math here
 is linear-scale and unit-agnostic.
 """
 import contextlib
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -47,13 +51,10 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
-# Fading is drawn for (user, RRH) pairs in chunks of at most this many (pair,
-# sample, sub-step) entries, which bounds the temporaries of one chunk. It is
-# also the gate of the fading worker: a slot whose pairs fit one chunk draws
-# inline.
-FADING_CHUNK_ENTRIES = 1 << 18
-FADING_LOOKAHEAD = 2  # chunks the worker may draw ahead of the accumulation
-# draws the fading of layouts larger than one chunk (see the module
+# A fading block of at most this many (pair, sample, sub-step) entries is
+# drawn inline; a larger one is drawn on _FADING_WORKER.
+MAX_INLINE_FADING_ENTRIES = 1 << 18
+# draws the fading blocks above MAX_INLINE_FADING_ENTRIES (see the module
 # docstring); its thread starts at the first hand-off, not at import
 _FADING_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crancache-fading")
 
@@ -243,17 +244,13 @@ class PairLayout:
     Pairs go users in order and columns in order within a user. `serves`
     marks each user's serving pair (the others interfere) and `gains` holds
     each pair's `path_gain` at the SLOT_SUBSTEPS sub-step points. The
-    fading of pairs [lo, hi) is one (hi - lo, n_mc, SLOT_SUBSTEPS) block of
-    unit-mean exponentials times gains[lo:hi, None, :]; `chunks` lists the
-    (lo, hi) bounds of the blocks in draw order, each of at most
-    FADING_CHUNK_ENTRIES entries or one pair.
+    slot's fading is one (pairs, n_mc, SLOT_SUBSTEPS) block of unit-mean
+    exponentials times gains[:, None, :].
     """
-    n_users: int
     n_mc: int
     users: np.ndarray
     serves: np.ndarray
     gains: np.ndarray
-    chunks: list
 
 
 def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
@@ -264,7 +261,7 @@ def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
     serves user u and the other columns set in row u of the (U, A) mask
     `interferes` interfere. RRH-user distances are floored at MIN_DISTANCE_M.
     """
-    n_users, n_active = interferes.shape
+    n_active = interferes.shape[1]
     own = np.arange(n_active) == serving[:, None]
     users, columns = np.nonzero(interferes | own)
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
@@ -272,91 +269,66 @@ def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
     dx = points[users, :, 0] - rrh_positions[columns, 0, None]
     dy = points[users, :, 1] - rrh_positions[columns, 1, None]
     d = np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE_M)
-    size = max(1, FADING_CHUNK_ENTRIES // (n_mc * SLOT_SUBSTEPS))
-    chunks = [(lo, min(lo + size, len(users))) for lo in range(0, len(users), size)]
-    return PairLayout(n_users, n_mc, users, own[users, columns], path_gain(d, radio), chunks)
+    return PairLayout(n_mc, users, own[users, columns], path_gain(d, radio))
 
 
 @contextlib.contextmanager
-def fading_blocks(layout, rng):
-    """Yield an iterator over the fading blocks of `layout.chunks`, drawn from `rng`.
+def fading_block(layout, rng):
+    """Yield a function that returns the fading block of `layout`, drawn from `rng`.
 
-    A layout of one chunk draws inline, when the block is asked for.
-    Otherwise the first FADING_LOOKAHEAD chunks go to _FADING_WORKER at
-    once, each as two numpy calls: the exponential draw into a preallocated
-    buffer, then the multiply by the pairs' gains in place. Each later chunk
-    is handed off once the caller has taken the block FADING_LOOKAHEAD chunks
-    before it, and reuses that block's buffer. One worker runs the jobs in
-    order, so the draws are those of the inline path. A job's exception
-    comes out of the iterator, and leaving the block cancels or waits for
-    every job still pending, so none outlives it.
+    A block of at most MAX_INLINE_FADING_ENTRIES entries is drawn inline,
+    when the function is called. A larger one goes to _FADING_WORKER at
+    once, as two numpy calls: the exponential draw into the block, then the
+    multiply by the pairs' gains in place; the function waits for both. The
+    draws are those of the inline path. A job's exception comes out of the
+    function, and leaving the block cancels or waits for both jobs, so
+    neither outlives it.
     """
-    chunks = layout.chunks
+    shape = (len(layout.users), layout.n_mc, SLOT_SUBSTEPS)
+    gains = layout.gains[:, None, :]
+    if math.prod(shape) <= MAX_INLINE_FADING_ENTRIES:
+        def drawn_inline():
+            block = rng.standard_exponential(shape)
+            return np.multiply(block, gains, out=block)
 
-    def drawn_inline():
-        for lo, hi in chunks:
-            block = rng.standard_exponential((hi - lo, layout.n_mc, SLOT_SUBSTEPS))
-            yield np.multiply(block, layout.gains[lo:hi, None, :], out=block)
-
-    if len(chunks) <= 1:
-        yield drawn_inline()
+        yield drawn_inline
         return
-    size = chunks[0][1]  # pairs in a full chunk
-    buffers = np.empty((FADING_LOOKAHEAD, size, layout.n_mc, SLOT_SUBSTEPS))
-    jobs = deque()
+    block = np.empty(shape)
+    jobs = [_FADING_WORKER.submit(rng.standard_exponential, out=block),
+            _FADING_WORKER.submit(np.multiply, block, gains, out=block)]
 
-    def hand_off(i):
-        lo, hi = chunks[i]
-        block = buffers[i % FADING_LOOKAHEAD, :hi - lo]
-        jobs.append((block, _FADING_WORKER.submit(rng.standard_exponential, out=block),
-                     _FADING_WORKER.submit(np.multiply, block, layout.gains[lo:hi, None, :],
-                                           out=block)))
+    def drawn():
+        for job in jobs:
+            job.result()
+        return block
 
-    def blocks():
-        for i in range(len(chunks)):
-            block, draw, scale = jobs[0]
-            draw.result()
-            scale.result()
-            jobs.popleft()
-            yield block
-            if i + FADING_LOOKAHEAD < len(chunks):
-                hand_off(i + FADING_LOOKAHEAD)
-
-    for i in range(min(FADING_LOOKAHEAD, len(chunks))):
-        hand_off(i)
     try:
-        yield blocks()
+        yield drawn
     finally:
-        pending = [future for _, *futures in jobs for future in futures]
-        for future in pending:
-            future.cancel()
-        wait(pending)
+        for job in jobs:
+            job.cancel()
+        wait(jobs)
 
 
-def capacity_from_fading(layout, blocks, radio):
+def capacity_from_fading(layout, power, radio):
     """(U, n_mc) cumulative slot capacities in bit, from the layout's faded powers.
 
-    `blocks` yields the powers of `layout.chunks` in order (see PairLayout);
-    they are overwritten. Each user's interference starts from 0.0 and adds
-    its interferers' powers one column after the other, continuing across a
-    chunk boundary, so it does not depend on which other columns exist or on
-    where the chunks cut. The serving rows are set to 0.0 first, which moves
-    no bit of a sum, so a user's interference is the sum over its rows: one
-    reduction along the first axis, which numpy adds row after row. (The
-    tests compare users with more than eight interferers, where a pairwise
-    sum would group them differently, against a column-by-column loop.)
-    Gamma comes from `sinr`.
+    `power` is the layout's fading block (see PairLayout); it is
+    overwritten. Each user's interference starts from 0.0 and adds its
+    interferers' powers one column after the other, so it does not depend
+    on which other columns exist. The serving rows are set to 0.0 first,
+    which moves no bit of a sum, so a user's interference is the sum over
+    its rows: one reduction along the first axis, which numpy adds row after
+    row. (The tests compare users with more than eight interferers, where a
+    pairwise sum would group them differently, against a column-by-column
+    loop.) Gamma comes from `sinr`.
     """
-    signal = np.empty((layout.n_users, layout.n_mc, SLOT_SUBSTEPS))
-    interference = np.zeros_like(signal)
-    for (lo, hi), power in zip(layout.chunks, blocks):
-        u, serve = layout.users[lo:hi], layout.serves[lo:hi]
-        signal[u[serve]] = power[serve]
-        power[serve] = 0.0
-        power[0] += interference[u[0]]  # the sum so far of a user the chunk cut
-        bounds = np.flatnonzero(np.diff(u, prepend=-1, append=-1)).tolist()
-        for first, stop in zip(bounds[:-1], bounds[1:]):
-            np.add.reduce(power[first:stop], axis=0, out=interference[u[first]])
+    signal = power[layout.serves]  # each user has one serving pair, in user order
+    power[layout.serves] = 0.0
+    interference = np.empty_like(signal)
+    bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1)).tolist()
+    for user, (first, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.add.reduce(power[first:stop], axis=0, out=interference[user])
     return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
 
 
@@ -364,16 +336,15 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
                           radio, n_mc, rng):
     """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
 
-    `pair_layout`, then `fading_blocks`, then `capacity_from_fading`: the
+    `pair_layout`, then `fading_block`, then `capacity_from_fading`: the
     fading is drawn from `rng` as one (n_mc, SLOT_SUBSTEPS) block per used
     pair, users in order and columns in order within a user, every sub-step
-    redrawing the fading. Returns (U, n_mc) samples in bit. A user's pairs
-    may straddle two chunks; chunking, and the thread that draws, move no
-    draw and no sum.
+    redrawing the fading. Returns (U, n_mc) samples in bit. The thread that
+    draws moves no draw and no sum.
     """
     layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
-    with fading_blocks(layout, rng) as blocks:
-        return capacity_from_fading(layout, blocks, radio)
+    with fading_block(layout, rng) as fading:
+        return capacity_from_fading(layout, fading(), radio)
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,

@@ -24,9 +24,9 @@ baselines (with/without clustering), and "optimal_oracle" (per-decision
 exhaustive subset search fed with ground-truth knowledge, gated by instance
 size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
-requests; fading is drawn only for the RRHs a user hears. A slot larger than
-one fading chunk draws its fading on a worker thread while the main thread
-predicts (see the qos module docstring).
+requests; fading is drawn only for the RRHs a user hears. A slot whose
+fading block is too large to draw inline draws it on a worker thread while
+the main thread predicts (see the qos module docstring).
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -47,7 +47,7 @@ from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
 from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
-                   WiredParams, capacity_from_fading, effective_capacity_rows, fading_blocks,
+                   WiredParams, capacity_from_fading, effective_capacity_rows, fading_block,
                    long_term_average, map_qos_exponents_lenient, pair_layout,
                    per_content_rate, sum_effective_capacity)
 from ..seeding import rng_for
@@ -179,7 +179,6 @@ class Simulation:
                                       config["waypoints"], config["S"], self.seed)
         self.topology = build_topology(config["R"], schedules, config["T"],
                                        config["r"], self.seed)
-        self.grid = LocationGrid(config["r"])
 
         # Only what the policy reads is built: random_unclustered reads no
         # prediction, and oracle-like runs read the true distributions and
@@ -193,7 +192,8 @@ class Simulation:
                 learning_rate=config["lambda_alpha"])
             self.mobility = MobilityEsnBank(
                 config["W"], config.weight_spec(), config["N_s"],
-                [rng_for(self.seed, "mobility_esn", u) for u in range(config["U"])], self.grid,
+                [rng_for(self.seed, "mobility_esn", u) for u in range(config["U"])],
+                LocationGrid(config["r"]),
                 n_observations=(config["T"] - 1) // config["H"] + 1,
                 ridge_lambda=config["lambda"])
 
@@ -297,13 +297,13 @@ class Simulation:
             self.mobility.observe(positions)
 
         layout = self._pair_layout(slot, serving)
-        with fading_blocks(layout, rng_for(self.seed, "channel", slot)) as fading:
+        with fading_block(layout, rng_for(self.seed, "channel", slot)) as fading:
             truth = self.workload.distributions(slot)
             predictions = self._predictions(slot, truth)
             assoc = self._assoc_for_caching(serving)
             self._update_clusters(assoc, predictions)
             # (U, n_mc) slot-capacity draws in Mbit
-            samples = capacity_from_fading(layout, fading, self.radio) * CAPACITY_UNIT
+            samples = capacity_from_fading(layout, fading(), self.radio) * CAPACITY_UNIT
         self._update_rrh_caches(slot, assoc, predictions, samples)
 
         requests = draw_requests(truth, rng_for(self.seed, "requests", slot))

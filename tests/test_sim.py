@@ -443,40 +443,29 @@ def test_content_reservoir_has_a_stream_of_its_own():
 # ---- the fading worker ----------------------------------------------------------
 
 def spy_on_fading(monkeypatch):
-    """Record each slot's PairLayout, every callable handed to the fading
-    worker, and how many chunks were drawn ahead of the accumulation at
-    each hand-off of a draw."""
-    seen = {"layouts": [], "callables": [], "ahead": [], "drawn": 0, "taken": 0}
+    """Record each slot's PairLayout, and every callable handed to the fading
+    worker with the future it returned."""
+    seen = {"layouts": [], "callables": [], "futures": []}
     submit = qos._FADING_WORKER.submit
     accumulate = episode.capacity_from_fading
 
     def spy_submit(fn, *args, **kwargs):
         seen["callables"].append(fn)
-        if getattr(fn, "__name__", "") == "standard_exponential":
-            seen["drawn"] += 1
-            seen["ahead"].append(seen["drawn"] - seen["taken"])
-        return submit(fn, *args, **kwargs)
+        seen["futures"].append(submit(fn, *args, **kwargs))
+        return seen["futures"][-1]
 
-    def counted(blocks):
-        for block in blocks:
-            seen["taken"] += 1
-            yield block
-
-    def spy_accumulate(layout, blocks, radio):
+    def spy_accumulate(layout, power, radio):
         seen["layouts"].append(layout)
-        try:
-            return accumulate(layout, counted(blocks), radio)
-        finally:
-            seen["drawn"] = seen["taken"] = 0  # a slot hands off before it accumulates
+        return accumulate(layout, power, radio)
 
     monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
     monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
     return seen
 
 
-def straddles(layout):
-    """Whether some user's pairs fall into two chunks."""
-    return any(layout.users[lo - 1] == layout.users[lo] for lo, _ in layout.chunks[1:])
+def on_the_worker(layout):
+    """Whether the layout's fading block is too large to draw inline."""
+    return layout.gains.size * layout.n_mc > qos.MAX_INLINE_FADING_ENTRIES
 
 
 @pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
@@ -484,7 +473,7 @@ def straddles(layout):
 def test_fading_worker_matches_inline_draws(monkeypatch, policy):
     inline = run_episode(tiny_config(), policy, seed=2)
     seen = spy_on_fading(monkeypatch)
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)  # one (user, RRH) pair per chunk
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)  # every slot on the worker
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often between hand-offs and reads
     try:
@@ -492,9 +481,7 @@ def test_fading_worker_matches_inline_draws(monkeypatch, policy):
     finally:
         sys.setswitchinterval(interval)
     assert len(seen["layouts"]) == 60
-    assert all(len(layout.chunks) >= 3 for layout in seen["layouts"])
-    assert any(straddles(layout) for layout in seen["layouts"])
-    assert len(seen["callables"]) == 2 * sum(len(layout.users) for layout in seen["layouts"])
+    assert len(seen["callables"]) == 2 * 60  # the draw, then the multiply by the gains
     assert handed_off.slot_csv() == inline.slot_csv()
     assert handed_off.predictor_csv() == inline.predictor_csv()
     assert handed_off.cloud_trace == inline.cloud_trace
@@ -510,9 +497,8 @@ def test_fading_worker_matches_inline_draws_at_default_size(monkeypatch):
     twin = copy.deepcopy(sim)
     seen = spy_on_fading(monkeypatch)
     handed_off = [sim.run_slot(slot) for slot in range(1, 4)]
-    assert all(len(layout.chunks) >= 2 for layout in seen["layouts"])
-    assert any(straddles(layout) for layout in seen["layouts"])
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1 << 40)  # every slot one chunk
+    assert all(on_the_worker(layout) for layout in seen["layouts"])
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1 << 40)  # every slot inline
     seen["callables"].clear()
     inline = [twin.run_slot(slot) for slot in range(1, 4)]
     assert not seen["callables"]
@@ -527,12 +513,13 @@ def test_fading_worker_runs_only_numpy_callables(monkeypatch):
     sim = default_size_simulation()
     for slot in range(1, 4):
         sim.run_slot(slot)
-    assert len(seen["callables"]) >= 2 * 2 * 3  # two calls per chunk, two chunks or more per slot
+    worker_slots = sum(on_the_worker(layout) for layout in seen["layouts"])
+    assert worker_slots >= 1
+    assert len(seen["callables"]) == 2 * worker_slots  # two calls per slot on the worker
     for fn in seen["callables"]:
         # a ufunc, or a Generator method compiled to C: no Python function body
         assert not inspect.isfunction(getattr(fn, "__func__", fn))
         assert isinstance(fn, np.ufunc) or isinstance(fn.__self__, np.random.Generator)
-    assert max(seen["ahead"]) == 2  # the worker draws at most two chunks ahead
 
 
 class DrawFailed(Exception):
@@ -548,7 +535,7 @@ class FailingChannel:
 
 def test_fading_worker_exception_reaches_the_caller(monkeypatch):
     seen = spy_on_fading(monkeypatch)
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)
     monkeypatch.setattr(episode, "rng_for", lambda seed, purpose, *keys: (
         FailingChannel() if purpose == "channel" else rng_for(seed, purpose, *keys)))
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
@@ -556,4 +543,24 @@ def test_fading_worker_exception_reaches_the_caller(monkeypatch):
         sim.run_slot(1)
     assert seen["callables"]  # the failing draw ran on the worker
     # nothing is left queued: the worker takes the next job at once
+    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
+
+
+class PredictFailed(Exception):
+    pass
+
+
+def test_exception_in_the_slot_leaves_the_fading_worker_idle(monkeypatch):
+    seen = spy_on_fading(monkeypatch)
+    sim = default_size_simulation()
+
+    def failing_predict(contexts):
+        raise PredictFailed("no prediction")
+
+    monkeypatch.setattr(sim.content_bank, "predict", failing_predict)
+    with pytest.raises(PredictFailed):
+        sim.run_slot(1)
+    assert len(seen["futures"]) == 2  # slot 1 handed its fading to the worker
+    # leaving the slot cancelled or waited for both jobs
+    assert all(future.done() for future in seen["futures"])
     assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0

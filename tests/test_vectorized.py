@@ -105,9 +105,9 @@ def channel_case(counts, n_active=20, seed=5):
 
 
 @pytest.mark.parametrize("n_mc", [1, 48])
-@pytest.mark.parametrize("chunk_entries", [qos.FADING_CHUNK_ENTRIES, 1])
-def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk_entries):
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", chunk_entries)  # 1: a (user, RRH) pair per chunk
+@pytest.mark.parametrize("inline_entries", [qos.MAX_INLINE_FADING_ENTRIES, 1])
+def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, inline_entries):
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", inline_entries)  # 1: on the worker
     # zero interferers, a few, and nine or more (where numpy's pairwise sum
     # would group them differently from one column after the other)
     starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
@@ -116,9 +116,19 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk
         reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
                                   n_mc, shared, unit_scale=1e-6)
         for u in range(len(serving))])
+    handed_off = []
+    submit = qos._FADING_WORKER.submit
+
+    def spy_submit(fn, *args, **kwargs):
+        handed_off.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
     got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
                                 np.random.default_rng(100)) * 1e-6
     assert np.array_equal(got, expected)
+    # on the worker: the draw, then the multiply by the gains
+    assert len(handed_off) == (2 if inline_entries == 1 else 0)
     for u in range(len(serving)):
         # the one-user form puts the serving RRH first, then the interferers
         positions = np.vstack([rrhs[serving[u]], rrhs[interferes[u]]])
@@ -133,42 +143,12 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, chunk
 
 @pytest.mark.parametrize("n_mc", [1, 48])
 def test_segment_capacity_rows_chunking_moves_no_draw(monkeypatch, n_mc):
+    """The block drawn on the worker holds the draws of the inline path."""
     case = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17, 19, 5])
-    default = segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3))
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", 1)
+    inline = segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3))
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)
     assert np.array_equal(segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3)),
-                          default)
-
-
-@pytest.mark.parametrize("pairs_per_chunk", [5, 11])
-def test_users_straddling_a_chunk_boundary_match_the_reference(monkeypatch, pairs_per_chunk):
-    """Chunks of 5 or 11 (user, RRH) pairs: several users start in one chunk
-    and end in a later one, and their interference keeps adding one column
-    after the other across the boundary."""
-    n_mc = 8
-    starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
-    last_pair = np.cumsum(interferes.sum(axis=1) + 1) - 1
-    first_pair = np.concatenate([[0], last_pair[:-1] + 1])
-    assert np.count_nonzero(first_pair // pairs_per_chunk != last_pair // pairs_per_chunk) >= 3
-    monkeypatch.setattr(qos, "FADING_CHUNK_ENTRIES", pairs_per_chunk * n_mc * SLOT_SUBSTEPS)
-    handed_off = []
-    submit = qos._FADING_WORKER.submit
-
-    def spy_submit(fn, *args, **kwargs):
-        handed_off.append(fn)
-        return submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
-    shared = np.random.default_rng(31)
-    expected = np.stack([
-        reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
-                                  n_mc, shared)
-        for u in range(len(serving))])
-    got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
-                                np.random.default_rng(31))
-    assert np.array_equal(got, expected)
-    # every chunk was drawn on the worker: the draw, then the multiply by the gains
-    assert len(handed_off) == 2 * math.ceil((last_pair[-1] + 1) / pairs_per_chunk)
+                          inline)
 
 
 def test_fully_cooperating_user_matches_a_zero_interferer_reference():
