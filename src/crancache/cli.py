@@ -14,9 +14,10 @@ readout that all users share differ in their last bits. At the defaults
 byte-identical under one and two threads, but nothing guarantees that. Run
 with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for other
 BLAS builds) to replay a run bit for bit on any host. The worker thread
-that draws the channel fading of large slots moves no bits either: it draws
-from the slot's own generator in the order the calling thread would. Exit
-codes: 0 success, 2 config error, 3 infeasible instance (oracle guard).
+that draws a large slot's channel fading block moves no bits either: it
+fills the block from the slot's own generator in the order the calling
+thread would. Exit codes: 0 success, 2 config error, 3 infeasible instance
+(oracle guard).
 """
 import argparse
 import logging
@@ -167,6 +168,8 @@ def _sweep_mobility_rows(cfg, axis, value, reps, trace=600):
 def cmd_sweep(args):
     if args.axis not in SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {SWEEP_AXES}")
+    if args.reps < 1:
+        raise ConfigurationError(f"--reps must be >= 1 (got {args.reps})")
     base = _load_config(args)
     out = _out_dir(args)
     rows = []

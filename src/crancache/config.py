@@ -152,8 +152,9 @@ class ExperimentConfig:
         if not 0.0 < v["lambda_alpha"] < 2.0:
             raise ConfigurationError(
                 "lambda_alpha must lie in (0, 2), where the normalized readout step is stable")
-        if v["lambda"] < 0.0:
-            raise ConfigurationError("lambda cannot be negative")
+        if v["lambda"] <= 0.0:
+            raise ConfigurationError(
+                "lambda must be positive: a mobility fit may have fewer samples than W units")
         if v["C_c"] > v["N"] or v["C_r"] > v["N"]:
             raise ConfigurationError("cache capacities cannot exceed the catalog")
         if v["C_c"] < 0 or v["C_r"] < 0:

@@ -196,6 +196,14 @@ def test_sweep_rejects_unknown_axis(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_rep(tmp_path, reps):
+    code = main(_tiny_args(tmp_path) + ["sweep", "--axis", "C_c", "--values", "1",
+                                        "--reps", reps])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_memcap_table(tmp_path, capsys):
     code = main(["--out-dir", str(tmp_path), "memcap", "--dist", "pointmass",
                  "--a", "0.9", "--W-range", "2:3", "--trace-len", "4000"])

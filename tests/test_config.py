@@ -71,6 +71,18 @@ def test_lambda_alpha_bounded_by_the_stability_of_the_normalized_step(tmp_path):
     assert ExperimentConfig.load(path)["lambda_alpha"] == 1.99
 
 
+def test_mobility_ridge_lambda_must_be_positive(tmp_path):
+    """lambda = 0 would fail deep in an episode: the first mobility fit has
+    fewer samples than W units, so its state matrix is rank-deficient."""
+    path = tmp_path / "ridge.cfg"
+    for value in ("0", "-0.5"):
+        path.write_text(f"lambda = {value}\n")
+        with pytest.raises(ConfigurationError, match="lambda must be positive"):
+            ExperimentConfig.load(path)
+    path.write_text("lambda = 1e-9\n")
+    assert ExperimentConfig.load(path)["lambda"] == 1e-9
+
+
 def test_comments_and_whitespace(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("# leading comment\nT = 60  # trailing\n\n  U = 8\n")
@@ -121,7 +133,7 @@ valid_overrides = st.fixed_dictionaries({}, optional={
     "epsilon": finite(0.0, 1.0, exclude_min=True, exclude_max=True),
     "delta": finite(0.0, 1.0, exclude_min=True),
     "beta": finite(2.0, 1e3, exclude_min=True),
-    "lambda": finite(0.0, 1e6),
+    "lambda": finite(0.0, 1e6, exclude_min=True),
     "S": finite(0.0, 1e6),
     "w_a": finite(-1.0, 1.0, exclude_min=True, exclude_max=True),
     **{key: st.integers(1, 10 ** 6) for key in ("R", "U", "N_w", "H", "N_s", "W", "N_tr",
