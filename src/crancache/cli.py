@@ -43,7 +43,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
-SWEEP_AXES = ("C_c", "R", "U", "epsilon", "delta", "W", "N_tr")
+EPISODE_AXES = ("C_c", "R", "U")
+SWEEP_AXES = EPISODE_AXES + ("epsilon", "delta", "W", "N_tr")
 
 
 def _load_config(args):
@@ -60,18 +61,25 @@ def _out_dir(args):
     return out
 
 
-def cmd_simulate(args):
-    cfg = _load_config(args)
-    seed = cfg["seed"]
+def _runnable_policies(cfg):
+    """The config's policies; an oracle too large to search is skipped under
+    "all" and refused (InstanceTooLargeError, exit 3) when named."""
     policies = cfg.policies()
     if POLICY_ORACLE in policies:  # only the oracle is size-gated
         try:
             check_oracle_guard(cfg["N"], cfg["C_c"], cfg["C_r"], cfg["R"])
         except InstanceTooLargeError as exc:
             if cfg["policy"].strip() != "all":
-                raise  # a named oracle that cannot run: refused before any policy runs
+                raise
             log.info("skipping oracle: %s", exc)
             policies.remove(POLICY_ORACLE)
+    return policies
+
+
+def cmd_simulate(args):
+    cfg = _load_config(args)
+    seed = cfg["seed"]
+    policies = _runnable_policies(cfg)  # refused before any policy runs
     out = _out_dir(args)
     summary_lines = []
     for policy in policies:
@@ -86,15 +94,12 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _sweep_episode_rows(cfg, axis, value, reps):
+def _sweep_episode_rows(cfg, axis, value, reps, policies):
     rows = []
     for rep in range(reps):
         seed = cfg["seed"] + rep
-        for policy in cfg.policies():
-            try:
-                report = run_episode(cfg, policy, seed)
-            except InstanceTooLargeError:  # an oracle too large to search
-                continue
+        for policy in policies:
+            report = run_episode(cfg, policy, seed)
             rows.append((axis, value, policy, seed, "E_bar",
                          report.effective_capacity_avg))
             n = max(len(report.slots), 1)
@@ -171,19 +176,22 @@ def cmd_sweep(args):
     if args.reps < 1:
         raise ConfigurationError(f"--reps must be >= 1 (got {args.reps})")
     base = _load_config(args)
-    out = _out_dir(args)
-    rows = []
+    points = []  # every point is built and checked before any of them runs
     for raw in args.values:
         cfg = ExperimentConfig(dict(base.values))
         cfg.set(args.axis, raw)
         cfg.validate()
+        points.append((cfg, _runnable_policies(cfg) if args.axis in EPISODE_AXES else None))
+    out = _out_dir(args)
+    rows = []
+    for cfg, policies in points:
         value = cfg[args.axis]
-        if args.axis in ("epsilon", "delta"):
+        if policies is not None:
+            rows.extend(_sweep_episode_rows(cfg, args.axis, value, args.reps, policies))
+        elif args.axis in ("epsilon", "delta"):
             rows.extend(_sweep_coverage_rows(cfg, args.axis, value, args.reps))
-        elif args.axis in ("W", "N_tr"):
-            rows.extend(_sweep_mobility_rows(cfg, args.axis, value, args.reps))
         else:
-            rows.extend(_sweep_episode_rows(cfg, args.axis, value, args.reps))
+            rows.extend(_sweep_mobility_rows(cfg, args.axis, value, args.reps))
     lines = ["axis,sweep_value,policy,seed,metric,metric_value"]
     for axis, value, policy, seed, metric, metric_value in rows:
         lines.append(f"{axis},{value},{policy},{seed},{metric},{metric_value:.10g}")

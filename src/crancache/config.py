@@ -10,13 +10,15 @@ Validation reads each rule from its one home: the policy names from POLICIES
 below (the simulator takes its policy constants from it), the context width
 K from esn.content.CONTEXT_FEATURES, and the cycle-weight family from
 WeightDistribution, which rejects an unknown `w_dist` and reads only its own
-family's fields (w_a for pointmass and symbinary, w_lo and w_hi for uniform).
+family's fields (w_a for pointmass and symbinary, w_lo and w_hi for uniform),
+and the radio constants (P, beta, sigma2, B) from qos.RadioParams.
 """
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .esn.content import CONTEXT_FEATURES
 from .esn.mobility import WeightDistribution
+from .qos import RadioParams
 
 # every episode policy; the `policy` key takes a comma list of them or "all"
 POLICIES = ("proposed", "random_clustered", "random_unclustered", "optimal_oracle")
@@ -126,12 +128,11 @@ class ExperimentConfig:
 
     def validate(self):
         v = self.values
-        positive = ["r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F"]
         for key in ("R", "U", "N", "N_w", "K", "H", "T_tau", "T", "N_s", "W",
                     "N_tr", "n_mc", "archetypes", "waypoints"):
             if v[key] < 1:
                 raise ConfigurationError(f"{key} must be >= 1 (got {v[key]})")
-        for key in positive:
+        for key in ("r", "L", "theta_s_O", "D_max", "v_B", "v_F"):
             if v[key] <= 0:
                 raise ConfigurationError(f"{key} must be positive (got {v[key]})")
         if v["S"] < 0:
@@ -143,8 +144,6 @@ class ExperimentConfig:
             raise ConfigurationError("epsilon must lie in (0, 1)")
         if not 0.0 < v["delta"] <= 1.0:
             raise ConfigurationError("delta must lie in (0, 1]")
-        if v["beta"] <= 2.0:
-            raise ConfigurationError("beta must exceed 2")
         if v["chi"] <= 0.0:
             raise ConfigurationError("chi must be positive")
         if v["N"] < 2:
@@ -164,6 +163,7 @@ class ExperimentConfig:
         if v["seed"] < 0:
             raise ConfigurationError("seed must be non-negative")
         self.weight_spec()  # raises on a bad family
+        self.radio()  # raises on beta <= 2, B <= 0, or dBm powers that leave the float range
         names = self.policies()
         if not names:
             raise ConfigurationError(f"policy names no policy; pick from {POLICIES} or 'all'")
@@ -184,6 +184,11 @@ class ExperimentConfig:
     def weight_spec(self):
         v = self.values
         return WeightDistribution(v["w_dist"], a=v["w_a"], lo=v["w_lo"], hi=v["w_hi"])
+
+    def radio(self):
+        v = self.values
+        return RadioParams(tx_power_dbm=v["P"], pathloss_exponent=v["beta"],
+                           noise_dbm=v["sigma2"], bandwidth_hz=v["B"])
 
     def serialize(self):
         """Canonical text form: sorted keys, one `key = value` per line."""

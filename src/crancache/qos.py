@@ -67,12 +67,18 @@ HOP_COUNTS = {PATH_SERVER: 2, PATH_CLOUD: 1, PATH_REMOTE: 2, PATH_LOCAL: 0}
 
 
 def dbm_to_watts(dbm):
-    return 10.0 ** (dbm / 10.0) / 1000.0
+    """Watts of a dBm value; inf where the value overflows a float."""
+    try:
+        return 10.0 ** (dbm / 10.0) / 1000.0
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Downlink radio constants (stored linear-scale)."""
+    """Downlink radio constants, stored linear-scale. Construction requires
+    beta > 2, B > 0, finite watts for the tx power and finite watts above 0 for
+    the noise: above about 3082 dBm a power overflows, below about -3206 dBm it is 0 W."""
     tx_power_dbm: float = 20.0
     pathloss_exponent: float = 4.0
     noise_dbm: float = -95.0
@@ -87,6 +93,9 @@ class RadioParams:
             raise ConfigurationError("bandwidth must be positive")
         object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))
         object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
+        if not (math.isfinite(self.tx_power_w) and 0.0 < self.noise_w < math.inf):
+            raise ConfigurationError(f"tx power {self.tx_power_dbm} dBm must map to finite "
+                                     f"watts, noise {self.noise_dbm} dBm to finite watts above 0")
 
 
 @dataclass(frozen=True)

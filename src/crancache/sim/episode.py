@@ -46,8 +46,8 @@ from ..config import POLICIES, ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
-from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, RadioParams,
-                   WiredParams, capacity_from_fading, effective_capacity_rows, fading_block,
+from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, WiredParams,
+                   capacity_from_fading, effective_capacity_rows, fading_block,
                    long_term_average, map_qos_exponents_lenient, pair_layout,
                    per_content_rate, sum_effective_capacity)
 from ..seeding import rng_for
@@ -160,10 +160,7 @@ class Simulation:
         if policy == POLICY_ORACLE:
             check_oracle_guard(config["N"], config["C_c"], config["C_r"], config["R"])
 
-        self.radio = RadioParams(tx_power_dbm=config["P"],
-                                 pathloss_exponent=config["beta"],
-                                 noise_dbm=config["sigma2"],
-                                 bandwidth_hz=config["B"])
+        self.radio = config.radio()
         self.wired = WiredParams(backhaul_rate=config["v_B"],
                                  fronthaul_rate=config["v_F"],
                                  content_size=config["L"],

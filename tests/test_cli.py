@@ -114,6 +114,22 @@ def test_sweep_policy_all_skips_only_an_oracle_too_large(tmp_path, size, oracle_
     assert all(sum(r[2] == policy for r in rows) == 2 for policy in others)  # E_bar, hit_O
 
 
+def test_sweep_refuses_a_named_oracle_too_large_at_any_point(tmp_path):
+    """R = 40 makes the oracle's search space too large; the sweep is refused
+    before its R = 3 point runs, as simulate at R = 40 is."""
+    args = _tiny_args(tmp_path, ["policy=optimal_oracle"])
+    assert main(args + ["--override", "R=40", "simulate"]) == EXIT_INFEASIBLE
+    code = main(args + ["sweep", "--axis", "R", "--values", "3", "40"])
+    assert code == EXIT_INFEASIBLE
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("power", ["P=4000", "sigma2=4000", "sigma2=-4000"])
+def test_dbm_power_outside_the_float_range_is_a_config_error(tmp_path, power):
+    assert main(_tiny_args(tmp_path, [power]) + ["simulate"]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_epsilon_axis_failure_direction(tmp_path):
     code = main(["--out-dir", str(tmp_path), "--seed", "2",
                  "sweep", "--axis", "epsilon", "--values", "0.03", "0.3",

@@ -83,6 +83,15 @@ def test_mobility_ridge_lambda_must_be_positive(tmp_path):
     assert ExperimentConfig.load(path)["lambda"] == 1e-9
 
 
+@pytest.mark.parametrize("key, dbm", [("P", 4000.0), ("sigma2", 4000.0), ("sigma2", -4000.0),
+                                      ("P", float("inf")), ("sigma2", float("nan"))])
+def test_dbm_powers_outside_the_float_range_rejected(key, dbm):
+    """P or sigma2 = 4000 dBm overflowed in the episode's unit conversion, and
+    sigma2 = -4000 dBm made the noise 0 W and every SINR undefined."""
+    with pytest.raises(ConfigurationError, match="dBm"):
+        ExperimentConfig.default(**{key: dbm})
+
+
 def test_comments_and_whitespace(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("# leading comment\nT = 60  # trailing\n\n  U = 8\n")
@@ -129,7 +138,9 @@ positive = finite(0.0, 1e12, exclude_min=True)
 valid_overrides = st.fixed_dictionaries({}, optional={
     **{key: positive for key in ("r", "B", "L", "theta_s_O", "D_max", "v_B", "v_F", "chi")},
     "lambda_alpha": finite(0.0, 2.0, exclude_min=True, exclude_max=True),
-    **{key: finite(-1e6, 1e6) for key in ("P", "sigma2", "zipf_alpha", "w_lo", "w_hi")},
+    # dBm powers: beyond about +-3080 they leave the float range in watts
+    **{key: finite(-3000.0, 3000.0) for key in ("P", "sigma2")},
+    **{key: finite(-1e6, 1e6) for key in ("zipf_alpha", "w_lo", "w_hi")},
     "epsilon": finite(0.0, 1.0, exclude_min=True, exclude_max=True),
     "delta": finite(0.0, 1.0, exclude_min=True),
     "beta": finite(2.0, 1e3, exclude_min=True),
