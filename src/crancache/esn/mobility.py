@@ -200,63 +200,53 @@ class MobilityEsnBank:
 
     User u's reservoir and input weights are those of a `MobilityEsn` seeded
     with `rngs[u]`. Each `observe` encodes all users' positions, drives every
-    reservoir one step with a single `cycle_drive` call, and records the codes
-    and states in histories preallocated for `n_observations` calls. The
-    readouts are ridge-fitted per user on the same (W, n) state windows and
-    (horizon, n) target windows that a lone `MobilityEsn` would be trained on.
+    reservoir one step with a single `cycle_drive` call, and appends the codes
+    and states to growing histories. `retrain` fits every user's readout in one
+    `ridge_train` call, on the windows a lone `MobilityEsn` would be trained on,
+    so no user or every user predicts. Unlike a lone `MobilityEsn`, the bank
+    uses a fitted readout that is exactly zero; that needs every target code of
+    a user's window to be 0 (the corner cell), which a user inside the disk can
+    reach only when r <= 50 sqrt(2) / (sqrt(2) - 1), about 170.7 m.
     """
 
-    def __init__(self, n_units, weight_spec, horizon, rngs, grid, n_observations,
-                 ridge_lambda=0.5):
+    def __init__(self, n_units, weight_spec, horizon, rngs, grid, ridge_lambda=0.5):
         if n_units < 1 or horizon < 1:
             raise ConfigurationError("n_units and horizon must be >= 1")
         weights = [_draw_weights(n_units, weight_spec, rng) for rng in rngs]
-        n_users = len(weights)
-        self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
         self.grid = grid
-        self.cycle_weights = np.array([w for w, _ in weights])
-        self.input_weights = np.array([w_in for _, w_in in weights])
-        # ridge solutions: readouts[u].T is user u's (horizon, W) output weights,
-        # in the transposed layout of MobilityEsn.output_weights
-        self.readouts = np.zeros((n_users, n_units, horizon))
-        self.state = np.zeros((n_users, n_units))
-        self.codes = np.empty((n_observations, n_users))
-        self.states = np.empty((n_observations, n_users, n_units))
-        self.n_observed = 0
-        self.prediction = np.zeros(n_users)  # predicted next code per user
-        self.has_prediction = np.zeros(n_users, dtype=bool)
+        self.cycle_weights, self.input_weights = map(np.array, zip(*weights))
+        # (U, horizon, W) once fitted: readouts[u] is user u's output weights,
+        # in the layout of MobilityEsn.output_weights
+        self.readouts = None
+        self.state = np.zeros((len(weights), n_units))
+        self.codes = []   # one (U,) row of codes per observe
+        self.states = []  # one (U, W) state per observe
+        self.prediction = None  # (U,) predicted next code, from the first observe after a fit
 
     def observe(self, positions):
-        """Step every user's reservoir on the codes of its (U, 2) positions.
-
-        Users with a trained readout refresh their prediction of the next code.
-        """
-        k = self.n_observed
-        self.codes[k] = self.grid.encode(positions[:, 0], positions[:, 1])
+        """Step every user's reservoir on the codes of its (U, 2) positions and,
+        once the readouts are fitted, refresh every user's predicted next code."""
+        codes = self.grid.encode(positions[:, 0], positions[:, 1])
         self.state = cycle_drive(self.cycle_weights, self.input_weights,
-                                 self.codes[k:k + 1], self.state)[0]
-        self.states[k] = self.state
-        self.n_observed = k + 1
-        trained = self.readouts.any(axis=(1, 2))
-        if trained.any():
+                                 codes[None], self.state)[0]
+        self.codes.append(codes)
+        self.states.append(self.state)
+        if self.readouts is not None:
             # one gemv per user on the layout of MobilityEsn.predict, so the same bits
-            ahead = np.matmul(self.readouts[trained].transpose(0, 2, 1),
-                              self.state[trained, :, None])
-            self.prediction[trained] = ahead[:, 0, 0]
-            self.has_prediction |= trained
+            self.prediction = np.matmul(self.readouts, self.state[:, :, None])[:, 0, 0]
 
     def retrain(self, max_pairs):
-        """Ridge-fit each readout on the latest <= max_pairs completed pairs."""
-        if self.n_observed <= self.horizon:
+        """Ridge-fit every readout on the latest <= max_pairs completed pairs."""
+        if len(self.states) <= self.horizon:
             return
-        states, targets = readout_windows(self.states[:self.n_observed], self.codes,
+        states, targets = readout_windows(np.array(self.states), np.array(self.codes),
                                           self.horizon, max_pairs)
-        self.readouts[:] = np.swapaxes(ridge_train(states, targets, self.ridge_lambda), 1, 2)
+        self.readouts = ridge_train(states, targets, self.ridge_lambda)
 
     def predicted_positions(self):
-        """(users, (k, 2) positions) for the users holding a prediction."""
-        users = np.flatnonzero(self.has_prediction)
-        x, y = self.grid.decode(self.prediction[users])
-        return users, np.column_stack((x, y))
+        """(U, 2) positions of the predicted next codes, or None before the first prediction."""
+        if self.prediction is None:
+            return None
+        return np.column_stack(self.grid.decode(self.prediction))

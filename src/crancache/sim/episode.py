@@ -190,9 +190,7 @@ class Simulation:
             self.mobility = MobilityEsnBank(
                 config["W"], config.weight_spec(), config["N_s"],
                 [rng_for(self.seed, "mobility_esn", u) for u in range(config["U"])],
-                LocationGrid(config["r"]),
-                n_observations=(config["T"] - 1) // config["H"] + 1,
-                ridge_lambda=config["lambda"])
+                LocationGrid(config["r"]), ridge_lambda=config["lambda"])
 
         self.caches = CacheState(cloud_capacity=config["C_c"],
                                  rrh_capacity=config["C_r"],
@@ -231,13 +229,10 @@ class Simulation:
 
     def _assoc_for_caching(self, serving):
         """Predicted serving RRH per user at the cache-decision instant."""
-        assoc = serving.copy()
-        if self.mobility is None:
-            return assoc
-        users, predicted = self.mobility.predicted_positions()
-        if len(users):
-            assoc[users] = nearest_rrh(predicted, self.topology.rrh_positions)
-        return assoc
+        predicted = None if self.mobility is None else self.mobility.predicted_positions()
+        if predicted is None:
+            return serving
+        return nearest_rrh(predicted, self.topology.rrh_positions)
 
     def _update_rrh_caches(self, slot, assoc, predictions, samples):
         cfg = self.cfg
@@ -256,16 +251,10 @@ class Simulation:
         self.caches.rrh = new
         self.caches.validate()
 
-    def _update_clusters(self, assoc, predictions):
-        if self.policy != POLICY_RANDOM_UNCLUSTERED:
-            self.cluster_set = cluster_rrhs(assoc, predictions, self.cfg["chi"], self.cfg["R"])
-
     def _refresh_cloud(self, slot):
         if self.policy in RANDOM_POLICIES:
             rng = rng_for(self.seed, "random_cache", slot, 0)
             cloud = random_caches(rng, 1, self.cfg["N"], self.cfg["C_c"])[0]
-        elif not self.demand_stream:
-            return
         else:
             slots, dists, weights = map(np.concatenate, zip(*self.demand_stream))
             if self.policy == POLICY_ORACLE:
@@ -298,7 +287,8 @@ class Simulation:
             truth = self.workload.distributions(slot)
             predictions = self._predictions(slot, truth)
             assoc = self._assoc_for_caching(serving)
-            self._update_clusters(assoc, predictions)
+            if predictions is not None:  # random_unclustered keeps singleton cooperation
+                self.cluster_set = cluster_rrhs(assoc, predictions, cfg["chi"], cfg["R"])
             # (U, n_mc) slot-capacity draws in Mbit
             samples = capacity_from_fading(layout, fading(), self.radio) * CAPACITY_UNIT
         self._update_rrh_caches(slot, assoc, predictions, samples)

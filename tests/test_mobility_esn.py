@@ -39,7 +39,7 @@ def test_zero_units_rejected():
         MobilityEsn(0, spec, 2, seed=0)
     with pytest.raises(ConfigurationError):
         MobilityEsnBank(0, spec, 2, [rng_for(0, "mobility_esn", u) for u in range(3)],
-                        LocationGrid(1000.0), n_observations=5)
+                        LocationGrid(1000.0))
 
 
 def test_bank_weights_equal_per_user_esns():
@@ -47,7 +47,7 @@ def test_bank_weights_equal_per_user_esns():
     for spec in SPECS:
         W, U = int(rng.integers(1, 20)), int(rng.integers(1, 6))
         bank = MobilityEsnBank(W, spec, 2, [rng_for(8, "mobility_esn", u) for u in range(U)],
-                               LocationGrid(1000.0), n_observations=5)
+                               LocationGrid(1000.0))
         for u in range(U):
             esn = MobilityEsn(W, spec, 2, seed=rng_for(8, "mobility_esn", u))
             assert np.array_equal(bank.cycle_weights[u], esn.cycle_weights)
@@ -254,7 +254,7 @@ def test_bank_equals_per_user_esns_over_retrain_windows():
     tracks = np.tile(base, (n_obs // period + 1, 1, 1))[:n_obs]
     tracks += rng.normal(scale=30.0, size=tracks.shape)
     bank = MobilityEsnBank(W, spec, horizon, [rng_for(5, "mobility_esn", u) for u in range(U)],
-                           grid, n_observations=n_obs, ridge_lambda=0.5)
+                           grid, ridge_lambda=0.5)
     refs = [ReferenceTracker(MobilityEsn(W, spec, horizon, ridge_lambda=0.5,
                                          seed=rng_for(5, "mobility_esn", u)), grid, horizon)
             for u in range(U)]
@@ -264,20 +264,23 @@ def test_bank_equals_per_user_esns_over_retrain_windows():
         for u, ref in enumerate(refs):
             ref.observe(tracks[k, u])
         assert np.array_equal(bank.state, np.stack([r.esn.state for r in refs]))
-        users, positions = bank.predicted_positions()
-        expected = [u for u, r in enumerate(refs) if r.latest_prediction is not None]
-        assert users.tolist() == expected
-        for u, pos in zip(users, positions):
-            assert np.array_equal(bank.prediction[u], refs[u].latest_prediction[0])
-            assert tuple(pos) == tuple(grid.decode(refs[u].latest_prediction[0]))
+        positions = bank.predicted_positions()
+        predicting = [r.latest_prediction is not None for r in refs]
+        # one fit serves every user: the references predict for none or for all
+        assert not any(predicting) or all(predicting)
+        assert (positions is None) == (not any(predicting))
+        if positions is not None:
+            for u, pos in enumerate(positions):
+                assert np.array_equal(bank.prediction[u], refs[u].latest_prediction[0])
+                assert tuple(pos) == tuple(grid.decode(refs[u].latest_prediction[0]))
         if (k + 1) % 15 == 0:
             bank.retrain(max_pairs)
             for ref in refs:
                 ref.retrain(max_pairs)
-            assert np.array_equal(bank.readouts.transpose(0, 2, 1),
+            assert np.array_equal(bank.readouts,
                                   np.stack([r.esn.output_weights for r in refs]))
             retrains += 1
-    assert retrains >= 3 and bank.has_prediction.all()
+    assert retrains >= 3 and bank.prediction is not None
     assert np.array_equal(bank.codes, np.array([r.codes for r in refs]).T)
 
 

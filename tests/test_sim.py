@@ -411,11 +411,11 @@ def test_deep_copy_mid_episode_continues_bit_identically(policy):
     sim = Simulation(cfg, policy, seed=4)
     for slot in range(1, 26):
         sim.run_slot(slot)
-    assert sim.mobility.has_prediction.any()
+    assert sim.mobility.prediction is not None
     twin = copy.deepcopy(sim)  # the benchmark runs episodes on deep copies
     for slot in range(26, 61):
         assert twin.run_slot(slot) == sim.run_slot(slot)
-    for name in ("state", "states", "codes", "readouts", "prediction", "has_prediction"):
+    for name in ("state", "states", "codes", "readouts", "prediction"):
         assert np.array_equal(getattr(twin.mobility, name), getattr(sim.mobility, name))
     assert twin.cloud_trace == sim.cloud_trace
 
