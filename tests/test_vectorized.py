@@ -142,7 +142,7 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, inlin
 
 
 @pytest.mark.parametrize("n_mc", [1, 48])
-def test_segment_capacity_rows_chunking_moves_no_draw(monkeypatch, n_mc):
+def test_segment_capacity_rows_worker_path_matches_inline_path(monkeypatch, n_mc):
     """The block drawn on the worker holds the draws of the inline path."""
     case = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17, 19, 5])
     inline = segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3))
