@@ -11,7 +11,9 @@ and agree with a long-double Householder-QR fit of the same states to a few
 1e-9, so a change that rounds the states or the fits differently can still
 move the last printed digit of a large-W row. A change to the drive or the
 fits must say which rows it moves and re-record these values; a change that
-alters the realization on purpose must say so too.
+alters the realization on purpose must say so too. The mobility sweep's
+sweep.csv (user 0's readout error and the memory capacity) and gen-data's
+content.csv and mobility.csv are pinned by SHA-256 as well.
 """
 import contextlib
 import hashlib
@@ -166,3 +168,41 @@ def test_golden_memcap(case, tmp_path):
     assert code == 0
     text = (tmp_path / "memcap.csv").read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _tiny_cli(out_dir, *command):
+    args = ["--seed", "0", "--out-dir", str(out_dir)]
+    for key, value in TINY.items():
+        args += ["--override", f"{key}={value}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(args + list(command))
+
+
+# sweep arguments after the subcommand (tiny config, seed 0) -> sha256 of sweep.csv.
+# These rows come from the mobility reservoir of user 0 and from memory_capacity.
+GOLDEN_SWEEP = {
+    "W": (["--axis", "W", "--values", "4", "8", "--reps", "2"],
+          "6142944ac8c40cfbab8fe0a6009f55a32687fbedb1b7210f04f028c42dbedf83"),
+    "N_tr": (["--axis", "N_tr", "--values", "10", "60", "--reps", "2"],
+             "35f4c49cea81e12aa333d6045acfea82eab33b99c52c2ed1f6a54cdabd7f1fd2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SWEEP))
+def test_golden_mobility_sweep(case, tmp_path):
+    extra, digest = GOLDEN_SWEEP[case]
+    assert _tiny_cli(tmp_path, "sweep", *extra) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == digest
+
+
+# gen-data file (tiny config, seed 0) -> sha256 of its bytes (csv rows end in CRLF)
+GOLDEN_GEN_DATA = {
+    "content.csv": "ca9d398969ca0fdb2312e21477749971a92785405d14821421754efdbc1c0615",
+    "mobility.csv": "83b48835b0593ca2ad46411bcf96d6a31e3bc33c07b7bbe31c8c60ca55119a6a",
+}
+
+
+def test_golden_gen_data(tmp_path):
+    assert _tiny_cli(tmp_path, "gen-data") == 0
+    for name, digest in GOLDEN_GEN_DATA.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
