@@ -25,7 +25,10 @@ def hoeffding_sample_size(epsilon, delta):
         raise ConfigurationError("epsilon must lie in (0, 1)")
     if not 0.0 < delta <= 1.0:
         raise ConfigurationError("delta must lie in (0, 1]")
-    return math.ceil(-math.log(delta) / (2.0 * epsilon * epsilon))
+    try:  # e^2 underflows to 0, or the count to inf, below about epsilon = 1e-154
+        return math.ceil(-math.log(delta) / (2.0 * epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ConfigurationError(f"epsilon {epsilon} needs too many samples to count") from exc
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import SamplingPlan, estimate_popularity, hoeffding_sample_size
+from .cache import estimate_popularity, hoeffding_sample_size
 from .config import ExperimentConfig
-from .data import (generate_mobility, generate_workload, write_content_trace,
-                   write_mobility_trace)
+from .data import write_content_trace, write_mobility_trace
 from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
                      UnsupportedFamilyError)
-from .esn import (LocationGrid, MobilityEsn, WeightDistribution, empirical_memory_capacity,
-                  memory_capacity, memory_capacity_bounds, min_trace_len, readout_windows)
+from .esn import (MobilityEsn, WeightDistribution, empirical_memory_capacity, memory_capacity,
+                  memory_capacity_bounds, min_trace_len)
 from .seeding import rng_for
-from .sim import POLICY_ORACLE, check_oracle_guard, run_episode
+from .sim import (POLICY_ORACLE, build_mobility_bank, build_world, check_oracle_guard,
+                  run_episode)
 
 log = logging.getLogger("crancache")
 
@@ -45,6 +45,9 @@ EXIT_INFEASIBLE = 3
 
 EPISODE_AXES = ("C_c", "R", "U")
 SWEEP_AXES = EPISODE_AXES + ("epsilon", "delta", "W", "N_tr")
+COVERAGE_TRIALS = 200         # sampler estimates per point and rep of an epsilon/delta sweep
+COVERAGE_POPULATION = 4000    # items of the 0/1 population those estimates sample
+MOBILITY_TRACE = 600          # sampled positions that drive a W/N_tr sweep's reservoir
 
 
 def _load_config(args):
@@ -94,21 +97,19 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _sweep_episode_rows(cfg, axis, value, reps, policies):
+def _sweep_episode_rows(cfg, reps, policies):
     rows = []
     for rep in range(reps):
         seed = cfg["seed"] + rep
         for policy in policies:
             report = run_episode(cfg, policy, seed)
-            rows.append((axis, value, policy, seed, "E_bar",
-                         report.effective_capacity_avg))
+            rows.append((policy, seed, "E_bar", report.effective_capacity_avg))
             n = max(len(report.slots), 1)
-            rows.append((axis, value, policy, seed, "hit_O",
-                         sum(m.hit_local for m in report.slots) / n))
+            rows.append((policy, seed, "hit_O", sum(m.hit_local for m in report.slots) / n))
     return rows
 
 
-def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
+def _sweep_coverage_rows(cfg, reps):
     """Hoeffding coverage counts: failure rate and mean error per point.
 
     Each trial estimates the mean of a 0/1 population with the cloud
@@ -116,57 +117,53 @@ def _sweep_coverage_rows(cfg, axis, value, reps, trials=200, population=4000):
     covers the population scans it fully, with one notice per point and no
     draw.
     """
-    plan = SamplingPlan(epsilon=cfg["epsilon"], delta=cfg["delta"])
-    draw_plan = plan if plan.sample_size < population else None
+    plan = cfg.plan()
+    draw_plan = plan if plan.sample_size < COVERAGE_POPULATION else None
     if draw_plan is None:
         log.info("sample size %d covers the population of %d; scanning fully",
-                 plan.sample_size, population)
+                 plan.sample_size, COVERAGE_POPULATION)
     rows = []
     for rep in range(reps):
-        rng = rng_for(cfg["seed"] + rep, "sampling", 0)
-        truth_rng = rng_for(cfg["seed"] + rep, "workload", 1)
-        values = (truth_rng.random(population) < 0.5).astype(float)
+        seed = cfg["seed"] + rep
+        rng = rng_for(seed, "sampling", 0)
+        values = (rng_for(seed, "workload", 1).random(COVERAGE_POPULATION) < 0.5).astype(float)
         truth = values.mean()
         failures = 0
-        errors = np.empty(trials)
-        for t in range(trials):
-            [est] = estimate_popularity(values[:, None], np.ones(population), draw_plan, rng)
+        errors = np.empty(COVERAGE_TRIALS)
+        for t in range(COVERAGE_TRIALS):
+            [est] = estimate_popularity(values[:, None], np.ones_like(values), draw_plan, rng)
             errors[t] = abs(est - truth)
             failures += errors[t] > plan.epsilon
-        rows.append((axis, value, "sampling", cfg["seed"] + rep,
-                     "failure_rate", failures / trials))
-        rows.append((axis, value, "sampling", cfg["seed"] + rep,
-                     "mean_abs_error", float(errors.mean())))
-    rows.append((axis, value, "sampling", cfg["seed"], "sample_size",
-                 plan.sample_size))
+        rows.append(("sampling", seed, "failure_rate", failures / COVERAGE_TRIALS))
+        rows.append(("sampling", seed, "mean_abs_error", float(errors.mean())))
+    rows.append(("sampling", cfg["seed"], "sample_size", plan.sample_size))
     return rows
 
 
-def _sweep_mobility_rows(cfg, axis, value, reps, trace=600):
+def _sweep_mobility_rows(cfg, reps):
     """Held-out mobility-readout accuracy and memory capacity per reservoir/window size.
 
-    The reservoir and its input are user 0's in `simulate`: the location
-    codes of its random-waypoint tour at every H-th slot.
+    The predictor is user 0's mobility bank in `simulate`, driven by its
+    positions at every H-th slot of its waypoint tour and fitted once on the
+    latest N_tr training pairs.
     """
     rows = []
-    spec = cfg.weight_spec()
-    grid = LocationGrid(cfg["r"])
     for rep in range(reps):
         seed = cfg["seed"] + rep
-        esn = MobilityEsn(cfg["W"], spec, cfg["N_s"], ridge_lambda=cfg["lambda"],
-                          seed=rng_for(seed, "mobility_esn", 0))
-        [tour] = generate_mobility(1, cfg["r"], cfg["waypoints"], cfg["S"], seed)
-        positions = tour.positions((trace + cfg["N_s"]) * cfg["H"])[::cfg["H"]]
-        codes = grid.encode(positions[:, 0], positions[:, 1])
-        states = esn.drive(codes[:trace])
-        esn.train(*readout_windows(states, codes, cfg["N_s"], cfg["N_tr"]))
+        bank = build_mobility_bank(cfg, 1, seed)
+        _, schedules = build_world(cfg, seed)
+        positions = schedules[0].positions((MOBILITY_TRACE + cfg["N_s"]) * cfg["H"])[::cfg["H"]]
+        bank.observe(positions[:MOBILITY_TRACE, None])
+        bank.retrain(cfg["N_tr"])
+        if bank.readouts is None:  # N_s >= MOBILITY_TRACE
+            raise ConfigurationError(f"N_s = {cfg['N_s']} leaves no training pair")
         # scored on the codes after the driven trace, which no training pair saw
-        preds = esn.output_weights @ states[trace - 1]
-        truth = codes[trace:trace + cfg["N_s"]]
+        preds = bank.readouts[0] @ bank.state[0]
+        truth = bank.grid.encode(*positions[MOBILITY_TRACE:].T)
         rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
-        rows.append((axis, value, "mobility", seed, "prediction_rmse", rmse))
-    rows.append((axis, value, "mobility", cfg["seed"], "memory_capacity",
-                 memory_capacity(spec, cfg["W"])))
+        rows.append(("mobility", seed, "prediction_rmse", rmse))
+    rows.append(("mobility", cfg["seed"], "memory_capacity",
+                 memory_capacity(cfg.weight_spec(), cfg["W"])))
     return rows
 
 
@@ -183,21 +180,19 @@ def cmd_sweep(args):
         cfg.validate()
         points.append((cfg, _runnable_policies(cfg) if args.axis in EPISODE_AXES else None))
     out = _out_dir(args)
-    rows = []
-    for cfg, policies in points:
-        value = cfg[args.axis]
-        if policies is not None:
-            rows.extend(_sweep_episode_rows(cfg, args.axis, value, args.reps, policies))
-        elif args.axis in ("epsilon", "delta"):
-            rows.extend(_sweep_coverage_rows(cfg, args.axis, value, args.reps))
-        else:
-            rows.extend(_sweep_mobility_rows(cfg, args.axis, value, args.reps))
     lines = ["axis,sweep_value,policy,seed,metric,metric_value"]
-    for axis, value, policy, seed, metric, metric_value in rows:
-        lines.append(f"{axis},{value},{policy},{seed},{metric},{metric_value:.10g}")
+    for cfg, policies in points:
+        if policies is not None:
+            rows = _sweep_episode_rows(cfg, args.reps, policies)
+        elif args.axis in ("epsilon", "delta"):
+            rows = _sweep_coverage_rows(cfg, args.reps)
+        else:
+            rows = _sweep_mobility_rows(cfg, args.reps)
+        lines += [f"{args.axis},{cfg[args.axis]},{policy},{seed},{metric},{metric_value:.10g}"
+                  for policy, seed, metric, metric_value in rows]
     path = out / "sweep.csv"
     path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({len(lines) - 1} rows)")
     return EXIT_OK
 
 
@@ -250,10 +245,7 @@ def cmd_gen_data(args):
     cfg = _load_config(args)
     out = _out_dir(args)
     seed = cfg["seed"]
-    workload = generate_workload(cfg["U"], cfg["N"], cfg["zipf_alpha"],
-                                 cfg["archetypes"], seed)
-    schedules = generate_mobility(cfg["U"], cfg["r"], cfg["waypoints"],
-                                  cfg["S"], seed)
+    workload, schedules = build_world(cfg, seed)
     write_content_trace(out / "content.csv", workload, cfg["T"], seed)
     write_mobility_trace(out / "mobility.csv", schedules, cfg["T"])
     print(f"wrote {out / 'content.csv'} and {out / 'mobility.csv'}")

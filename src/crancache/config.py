@@ -11,14 +11,17 @@ below (the simulator takes its policy constants from it), the context width
 K from esn.content.CONTEXT_FEATURES, and the cycle-weight family from
 WeightDistribution, which rejects an unknown `w_dist` and reads only its own
 family's fields (w_a for pointmass and symbinary, w_lo and w_hi for uniform),
-and the radio constants (P, beta, sigma2, B) from qos.RadioParams.
+the radio constants (P, beta, sigma2, B) from qos.RadioParams, the wired
+pipes and delivery contract (v_B, v_F, L, D_max) from qos.WiredParams, and
+the sampling contract (epsilon, delta) from cache.SamplingPlan.
 """
 from dataclasses import dataclass
 
+from .cache import SamplingPlan
 from .errors import ConfigurationError
 from .esn.content import CONTEXT_FEATURES
 from .esn.mobility import WeightDistribution
-from .qos import RadioParams
+from .qos import RadioParams, WiredParams
 
 # every episode policy; the `policy` key takes a comma list of them or "all"
 POLICIES = ("proposed", "random_clustered", "random_unclustered", "optimal_oracle")
@@ -132,7 +135,7 @@ class ExperimentConfig:
                     "N_tr", "n_mc", "archetypes", "waypoints"):
             if v[key] < 1:
                 raise ConfigurationError(f"{key} must be >= 1 (got {v[key]})")
-        for key in ("r", "L", "theta_s_O", "D_max", "v_B", "v_F"):
+        for key in ("r", "theta_s_O"):
             if v[key] <= 0:
                 raise ConfigurationError(f"{key} must be positive (got {v[key]})")
         if v["S"] < 0:
@@ -140,10 +143,6 @@ class ExperimentConfig:
         if v["K"] != CONTEXT_FEATURES:
             raise ConfigurationError(
                 f"the context schema is fixed at K = {CONTEXT_FEATURES} features")
-        if not 0.0 < v["epsilon"] < 1.0:
-            raise ConfigurationError("epsilon must lie in (0, 1)")
-        if not 0.0 < v["delta"] <= 1.0:
-            raise ConfigurationError("delta must lie in (0, 1]")
         if v["chi"] <= 0.0:
             raise ConfigurationError("chi must be positive")
         if v["N"] < 2:
@@ -163,7 +162,9 @@ class ExperimentConfig:
         if v["seed"] < 0:
             raise ConfigurationError("seed must be non-negative")
         self.weight_spec()  # raises on a bad family
-        self.radio()  # raises on beta <= 2, B <= 0, or dBm powers that leave the float range
+        self.radio()  # raises on beta <= 2, B <= 0, or dBm powers outside (0 W, inf W)
+        self.wired()  # raises on a wired rate, content size or delay bound <= 0
+        self.plan()  # raises on epsilon outside (0, 1) or delta outside (0, 1]
         names = self.policies()
         if not names:
             raise ConfigurationError(f"policy names no policy; pick from {POLICIES} or 'all'")
@@ -189,6 +190,14 @@ class ExperimentConfig:
         v = self.values
         return RadioParams(tx_power_dbm=v["P"], pathloss_exponent=v["beta"],
                            noise_dbm=v["sigma2"], bandwidth_hz=v["B"])
+
+    def wired(self):
+        v = self.values
+        return WiredParams(backhaul_rate=v["v_B"], fronthaul_rate=v["v_F"],
+                           content_size=v["L"], delay_bound=v["D_max"])
+
+    def plan(self):
+        return SamplingPlan(epsilon=self.values["epsilon"], delta=self.values["delta"])
 
     def serialize(self):
         """Canonical text form: sorted keys, one `key = value` per line."""

@@ -18,12 +18,10 @@ the raw residuals R (U, N) of the users' readouts Z (U, N_w+K):
 
     W_out <- W_out + lambda_alpha R^T Z / sum_u |z_u|^2,
 
-which is stable for 0 < lambda_alpha < 2, whatever the reservoir size. The
-readout starts at zero, so the first predictions are uniform. Both are a
-declared realization change: the per-user readouts it replaces started from
-uniform noise and took the un-normalized step lambda_alpha r z^T, which
-diverges once lambda_alpha |z|^2 exceeds 2 (about 4 at the parameter-table
-defaults, N_w = 1000) and needed a (U, N, N_w+K) array, 26 MB there.
+which is stable for 0 < lambda_alpha < 2, whatever the reservoir size: an
+un-normalized step lambda_alpha r z^T would diverge once lambda_alpha |z|^2
+exceeds 2, and |z|^2 is about 4 at the parameter-table defaults (N_w = 1000).
+The readout starts at zero, so the first predictions are uniform.
 """
 import numpy as np
 

@@ -10,14 +10,18 @@ stream of unit variance, is
 The subtracted term is exactly the delay-0 contribution, so the empirical
 counterpart sums squared reconstruction correlations over delays k >= 1.
 
-For the point-mass and symmetric two-point families the series collapse to
-closed forms:
+For the point-mass and symmetric two-point families this module returns
+closed forms instead of summing the series:
 
     pointmass(a):  M = W - 1 + a^(2W)
     symbinary(a):  M = floor(W/2) + a^(2W)
 
-Those closed forms are what this module returns for the two families; the
-truncated-series path serves general distributions. Note the analytic value
+For a point mass the series collapses to its closed form. For symbinary
+weights it does not: evaluated for a symbinary spec, the series gives
+0.0625 at W = 2, a = 0.5, against the closed form's 1.0625, and for even W
+it sums to W/2 - 1 + a^(2W). Which of the two is right is open (ROADMAP
+item 3(f)); criterion 01 asserts the closed form. The truncated-series path
+serves every other distribution. Note the analytic value
 is an ensemble quantity (moments are averaged over the weight distribution
 before the readout algebra); a single built reservoir measures at its own
 realization, which coincides with the ensemble value only for point masses.

@@ -199,14 +199,15 @@ class MobilityEsnBank:
     """The mobility ESNs of U users, stepped as one stacked cycle drive.
 
     User u's reservoir and input weights are those of a `MobilityEsn` seeded
-    with `rngs[u]`. Each `observe` encodes all users' positions, drives every
-    reservoir one step with a single `cycle_drive` call, and appends the codes
-    and states to growing histories. `retrain` fits every user's readout in one
-    `ridge_train` call, on the windows a lone `MobilityEsn` would be trained on,
-    so no user or every user predicts. Unlike a lone `MobilityEsn`, the bank
-    uses a fitted readout that is exactly zero; that needs every target code of
-    a user's window to be 0 (the corner cell), which a user inside the disk can
-    reach only when r <= 50 sqrt(2) / (sqrt(2) - 1), about 170.7 m.
+    with `rngs[u]`. Each `observe` encodes a block of all users' positions,
+    drives every reservoir through it with a single `cycle_drive` call, and
+    appends the codes and states to growing histories. `retrain` fits every
+    user's readout in one `ridge_train` call, on the windows a lone
+    `MobilityEsn` would be trained on, so no user or every user predicts.
+    Unlike a lone `MobilityEsn`, the bank uses a fitted readout that is
+    exactly zero; that needs every target code of a user's window to be 0
+    (the corner cell), which a user inside the disk can reach only when
+    r <= 50 sqrt(2) / (sqrt(2) - 1), about 170.7 m.
     """
 
     def __init__(self, n_units, weight_spec, horizon, rngs, grid, ridge_lambda=0.5):
@@ -221,18 +222,18 @@ class MobilityEsnBank:
         # in the layout of MobilityEsn.output_weights
         self.readouts = None
         self.state = np.zeros((len(weights), n_units))
-        self.codes = []   # one (U,) row of codes per observe
-        self.states = []  # one (U, W) state per observe
+        self.codes = []   # one (U,) row of codes per observed sample
+        self.states = []  # one (U, W) state per observed sample
         self.prediction = None  # (U,) predicted next code, from the first observe after a fit
 
     def observe(self, positions):
-        """Step every user's reservoir on the codes of its (U, 2) positions and,
-        once the readouts are fitted, refresh every user's predicted next code."""
-        codes = self.grid.encode(positions[:, 0], positions[:, 1])
-        self.state = cycle_drive(self.cycle_weights, self.input_weights,
-                                 codes[None], self.state)[0]
-        self.codes.append(codes)
-        self.states.append(self.state)
+        """Step every user's reservoir on the codes of a (T, U, 2) block of positions
+        and, once the readouts are fitted, refresh every user's predicted next code."""
+        codes = self.grid.encode(positions[..., 0], positions[..., 1])
+        states = cycle_drive(self.cycle_weights, self.input_weights, codes, self.state)
+        self.codes.extend(codes)
+        self.states.extend(states)
+        self.state = states[-1]
         if self.readouts is not None:
             # one gemv per user on the layout of MobilityEsn.predict, so the same bits
             self.prediction = np.matmul(self.readouts, self.state[:, :, None])[:, 0, 0]

@@ -77,8 +77,8 @@ def dbm_to_watts(dbm):
 @dataclass(frozen=True)
 class RadioParams:
     """Downlink radio constants, stored linear-scale. Construction requires
-    beta > 2, B > 0, finite watts for the tx power and finite watts above 0 for
-    the noise: above about 3082 dBm a power overflows, below about -3206 dBm it is 0 W."""
+    beta > 2, B > 0, and finite watts above 0 for both the tx power and the
+    noise: above about 3082 dBm a power overflows, below about -3206 dBm it is 0 W."""
     tx_power_dbm: float = 20.0
     pathloss_exponent: float = 4.0
     noise_dbm: float = -95.0
@@ -93,9 +93,9 @@ class RadioParams:
             raise ConfigurationError("bandwidth must be positive")
         object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))
         object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
-        if not (math.isfinite(self.tx_power_w) and 0.0 < self.noise_w < math.inf):
-            raise ConfigurationError(f"tx power {self.tx_power_dbm} dBm must map to finite "
-                                     f"watts, noise {self.noise_dbm} dBm to finite watts above 0")
+        if not (0.0 < self.tx_power_w < math.inf and 0.0 < self.noise_w < math.inf):
+            raise ConfigurationError(f"tx power {self.tx_power_dbm} dBm and noise "
+                                     f"{self.noise_dbm} dBm must map to finite watts above 0")
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ class WiredParams:
     delay_bound: float = 1.0         # seconds
 
     def __post_init__(self):
-        if min(self.backhaul_rate, self.fronthaul_rate,
-               self.content_size, self.delay_bound) <= 0:
-            raise ConfigurationError("wired parameters must all be positive")
+        for name in ("backhaul_rate", "fronthaul_rate", "content_size", "delay_bound"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive (got {getattr(self, name)})")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Time-slotted simulation of caching policies over a CRAN world."""
 from .episode import (POLICY_ORACLE, POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
                       POLICY_RANDOM_UNCLUSTERED, EpisodeReport, Simulation,
-                      SlotMetrics, check_oracle_guard, enumerate_best_subset,
-                      oracle_search_space, run_episode)
+                      SlotMetrics, build_mobility_bank, build_world, check_oracle_guard,
+                      enumerate_best_subset, oracle_search_space, run_episode)
 from .world import Topology, build_topology, nearest_rrh, resolve_delivery_path
 
 __all__ = [
@@ -14,7 +14,9 @@ __all__ = [
     "Simulation",
     "SlotMetrics",
     "Topology",
+    "build_mobility_bank",
     "build_topology",
+    "build_world",
     "check_oracle_guard",
     "enumerate_best_subset",
     "nearest_rrh",

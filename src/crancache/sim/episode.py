@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cache import (CacheState, ClusterSet, SamplingPlan, cluster_rrhs, content_mask,
+from ..cache import (CacheState, ClusterSet, cluster_rrhs, content_mask,
                      distribution_distance, estimate_popularity, random_caches,
                      rrh_popularities, select_cloud_cache, select_rrh_caches,
                      update_distribution)
@@ -46,10 +46,10 @@ from ..config import POLICIES, ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
-from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, WiredParams,
-                   capacity_from_fading, effective_capacity_rows, fading_block,
-                   long_term_average, map_qos_exponents_lenient, pair_layout,
-                   per_content_rate, sum_effective_capacity)
+from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, capacity_from_fading,
+                   effective_capacity_rows, fading_block, long_term_average,
+                   map_qos_exponents_lenient, pair_layout, per_content_rate,
+                   sum_effective_capacity)
 from ..seeding import rng_for
 from .world import build_topology, nearest_rrh, resolve_delivery_path
 
@@ -146,6 +146,23 @@ def enumerate_best_subset(scores, k):
     return best
 
 
+def build_world(config, seed):
+    """The content workload and the U users' mobility schedules of a `seed` episode
+    of `config`: what `Simulation` runs on and `gen-data` writes."""
+    workload = generate_workload(config["U"], config["N"], config["zipf_alpha"],
+                                 config["archetypes"], seed)
+    schedules = generate_mobility(config["U"], config["r"], config["waypoints"],
+                                  config["S"], seed)
+    return workload, schedules
+
+
+def build_mobility_bank(config, n_users, seed):
+    """The mobility ESNs of users 0..n_users-1 in a `seed` episode of `config`."""
+    return MobilityEsnBank(config["W"], config.weight_spec(), config["N_s"],
+                           [rng_for(seed, "mobility_esn", u) for u in range(n_users)],
+                           LocationGrid(config["r"]), ridge_lambda=config["lambda"])
+
+
 class Simulation:
     """One seeded episode of one policy over T slots."""
 
@@ -161,19 +178,11 @@ class Simulation:
             check_oracle_guard(config["N"], config["C_c"], config["C_r"], config["R"])
 
         self.radio = config.radio()
-        self.wired = WiredParams(backhaul_rate=config["v_B"],
-                                 fronthaul_rate=config["v_F"],
-                                 content_size=config["L"],
-                                 delay_bound=config["D_max"])
+        self.wired = config.wired()
         self.theta_O = config["theta_s_O"]
-        self.n_mc = config["n_mc"]
-        self.plan = SamplingPlan(epsilon=config["epsilon"], delta=config["delta"])
+        self.plan = config.plan()
 
-        self.workload = generate_workload(config["U"], config["N"],
-                                          config["zipf_alpha"],
-                                          config["archetypes"], self.seed)
-        schedules = generate_mobility(config["U"], config["r"],
-                                      config["waypoints"], config["S"], self.seed)
+        self.workload, schedules = build_world(config, self.seed)
         self.topology = build_topology(config["R"], schedules, config["T"],
                                        config["r"], self.seed)
 
@@ -187,10 +196,7 @@ class Simulation:
                 config["N"], config["U"], rng_for(self.seed, "reservoir"),
                 n_features=config["K"], n_reservoir=config["N_w"],
                 learning_rate=config["lambda_alpha"])
-            self.mobility = MobilityEsnBank(
-                config["W"], config.weight_spec(), config["N_s"],
-                [rng_for(self.seed, "mobility_esn", u) for u in range(config["U"])],
-                LocationGrid(config["r"]), ridge_lambda=config["lambda"])
+            self.mobility = build_mobility_bank(config, config["U"], self.seed)
 
         self.caches = CacheState(cloud_capacity=config["C_c"],
                                  rrh_capacity=config["C_r"],
@@ -217,7 +223,7 @@ class Simulation:
         return pair_layout(*self.topology.segments(slot),
                            self.topology.rrh_positions[active], column,
                            ~self.cluster_set.cooperation(active)[column],
-                           self.radio, self.n_mc)
+                           self.radio, self.cfg["n_mc"])
 
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
@@ -280,7 +286,7 @@ class Simulation:
         serving = nearest_rrh(positions, self.topology.rrh_positions)
 
         if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
-            self.mobility.observe(positions)
+            self.mobility.observe(positions[None])
 
         layout = self._pair_layout(slot, serving)
         with fading_block(layout, rng_for(self.seed, "channel", slot)) as fading:

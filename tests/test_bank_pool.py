@@ -1,11 +1,10 @@
 """The content-ESN bank at large reservoirs, and on one thread.
 
-The bank once stepped reservoirs of 256 units and more on a thread pool; it
-now steps every user with one matrix product on the calling thread. These
-tests keep the cases around that size: every user of the bank must step as
-a ContentEsn that carries the shared weights, the shared readout must take
-the pooled step written out in numpy, a deep copy must continue bit for bit,
-and no thread but the caller's may run package code, because the
+The bank steps every user with one matrix product on the calling thread.
+At reservoirs of about 256 units: every user of the bank must step as a
+ContentEsn that carries the shared weights, the shared readout must take
+the pooled step written out in numpy, a deep copy must continue bit for
+bit, and no thread but the caller's may run package code, because the
 benchmark's span tracer keeps one span stack and assumes a single thread.
 """
 import copy

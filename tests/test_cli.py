@@ -124,9 +124,14 @@ def test_sweep_refuses_a_named_oracle_too_large_at_any_point(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("power", ["P=4000", "sigma2=4000", "sigma2=-4000"])
+@pytest.mark.parametrize("power", ["P=4000", "sigma2=4000", "sigma2=-4000", "P=-4000"])
 def test_dbm_power_outside_the_float_range_is_a_config_error(tmp_path, power):
     assert main(_tiny_args(tmp_path, [power]) + ["simulate"]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_epsilon_too_small_to_count_its_samples_is_a_config_error(tmp_path):
+    assert main(_tiny_args(tmp_path, ["epsilon=1e-200"]) + ["simulate"]) == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
 
 
@@ -204,6 +209,14 @@ def test_sweep_prediction_rmse_is_held_out(tmp_path):
     held_out = esn.output_weights @ states[trace - 1] - codes[trace:]
     assert len(held_out) == horizon
     assert rmse == float(f"{np.sqrt(np.mean(held_out ** 2)):.10g}")
+
+
+def test_sweep_mobility_horizon_beyond_the_trace_is_a_config_error(tmp_path):
+    """600 samples leave no training pair for an N_s = 600 step horizon."""
+    code = main(["--out-dir", str(tmp_path), "--override", "N_s=600", "sweep",
+                 "--axis", "W", "--values", "4"])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):

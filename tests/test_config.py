@@ -84,12 +84,31 @@ def test_mobility_ridge_lambda_must_be_positive(tmp_path):
 
 
 @pytest.mark.parametrize("key, dbm", [("P", 4000.0), ("sigma2", 4000.0), ("sigma2", -4000.0),
-                                      ("P", float("inf")), ("sigma2", float("nan"))])
+                                      ("P", -4000.0), ("P", float("inf")),
+                                      ("sigma2", float("nan"))])
 def test_dbm_powers_outside_the_float_range_rejected(key, dbm):
-    """P or sigma2 = 4000 dBm overflowed in the episode's unit conversion, and
-    sigma2 = -4000 dBm made the noise 0 W and every SINR undefined."""
+    """P or sigma2 = 4000 dBm overflowed in the episode's unit conversion,
+    sigma2 = -4000 dBm made the noise 0 W and every SINR undefined, and
+    P = -4000 dBm made the tx power 0 W and every capacity 0."""
     with pytest.raises(ConfigurationError, match="dBm"):
         ExperimentConfig.default(**{key: dbm})
+
+
+@pytest.mark.parametrize("key, field", [("v_B", "backhaul_rate"), ("v_F", "fronthaul_rate"),
+                                        ("L", "content_size"), ("D_max", "delay_bound")])
+def test_wired_parameter_rejected_by_name(key, field):
+    for value in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
+            ExperimentConfig.default(**{key: value})
+
+
+def test_epsilon_whose_sample_count_overflows_rejected():
+    """Below about 1e-154, epsilon^2 underflows or the Hoeffding count
+    overflows; the sampling plan is built at load, so the config fails there."""
+    for epsilon in (1e-155, 1e-200, 5e-324):
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            ExperimentConfig.default(epsilon=epsilon)
+    assert ExperimentConfig.default(epsilon=1e-150).plan().sample_size > 10 ** 300
 
 
 def test_comments_and_whitespace(tmp_path):
@@ -141,7 +160,8 @@ valid_overrides = st.fixed_dictionaries({}, optional={
     # dBm powers: beyond about +-3080 they leave the float range in watts
     **{key: finite(-3000.0, 3000.0) for key in ("P", "sigma2")},
     **{key: finite(-1e6, 1e6) for key in ("zipf_alpha", "w_lo", "w_hi")},
-    "epsilon": finite(0.0, 1.0, exclude_min=True, exclude_max=True),
+    # below about 1e-154 the Hoeffding sample count of epsilon overflows
+    "epsilon": finite(1e-150, 1.0, exclude_max=True),
     "delta": finite(0.0, 1.0, exclude_min=True),
     "beta": finite(2.0, 1e3, exclude_min=True),
     "lambda": finite(0.0, 1e6, exclude_min=True),

@@ -260,7 +260,7 @@ def test_bank_equals_per_user_esns_over_retrain_windows():
             for u in range(U)]
     retrains = 0
     for k in range(n_obs):
-        bank.observe(tracks[k])
+        bank.observe(tracks[k:k + 1])
         for u, ref in enumerate(refs):
             ref.observe(tracks[k, u])
         assert np.array_equal(bank.state, np.stack([r.esn.state for r in refs]))
@@ -282,6 +282,27 @@ def test_bank_equals_per_user_esns_over_retrain_windows():
             retrains += 1
     assert retrains >= 3 and bank.prediction is not None
     assert np.array_equal(bank.codes, np.array([r.codes for r in refs]).T)
+
+
+@pytest.mark.parametrize("n_obs", [1, 40, 300])
+def test_bank_observes_a_block_as_one_drive_per_user(n_obs):
+    """A (T, U, 2) block is one cycle drive: each user's states are those of a
+    MobilityEsn driven with that user's codes, bit for bit, at every length
+    (one step, one block, and a blocked scan of several)."""
+    U, W, horizon = 3, 5, 2
+    spec = WeightDistribution("uniform", lo=-0.8, hi=0.8)
+    grid = LocationGrid(1000.0)
+    tracks = np.random.default_rng(4).uniform(-1000.0, 1000.0, size=(n_obs, U, 2))
+    bank = MobilityEsnBank(W, spec, horizon, [rng_for(2, "mobility_esn", u) for u in range(U)],
+                           grid)
+    bank.observe(tracks)
+    codes = grid.encode(tracks[..., 0], tracks[..., 1])
+    assert np.array_equal(np.array(bank.codes), codes)
+    for u in range(U):
+        esn = MobilityEsn(W, spec, horizon, seed=rng_for(2, "mobility_esn", u))
+        states = esn.drive(codes[:, u])
+        assert np.array_equal(np.array(bank.states)[:, u], states)
+        assert np.array_equal(bank.state[u], esn.state)
 
 
 def test_location_grid_codes_arrays_like_scalars():
