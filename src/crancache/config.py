@@ -15,6 +15,7 @@ the radio constants (P, beta, sigma2, B) from qos.RadioParams, the wired
 pipes and delivery contract (v_B, v_F, L, D_max) from qos.WiredParams, and
 the sampling contract (epsilon, delta) from cache.SamplingPlan.
 """
+import math
 from dataclasses import dataclass
 
 from .cache import SamplingPlan
@@ -135,22 +136,23 @@ class ExperimentConfig:
                     "N_tr", "n_mc", "archetypes", "waypoints"):
             if v[key] < 1:
                 raise ConfigurationError(f"{key} must be >= 1 (got {v[key]})")
-        for key in ("r", "theta_s_O"):
-            if v[key] <= 0:
+        # written as `not value > bound` so that NaN fails too
+        for key in ("r", "theta_s_O", "chi"):
+            if not v[key] > 0:
                 raise ConfigurationError(f"{key} must be positive (got {v[key]})")
-        if v["S"] < 0:
-            raise ConfigurationError("S (speed) cannot be negative")
+        if not v["S"] >= 0:
+            raise ConfigurationError(f"S (speed) must be non-negative (got {v['S']})")
+        if not abs(v["zipf_alpha"]) < math.inf:
+            raise ConfigurationError(f"zipf_alpha must be finite (got {v['zipf_alpha']})")
         if v["K"] != CONTEXT_FEATURES:
             raise ConfigurationError(
                 f"the context schema is fixed at K = {CONTEXT_FEATURES} features")
-        if v["chi"] <= 0.0:
-            raise ConfigurationError("chi must be positive")
         if v["N"] < 2:
             raise ConfigurationError(f"N must be >= 2: a catalog needs two contents (got {v['N']})")
         if not 0.0 < v["lambda_alpha"] < 2.0:
             raise ConfigurationError(
                 "lambda_alpha must lie in (0, 2), where the normalized readout step is stable")
-        if v["lambda"] <= 0.0:
+        if not v["lambda"] > 0.0:
             raise ConfigurationError(
                 "lambda must be positive: a mobility fit may have fewer samples than W units")
         if v["C_c"] > v["N"] or v["C_r"] > v["N"]:

@@ -87,10 +87,11 @@ class RadioParams:
     noise_w: float = field(init=False)
 
     def __post_init__(self):
-        if self.pathloss_exponent <= 2.0:
-            raise ConfigurationError("pathloss exponent must exceed 2")
-        if self.bandwidth_hz <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if not self.pathloss_exponent > 2.0:  # NaN fails too
+            raise ConfigurationError(f"pathloss exponent must exceed 2 "
+                                     f"(got {self.pathloss_exponent})")
+        if not self.bandwidth_hz > 0:
+            raise ConfigurationError(f"bandwidth must be positive (got {self.bandwidth_hz})")
         object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))
         object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
         if not (0.0 < self.tx_power_w < math.inf and 0.0 < self.noise_w < math.inf):

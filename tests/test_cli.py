@@ -92,6 +92,11 @@ def test_config_error_exit_code(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_nan_override_exits_with_config_error(tmp_path):
+    assert main(_tiny_args(tmp_path, ["theta_s_O=nan"]) + ["simulate"]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_episode_axis(tmp_path):
     code = main(_tiny_args(tmp_path) + ["sweep", "--axis", "C_c",
                                         "--values", "1", "2", "--reps", "1"])

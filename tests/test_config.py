@@ -102,6 +102,15 @@ def test_wired_parameter_rejected_by_name(key, field):
             ExperimentConfig.default(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["r", "theta_s_O", "chi", "S", "zipf_alpha", "beta", "B",
+                                 "lambda"])
+def test_nan_rejected_at_load(key):
+    """A `value <= bound` check lets NaN through: theta_s_O = nan and S = nan
+    ran to E_bar = nan, and r = nan failed mid-episode with a ValueError."""
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.default(**{key: float("nan")})
+
+
 def test_epsilon_whose_sample_count_overflows_rejected():
     """Below about 1e-154, epsilon^2 underflows or the Hoeffding count
     overflows; the sampling plan is built at load, so the config fails there."""
