@@ -14,10 +14,11 @@ readout that all users share differ in their last bits. At the defaults
 byte-identical under one and two threads, but nothing guarantees that. Run
 with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for other
 BLAS builds) to replay a run bit for bit on any host. The worker thread
-that draws a large slot's channel fading block moves no bits either: it
-fills the block from the slot's own generator in the order the calling
-thread would. Exit codes: 0 success, 2 config error, 3 infeasible instance
-(oracle guard).
+that draws a large slot's channel fading block, one slot ahead of its use,
+moves no bits either: it fills the block from the slot's own generator in
+the order the calling thread would, for the layout under the clusters of
+the slot before. Exit codes: 0 success, 2 config error, 3 infeasible
+instance (oracle guard).
 """
 import argparse
 import logging

@@ -16,7 +16,7 @@ in order. `pair_layout` lists the (user, RRH) pairs a slot draws, with their
 path gains. `fading_block` draws the slot's fading as one (pairs, n_mc,
 SLOT_SUBSTEPS) block from the slot's generator, in C order. A block of at
 most MAX_INLINE_FADING_ENTRIES entries (every desk-scale slot) is drawn
-inline, when the caller asks for it. A larger one is handed at once to one
+inline, when the caller takes it. A larger one is handed at once to one
 worker thread, so that the caller can work while the fading is drawn: the
 draw and numpy's matrix products both release the GIL. The worker is handed
 only numpy callables implemented in C (the exponential draw into the block,
@@ -28,6 +28,14 @@ the samples do not depend on which thread draws. `capacity_from_fading`
 then adds up signal and interference from the faded powers and scores the
 slot capacity.
 
+A draw lives until its block is taken or the draw is discarded, and it may
+outlive the call that started it: an episode starts the next slot's draw
+once the current slot has consumed its own block, so at most one block is
+alive at a time. Taking waits for the worker's jobs and hands the block
+over; discarding cancels or waits for them. Whoever holds a draw takes or
+discards it, also when it raises, so no job outlives its holder's use; a
+deep copy of a draw is a finished draw with a block of its own.
+
 The block holds U x (active RRHs) x n_mc x SLOT_SUBSTEPS floats at most: at
 the parameter-table defaults (U = 32, n_mc = 64) that is 5.2 MB for the
 worst slot, in which 1024 pairs are drawn, and at U = 128 it is 84 MB (a
@@ -36,7 +44,7 @@ size the benchmark does not run).
 dBm values are converted to linear scale once, in RadioParams; all math here
 is linear-scale and unit-agnostic.
 """
-import contextlib
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -282,42 +290,69 @@ def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
     return PairLayout(n_mc, users, own[users, columns], path_gain(d, radio))
 
 
-@contextlib.contextmanager
 def fading_block(layout, rng):
-    """Yield a function that returns the fading block of `layout`, drawn from `rng`.
+    """Start drawing the fading block of `layout` from `rng`; returns the draw.
 
     A block of at most MAX_INLINE_FADING_ENTRIES entries is drawn inline,
-    when the function is called. A larger one goes to _FADING_WORKER at
-    once, as two numpy calls: the exponential draw into the block, then the
-    multiply by the pairs' gains in place; the function waits for both. The
-    draws are those of the inline path. A job's exception comes out of the
-    function, and leaving the block cancels or waits for both jobs, so
-    neither outlives it.
+    when the draw's `take()` is called. A larger one goes to _FADING_WORKER
+    at once, as two numpy calls: the exponential draw into the block, then
+    the multiply by the pairs' gains in place; `take()` waits for both. The
+    draws are those of the inline path. A job's exception comes out of
+    `take()`. The draw lives until it is taken or discarded (`discard()`, or
+    leaving a `with` block on it), whichever comes first; discarding cancels
+    or waits for both jobs, so none outlives the draw's holder. A deep copy
+    waits for the jobs and holds a copy of the finished block.
     """
-    shape = (len(layout.users), layout.n_mc, SLOT_SUBSTEPS)
-    gains = layout.gains[:, None, :]
-    if math.prod(shape) <= MAX_INLINE_FADING_ENTRIES:
-        def drawn_inline():
-            block = rng.standard_exponential(shape)
-            return np.multiply(block, gains, out=block)
+    return _FadingDraw(layout, rng)
 
-        yield drawn_inline
-        return
-    block = np.empty(shape)
-    jobs = [_FADING_WORKER.submit(rng.standard_exponential, out=block),
-            _FADING_WORKER.submit(np.multiply, block, gains, out=block)]
 
-    def drawn():
-        for job in jobs:
+class _FadingDraw:
+    """One layout's fading block, drawn or being drawn; see `fading_block`."""
+
+    def __init__(self, layout, rng):
+        self.layout = layout
+        self._shape = (len(layout.users), layout.n_mc, SLOT_SUBSTEPS)
+        self._rng, self._block, self._jobs = rng, None, ()
+        if math.prod(self._shape) > MAX_INLINE_FADING_ENTRIES:
+            self._rng, self._block = None, np.empty(self._shape)
+            self._jobs = (
+                _FADING_WORKER.submit(rng.standard_exponential, out=self._block),
+                _FADING_WORKER.submit(np.multiply, self._block, layout.gains[:, None, :],
+                                      out=self._block))
+
+    def take(self):
+        """The finished block, handed over: the draw drops it and its jobs."""
+        for job in self._jobs:
             job.result()
+        block, rng = self._block, self._rng
+        self.discard()
+        if rng is not None:
+            block = rng.standard_exponential(self._shape)
+            np.multiply(block, self.layout.gains[:, None, :], out=block)
         return block
 
-    try:
-        yield drawn
-    finally:
-        for job in jobs:
-            job.cancel()
-        wait(jobs)
+    def discard(self):
+        """Cancel or wait for the jobs, and drop the block."""
+        # a cancelled job never runs, but `wait` would block on it until the
+        # worker reaches it in the queue
+        wait([job for job in self._jobs if not job.cancel()])
+        self._rng, self._block, self._jobs = None, None, ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.discard()
+
+    def __deepcopy__(self, memo):
+        wait(self._jobs)
+        twin = copy.copy(self)
+        twin.layout = copy.deepcopy(self.layout, memo)
+        twin._rng = copy.deepcopy(self._rng, memo)
+        twin._block = copy.deepcopy(self._block, memo)
+        # a failed job is kept for its exception; a finished one holds the original block
+        twin._jobs = tuple(job for job in self._jobs if job.exception() is not None)
+        return twin
 
 
 def capacity_from_fading(layout, power, radio):
@@ -354,7 +389,7 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
     """
     layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
     with fading_block(layout, rng) as fading:
-        return capacity_from_fading(layout, fading(), radio)
+        return capacity_from_fading(layout, fading.take(), radio)
 
 
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,

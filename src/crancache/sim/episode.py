@@ -1,14 +1,14 @@
 """Slot-by-slot episode execution for the caching policies.
 
-Per slot: advance mobility; lay out the channel's (user, RRH) pairs and their
-path gains under the previous slot's clusters and start drawing their
-fading; meanwhile predict every user's request distribution (each user
-steps a reservoir state of its own, and one readout serves all users), the
-association for caching and the clusters; accumulate the slot-capacity
-samples from the fading; update RRH caches, realize one request per user,
-resolve delivery paths, split the wired pipes over the realized load, score
-per-user effective capacities, and take one step of the shared content
-readout on all users' requests.
+Per slot: advance mobility; predict every user's request distribution (each
+user steps a reservoir state of its own, and one readout serves all users),
+the association for caching and the clusters; accumulate the slot-capacity
+samples from the slot's fading; lay out the next slot's channel (user, RRH)
+pairs and their path gains under the clusters just formed and start drawing
+their fading; update RRH caches, realize one request per user, resolve
+delivery paths, split the wired pipes over the realized load, score per-user
+effective capacities, and take one step of the shared content readout on
+all users' requests.
 Caches are boolean masks over the catalog (see CacheState) and delivery
 paths are the integer codes of the qos module, so each of these steps is one
 array pass over the users.
@@ -24,9 +24,15 @@ baselines (with/without clustering), and "optimal_oracle" (per-decision
 exhaustive subset search fed with ground-truth knowledge, gated by instance
 size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
-requests; fading is drawn only for the RRHs a user hears. A slot whose
-fading block is too large to draw inline draws it on a worker thread while
-the main thread predicts (see the qos module docstring).
+requests; fading is drawn only for the RRHs a user hears. A fading block too
+large to draw inline is drawn on a worker thread from the moment the
+previous slot hands it off until its own slot reads it, while the main
+thread finishes the one slot and predicts in the next (see the qos module
+docstring). Slot 1, and a slot run after any slot but its predecessor,
+starts its own draw; slot T hands off none, and a slot that raises discards
+the draw it handed off.
+Each slot's draw comes from its own generator and its layout reads the
+previous slot's clusters, wherever it was started.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -209,21 +215,37 @@ class Simulation:
         # last refresh; random policies keep none
         self.demand_stream = []
         self.cloud_trace = []
+        # (slot, serving RRHs, fading draw) of the next slot, started by this one
+        self._handed_off = None
 
     # ----- per-slot pieces -------------------------------------------------
 
-    def _pair_layout(self, slot, serving):
-        """The slot's channel PairLayout, with the current (previous slot's) clusters.
+    def _channel_draw(self, slot):
+        """The serving RRHs of `slot` and the fading draw of its PairLayout, started now.
 
-        Idle RRHs transmit nothing: interference comes from RRHs that are
-        actively serving users and sit outside the cooperating set.
+        The layout reads the current clusters, which the previous slot
+        formed. Idle RRHs transmit nothing: interference comes from RRHs that
+        are actively serving users and sit outside the cooperating set.
         """
+        serving = nearest_rrh(self.topology.user_tracks[slot - 1], self.topology.rrh_positions)
         active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
         column = np.searchsorted(active, serving)
-        return pair_layout(*self.topology.segments(slot),
-                           self.topology.rrh_positions[active], column,
-                           ~self.cluster_set.cooperation(active)[column],
-                           self.radio, self.cfg["n_mc"])
+        layout = pair_layout(*self.topology.segments(slot),
+                             self.topology.rrh_positions[active], column,
+                             ~self.cluster_set.cooperation(active)[column],
+                             self.radio, self.cfg["n_mc"])
+        return serving, fading_block(layout, rng_for(self.seed, "channel", slot))
+
+    def _take_handed_off(self, slot):
+        """The (serving RRHs, fading draw) that the previous slot handed off for
+        `slot`, or None; a draw handed off for any other slot is discarded."""
+        handed_off, self._handed_off = self._handed_off, None
+        if handed_off is None:
+            return None
+        if handed_off[0] == slot:
+            return handed_off[1:]
+        handed_off[2].discard()
+        return None
 
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
@@ -280,23 +302,33 @@ class Simulation:
     # ----- main loop -------------------------------------------------------
 
     def run_slot(self, slot):
+        """Run and score `slot`. Its fading is the draw that slot - 1 handed off,
+        or one started now; a slot that raises leaves no job on the worker."""
+        serving, draw = self._take_handed_off(slot) or self._channel_draw(slot)
+        try:
+            with draw:
+                return self._run_slot(slot, serving, draw)
+        except BaseException:
+            self._take_handed_off(None)  # discards the next slot's draw
+            raise
+
+    def _run_slot(self, slot, serving, draw):
         cfg = self.cfg
         U = cfg["U"]
-        positions = self.topology.user_tracks[slot - 1]
-        serving = nearest_rrh(positions, self.topology.rrh_positions)
-
         if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
-            self.mobility.observe(positions[None])
+            self.mobility.observe(self.topology.user_tracks[slot - 1][None])
 
-        layout = self._pair_layout(slot, serving)
-        with fading_block(layout, rng_for(self.seed, "channel", slot)) as fading:
-            truth = self.workload.distributions(slot)
-            predictions = self._predictions(slot, truth)
-            assoc = self._assoc_for_caching(serving)
-            if predictions is not None:  # random_unclustered keeps singleton cooperation
-                self.cluster_set = cluster_rrhs(assoc, predictions, cfg["chi"], cfg["R"])
-            # (U, n_mc) slot-capacity draws in Mbit
-            samples = capacity_from_fading(layout, fading(), self.radio) * CAPACITY_UNIT
+        truth = self.workload.distributions(slot)
+        predictions = self._predictions(slot, truth)
+        assoc = self._assoc_for_caching(serving)
+        if predictions is not None:  # random_unclustered keeps singleton cooperation
+            self.cluster_set = cluster_rrhs(assoc, predictions, cfg["chi"], cfg["R"])
+        # (U, n_mc) slot-capacity draws in Mbit
+        samples = capacity_from_fading(draw.layout, draw.take(), self.radio) * CAPACITY_UNIT
+        if slot < cfg["T"]:
+            # the next slot's layout reads the clusters just formed; its fading
+            # is drawn while this slot finishes and the next one predicts
+            self._handed_off = (slot + 1, *self._channel_draw(slot + 1))
         self._update_rrh_caches(slot, assoc, predictions, samples)
 
         requests = draw_requests(truth, rng_for(self.seed, "requests", slot))

@@ -1,7 +1,10 @@
 """World stepping, path resolution, slot accounting, and policy behavior."""
 import copy
 import inspect
+import itertools
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -187,24 +190,34 @@ def test_user_on_an_rrh_keeps_a_finite_slot():
 
 
 def test_channel_draws_use_previous_slot_clusters(monkeypatch):
+    """Slot k's layout reads the ClusterSet formed in slot k - 1, which builds
+    that layout once it has formed its clusters; slot 1 reads none."""
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=1)
-    seen = []
+    building, read = [], {}  # the slot whose layout is being built; slot -> ClusterSets read
     cooperation = ClusterSet.cooperation
+    channel_draw = Simulation._channel_draw
 
     def spy(self, rrhs):
-        seen.append(self)
+        read[building[-1]].append(self)
         return cooperation(self, rrhs)
 
+    def spy_channel_draw(self, slot):
+        building.append(slot)
+        read[slot] = []
+        return channel_draw(self, slot)
+
     monkeypatch.setattr(ClusterSet, "cooperation", spy)
-    previous = sim.cluster_set  # slot 1 samples with singleton cooperation: no clusters
-    assert len(previous.member) == 0
+    monkeypatch.setattr(Simulation, "_channel_draw", spy_channel_draw)
+    formed = {0: sim.cluster_set}  # slot 1 samples with singleton cooperation: no clusters
+    assert len(formed[0].member) == 0
     for k in range(1, 6):
-        seen.clear()
         sim.run_slot(k)
-        assert len(seen) == 1  # one cooperation mask per slot
-        assert all(clusters is previous for clusters in seen)
-        assert sim.cluster_set is not previous
-        previous = sim.cluster_set
+        assert sim.cluster_set is not formed[k - 1]
+        formed[k] = sim.cluster_set
+    assert sorted(read) == list(range(1, 7))  # slot 5 built slot 6's layout
+    for k, clusters in read.items():
+        assert len(clusters) == 1  # one cooperation mask per slot
+        assert clusters[0] is formed[k - 1]
 
 
 def test_run_is_deterministic():
@@ -510,12 +523,17 @@ def test_fading_worker_runs_only_numpy_callables(monkeypatch):
     """A spy on the worker's submit sees every hand-off, whether or not an
     earlier test already started the worker's thread."""
     seen = spy_on_fading(monkeypatch)
+    drawn = []
+    start_draw = episode.fading_block
+    monkeypatch.setattr(episode, "fading_block",
+                        lambda layout, rng: drawn.append(layout) or start_draw(layout, rng))
     sim = default_size_simulation()
     for slot in range(1, 4):
         sim.run_slot(slot)
-    worker_slots = sum(on_the_worker(layout) for layout in seen["layouts"])
-    assert worker_slots >= 1
-    assert len(seen["callables"]) == 2 * worker_slots  # two calls per slot on the worker
+    assert len(drawn) == 4  # slot 3 handed off slot 4's draw
+    worker_draws = sum(on_the_worker(layout) for layout in drawn)
+    assert worker_draws >= 1
+    assert len(seen["callables"]) == 2 * worker_draws  # two calls per draw on the worker
     for fn in seen["callables"]:
         # a ufunc, or a Generator method compiled to C: no Python function body
         assert not inspect.isfunction(getattr(fn, "__func__", fn))
@@ -564,3 +582,117 @@ def test_exception_in_the_slot_leaves_the_fading_worker_idle(monkeypatch):
     # leaving the slot cancelled or waited for both jobs
     assert all(future.done() for future in seen["futures"])
     assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
+
+
+def hold_the_worker_after(monkeypatch, calls):
+    """After the `calls`-th capacity_from_fading, queue a job that holds the
+    fading worker until the returned event is set (or 30 s pass), so the draw
+    that slot hands off next waits on the worker's queue."""
+    gate = threading.Event()
+    accumulate = episode.capacity_from_fading
+    count = itertools.count(1)
+
+    def spy_accumulate(layout, power, radio):
+        if next(count) == calls:  # the class's submit, past any spy on the instance's
+            ThreadPoolExecutor.submit(qos._FADING_WORKER, gate.wait, 30)
+        return accumulate(layout, power, radio)
+
+    monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
+    return gate
+
+
+def test_deep_copy_with_a_worker_draw_pending_continues_bit_identically(monkeypatch):
+    """A deep copy taken while the worker still holds the next slot's draw
+    waits for that draw and keeps a block of its own."""
+    seen = spy_on_fading(monkeypatch)
+    gate = hold_the_worker_after(monkeypatch, 3)  # slot 4's draw waits behind it
+    blocks = []
+    accumulate = episode.capacity_from_fading
+    monkeypatch.setattr(episode, "capacity_from_fading", lambda layout, power, radio: (
+        blocks.append(power) or accumulate(layout, power, radio)))
+    sim = default_size_simulation()
+    try:
+        for slot in range(1, 4):
+            sim.run_slot(slot)
+        handed_off = seen["futures"][6:]
+        assert len(handed_off) == 2 and not any(job.done() for job in handed_off)
+    finally:
+        threading.Timer(0.2, gate.set).start()
+    twin = copy.deepcopy(sim)
+    assert all(job.done() for job in handed_off)
+    for slot in range(4, 32):  # past the slot-30 cloud refresh
+        assert twin.run_slot(slot) == sim.run_slot(slot)
+    assert all(on_the_worker(layout) for layout in seen["layouts"])
+    assert not np.shares_memory(blocks[3], blocks[4])  # slot 4: the twin's, then the original's
+    assert np.array_equal(twin.caches.rrh, sim.caches.rrh)
+    assert twin.cloud_trace == sim.cloud_trace
+
+
+class TrainFailed(Exception):
+    pass
+
+
+def test_exception_after_the_hand_off_leaves_the_fading_worker_idle(monkeypatch):
+    seen = spy_on_fading(monkeypatch)
+    gate = hold_the_worker_after(monkeypatch, 1)  # slot 2's draw waits behind it
+    sim = default_size_simulation()
+
+    def failing_train_step(observed):
+        raise TrainFailed("no training")
+
+    monkeypatch.setattr(sim.content_bank, "train_step", failing_train_step)
+    try:
+        with pytest.raises(TrainFailed):
+            sim.run_slot(1)
+        # slot 1's two jobs, then the two of the draw it handed off for slot 2,
+        # which the failing slot cancelled while they waited
+        assert len(seen["futures"]) == 4
+        assert all(future.done() for future in seen["futures"])
+    finally:
+        gate.set()
+    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
+
+
+@pytest.mark.parametrize("inline_entries", [qos.MAX_INLINE_FADING_ENTRIES, 1])
+def test_handed_off_draw_exception_comes_out_of_the_slot_that_reads_it(monkeypatch,
+                                                                       inline_entries):
+    seen = spy_on_fading(monkeypatch)
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", inline_entries)  # 1: on the worker
+    monkeypatch.setattr(episode, "rng_for", lambda seed, purpose, *keys: (
+        FailingChannel() if (purpose, keys) == ("channel", (2,))
+        else rng_for(seed, purpose, *keys)))
+    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
+    sim.run_slot(1)  # hands off slot 2's draw, which fails
+    with pytest.raises(DrawFailed):
+        sim.run_slot(2)
+    assert len(seen["futures"]) == (4 if inline_entries == 1 else 0)
+    assert all(future.done() for future in seen["futures"])
+    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
+
+
+def test_a_slot_run_out_of_turn_draws_its_own_fading(monkeypatch):
+    """run_slot(3) straight after run_slot(1) discards the draw handed off for
+    slot 2 and draws slot 3 itself: the layout under slot 1's clusters, the
+    fading from slot 3's own generator."""
+    seen = spy_on_fading(monkeypatch)
+    blocks = []
+    accumulate = episode.capacity_from_fading
+    monkeypatch.setattr(episode, "capacity_from_fading", lambda layout, power, radio: (
+        blocks.append(power.copy()) or accumulate(layout, power, radio)))
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)  # every draw on the worker
+    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=5)
+    sim.run_slot(1)
+    slot_2 = seen["futures"][2:]
+    assert len(slot_2) == 2
+    _, expected = sim._channel_draw(3)  # built under slot 1's clusters
+    expected.discard()
+    submitted = len(seen["futures"])
+    sim.run_slot(3)
+    assert all(job.done() for job in slot_2)
+    assert len(seen["futures"]) == submitted + 4  # slot 3's own draw, then slot 4's
+    layout = seen["layouts"][-1]
+    for name in ("users", "serves", "gains"):
+        assert np.array_equal(getattr(layout, name), getattr(expected.layout, name))
+    shape = (len(layout.users), layout.n_mc, qos.SLOT_SUBSTEPS)
+    fading = rng_for(5, "channel", 3).standard_exponential(shape) * layout.gains[:, None, :]
+    assert np.array_equal(blocks[-1], fading)
