@@ -14,10 +14,8 @@ readout that all users share differ in their last bits. At the defaults
 byte-identical under one and two threads, but nothing guarantees that. Run
 with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for other
 BLAS builds) to replay a run bit for bit on any host. The worker thread
-that draws a large slot's channel fading block, one slot ahead of its use,
-moves no bits either: it fills the block from the slot's own generator in
-the order the calling thread would, for the layout under the clusters of
-the slot before. Exit codes: 0 success, 2 config error, 3 infeasible
+that draws large channel fading blocks moves no bits either (see the qos
+module docstring). Exit codes: 0 success, 2 config error, 3 infeasible
 instance (oracle guard).
 """
 import argparse
@@ -32,7 +30,7 @@ from .config import ExperimentConfig
 from .data import write_content_trace, write_mobility_trace
 from .errors import (ConfigurationError, CranCacheError, InstanceTooLargeError,
                      UnsupportedFamilyError)
-from .esn import (MobilityEsn, WeightDistribution, empirical_memory_capacity, memory_capacity,
+from .esn import (MobilityEsn, empirical_memory_capacity, memory_capacity,
                   memory_capacity_bounds, min_trace_len)
 from .seeding import rng_for
 from .sim import (POLICY_ORACLE, build_mobility_bank, build_world, check_oracle_guard,
@@ -215,13 +213,20 @@ def _parse_w_range(text):
 
 
 def cmd_memcap(args):
-    spec = WeightDistribution(args.dist, a=args.a, lo=args.lo, hi=args.hi)
+    """memcap.csv for the config's weight family; --dist, --a, --lo and --hi,
+    where given, override w_dist, w_a, w_lo and w_hi."""
+    cfg = _load_config(args)
+    for key, flag in (("w_dist", args.dist), ("w_a", args.a), ("w_lo", args.lo),
+                      ("w_hi", args.hi)):
+        if flag is not None:
+            cfg.set(key, flag)
+    spec = cfg.weight_spec()
     w_values = _parse_w_range(args.W_range)
     needed = min_trace_len(max(w_values))
     if args.trace_len < needed:
         raise ConfigurationError(f"--trace-len {args.trace_len} is too short for "
                                  f"W = {max(w_values)} (needs >= {needed})")
-    seed = _load_config(args)["seed"]
+    seed = cfg["seed"]
     out = _out_dir(args)
     lines = ["W,analytic,bound_lo,bound_hi,empirical"]
     for W in w_values:
@@ -280,10 +285,10 @@ def build_parser():
                     "and uniform rows can read above bound_hi (symbinary, W = 15: 14.15 "
                     "against 8).")
     memcap.add_argument("--dist", choices=("pointmass", "symbinary", "uniform"),
-                        default="pointmass")
-    memcap.add_argument("--a", type=float, default=0.9)
-    memcap.add_argument("--lo", type=float, default=-0.5)
-    memcap.add_argument("--hi", type=float, default=0.5)
+                        help="weight family (default: the config's w_dist)")
+    memcap.add_argument("--a", type=float, help="pointmass/symbinary magnitude (w_a)")
+    memcap.add_argument("--lo", type=float, help="uniform support low end (w_lo)")
+    memcap.add_argument("--hi", type=float, help="uniform support high end (w_hi)")
     memcap.add_argument("--W-range", default="1:10",
                         help="LO:HI inclusive, or comma list")
     memcap.add_argument("--trace-len", type=int, default=20000)

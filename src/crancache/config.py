@@ -136,12 +136,12 @@ class ExperimentConfig:
                     "N_tr", "n_mc", "archetypes", "waypoints"):
             if v[key] < 1:
                 raise ConfigurationError(f"{key} must be >= 1 (got {v[key]})")
-        # written as `not value > bound` so that NaN fails too
+        # written as `not low < value < inf` so that NaN fails too
         for key in ("r", "theta_s_O", "chi"):
-            if not v[key] > 0:
-                raise ConfigurationError(f"{key} must be positive (got {v[key]})")
-        if not v["S"] >= 0:
-            raise ConfigurationError(f"S (speed) must be non-negative (got {v['S']})")
+            if not 0 < v[key] < math.inf:
+                raise ConfigurationError(f"{key} must be positive and finite (got {v[key]})")
+        if not 0 <= v["S"] < math.inf:
+            raise ConfigurationError(f"S (speed) must be non-negative and finite (got {v['S']})")
         if not abs(v["zipf_alpha"]) < math.inf:
             raise ConfigurationError(f"zipf_alpha must be finite (got {v['zipf_alpha']})")
         if v["K"] != CONTEXT_FEATURES:
@@ -152,9 +152,9 @@ class ExperimentConfig:
         if not 0.0 < v["lambda_alpha"] < 2.0:
             raise ConfigurationError(
                 "lambda_alpha must lie in (0, 2), where the normalized readout step is stable")
-        if not v["lambda"] > 0.0:
-            raise ConfigurationError(
-                "lambda must be positive: a mobility fit may have fewer samples than W units")
+        if not 0.0 < v["lambda"] < math.inf:
+            raise ConfigurationError("lambda must be positive and finite: a mobility fit "
+                                     "may have fewer samples than W units")
         if v["C_c"] > v["N"] or v["C_r"] > v["N"]:
             raise ConfigurationError("cache capacities cannot exceed the catalog")
         if v["C_c"] < 0 or v["C_r"] < 0:
@@ -164,7 +164,7 @@ class ExperimentConfig:
         if v["seed"] < 0:
             raise ConfigurationError("seed must be non-negative")
         self.weight_spec()  # raises on a bad family
-        self.radio()  # raises on beta <= 2, B <= 0, or dBm powers outside (0 W, inf W)
+        self.radio()  # raises on beta or B out of range, or dBm powers outside (0 W, inf W)
         self.wired()  # raises on a wired rate, content size or delay bound <= 0
         self.plan()  # raises on epsilon outside (0, 1) or delta outside (0, 1]
         names = self.policies()

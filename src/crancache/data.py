@@ -74,8 +74,6 @@ class Workload:
     rotation); the table and the static context columns are built at
     construction from the fields above.
     """
-    n_users: int
-    n_contents: int
     archetypes: list
     user_archetype: np.ndarray
     user_gender: np.ndarray
@@ -89,7 +87,7 @@ class Workload:
                            for rotation in range(_BLOCK)] for arch in self.archetypes])
         table.flags.writeable = False
         self.table = table
-        static = np.zeros((self.n_users, CONTEXT_FEATURES))
+        static = np.zeros((len(self.user_archetype), CONTEXT_FEATURES))
         static[:, 2] = self.user_gender
         static[:, 3] = np.array([a.occupation_code for a in self.archetypes])[self.user_archetype]
         static[:, 4] = np.array([a.age_band for a in self.archetypes])[self.user_archetype]
@@ -147,7 +145,7 @@ def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
             perm[start:start + _BLOCK] = block
         archetypes.append(UserArchetype(
             age_band=(a + 0.5) / n_archetypes,
-            occupation_code=(a % max(n_archetypes, 2)) / max(n_archetypes - 1, 1),
+            occupation_code=a / max(n_archetypes - 1, 1),
             device_mix=float(rng.uniform(0.2, 0.8)),
             rank_permutation=perm,
         ))
@@ -155,9 +153,8 @@ def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
     user_gender = rng.integers(0, 2, size=n_users)
     device_mix = np.array([arch.device_mix for arch in archetypes])
     user_device = (rng.random(n_users) < device_mix[user_archetype]).astype(int)
-    return Workload(n_users=n_users, n_contents=n_contents, archetypes=archetypes,
-                    user_archetype=user_archetype, user_gender=user_gender,
-                    user_device=user_device, base_probs=base)
+    return Workload(archetypes=archetypes, user_archetype=user_archetype,
+                    user_gender=user_gender, user_device=user_device, base_probs=base)
 
 
 def scatter_in_disk(n_points, radius, rng):
@@ -219,7 +216,7 @@ class MobilitySchedule:
         target = self.waypoints[target_idx]
         delta = target - pos
         dist = _length(delta)
-        if dist <= self.speed or dist == 0.0:
+        if dist <= self.speed:
             new_idx = (target_idx + 1) % len(self.waypoints)
             return target.astype(np.float64).copy(), new_idx, int(self.dwell_slots[target_idx])
         return pos + delta * (self.speed / dist), target_idx, dwell_left

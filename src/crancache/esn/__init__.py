@@ -1,6 +1,6 @@
 """Echo-state predictors and their memory-capacity analytics."""
 from .content import (CONTEXT_FEATURES, ContentEsn, ContentEsnBank, project_to_simplex,
-                      require_context, require_distribution)
+                      require_distribution)
 from .memory import (empirical_memory_capacity, memory_capacity,
                      memory_capacity_bounds, min_trace_len)
 from .mobility import (LocationGrid, MobilityEsn, MobilityEsnBank, WeightDistribution,
@@ -20,7 +20,6 @@ __all__ = [
     "min_trace_len",
     "project_to_simplex",
     "readout_windows",
-    "require_context",
     "require_distribution",
     "ridge_train",
 ]

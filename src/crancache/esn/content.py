@@ -78,21 +78,13 @@ def _spectral_radius(w):
     return float(np.max(np.abs(np.linalg.eigvals(w))))
 
 
-def require_context(x, n_features):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n_features,):
-        raise ConfigurationError(
-            f"context vector has shape {x.shape}, expected ({n_features},)"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("context vector has non-finite entries")
-    return x
-
-
-def _as_array(value, shape, name):
+def _checked(value, shape, name):
+    """`value` as a float64 array of exactly `shape` with finite entries."""
     value = np.asarray(value, dtype=np.float64)
     if value.shape != shape:
-        raise ConfigurationError(f"{name} shape mismatch")
+        raise ConfigurationError(f"{name}: shape {value.shape}, expected {shape}")
+    if not np.all(np.isfinite(value)):
+        raise ConfigurationError(f"{name}: non-finite entries")
     return value
 
 
@@ -118,10 +110,6 @@ class ContentEsnBank:
         _check_dimensions(n_contents, n_features, n_reservoir)
         if n_users < 1:
             raise ConfigurationError("n_users must be >= 1")
-        self.n_users = n_users
-        self.n_contents = n_contents
-        self.n_features = n_features
-        self.n_reservoir = n_reservoir
         self.learning_rate = float(learning_rate)
         self.input_weights, self.reservoir_weights = _draw_reservoir(
             as_rng(seed), n_features, n_reservoir)
@@ -147,12 +135,7 @@ class ContentEsnBank:
 
     def predict(self, contexts):
         """Advance every state on its context row; (U, N) projected predictions."""
-        x = np.asarray(contexts, dtype=np.float64)
-        if x.shape != (self.n_users, self.n_features):
-            raise ConfigurationError(
-                f"contexts have shape {x.shape}, expected ({self.n_users}, {self.n_features})")
-        if not np.all(np.isfinite(x)):
-            raise ConfigurationError("context vectors have non-finite entries")
+        x = _checked(contexts, (len(self.state), self.input_weights.shape[1]), "contexts")
         self._advance(x)
         self._readout = self._readouts(x)
         return project_to_simplex(self._readout[1])
@@ -162,9 +145,7 @@ class ContentEsnBank:
         if self._readout is None:
             raise ConfigurationError("train_step needs a predict first")
         z, raw = self._readout
-        observed = np.asarray(observed, dtype=np.float64)
-        if observed.shape != raw.shape:
-            raise ConfigurationError("observed distributions have the wrong shape")
+        observed = _checked(observed, raw.shape, "observed distributions")
         self._readout = None
         self._learn(z, observed - raw)
 
@@ -191,10 +172,6 @@ class ContentEsn:
                  learning_rate=0.01, seed=0):
         self._bank = ContentEsnBank(n_contents, 1, seed, n_features=n_features,
                                     n_reservoir=n_reservoir, learning_rate=learning_rate)
-        self.n_contents = n_contents
-        self.n_features = n_features
-        self.n_reservoir = n_reservoir
-        self.learning_rate = self._bank.learning_rate
 
     @property
     def input_weights(self):
@@ -214,27 +191,28 @@ class ContentEsn:
 
     @state.setter
     def state(self, value):
-        self._bank.state = _as_array(value, (self.n_reservoir,), "state")[None].copy()
+        self._bank.state = _checked(value, self.state.shape, "state")[None].copy()
 
     def set_weights(self, input_weights=None, reservoir_weights=None, output_weights=None):
         """Override weight matrices (tests and hand-built instances)."""
-        n_w, k = self.n_reservoir, self.n_features
+        bank = self._bank
         if input_weights is not None:
-            self._bank.input_weights = _as_array(input_weights, (n_w, k), "input_weights")
+            bank.input_weights = _checked(input_weights, bank.input_weights.shape,
+                                          "input_weights")
         if reservoir_weights is not None:
-            self._bank.reservoir_weights = _as_array(reservoir_weights, (n_w, n_w),
-                                                       "reservoir_weights")
+            bank.reservoir_weights = _checked(reservoir_weights, bank.reservoir_weights.shape,
+                                              "reservoir_weights")
         if output_weights is not None:
-            self._bank.output_weights[:] = _as_array(output_weights, (self.n_contents, n_w + k),
-                                                     "output_weights")
+            bank.output_weights[:] = _checked(output_weights, bank.output_weights.shape,
+                                              "output_weights")
 
     def state_update(self, x):
         """Advance the reservoir: state <- tanh(W@state + W_in@x)."""
-        x = require_context(x, self.n_features)
+        x = _checked(x, self.input_weights.shape[1:], "context vector")
         return self._bank._advance(x[None])[0]
 
     def raw_output(self, x):
-        x = require_context(x, self.n_features)
+        x = _checked(x, self.input_weights.shape[1:], "context vector")
         return self._bank._readouts(x[None])[1][0]
 
     def predict(self, x):
@@ -247,10 +225,9 @@ class ContentEsn:
         The update uses the raw (pre-projection) residual; the returned error
         is the L1 distance between the observed and the projected prediction.
         """
-        x = require_context(x, self.n_features)
-        observed = require_distribution(observed)
-        if observed.shape != (self.n_contents,):
-            raise ConfigurationError("observed distribution length mismatch")
+        x = _checked(x, self.input_weights.shape[1:], "context vector")
+        observed = require_distribution(
+            _checked(observed, self.output_weights.shape[:1], "observed distribution"))
         z, raw = self._bank._readouts(x[None])
         self._bank._learn(z, observed - raw)
         return float(np.abs(observed - project_to_simplex(raw[0])).sum())

@@ -85,8 +85,9 @@ def dbm_to_watts(dbm):
 @dataclass(frozen=True)
 class RadioParams:
     """Downlink radio constants, stored linear-scale. Construction requires
-    beta > 2, B > 0, and finite watts above 0 for both the tx power and the
-    noise: above about 3082 dBm a power overflows, below about -3206 dBm it is 0 W."""
+    a finite beta > 2, a finite B > 0, and finite watts above 0 for both the tx
+    power and the noise: above about 3082 dBm a power overflows, below about
+    -3206 dBm it is 0 W."""
     tx_power_dbm: float = 20.0
     pathloss_exponent: float = 4.0
     noise_dbm: float = -95.0
@@ -95,11 +96,12 @@ class RadioParams:
     noise_w: float = field(init=False)
 
     def __post_init__(self):
-        if not self.pathloss_exponent > 2.0:  # NaN fails too
-            raise ConfigurationError(f"pathloss exponent must exceed 2 "
+        if not 2.0 < self.pathloss_exponent < math.inf:  # NaN fails too
+            raise ConfigurationError(f"pathloss exponent must be finite and exceed 2 "
                                      f"(got {self.pathloss_exponent})")
-        if not self.bandwidth_hz > 0:
-            raise ConfigurationError(f"bandwidth must be positive (got {self.bandwidth_hz})")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ConfigurationError(f"bandwidth must be positive and finite "
+                                     f"(got {self.bandwidth_hz})")
         object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))
         object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
         if not (0.0 < self.tx_power_w < math.inf and 0.0 < self.noise_w < math.inf):
@@ -175,17 +177,19 @@ def slot_capacity(gamma_samples, bandwidth_hz):
 def map_qos_exponents_lenient(theta_O, wired, v_BU, v_FU):
     """Scale the local-path exponent onto the other three delivery paths.
 
-    theta_S = theta_O / (1 - 2L/(v_BU D)), theta_A = theta_O / (1 - L/(v_FU D)),
-    theta_G = theta_O / (1 - 2L/(v_FU D)). A non-positive denominator means the
-    content cannot meet the delay bound over that path; its exponent is +inf.
+    theta_X = theta_O / (1 - N_h L/(v D)), with the path's hop count N_h from
+    HOP_COUNTS and its pipe v: v_BU for the server path, v_FU for the cloud
+    and remote paths. A non-positive denominator means the content cannot
+    meet the delay bound over that path; its exponent is +inf.
     """
     L, D = wired.content_size, wired.delay_bound
-    def scaled(den):
+    def scaled(path, rate):
+        den = 1.0 - HOP_COUNTS[path] * L / (rate * D)
         return theta_O / den if den > 0.0 else math.inf
     return LinkQos(theta_O=theta_O,
-                   theta_A=scaled(1.0 - L / (v_FU * D)),
-                   theta_S=scaled(1.0 - 2.0 * L / (v_BU * D)),
-                   theta_G=scaled(1.0 - 2.0 * L / (v_FU * D)))
+                   theta_A=scaled(PATH_CLOUD, v_FU),
+                   theta_S=scaled(PATH_SERVER, v_BU),
+                   theta_G=scaled(PATH_REMOTE, v_FU))
 
 
 def map_qos_exponents(theta_O, wired, v_BU, v_FU):

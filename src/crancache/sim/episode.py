@@ -24,15 +24,11 @@ baselines (with/without clustering), and "optimal_oracle" (per-decision
 exhaustive subset search fed with ground-truth knowledge, gated by instance
 size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
-requests; fading is drawn only for the RRHs a user hears. A fading block too
-large to draw inline is drawn on a worker thread from the moment the
-previous slot hands it off until its own slot reads it, while the main
-thread finishes the one slot and predicts in the next (see the qos module
-docstring). Slot 1, and a slot run after any slot but its predecessor,
-starts its own draw; slot T hands off none, and a slot that raises discards
-the draw it handed off.
-Each slot's draw comes from its own generator and its layout reads the
-previous slot's clusters, wherever it was started.
+requests; fading is drawn only for the RRHs a user hears. Each slot starts
+the next slot's fading draw, under the clusters it has just formed, once it
+has consumed its own block (slot 1, and a slot run out of turn, starts its
+own); the qos module docstring states the contract of the worker thread that
+draws a large block.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -227,7 +223,7 @@ class Simulation:
         formed. Idle RRHs transmit nothing: interference comes from RRHs that
         are actively serving users and sit outside the cooperating set.
         """
-        serving = nearest_rrh(self.topology.user_tracks[slot - 1], self.topology.rrh_positions)
+        serving = nearest_rrh(self.topology.tracks[slot], self.topology.rrh_positions)
         active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
         column = np.searchsorted(active, serving)
         layout = pair_layout(*self.topology.segments(slot),
@@ -316,7 +312,7 @@ class Simulation:
         cfg = self.cfg
         U = cfg["U"]
         if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
-            self.mobility.observe(self.topology.user_tracks[slot - 1][None])
+            self.mobility.observe(self.topology.tracks[slot][None])
 
         truth = self.workload.distributions(slot)
         predictions = self._predictions(slot, truth)

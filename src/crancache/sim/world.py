@@ -1,5 +1,5 @@
 """Topology, per-slot world state, and delivery-path resolution."""
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,17 @@ def nearest_rrh(positions, rrh_positions):
 
 @dataclass
 class Topology:
-    """RRH layout plus the per-user mobility tracks for a whole episode."""
+    """RRH layout plus the per-user mobility tracks for a whole episode.
+
+    `tracks` has T + 1 rows: row k holds every user's position after slot k,
+    so row 0 is the start and slot k runs from row k - 1 to row k.
+    """
     rrh_positions: np.ndarray        # (R, 2)
-    user_tracks: np.ndarray          # (T, U, 2) positions at slots 1..T
-    start_positions: np.ndarray      # (U, 2) positions before slot 1
+    tracks: np.ndarray               # (T + 1, U, 2)
 
     def segments(self, slot):
         """(starts, ends), each (U, 2): every user's movement during 1-based `slot`."""
-        starts = self.start_positions if slot == 1 else self.user_tracks[slot - 2]
-        return starts, self.user_tracks[slot - 1]
+        return self.tracks[slot - 1], self.tracks[slot]
 
 
 def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
@@ -35,10 +37,9 @@ def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
         raise ConfigurationError("topology needs RRHs and users")
     rng = rng_for(seed, "topology")
     rrh_positions = scatter_in_disk(n_rrhs, disk_radius, rng)
-    tracks = np.stack([sched.positions(n_slots) for sched in schedules], axis=1)
-    starts = np.stack([sched.waypoints[0] for sched in schedules])
-    return Topology(rrh_positions=rrh_positions, user_tracks=tracks,
-                    start_positions=starts)
+    tracks = np.stack([np.vstack([sched.waypoints[0], sched.positions(n_slots)])
+                       for sched in schedules], axis=1)
+    return Topology(rrh_positions=rrh_positions, tracks=tracks)
 
 
 def resolve_delivery_path(contents, serving, caches):

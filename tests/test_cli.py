@@ -272,6 +272,23 @@ def test_memcap_honours_the_configured_seed(tmp_path):
     assert written["default"] != written["flag"]
 
 
+def test_memcap_reads_the_weight_family_from_the_config(tmp_path):
+    """The config's w_dist reaches memcap as --dist does; the override used to
+    be ignored for the flag's own pointmass default."""
+    config = tmp_path / "symbinary.cfg"
+    config.write_text("w_dist = symbinary\n")
+    memcap = ["memcap", "--W-range", "2:3", "--trace-len", "2000"]
+    written = {}
+    for name, flags, extra in [("flag", [], ["--dist", "symbinary"]),
+                               ("override", ["--override", "w_dist=symbinary"], []),
+                               ("config", ["--config", str(config)], []),
+                               ("default", [], [])]:
+        assert main(["--out-dir", str(tmp_path / name)] + flags + memcap + extra) == EXIT_OK
+        written[name] = (tmp_path / name / "memcap.csv").read_bytes()
+    assert written["override"] == written["flag"] == written["config"]
+    assert written["default"] != written["flag"]
+
+
 def test_sample_size_command(capsys):
     assert main(["sample-size", "0.05", "0.05"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "600"

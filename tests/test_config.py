@@ -106,9 +106,13 @@ def test_wired_parameter_rejected_by_name(key, field):
                                  "lambda"])
 def test_nan_rejected_at_load(key):
     """A `value <= bound` check lets NaN through: theta_s_O = nan and S = nan
-    ran to E_bar = nan, and r = nan failed mid-episode with a ValueError."""
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig.default(**{key: float("nan")})
+    ran to E_bar = nan, and r = nan failed mid-episode with a ValueError. A
+    check with no upper bound lets +inf through: r = inf failed mid-episode
+    with an OverflowError, B = inf ran to E_bar = nan, and beta = inf and
+    theta_s_O = inf ran to E_bar = 0."""
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.default(**{key: value})
 
 
 def test_epsilon_whose_sample_count_overflows_rejected():

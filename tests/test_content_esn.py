@@ -83,6 +83,34 @@ def test_dimension_mismatch_is_configuration_error():
         esn.set_weights(output_weights=np.zeros((3, 5)))
 
 
+def test_train_step_rejects_a_non_finite_observation():
+    """A NaN observation passed the distribution check (no entry below 0, a
+    sum not provably off 1) and turned every readout entry NaN."""
+    esn = tiny_esn()
+    esn.state_update(np.array([0.5]))
+    for bad in (np.array([np.nan, 0.5, 0.5]), np.array([np.inf, 0.0, 0.0])):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            esn.train_step(np.array([0.5]), bad)
+    assert not esn.output_weights.any()
+    esn.train_step(np.array([0.5]), np.array([0.2, 0.3, 0.5]))
+    assert np.all(np.isfinite(esn.output_weights)) and esn.output_weights.any()
+
+
+@pytest.mark.parametrize("name", ["input_weights", "reservoir_weights", "output_weights",
+                                  "state"])
+def test_set_weights_and_state_reject_non_finite_arrays(name):
+    esn = tiny_esn()
+    before = getattr(esn, name).copy()
+    for bad in (np.nan, np.inf):
+        value = np.full(before.shape, bad)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            if name == "state":
+                esn.state = value
+            else:
+                esn.set_weights(**{name: value})
+        np.testing.assert_array_equal(getattr(esn, name), before)
+
+
 def test_predict_zero_weights_gives_uniform():
     esn = tiny_esn()
     esn.set_weights(output_weights=np.zeros((3, 3)))
@@ -243,6 +271,20 @@ def test_bank_rejects_bad_contexts_and_unpaired_training():
     bank.predict(np.zeros((2, 7)))
     with pytest.raises(ConfigurationError):
         bank.train_step(np.full((2, 5), 0.2))
+
+
+def test_bank_train_step_rejects_non_finite_observations():
+    bank = ContentEsnBank(4, 2, 0, n_reservoir=6)
+    bank.predict(np.full((2, 7), 0.5))
+    observed = np.full((2, 4), 0.25)
+    for bad in (np.nan, np.inf):
+        observed[1, 2] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            bank.train_step(observed)
+    assert not bank.output_weights.any()
+    observed[1, 2] = 0.25
+    bank.train_step(observed)  # the rejected step left the predict to train on
+    assert np.all(np.isfinite(bank.output_weights)) and bank.output_weights.any()
 
 
 def test_zero_readout_input_takes_no_step():

@@ -160,9 +160,8 @@ def test_static_users_run_a_full_episode():
                                    N_w=48, n_mc=48, archetypes=4, v_B=6e8, v_F=1.2e9,
                                    S=0.0)
     sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
-    tracks = sim.topology.user_tracks
-    np.testing.assert_array_equal(
-        tracks, np.broadcast_to(sim.topology.start_positions, tracks.shape))
+    tracks = sim.topology.tracks
+    np.testing.assert_array_equal(tracks, np.broadcast_to(tracks[0], tracks.shape))
     report = sim.run()
     assert len(report.slots) == cfg["T"]
     assert np.isfinite(report.effective_capacity_avg)
@@ -182,8 +181,7 @@ def test_request_draw_stays_in_catalog_when_cdf_ends_short():
 def test_user_on_an_rrh_keeps_a_finite_slot():
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
     topology = sim.topology
-    topology.start_positions[0] = topology.rrh_positions[1]
-    topology.user_tracks[:, 0] = topology.rrh_positions[1]
+    topology.tracks[:, 0] = topology.rrh_positions[1]
     for k in (1, 2):
         metrics = sim.run_slot(k)
         assert np.isfinite(metrics.effective_sum)

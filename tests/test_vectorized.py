@@ -196,7 +196,7 @@ def test_workload_table_matches_archetype_conditionals(n_contents):
     for slot in range(24 * 7):
         hour, weekday = slot_hour(slot), slot_weekday(slot)
         contexts = wl.contexts(slot)
-        for user in range(wl.n_users):
+        for user in range(len(wl.user_archetype)):
             arch = wl.archetypes[wl.user_archetype[user]]
             expected = reference_conditional(arch.rank_permutation, wl.base_probs, hour, weekday)
             rotation = (hour + weekday) % 3
