@@ -46,12 +46,16 @@ class SamplingPlan:
 def estimate_popularity(distributions, weights, plan, seed, strata=None):
     """Weighted mean of per-user demand vectors from a sublinear sample.
 
-    Draws plan.sample_size items uniformly without replacement, stratified
-    proportionally over the `strata` labels (one stratum when they are
-    omitted), and returns the mean of distribution * weight over the sample.
-    A plan of 0 items (delta = 1) still draws one, so the estimate is a
-    sample mean. Streams shorter than the plan fall back to a full scan with
-    a logged notice. Pass plan=None to force the full scan.
+    Draws plan.sample_size items uniformly without replacement and returns
+    the mean of distribution * weight over the sample. The draw is stratified
+    over the `strata` labels (one stratum when they are omitted) with equal,
+    not proportional, quotas: each of k labels gets size // k items, and the
+    size % k lowest labels one more each. A stratum smaller than its quota
+    gives all its items, and the shortfall is not drawn elsewhere. In the
+    simulator every stratum is one slot's U rows, so equal and proportional
+    quotas coincide there. A plan of 0 items (delta = 1) still draws one, so
+    the estimate is a sample mean. Streams shorter than the plan fall back to
+    a full scan with a logged notice. Pass plan=None to force the full scan.
     """
     distributions = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -240,9 +244,6 @@ def update_distribution(p, cached):
 
 def select_cloud_cache(popularity, capacity):
     """Pick the cloud cache: top `capacity` contents by mean updated demand."""
-    popularity = np.asarray(popularity, dtype=np.float64)
-    if capacity > popularity.shape[0]:
-        raise ConfigurationError("cloud cache larger than the catalog")
     return top_k_contents(popularity, capacity)
 
 

@@ -167,8 +167,6 @@ def _sweep_mobility_rows(cfg, reps):
 
 
 def cmd_sweep(args):
-    if args.axis not in SWEEP_AXES:
-        raise ConfigurationError(f"axis must be one of {SWEEP_AXES}")
     if args.reps < 1:
         raise ConfigurationError(f"--reps must be >= 1 (got {args.reps})")
     base = _load_config(args)

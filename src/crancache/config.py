@@ -13,13 +13,18 @@ WeightDistribution, which rejects an unknown `w_dist` and reads only its own
 family's fields (w_a for pointmass and symbinary, w_lo and w_hi for uniform),
 the radio constants (P, beta, sigma2, B) from qos.RadioParams, the wired
 pipes and delivery contract (v_B, v_F, L, D_max) from qos.WiredParams, and
-the sampling contract (epsilon, delta) from cache.SamplingPlan.
+the sampling contract (epsilon, delta) from cache.SamplingPlan. The
+positive-and-finite rule, which rejects 0, negatives, NaN and +inf, is
+errors.require_positive_finite; validate applies it to r, theta_s_O, chi and
+lambda, RadioParams to B and to P and sigma2 in watts, and WiredParams to
+v_B, v_F, L and D_max. A config file and the --override items share one
+KEY = VALUE parser.
 """
 import math
 from dataclasses import dataclass
 
 from .cache import SamplingPlan
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_positive_finite
 from .esn.content import CONTEXT_FEATURES
 from .esn.mobility import WeightDistribution
 from .qos import RadioParams, WiredParams
@@ -92,12 +97,8 @@ class ExperimentConfig:
         with open(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigurationError(f"{path}:{line_no}: expected KEY = VALUE")
-                key, _, raw = text.partition("=")
-                cfg.set(key.strip(), raw.strip(), where=f"{path}:{line_no}")
+                if text:
+                    cfg._set_pair(text, f"{path}:{line_no}")
         cfg.validate()
         return cfg
 
@@ -107,23 +108,22 @@ class ExperimentConfig:
             raise ConfigurationError(f"{prefix}unknown config key {key!r}")
         typ, _ = _SCHEMA[key]
         try:
-            if typ is int:
-                value = int(str(raw))
-            elif typ is float:
-                value = float(str(raw))
-            else:
-                value = str(raw)
+            self.values[key] = typ(str(raw))  # int, float and str each parse the text form
         except ValueError as exc:
             raise ConfigurationError(f"{prefix}bad value for {key}: {raw!r}") from exc
-        self.values[key] = value
+
+    def _set_pair(self, text, where):
+        """Set one `KEY = VALUE` item, a config-file line or an override; the
+        spaces around KEY and VALUE are dropped."""
+        key, eq, raw = text.partition("=")
+        if not eq:
+            raise ConfigurationError(f"{where}: expected KEY = VALUE (got {text!r})")
+        self.set(key.strip(), raw.strip(), where=where)
 
     def apply_overrides(self, overrides):
         """Apply CLI --override KEY=VAL pairs and re-validate."""
         for item in overrides:
-            if "=" not in item:
-                raise ConfigurationError(f"override {item!r} is not KEY=VAL")
-            key, _, raw = item.partition("=")
-            self.set(key.strip(), raw.strip(), where="--override")
+            self._set_pair(item, "--override")
         self.validate()
         return self
 
@@ -136,10 +136,8 @@ class ExperimentConfig:
                     "N_tr", "n_mc", "archetypes", "waypoints"):
             if v[key] < 1:
                 raise ConfigurationError(f"{key} must be >= 1 (got {v[key]})")
-        # written as `not low < value < inf` so that NaN fails too
         for key in ("r", "theta_s_O", "chi"):
-            if not 0 < v[key] < math.inf:
-                raise ConfigurationError(f"{key} must be positive and finite (got {v[key]})")
+            require_positive_finite(key, v[key])
         if not 0 <= v["S"] < math.inf:
             raise ConfigurationError(f"S (speed) must be non-negative and finite (got {v['S']})")
         if not abs(v["zipf_alpha"]) < math.inf:
@@ -152,9 +150,8 @@ class ExperimentConfig:
         if not 0.0 < v["lambda_alpha"] < 2.0:
             raise ConfigurationError(
                 "lambda_alpha must lie in (0, 2), where the normalized readout step is stable")
-        if not 0.0 < v["lambda"] < math.inf:
-            raise ConfigurationError("lambda must be positive and finite: a mobility fit "
-                                     "may have fewer samples than W units")
+        require_positive_finite("lambda", v["lambda"],
+                                "a mobility fit may have fewer samples than W units")
         if v["C_c"] > v["N"] or v["C_r"] > v["N"]:
             raise ConfigurationError("cache capacities cannot exceed the catalog")
         if v["C_c"] < 0 or v["C_r"] < 0:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the positive-and-finite
+input rule that raises its ConfigurationError."""
+import math
 
 
 class CranCacheError(Exception):
@@ -31,3 +33,11 @@ class NumericalRankError(CranCacheError):
 
 class InstanceTooLargeError(CranCacheError):
     """Exhaustive-oracle guard: the subset space is not enumerable."""
+
+
+def require_positive_finite(name, value, reason=None):
+    """Raise ConfigurationError unless 0 < value < inf; NaN fails too. `reason`,
+    when given, follows the message."""
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be positive and finite (got {value})"
+                                 + (f": {reason}" if reason else ""))

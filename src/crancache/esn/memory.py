@@ -61,8 +61,6 @@ def _series(moment, start, step, max_abs, tol):
     """Sum_{j>=0} moment(start + step*j), truncated via the geometric tail bound."""
     if max_abs >= 1.0:
         raise ConfigurationError("weight support must lie inside (-1, 1)")
-    if max_abs == 0.0:
-        return moment(start)
     total = 0.0
     exponent = start
     ratio = max_abs ** step

@@ -84,6 +84,12 @@ class WeightDistribution:
         return False
 
 
+def _check_sizes(n_units, horizon):
+    """Reject a reservoir or a prediction horizon of fewer than one unit."""
+    if n_units < 1 or horizon < 1:
+        raise ConfigurationError("n_units and horizon must be >= 1")
+
+
 def _draw_weights(n_units, spec, seed):
     """(cycle_weights, input_weights) of one reservoir, from one generator:
     `spec` draws the cycle weights, then the input weights are uniform on [-1, 1]."""
@@ -133,8 +139,7 @@ class MobilityEsn:
     """Cycle-reservoir ESN predicting the next `horizon` location codes."""
 
     def __init__(self, n_units, weight_spec, horizon, ridge_lambda=0.5, seed=0):
-        if n_units < 1 or horizon < 1:
-            raise ConfigurationError("n_units and horizon must be >= 1")
+        _check_sizes(n_units, horizon)
         self.n_units = n_units
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)
@@ -211,8 +216,7 @@ class MobilityEsnBank:
     """
 
     def __init__(self, n_units, weight_spec, horizon, rngs, grid, ridge_lambda=0.5):
-        if n_units < 1 or horizon < 1:
-            raise ConfigurationError("n_units and horizon must be >= 1")
+        _check_sizes(n_units, horizon)
         weights = [_draw_weights(n_units, weight_spec, rng) for rng in rngs]
         self.horizon = horizon
         self.ridge_lambda = float(ridge_lambda)

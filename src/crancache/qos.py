@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, GeometryError, InfeasibleLinkError
+from .errors import (ConfigurationError, GeometryError, InfeasibleLinkError,
+                     require_positive_finite)
 
 SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # Floor on sampled RRH-user distances, so a user on an RRH keeps a finite
@@ -99,19 +100,17 @@ class RadioParams:
         if not 2.0 < self.pathloss_exponent < math.inf:  # NaN fails too
             raise ConfigurationError(f"pathloss exponent must be finite and exceed 2 "
                                      f"(got {self.pathloss_exponent})")
-        if not 0 < self.bandwidth_hz < math.inf:
-            raise ConfigurationError(f"bandwidth must be positive and finite "
-                                     f"(got {self.bandwidth_hz})")
+        require_positive_finite("bandwidth", self.bandwidth_hz)
         object.__setattr__(self, "tx_power_w", dbm_to_watts(self.tx_power_dbm))
         object.__setattr__(self, "noise_w", dbm_to_watts(self.noise_dbm))
-        if not (0.0 < self.tx_power_w < math.inf and 0.0 < self.noise_w < math.inf):
-            raise ConfigurationError(f"tx power {self.tx_power_dbm} dBm and noise "
-                                     f"{self.noise_dbm} dBm must map to finite watts above 0")
+        require_positive_finite(f"tx power {self.tx_power_dbm} dBm in watts", self.tx_power_w)
+        require_positive_finite(f"noise {self.noise_dbm} dBm in watts", self.noise_w)
 
 
 @dataclass(frozen=True)
 class WiredParams:
-    """Backhaul/fronthaul pipes and the delivery contract."""
+    """Backhaul/fronthaul pipes and the delivery contract; construction requires
+    every field positive and finite."""
     backhaul_rate: float = 1e9       # bit/s
     fronthaul_rate: float = 2e9      # bit/s
     content_size: float = 1e7        # bits
@@ -119,8 +118,7 @@ class WiredParams:
 
     def __post_init__(self):
         for name in ("backhaul_rate", "fronthaul_rate", "content_size", "delay_bound"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive (got {getattr(self, name)})")
+            require_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

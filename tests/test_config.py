@@ -97,7 +97,7 @@ def test_dbm_powers_outside_the_float_range_rejected(key, dbm):
 @pytest.mark.parametrize("key, field", [("v_B", "backhaul_rate"), ("v_F", "fronthaul_rate"),
                                         ("L", "content_size"), ("D_max", "delay_bound")])
 def test_wired_parameter_rejected_by_name(key, field):
-    for value in (0.0, -1.0, float("nan")):
+    for value in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
             ExperimentConfig.default(**{key: value})
 
