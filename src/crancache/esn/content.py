@@ -1,15 +1,22 @@
 """Recurrent predictors mapping context vectors to content-request distributions.
 
 Every user has an echo-state network of its own, and all of them share one
-reservoir: input weights and a sparse recurrent matrix rescaled to a spectral
-radius below one. The reservoir is random and never trained; only the
-readout learns (Jaeger 2001, GMD Report 148; Lukosevicius 2012, A Practical
-Guide to Applying Echo State Networks). Drawing a reservoir per user would
-leave each user's predictor with the same distribution and change only the
-correlation across users, at U times the memory and eigenvalue solves. Each
-user keeps its own state and its own context. Raw readouts are not
-probability vectors, so predictions are projected onto the simplex (clamp
-negatives, renormalize, uniform fallback) before use.
+reservoir: input weights W_in (N_w, K) and N_w cycle weights c, each of
+modulus SPECTRAL_RADIUS with a random sign (a simple cycle reservoir: Rodan
+and Tino 2011, Minimum Complexity Echo State Network, IEEE TNN 22(1)). Unit i
+reads unit (i-1) mod N_w through c_i, as in the mobility reservoirs: the
+cycle matrix C, whose row i holds c_i in column (i-1) mod N_w, is never
+built. C is a weighted cyclic permutation, so its eigenvalues are
+SPECTRAL_RADIUS times the N_w-th roots of +1 or -1 and its singular values
+all equal SPECTRAL_RADIUS: the radius below one that the echo-state
+condition asks for holds by construction (Jaeger 2001, GMD Report 148). The
+reservoir is random and never trained; only the readout learns (Lukosevicius
+2012, A Practical Guide to Applying Echo State Networks). Drawing a
+reservoir per user would leave each user's predictor with the same
+distribution and change only the correlation across users, at U times the
+draws and memory. Each user keeps its own state and its own context. Raw
+readouts are not probability vectors, so predictions are projected onto the
+simplex (clamp negatives, renormalize, uniform fallback) before use.
 
 All users share one readout W_out (N, N_w+K), fitted online on every user's
 (z, observed) pairs, z = [state; context]. This departs from the paper, which
@@ -27,10 +34,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..seeding import as_rng
+from .mobility import WeightDistribution
 
 CONTEXT_FEATURES = 7  # request time, weekday, gender, occupation, age, device, reserved
-SPECTRAL_RADIUS = 0.9    # the recurrent matrix is rescaled to this radius (< 1)
-DENSITY = 0.1            # fraction of nonzero recurrent entries
+SPECTRAL_RADIUS = 0.9    # modulus of every cycle weight: the reservoir's spectral radius (< 1)
 DISTRIBUTION_TOL = 1e-9  # rounding slack when validating a probability vector
 
 
@@ -64,18 +71,9 @@ def _check_dimensions(n_contents, n_features, n_reservoir):
 
 
 def _draw_reservoir(rng, n_features, n_reservoir):
-    """(W_in, W): drawn in the order W_in, the mask, W; W rescaled to SPECTRAL_RADIUS."""
+    """(W_in, c): W_in first, then the cycle weights, +/- SPECTRAL_RADIUS each."""
     w_in = rng.uniform(-1.0, 1.0, (n_reservoir, n_features))
-    mask = rng.random((n_reservoir, n_reservoir)) < DENSITY
-    w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
-    radius = _spectral_radius(w)
-    if radius > 0.0:
-        w *= SPECTRAL_RADIUS / radius
-    return w_in, w
-
-
-def _spectral_radius(w):
-    return float(np.max(np.abs(np.linalg.eigvals(w))))
+    return w_in, WeightDistribution("symbinary", SPECTRAL_RADIUS).sample(rng, n_reservoir)
 
 
 def _checked(value, shape, name):
@@ -92,14 +90,14 @@ class ContentEsnBank:
     """U content ESNs on one shared reservoir and one shared readout, stepped together.
 
     Takes ContentEsn's parameters, with the user count `n_users` in addition.
-    W_in (N_w, K), the recurrent mask and W (N_w, N_w) are drawn from `seed`
-    in that order, and W is rescaled after one spectral-radius solve. The
-    readout `output_weights` (N, N_w + K) starts at zero; states (U, N_w)
-    are per user.
+    W_in (N_w, K) and the cycle weights `reservoir_weights` c (N_w,) are
+    drawn from `seed` in that order. The readout `output_weights`
+    (N, N_w + K) starts at zero; states (U, N_w) are per user.
 
     Per slot: `predict(contexts)` advances every state,
-    S <- tanh(S W^T + X W_in^T), reads the raw readouts Z W_out^T with
-    Z = [S, X], one matrix product each for all users, and returns the
+    S <- tanh(roll(S, 1, axis=1) * c + X W_in^T), whose column i reads
+    column (i-1) mod N_w of S, reads the raw readouts Z W_out^T with
+    Z = [S, X], one array operation each for all users, and returns the
     projected predictions. `train_step(observed)` then takes one normalized
     gradient step on the residuals of that `predict` (see the module
     docstring).
@@ -118,8 +116,9 @@ class ContentEsnBank:
         self._readout = None  # (z, raw) of the last predict
 
     def _advance(self, x):
-        """state <- tanh(W@state + W_in@x) for every user, one product per term."""
-        self.state = np.tanh(self.state @ self.reservoir_weights.T + x @ self.input_weights.T)
+        """state <- tanh(C@state + W_in@x) for every user, C the cycle matrix."""
+        self.state = np.tanh(np.roll(self.state, 1, axis=1) * self.reservoir_weights
+                             + x @ self.input_weights.T)
         return self.state
 
     def _readouts(self, x):
@@ -153,8 +152,8 @@ class ContentEsnBank:
 class ContentEsn:
     """Echo-state predictor for one user's content-request distribution.
 
-    The one-user ContentEsnBank: W_in, the recurrent mask and W are drawn
-    from `seed` in that order, and the readout starts at zero.
+    The one-user ContentEsnBank: W_in and the cycle weights are drawn from
+    `seed` in that order, and the readout starts at zero.
 
     Parameters
     ----------
@@ -164,8 +163,8 @@ class ContentEsn:
     learning_rate : normalized gradient step of the online readout update,
         stable in (0, 2).
 
-    The reservoir's spectral radius and its density are the module constants
-    SPECTRAL_RADIUS and DENSITY.
+    The modulus of every cycle weight, which is the reservoir's spectral
+    radius, is the module constant SPECTRAL_RADIUS.
     """
 
     def __init__(self, n_contents, n_features=CONTEXT_FEATURES, n_reservoir=100,
@@ -194,7 +193,8 @@ class ContentEsn:
         self._bank.state = _checked(value, self.state.shape, "state")[None].copy()
 
     def set_weights(self, input_weights=None, reservoir_weights=None, output_weights=None):
-        """Override weight matrices (tests and hand-built instances)."""
+        """Override W_in (N_w, K), the cycle weights (N_w,) or W_out (N, N_w + K)
+        (tests and hand-built instances)."""
         bank = self._bank
         if input_weights is not None:
             bank.input_weights = _checked(input_weights, bank.input_weights.shape,
@@ -207,7 +207,7 @@ class ContentEsn:
                                               "output_weights")
 
     def state_update(self, x):
-        """Advance the reservoir: state <- tanh(W@state + W_in@x)."""
+        """Advance the reservoir: state <- tanh(C@state + W_in@x), C the cycle matrix."""
         x = _checked(x, self.input_weights.shape[1:], "context vector")
         return self._bank._advance(x[None])[0]
 

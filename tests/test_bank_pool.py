@@ -38,8 +38,8 @@ def test_pooled_bank_matches_per_user_esns(n_reservoir, users):
     every step, the shared readout; the readout then takes the pooled step
     W_out += lr sum_u r_u z_u^T / sum_u |z_u|^2, written out per user. One
     user is a ContentEsn bit for bit, its own training step included; more
-    users share one product S @ W.T, whose rows may differ from a per-user
-    product in their last bits, so they are compared to 1e-12."""
+    users share one product X @ W_in.T, whose rows may differ from a
+    per-user product in their last bits, so they are compared to 1e-12."""
     n_contents, lr = 9, 0.5
     bank = ContentEsnBank(n_contents, users, 69, n_reservoir=n_reservoir, learning_rate=lr)
     esns = [ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir, learning_rate=lr,
@@ -89,7 +89,8 @@ def test_deep_copied_bank_continues_bit_identically():
 
 def test_pool_workers_run_only_the_private_solver():
     """No thread but the caller's runs package code while a Simulation
-    builds its bank and steps slots: not even the spectral-radius solver."""
+    builds its banks and steps slots: the fading worker is handed numpy's
+    C callables only (see the qos module docstring)."""
     main = threading.get_ident()
     off_main = set()
 

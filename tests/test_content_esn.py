@@ -15,6 +15,14 @@ def tiny_esn(n_contents=3, n_features=1, n_reservoir=2, lr=0.1, seed=0):
     return esn
 
 
+def cycle_matrix(c):
+    """The dense view of cycle weights c: row i holds c[i] in column (i-1) mod N_w."""
+    n = len(c)
+    dense = np.zeros((n, n))
+    dense[np.arange(n), (np.arange(n) - 1) % n] = c
+    return dense
+
+
 def test_zero_state_zero_input_stays_zero():
     esn = tiny_esn()
     esn.state_update(np.zeros(1))
@@ -23,7 +31,7 @@ def test_zero_state_zero_input_stays_zero():
 
 def test_hand_evaluated_two_unit_recurrence():
     esn = tiny_esn()
-    esn.set_weights(reservoir_weights=np.zeros((2, 2)),
+    esn.set_weights(reservoir_weights=np.zeros(2),
                     input_weights=np.array([[1.0], [1.0]]))
     esn.state_update(np.array([0.5]))
     np.testing.assert_allclose(esn.state, [math.tanh(0.5)] * 2)
@@ -32,11 +40,11 @@ def test_hand_evaluated_two_unit_recurrence():
 
 def test_zero_input_norm_decays_monotonically():
     # a normal matrix with spectral radius 0.9 contracts every step:
-    # |tanh(Wv)| <= |Wv| = 0.9 |v|
+    # |tanh(Cv)| <= |Cv| = 0.9 |v|; a cycle of weights +/- 0.9 is 0.9 times
+    # a signed cyclic permutation, so it is normal
     rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
     esn = ContentEsn(n_contents=4, n_reservoir=30, seed=3)
-    esn.set_weights(reservoir_weights=0.9 * q)
+    esn.set_weights(reservoir_weights=0.9 * rng.choice([-1.0, 1.0], size=30))
     esn.state = rng.uniform(-1, 1, 30)
     norms = []
     for _ in range(50):
@@ -59,12 +67,17 @@ def test_contraction_below_tol_within_1000_steps():
 
 
 def test_construction_spectral_radius_below_one():
-    for seed in range(4):
-        esn = ContentEsn(n_contents=5, n_reservoir=60, seed=seed)
-        radius = np.max(np.abs(np.linalg.eigvals(esn.reservoir_weights)))
-        assert radius < 1.0
-        assert esn.state.shape == (60,)
-        assert esn.output_weights.shape == (5, 60 + 7)
+    """Every eigenvalue of the cycle has modulus SPECTRAL_RADIUS; N_w = 1 is a
+    self-loop."""
+    assert content.SPECTRAL_RADIUS < 1.0
+    for n_reservoir in (1, 2, 60):
+        for seed in range(4):
+            esn = ContentEsn(n_contents=5, n_reservoir=n_reservoir, seed=seed)
+            assert esn.reservoir_weights.shape == (n_reservoir,)
+            moduli = np.abs(np.linalg.eigvals(cycle_matrix(esn.reservoir_weights)))
+            np.testing.assert_allclose(moduli, content.SPECTRAL_RADIUS, rtol=0, atol=1e-12)
+            assert esn.state.shape == (n_reservoir,)
+            assert esn.output_weights.shape == (5, n_reservoir + 7)
 
 
 def test_state_entries_inside_open_interval():
@@ -123,7 +136,7 @@ def test_predict_one_hot_readout_row():
     w = np.zeros((3, 3))
     w[1, 0] = 1.0  # row for content 2 picks state entry 1
     esn.set_weights(output_weights=w,
-                    reservoir_weights=np.zeros((2, 2)),
+                    reservoir_weights=np.zeros(2),
                     input_weights=np.array([[5.0], [0.0]]))
     esn.state_update(np.array([1.0]))  # state ~ [tanh 5, 0]
     pred = esn.predict(np.array([1.0]))
@@ -145,7 +158,7 @@ def test_simplex_property_on_random_raw_outputs():
 
 def test_train_zero_residual_leaves_weights_unchanged():
     esn = tiny_esn(n_contents=2)
-    esn.set_weights(reservoir_weights=np.zeros((2, 2)),
+    esn.set_weights(reservoir_weights=np.zeros(2),
                     input_weights=np.array([[1.0], [1.0]]))
     esn.state_update(np.array([0.5]))
     # make the raw output equal a valid distribution, then observe exactly it
@@ -194,27 +207,23 @@ def rounds(users, n_contents, count, seed=5):
 
 
 @pytest.mark.parametrize("users", [1, 3, 32])
-def test_bank_solves_one_spectral_radius_whatever_the_user_count(monkeypatch, users):
-    solved = []
-    solve = content._spectral_radius
-    monkeypatch.setattr(content, "_spectral_radius",
-                        lambda w: solved.append(w.shape) or solve(w))
+def test_bank_shares_one_reservoir_and_a_zero_readout_whatever_the_user_count(users):
     bank = ContentEsnBank(9, users, 4, n_reservoir=40)
-    assert solved == [(40, 40)]
-    assert bank.reservoir_weights.shape == (40, 40)
+    assert bank.reservoir_weights.shape == (40,)
     assert bank.input_weights.shape == (40, 7)
     assert np.array_equal(bank.output_weights, np.zeros((9, 47)))
     assert bank.state.shape == (users, 40)
 
 
 def test_bank_steps_the_content_esn_equations():
-    """Per user: s <- tanh(W s + W_in x) and raw = W_out [s; x]; then one
+    """Per user: s <- tanh(C s + W_in x), C the dense view of the cycle
+    weights, and raw = W_out [s; x]; then one
     pooled step W_out <- W_out + lr sum_u (observed_u - raw_u) z_u^T / sum_u |z_u|^2,
     written out per user as reference."""
     users, n_contents, lr = 3, 6, 0.5
     bank = ContentEsnBank(n_contents, users, 3, n_reservoir=12, learning_rate=lr)
-    w, w_in = bank.reservoir_weights.copy(), bank.input_weights.copy()
-    assert not np.array_equal(w, w.T)  # a transposed W would show
+    w, w_in = cycle_matrix(bank.reservoir_weights), bank.input_weights.copy()
+    assert not np.array_equal(w, w.T)  # a cycle rolled the wrong way would show
     w_out, state = bank.output_weights.copy(), bank.state.copy()
     close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     for x, observed in rounds(users, n_contents, 4):
@@ -237,12 +246,11 @@ def test_bank_steps_the_content_esn_equations():
 def test_one_user_bank_on_one_generator_is_content_esn():
     n_contents, n_reservoir = 9, 30
     esn = ContentEsn(n_contents=n_contents, n_reservoir=n_reservoir, learning_rate=0.05, seed=8)
-    # ContentEsn draws W_in, the mask and W from its seed, in that order
+    # ContentEsn draws W_in and then the signs of the cycle weights from its
+    # seed, in that order
     rng = np.random.default_rng(8)
     w_in = rng.uniform(-1.0, 1.0, (n_reservoir, 7))
-    mask = rng.random((n_reservoir, n_reservoir)) < 0.1
-    w = rng.uniform(-1.0, 1.0, (n_reservoir, n_reservoir)) * mask
-    w *= 0.9 / np.max(np.abs(np.linalg.eigvals(w)))
+    w = 0.9 * rng.choice([-1.0, 1.0], size=n_reservoir)
     bank = ContentEsnBank(n_contents, 1, np.random.default_rng(8), n_reservoir=n_reservoir,
                           learning_rate=0.05)
     for weights in (esn, bank):

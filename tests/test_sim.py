@@ -445,8 +445,10 @@ def test_empty_caches_run_a_full_episode(policy):
 
 def test_content_reservoir_has_a_stream_of_its_own():
     bank = Simulation(tiny_config(), POLICY_PROPOSED, seed=3).content_bank
-    w_in = rng_for(3, "reservoir").uniform(-1.0, 1.0, bank.input_weights.shape)
-    assert np.array_equal(bank.input_weights, w_in)
+    rng = rng_for(3, "reservoir")
+    assert np.array_equal(bank.input_weights, rng.uniform(-1.0, 1.0, (24, 7)))
+    # then the cycle weights: +/- the spectral radius, one sign per unit
+    assert np.array_equal(bank.reservoir_weights, 0.9 * rng.choice([-1.0, 1.0], size=24))
     # the one readout shared by all users draws nothing: it starts at zero
     assert np.array_equal(bank.output_weights, np.zeros((6, 24 + 7)))
 
