@@ -207,7 +207,7 @@ def rounds(users, n_contents, count, seed=5):
 
 
 @pytest.mark.parametrize("users", [1, 3, 32])
-def test_bank_shares_one_reservoir_and_a_zero_readout_whatever_the_user_count(users):
+def test_bank_shapes_and_zero_readout_whatever_the_user_count(users):
     bank = ContentEsnBank(9, users, 4, n_reservoir=40)
     assert bank.reservoir_weights.shape == (40,)
     assert bank.input_weights.shape == (40, 7)
@@ -223,7 +223,7 @@ def test_bank_steps_the_content_esn_equations():
     users, n_contents, lr = 3, 6, 0.5
     bank = ContentEsnBank(n_contents, users, 3, n_reservoir=12, learning_rate=lr)
     w, w_in = cycle_matrix(bank.reservoir_weights), bank.input_weights.copy()
-    assert not np.array_equal(w, w.T)  # a cycle rolled the wrong way would show
+    assert not np.array_equal(w, w.T)  # not symmetric: a roll the wrong way would show
     w_out, state = bank.output_weights.copy(), bank.state.copy()
     close = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     for x, observed in rounds(users, n_contents, 4):
