@@ -39,11 +39,12 @@ rotated by i lanes). Two passes:
    carry.
 
 Block 0 takes the operations of the plain recurrence, so its rows keep
-every bit, and a drive of at most B steps is one block: the plain loop,
-with no padding and no G. Beyond the first block the carry reassociates the
-sums, so those states can differ from the plain recurrence's in their last
-bits: by at most 3e-15 of the largest state over 3000 random drives of up
-to five blocks, with weights up to 1 - 1e-3 in magnitude.
+every bit, and a drive of at most B steps is one block of its T rows: the
+plain loop, with no padding and no G. Beyond the first block the carry
+reassociates the sums, so those states can differ from the plain
+recurrence's in their last bits: by at most 3e-15 of the largest state over
+3000 random drives of up to five blocks, with weights up to 1 - 1e-3 in
+magnitude.
 """
 from itertools import cycle
 
@@ -93,28 +94,26 @@ def cycle_drive(cycle_w, w_in, inputs, state0):
     T = inputs.shape[0]
     block = W * -(-BLOCK_STEPS // W)
     n_blocks = -(-T // block)
+    if n_blocks < 2:  # at most one block: one block of its T rows
+        n_blocks, block = 1, T
     turns = range(min(W, T))  # rotations the T steps use
-    if n_blocks > 1:  # whole blocks; the rows past T stay zero-driven and are cut off
-        padded = np.zeros((n_blocks * block,) + inputs.shape[1:] + (W,))
-        states = padded[:T]
-    else:
-        states = np.empty(inputs.shape + (W,))
+    # whole blocks; the rows past T stay zero-driven and are cut off
+    padded = np.zeros((n_blocks * block,) + inputs.shape[1:] + (W,))
+    states = padded[:T]
     for r in turns:
         np.multiply(_rotated(w_in, r), inputs[r::W, ..., None], out=states[r::W])
     turned_w = [_rotated(cycle_w, r) for r in turns]
+    blocks = padded.reshape((n_blocks, block) + padded.shape[1:])
     prev = _rotated(np.asarray(state0, dtype=np.float64), -1)
+    starts = np.zeros((n_blocks,) + prev.shape)
+    starts[0] = prev
+    _recur(blocks.swapaxes(0, 1), turned_w, starts)
     if n_blocks > 1:
-        blocks = padded.reshape((n_blocks, block) + padded.shape[1:])
-        starts = np.zeros((n_blocks,) + prev.shape)
-        starts[0] = prev
-        _recur(blocks.swapaxes(0, 1), turned_w, starts)
         gains = np.cumprod(np.array(turned_w * (block // W)), axis=0)
         tmp = np.empty_like(gains)
         for prior, rows in zip(blocks, blocks[1:]):
             np.multiply(gains, prior[-1], out=tmp)
             np.add(rows, tmp, out=rows)
-    else:
-        _recur(states, turned_w, prev)
     for r in turns[1:]:
         states[r::W] = _rotated(states[r::W], -r)
     return states

@@ -20,7 +20,13 @@ log = logging.getLogger(__name__)
 
 
 def hoeffding_sample_size(epsilon, delta):
-    """Samples needed for an (epsilon, delta) mean estimate: ceil(-ln d / (2 e^2))."""
+    """Samples needed for an (epsilon, delta) mean estimate: ceil(-ln d / (2 e^2)).
+
+    By Hoeffding's inequality, the mean of that many values in [0, b], drawn
+    uniformly with or without replacement, deviates from the population mean
+    by at most epsilon * b with probability at least 1 - delta. The bound
+    scales with b: for the cloud refresh, b is the period's largest weight.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ConfigurationError("epsilon must lie in (0, 1)")
     if not 0.0 < delta <= 1.0:
@@ -33,7 +39,9 @@ def hoeffding_sample_size(epsilon, delta):
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """An (epsilon, delta) accuracy contract and its implied sample count."""
+    """An (epsilon, delta) accuracy contract and its implied sample count: a
+    sampled mean of values in [0, b] lies within epsilon * b of the full mean
+    with probability at least 1 - delta."""
     epsilon: float
     delta: float
     sample_size: int = field(init=False)
@@ -56,6 +64,14 @@ def estimate_popularity(distributions, weights, plan, seed, strata=None):
     quotas coincide there. A plan of 0 items (delta = 1) still draws one, so
     the estimate is a sample mean. Streams shorter than the plan fall back to
     a full scan with a logged notice. Pass plan=None to force the full scan.
+
+    The contract: every entry of the estimate is a mean of values
+    distribution * weight in [0, b], b the stream's largest weight, so it
+    lies within plan.epsilon * b of the full scan's entry with probability
+    at least 1 - plan.delta (for a uniform sample, and for equal quotas on
+    equal strata, as in the simulator). In the cloud refresh the weights are
+    effective capacities in Mbit and b reaches 368 at the parameter-table
+    defaults, so epsilon alone does not bound the error.
     """
     distributions = np.atleast_2d(np.asarray(distributions, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)

@@ -103,8 +103,7 @@ def _sweep_episode_rows(cfg, reps, policies):
         for policy in policies:
             report = run_episode(cfg, policy, seed)
             rows.append((policy, seed, "E_bar", report.effective_capacity_avg))
-            n = max(len(report.slots), 1)
-            rows.append((policy, seed, "hit_O", sum(m.hit_local for m in report.slots) / n))
+            rows.append((policy, seed, "hit_O", report.slot_mean("hit_local")))
     return rows
 
 

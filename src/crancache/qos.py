@@ -11,20 +11,21 @@ exp(-theta_O * D_max). Effective capacity is the log-MGF rate of the cumulative
 slot service; base-2 logs are paired with base-2 exponents throughout so the
 theta -> 0 limit returns the mean capacity.
 
-The channel sampler has three steps, and `segment_capacity_rows` runs them
-in order. `pair_layout` lists the (user, RRH) pairs a slot draws, with their
-path gains. `fading_block` draws the slot's fading as one (pairs, n_mc,
-SLOT_SUBSTEPS) block from the slot's generator, in C order. A block of at
-most MAX_INLINE_FADING_ENTRIES entries (every desk-scale slot) is drawn
-inline, when the caller takes it. A larger one is handed at once to one
-worker thread, so that the caller can work while the fading is drawn: the
-draw and numpy's matrix products both release the GIL. The worker is handed
-only numpy callables implemented in C (the exponential draw into the block,
-then the multiply by the gains), never package code: a worker running
-Python code contends with the main thread for the GIL, which made slots
-slower, and the benchmark's span tracer assumes that package code runs on
-one thread. Either way one generator fills the block in the same order, so
-the samples do not depend on which thread draws. `capacity_from_fading`
+The channel sampler has three steps, which an episode runs in order, and
+`segment_capacity_samples` for one user. `pair_layout` lists the (user,
+RRH) pairs a slot draws, with their path gains. `fading_block` draws the
+slot's fading as one (pairs, n_mc, SLOT_SUBSTEPS) block from the slot's
+generator, in C order. A block of at most MAX_INLINE_FADING_ENTRIES
+entries (every desk-scale slot) is drawn inline, when the caller takes it.
+A larger one is handed at once to one worker thread, so that the caller
+can work while the fading is drawn: the draw and numpy's matrix products
+both release the GIL. The worker is handed only numpy callables
+implemented in C (the exponential draw into the block, then the multiply
+by the gains), never package code: a worker running Python code contends
+with the main thread for the GIL, which made slots slower, and the
+benchmark's span tracer assumes that package code runs on one thread.
+Either way the same two calls fill the block, so the samples do not depend
+on which thread draws. `capacity_from_fading`
 then adds up signal and interference from the faded powers and scores the
 slot capacity.
 
@@ -33,8 +34,9 @@ outlive the call that started it: an episode starts the next slot's draw
 once the current slot has consumed its own block, so at most one block is
 alive at a time. Taking waits for the worker's jobs and hands the block
 over; discarding cancels or waits for them. Whoever holds a draw takes or
-discards it, also when it raises, so no job outlives its holder's use; a
-deep copy of a draw is a finished draw with a block of its own.
+discards it, also when it raises, so no job outlives its holder's use.
+Draws are not copied: a copied `sim.Simulation` leaves its draw behind and
+draws that slot again.
 
 The block holds U x (active RRHs) x n_mc x SLOT_SUBSTEPS floats at most: at
 the parameter-table defaults (U = 32, n_mc = 64) that is 5.2 MB for the
@@ -44,7 +46,6 @@ size the benchmark does not run).
 dBm values are converted to linear scale once, in RadioParams; all math here
 is linear-scale and unit-agnostic.
 """
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -297,13 +298,13 @@ def fading_block(layout, rng):
 
     A block of at most MAX_INLINE_FADING_ENTRIES entries is drawn inline,
     when the draw's `take()` is called. A larger one goes to _FADING_WORKER
-    at once, as two numpy calls: the exponential draw into the block, then
-    the multiply by the pairs' gains in place; `take()` waits for both. The
-    draws are those of the inline path. A job's exception comes out of
-    `take()`. The draw lives until it is taken or discarded (`discard()`, or
-    leaving a `with` block on it), whichever comes first; discarding cancels
-    or waits for both jobs, so none outlives the draw's holder. A deep copy
-    waits for the jobs and holds a copy of the finished block.
+    at once. Either way the same two numpy calls fill the block: the
+    exponential draw into it, then the multiply by the pairs' gains in
+    place; `take()` runs them, or waits for the worker's two jobs. A job's
+    exception comes out of `take()`. The draw lives until it is taken or
+    discarded (`discard()`, or leaving a `with` block on it), whichever
+    comes first; discarding cancels or waits for both jobs, so none outlives
+    the draw's holder.
     """
     return _FadingDraw(layout, rng)
 
@@ -313,24 +314,25 @@ class _FadingDraw:
 
     def __init__(self, layout, rng):
         self.layout = layout
-        self._shape = (len(layout.users), layout.n_mc, SLOT_SUBSTEPS)
-        self._rng, self._block, self._jobs = rng, None, ()
-        if math.prod(self._shape) > MAX_INLINE_FADING_ENTRIES:
-            self._rng, self._block = None, np.empty(self._shape)
-            self._jobs = (
-                _FADING_WORKER.submit(rng.standard_exponential, out=self._block),
-                _FADING_WORKER.submit(np.multiply, self._block, layout.gains[:, None, :],
-                                      out=self._block))
+        self._block = np.empty((len(layout.users), layout.n_mc, SLOT_SUBSTEPS))
+        # the two steps, each (callable, args, kwargs): run by take(), or on the worker
+        self._steps = ((rng.standard_exponential, (), {"out": self._block}),
+                       (np.multiply, (self._block, layout.gains[:, None, :]),
+                        {"out": self._block}))
+        self._jobs = ()
+        if self._block.size > MAX_INLINE_FADING_ENTRIES:
+            self._jobs = tuple(_FADING_WORKER.submit(fn, *args, **kwargs)
+                               for fn, args, kwargs in self._steps)
+            self._steps = ()
 
     def take(self):
         """The finished block, handed over: the draw drops it and its jobs."""
         for job in self._jobs:
             job.result()
-        block, rng = self._block, self._rng
+        block, steps = self._block, self._steps
         self.discard()
-        if rng is not None:
-            block = rng.standard_exponential(self._shape)
-            np.multiply(block, self.layout.gains[:, None, :], out=block)
+        for fn, args, kwargs in steps:
+            fn(*args, **kwargs)
         return block
 
     def discard(self):
@@ -338,23 +340,13 @@ class _FadingDraw:
         # a cancelled job never runs, but `wait` would block on it until the
         # worker reaches it in the queue
         wait([job for job in self._jobs if not job.cancel()])
-        self._rng, self._block, self._jobs = None, None, ()
+        self._block, self._steps, self._jobs = None, (), ()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.discard()
-
-    def __deepcopy__(self, memo):
-        wait(self._jobs)
-        twin = copy.copy(self)
-        twin.layout = copy.deepcopy(self.layout, memo)
-        twin._rng = copy.deepcopy(self._rng, memo)
-        twin._block = copy.deepcopy(self._block, memo)
-        # a failed job is kept for its exception; a finished one holds the original block
-        twin._jobs = tuple(job for job in self._jobs if job.exception() is not None)
-        return twin
 
 
 def capacity_from_fading(layout, power, radio):
@@ -379,25 +371,18 @@ def capacity_from_fading(layout, power, radio):
     return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
 
 
-def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes,
-                          radio, n_mc, rng):
-    """Monte-Carlo draws of the cumulative slot capacity along U movement segments.
-
-    `pair_layout`, then `fading_block`, then `capacity_from_fading`: the
-    fading is drawn from `rng` as one (n_mc, SLOT_SUBSTEPS) block per used
-    pair, users in order and columns in order within a user, every sub-step
-    redrawing the fading. Returns (U, n_mc) samples in bit. The thread that
-    draws moves no draw and no sum.
-    """
-    layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
-    with fading_block(layout, rng) as fading:
-        return capacity_from_fading(layout, fading.take(), radio)
-
-
 def segment_capacity_samples(start, end, serving_pos, interferer_positions,
                              radio, n_mc, rng):
-    """segment_capacity_rows for one user, served by column 0; returns its (n_mc,) samples."""
+    """Monte-Carlo draws of one user's cumulative slot capacity along a movement segment.
+
+    The user slides from `start` to `end`, served by the RRH at `serving_pos`
+    and interfered with by those at `interferer_positions`. The three steps
+    of an episode's channel draw run in order, `pair_layout`,
+    `fading_block` and `capacity_from_fading`, with the serving RRH as
+    column 0. Returns the user's (n_mc,) samples in bit.
+    """
     positions = np.vstack([serving_pos, np.reshape(interferer_positions, (-1, 2))])
-    return segment_capacity_rows(np.array([start]), np.array([end]), positions,
-                                 np.zeros(1, dtype=int), np.arange(len(positions))[None] > 0,
-                                 radio, n_mc, rng)[0]
+    layout = pair_layout(np.array([start]), np.array([end]), positions, np.zeros(1, dtype=int),
+                         np.arange(len(positions))[None] > 0, radio, n_mc)
+    with fading_block(layout, rng) as fading:
+        return capacity_from_fading(layout, fading.take(), radio)[0]

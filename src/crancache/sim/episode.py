@@ -26,9 +26,9 @@ size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
 requests; fading is drawn only for the RRHs a user hears. Each slot starts
 the next slot's fading draw, under the clusters it has just formed, once it
-has consumed its own block (slot 1, and a slot run out of turn, starts its
-own); the qos module docstring states the contract of the worker thread that
-draws a large block.
+has consumed its own block (slot 1, a slot run out of turn, and the first
+slot a copied Simulation runs start their own); the qos module docstring
+states the contract of the worker thread that draws a large block.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -103,17 +103,20 @@ class EpisodeReport:
         lines += [f"{m.slot},{m.tv_content:.10g},{m.n_clusters}" for m in self.slots]
         return "\n".join(lines) + "\n"
 
+    def slot_mean(self, name):
+        """Mean over the slots of the SlotMetrics field `name`; 0 without slots."""
+        return sum(getattr(m, name) for m in self.slots) / max(len(self.slots), 1)
+
     def summary_text(self):
-        n = max(len(self.slots), 1)
         lines = [
             f"policy = {self.policy}",
             f"seed = {self.seed}",
             f"E_bar = {self.effective_capacity_avg:.10g}",
             f"slots = {len(self.slots)}",
-            f"hit_O = {sum(m.hit_local for m in self.slots) / n:.6g}",
-            f"hit_A = {sum(m.hit_cloud for m in self.slots) / n:.6g}",
-            f"hit_G = {sum(m.hit_remote for m in self.slots) / n:.6g}",
-            f"miss_S = {sum(m.miss_server for m in self.slots) / n:.6g}",
+            f"hit_O = {self.slot_mean('hit_local'):.6g}",
+            f"hit_A = {self.slot_mean('hit_cloud'):.6g}",
+            f"hit_G = {self.slot_mean('hit_remote'):.6g}",
+            f"miss_S = {self.slot_mean('miss_server'):.6g}",
             f"infeasible = {sum(m.infeasible for m in self.slots)}",
         ]
         return "\n".join(lines) + "\n"
@@ -213,6 +216,12 @@ class Simulation:
         self.cloud_trace = []
         # (slot, serving RRHs, fading draw) of the next slot, started by this one
         self._handed_off = None
+
+    def __getstate__(self):
+        """The state without the handed-off draw, so a copy never waits on this
+        episode's worker jobs. The copy's next `run_slot` draws that slot
+        itself, from the same clusters and the same generator: the same bits."""
+        return {**self.__dict__, "_handed_off": None}
 
     # ----- per-slot pieces -------------------------------------------------
 

@@ -1,11 +1,14 @@
-"""The content-ESN bank at large reservoirs, and on one thread.
+"""The content-ESN bank at large reservoirs, and the threads a Simulation uses.
 
 The bank steps every user with one matrix product on the calling thread.
 At reservoirs of about 256 units: every user of the bank must step as a
 ContentEsn that carries the shared weights, the shared readout must take
-the pooled step written out in numpy, a deep copy must continue bit for
-bit, and no thread but the caller's may run package code, because the
-benchmark's span tracer keeps one span stack and assumes a single thread.
+its step summed over users, written out in numpy, and a deep copy must
+continue bit for bit. While a Simulation builds its banks and runs slots,
+no thread but the caller's may run package code (the fading worker runs
+numpy's C callables only), because the benchmark's span tracer keeps one
+span stack and assumes a single thread; a copy taken mid-episode must
+continue bit for bit too.
 """
 import copy
 import functools
@@ -87,10 +90,11 @@ def test_deep_copied_bank_continues_bit_identically():
         assert np.array_equal(twin.output_weights, bank.output_weights)
 
 
-def test_pool_workers_run_only_the_private_solver():
+def test_only_the_calling_thread_runs_package_code():
     """No thread but the caller's runs package code while a Simulation
     builds its banks and steps slots: the fading worker is handed numpy's
-    C callables only (see the qos module docstring)."""
+    C callables only (see the qos module docstring). A copy taken after
+    slot 3 runs slot 4 as the original does."""
     main = threading.get_ident()
     off_main = set()
 
@@ -107,7 +111,7 @@ def test_pool_workers_run_only_the_private_solver():
     finally:
         threading.setprofile(None)
     assert not {call for call in off_main if call[0].startswith("crancache")}
-    twin = copy.deepcopy(sim)  # the benchmark runs episodes on deep copies
+    twin = copy.deepcopy(sim)  # mid-episode, with slot 4's draw handed off to the worker
     assert np.array_equal(twin.content_bank.reservoir_weights, sim.content_bank.reservoir_weights)
     assert np.array_equal(twin.content_bank.output_weights, sim.content_bank.output_weights)
     assert twin.run_slot(4) == sim.run_slot(4)

@@ -62,11 +62,17 @@ def test_sinr_zero_distance_raises():
 
 
 def test_segment_capacity_rows_compute_gamma_through_sinr(monkeypatch):
-    """The channel sampler has no SINR of its own: it calls qos.sinr."""
-    case = (np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[30.0, 40.0], [290.0, 10.0]]),
-            np.array([[200.0, 0.0], [500.0, 500.0], [-400.0, 100.0]]), np.array([0, 1]),
-            np.array([[False, True, True], [True, False, False]]), RADIO, 16)
-    expected = qos.segment_capacity_rows(*case, np.random.default_rng(4))
+    """The channel sampler has no SINR of its own: capacity_from_fading calls qos.sinr."""
+    layout = qos.pair_layout(
+        np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[30.0, 40.0], [290.0, 10.0]]),
+        np.array([[200.0, 0.0], [500.0, 500.0], [-400.0, 100.0]]), np.array([0, 1]),
+        np.array([[False, True, True], [True, False, False]]), RADIO, 16)
+
+    def rows():
+        with qos.fading_block(layout, np.random.default_rng(4)) as fading:
+            return qos.capacity_from_fading(layout, fading.take(), RADIO)
+
+    expected = rows()
     calls = []
 
     def counted(*args):
@@ -74,7 +80,7 @@ def test_segment_capacity_rows_compute_gamma_through_sinr(monkeypatch):
         return sinr(*args)
 
     monkeypatch.setattr(qos, "sinr", counted)
-    got = qos.segment_capacity_rows(*case, np.random.default_rng(4))
+    got = rows()
     assert len(calls) == 1
     assert np.array_equal(got, expected)
 

@@ -13,9 +13,9 @@ import pytest
 from crancache import qos
 from crancache.data import generate_workload, slot_hour, slot_weekday
 from crancache.esn import project_to_simplex
-from crancache.qos import (SLOT_SUBSTEPS, RadioParams, effective_capacity_from_samples,
-                           effective_capacity_rows, segment_capacity_rows,
-                           segment_capacity_samples)
+from crancache.qos import (SLOT_SUBSTEPS, RadioParams, capacity_from_fading,
+                           effective_capacity_from_samples, effective_capacity_rows,
+                           fading_block, pair_layout, segment_capacity_samples)
 from crancache.seeding import _PURPOSES, rng_for
 
 RADIO = RadioParams()
@@ -88,6 +88,13 @@ def test_effective_capacity_rows_match_per_row_reference():
 
 
 # ---- channel sampling -----------------------------------------------------------
+
+def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes, radio, n_mc, rng):
+    """(U, n_mc) slot capacities along U segments, by the three steps an episode runs."""
+    layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
+    with fading_block(layout, rng) as fading:
+        return capacity_from_fading(layout, fading.take(), radio)
+
 
 def channel_case(counts, n_active=20, seed=5):
     """Segments, RRHs, serving columns and interferer masks with the given counts."""
