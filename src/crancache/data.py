@@ -4,7 +4,8 @@ Content demand: a Zipf(alpha) base over N contents, differentiated into user
 archetypes by block-local rank shuffles (blocks of three, rank 1 pinned so the
 head of the popularity curve survives) and modulated over (hour-of-day,
 weekday) buckets by block rotations. Mobility: exactly periodic waypoint
-tours inside the coverage disk. Both replace proprietary datasets. The
+tours inside the coverage disk, every user's tour stepped together, one array
+step per slot (`tour_positions`). Both replace proprietary datasets. The
 content trace (gen-data) holds the requests the simulator realizes for the
 same workload and seed.
 
@@ -13,7 +14,6 @@ Trace schemas (headers are normative):
   mobility: user_id,t,x_m,y_m
 """
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,62 +164,106 @@ def scatter_in_disk(n_points, radius, rng):
     return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
 
-def _length(delta):
-    """Euclidean length of a vector, with the bits of `np.linalg.norm(delta)`.
+def _length(deltas):
+    """Euclidean length of each row of (m, 2) `deltas`, with the bits of `np.linalg.norm(row)`.
 
-    The same BLAS dot and correctly rounded square root, without the wrapper:
-    a plain dx*dx + dy*dy can round differently where BLAS fuses the
-    multiply-add.
+    `norm` is the BLAS dot of the row with itself under a correctly rounded
+    square root. The stacked matmul below calls that same dot once per row. A
+    plain dx*dx + dy*dy, an einsum or (d*d).sum(1) rounds differently in about
+    one case in six; `np.vecdot` would match but needs numpy 2.
     """
-    return math.sqrt(float(delta.dot(delta)))
+    return np.sqrt((deltas[:, None, :] @ deltas[:, :, None])[:, 0, 0])
+
+
+def _advance(pos, target, speed, going):
+    """Move the `going` rows of (m, 2) `pos` one slot toward `target` at speeds `speed` (m,).
+
+    A row whose target lies within one slot's travel arrives instead: the
+    returned mask marks those rows, and the caller sets their positions. Every
+    other going row moves by delta * (speed / distance), in place.
+    """
+    delta = target - pos
+    dist = _length(delta)
+    far = dist > speed
+    travel = going & far
+    scale = np.divide(speed, dist, out=np.zeros_like(dist), where=travel)
+    np.add(pos, np.multiply(delta, scale[:, None], out=delta), out=pos, where=travel[:, None])
+    return going > far  # going and not far
+
+
+def tour_positions(schedules, n_slots):
+    """(n_slots + 1, U, 2) positions of every user's tour: row k is after slot k, row 0 the start.
+
+    All users step together, one array step per slot. A user who is dwelling,
+    or whose speed is not positive, stays put; only the users that arrive in
+    a slot take their waypoint, its dwell and their next target. Tours may
+    differ in speed and in their number of waypoints.
+    """
+    waypoints = [np.asarray(s.waypoints, dtype=np.float64) for s in schedules]
+    dwell = [np.asarray(s.dwell_slots).tolist() for s in schedules]
+    speed = np.array([float(s.speed) for s in schedules])
+    moves = speed > 0
+    target_idx = [1 % len(w) for w in waypoints]
+    target = np.array([w[i] for w, i in zip(waypoints, target_idx)])
+    idle_until = np.array([d[0] for d in dwell], dtype=np.int64)  # last slot of the dwell
+    out = np.empty((n_slots + 1, len(schedules), 2))
+    out[0] = [w[0] for w in waypoints]
+    pos = out[0].copy()
+    for k in range(1, n_slots + 1):
+        arrived = _advance(pos, target, speed, moves > (idle_until >= k))  # moving, not dwelling
+        for u in arrived.nonzero()[0].tolist():
+            i = target_idx[u]
+            pos[u] = target[u]
+            idle_until[u] = k + dwell[u][i]
+            target_idx[u] = i = (i + 1) % len(waypoints[u])
+            target[u] = waypoints[u][i]
+        out[k] = pos
+    return out
 
 
 @dataclass
 class MobilitySchedule:
     """An exactly periodic waypoint tour: move at constant speed, then dwell.
 
-    Leg travel times are whole slots (arrival consumes the slot), so the
-    discrete position sequence repeats with period sum(ceil(dist/speed)+dwell).
+    Each slot the user travels `speed` metres toward the next waypoint, or
+    arrives there if it is within reach (arrival consumes the slot and lands
+    exactly on the waypoint), then dwells there for its dwell slots. A
+    topology steps all its users' tours together with `tour_positions`;
+    `positions` is the one-tour case of the same stepper.
     """
     waypoints: np.ndarray    # (n, 2) positions inside the disk
     dwell_slots: np.ndarray  # (n,) dwell after arriving at each waypoint
     speed: float             # metres per slot
 
     def period(self):
-        total = 0
-        n = len(self.waypoints)
+        """Slots after which `positions` repeats: every leg's travel slots plus every dwell.
+
+        Each leg starts exactly on its waypoint, so its travel slots are
+        counted by stepping it with the stepper's own arithmetic (about
+        length / speed steps); ceil(length / speed) can miss by one where the
+        length is a whole multiple of the speed. A tour that does not move
+        has period 1.
+        """
         if self.speed <= 0:
             return 1
-        for i in range(n):
-            nxt = (i + 1) % n
-            dist = _length(self.waypoints[nxt] - self.waypoints[i])
-            travel = int(np.ceil(dist / self.speed)) if dist > 0 else 1
-            total += travel + int(self.dwell_slots[nxt])
+        starts = self.waypoints.astype(np.float64)
+        ends = np.roll(starts, -1, axis=0)
+        speed = np.full(len(starts), float(self.speed))
+        going = np.ones(len(starts), dtype=bool)
+        total = int(np.sum(self.dwell_slots))
+        while going.any():
+            total += int(going.sum())
+            going &= ~_advance(starts, ends, speed, going)
         return max(total, 1)
 
     def positions(self, n_slots):
-        """Positions at slots 1..n_slots, starting at waypoint 0."""
-        pos = self.waypoints[0].astype(np.float64).copy()
-        target_idx = 1 % len(self.waypoints)
-        dwell_left = int(self.dwell_slots[0])
-        out = np.empty((n_slots, 2))
-        for k in range(n_slots):
-            pos, target_idx, dwell_left = self._step(pos, target_idx, dwell_left)
-            out[k] = pos
-        return out
+        """(n_slots, 2) positions at slots 1..n_slots, starting at waypoint 0.
 
-    def _step(self, pos, target_idx, dwell_left):
-        if dwell_left > 0:
-            return pos, target_idx, dwell_left - 1
-        if self.speed <= 0:
-            return pos, target_idx, dwell_left
-        target = self.waypoints[target_idx]
-        delta = target - pos
-        dist = _length(delta)
-        if dist <= self.speed:
-            new_idx = (target_idx + 1) % len(self.waypoints)
-            return target.astype(np.float64).copy(), new_idx, int(self.dwell_slots[target_idx])
-        return pos + delta * (self.speed / dist), target_idx, dwell_left
+        `tour_positions` of this one tour: it pays the fleet's per-slot array
+        overhead for a single user, so long one-tour traces step more slowly
+        than a fleet does per user.
+        """
+        return tour_positions([self], n_slots)[1:, 0]
 
 
 def generate_mobility(n_users, disk_radius, waypoints_per_user, speed, seed):
@@ -254,7 +298,8 @@ def write_mobility_trace(path, schedules, n_slots):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MOBILITY_HEADER)
-        for user, sched in enumerate(schedules):
-            for t, (x, y) in enumerate(sched.positions(n_slots), start=1):
+        tracks = tour_positions(schedules, n_slots)
+        for user in range(len(schedules)):
+            for t, (x, y) in enumerate(tracks[1:, user], start=1):
                 writer.writerow([user, t, f"{x:.3f}", f"{y:.3f}"])
 

@@ -216,8 +216,10 @@ def effective_capacity_rows(thetas, capacity_samples):
     Row u scores samples[u] at exponent thetas[u] (a scalar applies to every
     row): E = -(1/theta) log2 mean(2^(-theta C)), per slot, since the slot
     is the time unit. theta <= 0 falls back to the theta->0 limit mean(C);
-    theta = +inf scores zero (infeasible path). Each row is computed exactly
-    as a lone row would be.
+    theta = +inf scores zero (infeasible path). A row whose every
+    2^(-theta (C - min C)) rounds to 1 also scores mean(C): there the formula
+    would read min C, and mean(C) is the theta->0 limit to within rounding.
+    Each row is computed exactly as a lone row would be.
     """
     samples = np.asarray(capacity_samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] < 1:
@@ -235,7 +237,11 @@ def effective_capacity_rows(thetas, capacity_samples):
         means = np.exp(exponents - peak[:, None]).mean(axis=1)
         # math.log, not np.log: the vectorized log may round differently
         log2_mean = (peak + np.array([math.log(m) for m in means])) / math.log(2.0)
-        out[live] = -log2_mean / theta
+        rates = -log2_mean / theta
+        flat = means == 1.0
+        if flat.any():
+            rates[flat] = samples[live][flat].mean(axis=1)
+        out[live] = rates
     return out
 
 

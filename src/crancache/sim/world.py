@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import scatter_in_disk
+from ..data import scatter_in_disk, tour_positions
 from ..errors import ConfigurationError
 from ..qos import PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER
 from ..seeding import rng_for
@@ -21,8 +21,11 @@ def nearest_rrh(positions, rrh_positions):
 class Topology:
     """RRH layout plus the per-user mobility tracks for a whole episode.
 
-    `tracks` has T + 1 rows: row k holds every user's position after slot k,
-    so row 0 is the start and slot k runs from row k - 1 to row k.
+    `tracks` is `data.tour_positions` of the users' schedules over T slots,
+    built once at construction with every user stepped together. It has
+    T + 1 rows: row k holds every user's position after slot k, so row 0 is
+    the start (each user's waypoint 0) and slot k runs from row k - 1 to
+    row k.
     """
     rrh_positions: np.ndarray        # (R, 2)
     tracks: np.ndarray               # (T + 1, U, 2)
@@ -37,9 +40,7 @@ def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
         raise ConfigurationError("topology needs RRHs and users")
     rng = rng_for(seed, "topology")
     rrh_positions = scatter_in_disk(n_rrhs, disk_radius, rng)
-    tracks = np.stack([np.vstack([sched.waypoints[0], sched.positions(n_slots)])
-                       for sched in schedules], axis=1)
-    return Topology(rrh_positions=rrh_positions, tracks=tracks)
+    return Topology(rrh_positions=rrh_positions, tracks=tour_positions(schedules, n_slots))
 
 
 def resolve_delivery_path(contents, serving, caches):

@@ -4,11 +4,13 @@ import csv
 import numpy as np
 import pytest
 
-from crancache.data import (CONTENT_HEADER, MOBILITY_HEADER, draw_requests,
-                            generate_mobility, generate_workload, write_content_trace,
-                            write_mobility_trace, zipf_probs)
+from crancache.data import (CONTENT_HEADER, MOBILITY_HEADER, MobilitySchedule, draw_requests,
+                            generate_mobility, generate_workload, scatter_in_disk,
+                            tour_positions, write_content_trace, write_mobility_trace,
+                            zipf_probs)
 from crancache.errors import ConfigurationError
 from crancache.seeding import rng_for
+from crancache.sim import build_topology
 
 
 def test_zipf_alpha_zero_is_uniform():
@@ -173,3 +175,79 @@ def test_tracks_match_a_norm_reference_bit_for_bit(speed):
         for schedule in generate_mobility(4, 500.0, 5, speed, seed):
             assert np.array_equal(schedule.positions(400), _norm_positions(schedule, 400))
             assert schedule.period() == _norm_period(schedule)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _tours(speeds, counts, seed):
+    """One schedule per (speed, waypoint count), dwelling 1-3 slots at every waypoint."""
+    rng = np.random.default_rng(seed)
+    return [MobilitySchedule(waypoints=scatter_in_disk(n, 500.0, rng),
+                             dwell_slots=rng.integers(1, 4, size=n), speed=speed)
+            for speed in speeds for n in counts]
+
+
+SPEEDS, COUNTS = (0.0, 1.4, 33.3, 5000.0), (1, 2, 3, 7)
+
+
+@pytest.mark.parametrize("n_waypoints", COUNTS)
+@pytest.mark.parametrize("speed", SPEEDS)
+def test_fleet_steps_each_tour_as_the_norm_reference(speed, n_waypoints):
+    schedules = _tours([speed] * 3, [n_waypoints], seed=n_waypoints)
+    tracks = tour_positions(schedules, 300)
+    assert tracks.shape == (301, 3, 2)
+    for user, schedule in enumerate(schedules):
+        reference = _norm_positions(schedule, 300)
+        assert _same_bits(tracks[0, user], schedule.waypoints[0])
+        assert _same_bits(tracks[1:, user], reference)
+        assert _same_bits(schedule.positions(300), reference)
+
+
+def test_fleet_mixing_speeds_and_waypoint_counts_steps_each_tour_as_alone():
+    schedules = _tours(SPEEDS, COUNTS, seed=5)
+    schedules = [schedules[i] for i in np.random.default_rng(6).permutation(len(schedules))]
+    tracks = tour_positions(schedules, 250)
+    for user, schedule in enumerate(schedules):
+        assert _same_bits(tracks[1:, user], _norm_positions(schedule, 250))
+
+
+def test_zero_slots_leave_only_the_start():
+    schedules = _tours(SPEEDS, COUNTS, seed=7)
+    tracks = tour_positions(schedules, 0)
+    assert _same_bits(tracks, np.stack([s.waypoints[0] for s in schedules])[None])
+    assert schedules[5].positions(0).shape == (0, 2)
+
+
+def test_topology_tracks_stack_the_per_schedule_reference():
+    schedules = generate_mobility(6, 500.0, 3, 25.0, seed=8)
+    tracks = build_topology(4, schedules, 200, 500.0, seed=8).tracks
+    expected = np.stack([np.vstack([s.waypoints[0], _norm_positions(s, 200)])
+                         for s in schedules], axis=1)
+    assert _same_bits(tracks, expected)
+
+
+def test_period_counts_the_stepped_slots_of_a_whole_multiple_leg():
+    """The first leg is 5 m at 0.5 m per slot: ceil(5 / 0.5) = 10, but the
+    tenth step leaves a remainder just above the speed and an eleventh arrives."""
+    schedule = MobilitySchedule(waypoints=np.array([[0, 0], [3, 4], [-7, 1]]),
+                                dwell_slots=np.array([0, 1, 0]), speed=0.5)
+    p = schedule.period()
+    assert p == 48
+    pos = schedule.positions(3 * p)
+    assert _same_bits(pos[:p], pos[p:2 * p]) and _same_bits(pos[:p], pos[2 * p:])
+    assert not _same_bits(pos[:p - 1], pos[p - 1:2 * p - 2])
+
+
+def test_period_repeats_tours_of_whole_multiple_legs():
+    rng = np.random.default_rng(9)
+    legs = np.array([[3.0, 4.0], [5.0, 0.0], [0.0, -5.0], [-4.0, 3.0]])
+    for _ in range(60):
+        speed = float(rng.choice([0.25, 0.5, 1.0]))
+        steps = legs[rng.integers(0, 4, size=3)] * rng.integers(1, 6, size=(3, 1)) * speed
+        schedule = MobilitySchedule(waypoints=np.cumsum(steps, axis=0),
+                                    dwell_slots=rng.integers(0, 3, size=3), speed=speed)
+        p = schedule.period()
+        pos = schedule.positions(2 * p)
+        assert _same_bits(pos[:p], pos[p:])

@@ -9,6 +9,7 @@ from crancache.errors import ConfigurationError, GeometryError, InfeasibleLinkEr
 from crancache.qos import (HOP_COUNTS, PATH_CLOUD, PATH_LOCAL, PATH_REMOTE,
                            PATH_SERVER, RadioParams, WiredParams,
                            delay_violation_prob, effective_capacity_from_samples,
+                           effective_capacity_rows,
                            long_term_average, map_qos_exponents, path_gain,
                            per_content_rate, segment_capacity_samples, sinr,
                            slot_capacity, sum_effective_capacity)
@@ -223,6 +224,22 @@ def test_effective_capacity_jensen_bound():
 
 def test_effective_capacity_infinite_theta_scores_zero():
     assert effective_capacity_from_samples(math.inf, np.array([3.0, 4.0])) == 0.0
+
+
+def test_effective_capacity_rows_whose_exponentials_all_round_to_one_score_the_mean():
+    """At theta = 1e-300 every 2^(-theta (C - min C)) rounds to 1 and the log-MGF
+    formula would read min C; the theta->0 limit, the mean, is scored instead. An
+    extreme theta still scores min C, and a moderate one keeps its arithmetic."""
+    rng = np.random.default_rng(12)
+    samples = rng.uniform(20.0, 120.0, (6, 48))
+    assert np.array_equal(effective_capacity_rows(1e-300, samples), samples.mean(axis=1))
+    assert effective_capacity_rows(1e300, samples) == pytest.approx(samples.min(axis=1),
+                                                                   rel=1e-15)
+    ln2 = math.log(2.0)
+    for row, value in zip(samples, effective_capacity_rows(0.05, samples)):
+        exponents = -0.05 * row * ln2
+        peak = exponents.max()
+        assert value == -((peak + math.log(np.exp(exponents - peak).mean())) / ln2) / 0.05
 
 
 def test_sums_and_average():
