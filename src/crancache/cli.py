@@ -14,7 +14,8 @@ defaults (seed 0, T = 60, 2-CPU host) E_bar and every CSV came out
 byte-identical under one and two threads, but nothing guarantees that. Run
 with OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 for other
 BLAS builds) to replay a run bit for bit on any host. The worker thread
-that draws large channel fading blocks moves no bits either (see the qos
+that draws a large slot's channel fading moves no bits either: it runs the
+same numpy calls on the same generator as an inline draw (see the qos
 module docstring). Exit codes: 0 success, 2 config error, 3 infeasible
 instance (oracle guard).
 """

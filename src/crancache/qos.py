@@ -14,38 +14,50 @@ theta -> 0 limit returns the mean capacity.
 The channel sampler has three steps, which an episode runs in order, and
 `segment_capacity_samples` for one user. `pair_layout` lists the (user,
 RRH) pairs a slot draws, with their path gains. `fading_block` draws the
-slot's fading as one (pairs, n_mc, SLOT_SUBSTEPS) block from the slot's
-generator, in C order. A block of at most MAX_INLINE_FADING_ENTRIES
-entries (every desk-scale slot) is drawn inline, when the caller takes it.
-A larger one is handed at once to one worker thread, so that the caller
-can work while the fading is drawn: the draw and numpy's matrix products
-both release the GIL. The worker is handed only numpy callables
-implemented in C (the exponential draw into the block, then the multiply
-by the gains), never package code: a worker running Python code contends
-with the main thread for the GIL, which made slots slower, and the
-benchmark's span tracer assumes that package code runs on one thread.
-Either way the same two calls fill the block, so the samples do not depend
-on which thread draws. `capacity_from_fading`
-then adds up signal and interference from the faded powers and scores the
-slot capacity.
+slot's fading from the slot's generator and hands back each user's faded
+serving power (`signal`) and summed interference, two (U, n_mc,
+SLOT_SUBSTEPS) arrays. `capacity_from_fading` then scores the slot
+capacity from the two. The draw never holds the slot's whole (pairs, n_mc,
+SLOT_SUBSTEPS) block: one private helper, `_draw_fading`, fills the
+fading in groups of whole users of at most FADING_GROUP_ENTRIES entries,
+multiplies each group by its gains and sums it into the two arrays. Each
+fill continues the generator's stream, so the groups read the values the
+whole block would hold, in C order, and every product and sum is the one
+the block would take.
 
-A draw lives until its block is taken or the draw is discarded, and it may
-outlive the call that started it: an episode starts the next slot's draw
-once the current slot has consumed its own block, so at most one block is
-alive at a time. Taking waits for the worker's jobs and hands the block
-over; discarding cancels or waits for them. Whoever holds a draw takes or
-discards it, also when it raises, so no job outlives its holder's use.
+A draw of at most MAX_INLINE_FADING_ENTRIES entries (every desk-scale
+slot) runs inline, when the caller takes it. A larger one is handed at once
+to one worker thread as one job, the helper, so that the caller can work
+while the fading is drawn. The overlap is the work that releases the GIL:
+the worker's multiplies and sums beside the caller's matrix products and
+ufuncs. The exponential draw does not release it (numpy's
+`Generator.standard_exponential` holds the GIL, as do `standard_gamma` and
+`exponential`, which draw the same values), so the caller waits for the GIL
+while the worker fills a group. The helper calls numpy only, never a public
+package callable: the benchmark's span tracer times those and assumes that
+they run on one thread. Either way the helper fills the same arrays, so
+the samples do not depend on which thread draws.
+
+A draw lives until its arrays are taken or the draw is discarded, and it
+may outlive the call that started it: an episode starts the next slot's
+draw once the current slot has scored its own, so at most one draw's
+arrays are alive at a time. Taking waits for the worker's job and hands the
+arrays over; discarding cancels or waits for it. Whoever holds a draw takes
+or discards it, also when it raises, so no job outlives its holder's use.
 Draws are not copied: a copied `sim.Simulation` leaves its draw behind and
 draws that slot again.
 
-The block holds U x (active RRHs) x n_mc x SLOT_SUBSTEPS floats at most: at
-the parameter-table defaults (U = 32, n_mc = 64) that is 5.2 MB for the
-worst slot, in which 1024 pairs are drawn, and at U = 128 it is 84 MB (a
-size the benchmark does not run).
+A draw holds the two (U, n_mc, SLOT_SUBSTEPS) arrays and one group: at
+most FADING_GROUP_ENTRIES floats (1 MiB), or the rows of one user whose
+interferers alone exceed that, at most (active RRHs) x n_mc x
+SLOT_SUBSTEPS floats. At the parameter-table defaults (U = 32, n_mc = 64)
+that is 2 x 164 KB plus at most 1 MiB, and at U = 128 2 x 655 KB plus at
+most 1 MiB; the whole block was 5.2 MB and 84 MB there.
 
 dBm values are converted to linear scale once, in RadioParams; all math here
 is linear-scale and unit-agnostic.
 """
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -61,10 +73,17 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
-# A fading block of at most this many (pair, sample, sub-step) entries is
-# drawn inline; a larger one is drawn on _FADING_WORKER.
+# A fading draw of at most this many (pair, sample, sub-step) entries runs
+# inline; a larger one runs on _FADING_WORKER.
 MAX_INLINE_FADING_ENTRIES = 1 << 18
-# draws the fading blocks above MAX_INLINE_FADING_ENTRIES (see the module
+# The fading is drawn in groups of whole users of at most this many entries
+# (1 MiB, half a core's L2 cache on the 2-CPU Xeon host it was measured on);
+# a user whose rows alone exceed it is a group of its own. Each group costs
+# the worker a few GIL hand-offs: at 1 << 15 entries, 21 groups in the worst
+# default slot, default episodes ran about 10 % slower than with one block;
+# at 1 << 17 they ran as fast.
+FADING_GROUP_ENTRIES = 1 << 17
+# runs the fading draws above MAX_INLINE_FADING_ENTRIES (see the module
 # docstring); its thread starts at the first hand-off, not at import
 _FADING_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crancache-fading")
 
@@ -271,8 +290,9 @@ class PairLayout:
     Pairs go users in order and columns in order within a user. `serves`
     marks each user's serving pair (the others interfere) and `gains` holds
     each pair's `path_gain` at the SLOT_SUBSTEPS sub-step points. The
-    slot's fading is one (pairs, n_mc, SLOT_SUBSTEPS) block of unit-mean
-    exponentials times gains[:, None, :].
+    slot's fading is the (pairs, n_mc, SLOT_SUBSTEPS) block of unit-mean
+    exponentials, in C order, times gains[:, None, :]; `_draw_fading` draws
+    it in groups of whole users.
     """
     n_mc: int
     users: np.ndarray
@@ -300,53 +320,89 @@ def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
 
 
 def fading_block(layout, rng):
-    """Start drawing the fading block of `layout` from `rng`; returns the draw.
+    """Start drawing the fading of `layout` from `rng`; returns the draw.
 
-    A block of at most MAX_INLINE_FADING_ENTRIES entries is drawn inline,
-    when the draw's `take()` is called. A larger one goes to _FADING_WORKER
-    at once. Either way the same two numpy calls fill the block: the
-    exponential draw into it, then the multiply by the pairs' gains in
-    place; `take()` runs them, or waits for the worker's two jobs. A job's
-    exception comes out of `take()`. The draw lives until it is taken or
-    discarded (`discard()`, or leaving a `with` block on it), whichever
-    comes first; discarding cancels or waits for both jobs, so none outlives
-    the draw's holder.
+    The draw's `take()` hands back (signal, interference): each user's
+    serving power and summed interference, (U, n_mc, SLOT_SUBSTEPS) each,
+    as `_draw_fading` fills them. A draw of at most
+    MAX_INLINE_FADING_ENTRIES entries runs inline, when `take()` is called;
+    a larger one goes to _FADING_WORKER at once as one job, which `take()`
+    waits for. The job's exception comes out of `take()`. The draw lives
+    until it is taken or discarded (`discard()`, or leaving a `with` block
+    on it), whichever comes first; discarding cancels or waits for the job,
+    so none outlives the draw's holder.
     """
     return _FadingDraw(layout, rng)
 
 
+def _draw_fading(layout, rng, signal, interference):
+    """Fill `signal` and `interference` with the layout's faded powers.
+
+    The pairs' unit-mean exponentials times their gains are drawn in groups
+    of whole users of at most FADING_GROUP_ENTRIES entries; a user whose
+    rows alone exceed it is a group of its own. One buffer holds each group
+    in turn. Each user's serving row is copied into `signal` and then set to
+    0.0, which moves no bit of a sum, so a user's interference is the sum
+    over its rows: one reduction along the first axis, which numpy adds row
+    after row. Each user's interference thus adds its interferers' powers
+    one column after the other, and does not depend on which other columns
+    exist. (The tests compare users with more than eight interferers, where
+    a pairwise sum would group them differently, against one-block and
+    column-by-column references.) It may run on _FADING_WORKER, so it calls
+    numpy only.
+    """
+    bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1))  # users' first rows, end
+    per_group = FADING_GROUP_ENTRIES // (layout.n_mc * SLOT_SUBSTEPS)  # rows
+    buffer = np.empty((min(max(per_group, np.diff(bounds).max()), bounds[-1]),
+                       layout.n_mc, SLOT_SUBSTEPS))
+    bounds = bounds.tolist()
+    first = 0
+    while first < len(bounds) - 1:
+        lo = bounds[first]
+        stop = max(bisect.bisect_right(bounds, lo + per_group) - 1, first + 1)
+        hi = bounds[stop]
+        group = buffer[:hi - lo]
+        rng.standard_exponential(out=group)
+        np.multiply(group, layout.gains[lo:hi, None, :], out=group)
+        serves = layout.serves[lo:hi]
+        signal[first:stop] = group[serves]  # each user has one serving pair
+        group[serves] = 0.0
+        for user in range(first, stop):
+            np.add.reduce(group[bounds[user] - lo:bounds[user + 1] - lo], axis=0,
+                          out=interference[user])
+        first = stop
+
+
 class _FadingDraw:
-    """One layout's fading block, drawn or being drawn; see `fading_block`."""
+    """One layout's fading, drawn or being drawn; see `fading_block`."""
 
     def __init__(self, layout, rng):
-        self.layout = layout
-        self._block = np.empty((len(layout.users), layout.n_mc, SLOT_SUBSTEPS))
-        # the two steps, each (callable, args, kwargs): run by take(), or on the worker
-        self._steps = ((rng.standard_exponential, (), {"out": self._block}),
-                       (np.multiply, (self._block, layout.gains[:, None, :]),
-                        {"out": self._block}))
-        self._jobs = ()
-        if self._block.size > MAX_INLINE_FADING_ENTRIES:
-            self._jobs = tuple(_FADING_WORKER.submit(fn, *args, **kwargs)
-                               for fn, args, kwargs in self._steps)
-            self._steps = ()
+        shape = (np.count_nonzero(layout.serves), layout.n_mc, SLOT_SUBSTEPS)
+        self._fading = (np.empty(shape), np.empty(shape))
+        # the helper's arguments while take() is still to run it inline
+        self._args = (layout, rng, *self._fading)
+        self._job = None
+        if layout.gains.size * layout.n_mc > MAX_INLINE_FADING_ENTRIES:
+            self._job = _FADING_WORKER.submit(_draw_fading, *self._args)
+            self._args = None
 
     def take(self):
-        """The finished block, handed over: the draw drops it and its jobs."""
-        for job in self._jobs:
-            job.result()
-        block, steps = self._block, self._steps
+        """The finished (signal, interference), handed over: the draw drops them and its job."""
+        if self._job is not None:
+            self._job.result()
+        fading, args = self._fading, self._args
         self.discard()
-        for fn, args, kwargs in steps:
-            fn(*args, **kwargs)
-        return block
+        if args is not None:
+            _draw_fading(*args)
+        return fading
 
     def discard(self):
-        """Cancel or wait for the jobs, and drop the block."""
+        """Cancel or wait for the job, and drop the arrays."""
         # a cancelled job never runs, but `wait` would block on it until the
         # worker reaches it in the queue
-        wait([job for job in self._jobs if not job.cancel()])
-        self._block, self._steps, self._jobs = None, (), ()
+        if self._job is not None and not self._job.cancel():
+            wait([self._job])
+        self._fading, self._args, self._job = None, None, None
 
     def __enter__(self):
         return self
@@ -355,25 +411,13 @@ class _FadingDraw:
         self.discard()
 
 
-def capacity_from_fading(layout, power, radio):
-    """(U, n_mc) cumulative slot capacities in bit, from the layout's faded powers.
+def capacity_from_fading(signal, interference, radio):
+    """(U, n_mc) cumulative slot capacities in bit, from a draw's faded powers.
 
-    `power` is the layout's fading block (see PairLayout); it is
-    overwritten. Each user's interference starts from 0.0 and adds its
-    interferers' powers one column after the other, so it does not depend
-    on which other columns exist. The serving rows are set to 0.0 first,
-    which moves no bit of a sum, so a user's interference is the sum over
-    its rows: one reduction along the first axis, which numpy adds row after
-    row. (The tests compare users with more than eight interferers, where a
-    pairwise sum would group them differently, against a column-by-column
-    loop.) Gamma comes from `sinr`.
+    `signal` and `interference` are what a fading draw's `take()` hands
+    over: each user's (n_mc, SLOT_SUBSTEPS) serving power and summed
+    interference. Gamma comes from `sinr`.
     """
-    signal = power[layout.serves]  # each user has one serving pair, in user order
-    power[layout.serves] = 0.0
-    interference = np.empty_like(signal)
-    bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1)).tolist()
-    for user, (first, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.add.reduce(power[first:stop], axis=0, out=interference[user])
     return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
 
 
@@ -391,4 +435,4 @@ def segment_capacity_samples(start, end, serving_pos, interferer_positions,
     layout = pair_layout(np.array([start]), np.array([end]), positions, np.zeros(1, dtype=int),
                          np.arange(len(positions))[None] > 0, radio, n_mc)
     with fading_block(layout, rng) as fading:
-        return capacity_from_fading(layout, fading.take(), radio)[0]
+        return capacity_from_fading(*fading.take(), radio)[0]

@@ -26,9 +26,10 @@ size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
 requests; fading is drawn only for the RRHs a user hears. Each slot starts
 the next slot's fading draw, under the clusters it has just formed, once it
-has consumed its own block (slot 1, a slot run out of turn, and the first
-slot a copied Simulation runs start their own); the qos module docstring
-states the contract of the worker thread that draws a large block.
+has scored its own (slot 1, a slot run out of turn, and the first slot a
+copied Simulation runs start their own). A large draw runs as one job on a
+worker thread, beside the rest of the slot: only its GIL-free numpy work
+overlaps the slot's, and the qos module docstring states the contract.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -329,7 +330,7 @@ class Simulation:
         if predictions is not None:  # random_unclustered keeps singleton cooperation
             self.cluster_set = cluster_rrhs(assoc, predictions, cfg["chi"], cfg["R"])
         # (U, n_mc) slot-capacity draws in Mbit
-        samples = capacity_from_fading(draw.layout, draw.take(), self.radio) * CAPACITY_UNIT
+        samples = capacity_from_fading(*draw.take(), self.radio) * CAPACITY_UNIT
         if slot < cfg["T"]:
             # the next slot's layout reads the clusters just formed; its fading
             # is drawn while this slot finishes and the next one predicts

@@ -5,18 +5,20 @@ At reservoirs of about 256 units: every user of the bank must step as a
 ContentEsn that carries the shared weights, the shared readout must take
 its step summed over users, written out in numpy, and a deep copy must
 continue bit for bit. While a Simulation builds its banks and runs slots,
-no thread but the caller's may run package code (the fading worker runs
-numpy's C callables only), because the benchmark's span tracer keeps one
-span stack and assumes a single thread; a copy taken mid-episode must
-continue bit for bit too.
+no thread but the caller's may run package code other than the private
+fading helper, which calls numpy only, because the benchmark's span tracer
+keeps one span stack and assumes a single thread; a copy taken mid-episode
+must continue bit for bit too.
 """
 import copy
 import functools
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from crancache import qos
 from crancache.config import ExperimentConfig
 from crancache.esn import ContentEsn, ContentEsnBank
 from crancache.sim import Simulation
@@ -90,11 +92,13 @@ def test_deep_copied_bank_continues_bit_identically():
         assert np.array_equal(twin.output_weights, bank.output_weights)
 
 
-def test_only_the_calling_thread_runs_package_code():
-    """No thread but the caller's runs package code while a Simulation
-    builds its banks and steps slots: the fading worker is handed numpy's
-    C callables only (see the qos module docstring). A copy taken after
-    slot 3 runs slot 4 as the original does."""
+def test_only_the_fading_helper_runs_package_code_off_the_calling_thread():
+    """While a Simulation builds its banks and steps slots, the one package
+    frame off the caller's thread is the fading helper, which the worker
+    runs and which calls numpy only (see the qos module docstring). The
+    profiler reaches threads started from now on, and the worker's thread
+    through a job of its own, whether or not an earlier test started it. A
+    copy taken after slot 3 runs slot 4 as the original does."""
     main = threading.get_ident()
     off_main = set()
 
@@ -103,6 +107,7 @@ def test_only_the_calling_thread_runs_package_code():
             off_main.add((frame.f_globals.get("__name__", ""), frame.f_code.co_qualname))
 
     threading.setprofile(record)
+    qos._FADING_WORKER.submit(sys.setprofile, record).result(timeout=30)
     try:
         # parameter-table defaults at a small reservoir, as the benchmark's default workload
         sim = Simulation(ExperimentConfig.default(T=60, N_w=16), "proposed", seed=0)
@@ -110,7 +115,9 @@ def test_only_the_calling_thread_runs_package_code():
             sim.run_slot(slot)
     finally:
         threading.setprofile(None)
-    assert not {call for call in off_main if call[0].startswith("crancache")}
+        qos._FADING_WORKER.submit(sys.setprofile, None).result(timeout=30)
+    assert ({call for call in off_main if call[0].startswith("crancache")}
+            == {("crancache.qos", "_draw_fading")})
     twin = copy.deepcopy(sim)  # mid-episode, with slot 4's draw handed off to the worker
     assert np.array_equal(twin.content_bank.reservoir_weights, sim.content_bank.reservoir_weights)
     assert np.array_equal(twin.content_bank.output_weights, sim.content_bank.output_weights)

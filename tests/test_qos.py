@@ -71,7 +71,7 @@ def test_segment_capacity_rows_compute_gamma_through_sinr(monkeypatch):
 
     def rows():
         with qos.fading_block(layout, np.random.default_rng(4)) as fading:
-            return qos.capacity_from_fading(layout, fading.take(), RADIO)
+            return qos.capacity_from_fading(*fading.take(), RADIO)
 
     expected = rows()
     calls = []

@@ -1,10 +1,11 @@
 """World stepping, path resolution, slot accounting, and policy behavior."""
+import builtins
 import copy
-import inspect
 import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -477,28 +478,28 @@ def test_content_reservoir_has_a_stream_of_its_own():
 # ---- the fading worker ----------------------------------------------------------
 
 def spy_on_fading(monkeypatch):
-    """Record each slot's PairLayout, and every callable handed to the fading
-    worker with the future it returned."""
+    """Record the PairLayout of each fading draw an episode starts, and every
+    callable handed to the fading worker with the future it returned."""
     seen = {"layouts": [], "callables": [], "futures": []}
     submit = qos._FADING_WORKER.submit
-    accumulate = episode.capacity_from_fading
+    start_draw = episode.fading_block
 
     def spy_submit(fn, *args, **kwargs):
         seen["callables"].append(fn)
         seen["futures"].append(submit(fn, *args, **kwargs))
         return seen["futures"][-1]
 
-    def spy_accumulate(layout, power, radio):
+    def spy_start_draw(layout, rng):
         seen["layouts"].append(layout)
-        return accumulate(layout, power, radio)
+        return start_draw(layout, rng)
 
     monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
-    monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
+    monkeypatch.setattr(episode, "fading_block", spy_start_draw)
     return seen
 
 
 def on_the_worker(layout):
-    """Whether the layout's fading block is too large to draw inline."""
+    """Whether the layout's fading is too large to draw inline."""
     return layout.gains.size * layout.n_mc > qos.MAX_INLINE_FADING_ENTRIES
 
 
@@ -515,7 +516,7 @@ def test_fading_worker_matches_inline_draws(monkeypatch, policy):
     finally:
         sys.setswitchinterval(interval)
     assert len(seen["layouts"]) == 60
-    assert len(seen["callables"]) == 2 * 60  # the draw, then the multiply by the gains
+    assert seen["callables"] == [qos._draw_fading] * 60  # one job per slot
     assert handed_off.slot_csv() == inline.slot_csv()
     assert handed_off.predictor_csv() == inline.predictor_csv()
     assert handed_off.cloud_trace == inline.cloud_trace
@@ -540,25 +541,23 @@ def test_fading_worker_matches_inline_draws_at_default_size(monkeypatch):
     assert np.array_equal(twin.caches.rrh, sim.caches.rrh)
 
 
-def test_fading_worker_runs_only_numpy_callables(monkeypatch):
+def test_fading_worker_runs_one_numpy_only_job_per_draw(monkeypatch):
     """A spy on the worker's submit sees every hand-off, whether or not an
-    earlier test already started the worker's thread."""
+    earlier test already started the worker's thread. Each draw too large to
+    run inline is one job, the private fading helper, and the helper looks
+    up no package callable: it calls numpy only (test_bank_pool.py checks
+    the frames the worker runs)."""
     seen = spy_on_fading(monkeypatch)
-    drawn = []
-    start_draw = episode.fading_block
-    monkeypatch.setattr(episode, "fading_block",
-                        lambda layout, rng: drawn.append(layout) or start_draw(layout, rng))
     sim = default_size_simulation()
     for slot in range(1, 4):
         sim.run_slot(slot)
-    assert len(drawn) == 4  # slot 3 handed off slot 4's draw
-    worker_draws = sum(on_the_worker(layout) for layout in drawn)
+    assert len(seen["layouts"]) == 4  # slot 3 handed off slot 4's draw
+    worker_draws = sum(on_the_worker(layout) for layout in seen["layouts"])
     assert worker_draws >= 1
-    assert len(seen["callables"]) == 2 * worker_draws  # two calls per draw on the worker
-    for fn in seen["callables"]:
-        # a ufunc, or a Generator method compiled to C: no Python function body
-        assert not inspect.isfunction(getattr(fn, "__func__", fn))
-        assert isinstance(fn, np.ufunc) or isinstance(fn.__self__, np.random.Generator)
+    assert seen["callables"] == [qos._draw_fading] * worker_draws
+    for name in qos._draw_fading.__code__.co_names:
+        found = vars(qos).get(name, getattr(builtins, name, None))
+        assert not getattr(found, "__module__", "").startswith("crancache"), name
 
 
 class DrawFailed(Exception):
@@ -599,8 +598,8 @@ def test_exception_in_the_slot_leaves_the_fading_worker_idle(monkeypatch):
     monkeypatch.setattr(sim.content_bank, "predict", failing_predict)
     with pytest.raises(PredictFailed):
         sim.run_slot(1)
-    assert len(seen["futures"]) == 2  # slot 1 handed its fading to the worker
-    # leaving the slot cancelled or waited for both jobs
+    assert len(seen["futures"]) == 1  # slot 1 handed its fading to the worker
+    # leaving the slot cancelled or waited for the job
     assert all(future.done() for future in seen["futures"])
     assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
 
@@ -613,10 +612,10 @@ def hold_the_worker_after(monkeypatch, calls):
     accumulate = episode.capacity_from_fading
     count = itertools.count(1)
 
-    def spy_accumulate(layout, power, radio):
+    def spy_accumulate(signal, interference, radio):
         if next(count) == calls:  # the class's submit, past any spy on the instance's
             ThreadPoolExecutor.submit(qos._FADING_WORKER, gate.wait, 30)
-        return accumulate(layout, power, radio)
+        return accumulate(signal, interference, radio)
 
     monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
     return gate
@@ -628,19 +627,19 @@ def test_deep_copy_with_a_worker_draw_pending_continues_bit_identically(monkeypa
     itself, from the same clusters and generator, and continues bit for bit."""
     seen = spy_on_fading(monkeypatch)
     gate = hold_the_worker_after(monkeypatch, 3)  # slot 4's draw waits behind it
-    blocks = []
+    signals = []
     accumulate = episode.capacity_from_fading
-    monkeypatch.setattr(episode, "capacity_from_fading", lambda layout, power, radio: (
-        blocks.append(power) or accumulate(layout, power, radio)))
+    monkeypatch.setattr(episode, "capacity_from_fading", lambda signal, interference, radio: (
+        signals.append(signal) or accumulate(signal, interference, radio)))
     sim = default_size_simulation()
     try:
         for slot in range(1, 4):
             sim.run_slot(slot)
-        handed_off = seen["futures"][6:]
-        assert len(handed_off) == 2
+        handed_off = seen["futures"][3:]
+        assert len(handed_off) == 1
         twin = copy.deepcopy(sim)  # while the worker is held
         assert twin._handed_off is None and sim._handed_off[0] == 4
-        assert len(seen["futures"]) == 8  # the copy started no job
+        assert len(seen["futures"]) == 4  # the copy started no job
         assert not any(job.done() or job.cancelled() for job in handed_off)
     finally:
         gate.set()
@@ -648,7 +647,7 @@ def test_deep_copy_with_a_worker_draw_pending_continues_bit_identically(monkeypa
         assert twin.run_slot(slot) == sim.run_slot(slot)
     assert all(job.done() and not job.cancelled() for job in handed_off)
     assert all(on_the_worker(layout) for layout in seen["layouts"])
-    assert not np.shares_memory(blocks[3], blocks[4])  # slot 4: the twin's, then the original's
+    assert not np.shares_memory(signals[3], signals[4])  # slot 4: the twin's, then the original's
     assert np.array_equal(twin.caches.rrh, sim.caches.rrh)
     assert twin.cloud_trace == sim.cloud_trace
 
@@ -669,9 +668,9 @@ def test_exception_after_the_hand_off_leaves_the_fading_worker_idle(monkeypatch)
     try:
         with pytest.raises(TrainFailed):
             sim.run_slot(1)
-        # slot 1's two jobs, then the two of the draw it handed off for slot 2,
-        # which the failing slot cancelled while they waited
-        assert len(seen["futures"]) == 4
+        # slot 1's job, then the one of the draw it handed off for slot 2,
+        # which the failing slot cancelled while it waited
+        assert len(seen["futures"]) == 2
         assert all(future.done() for future in seen["futures"])
     finally:
         gate.set()
@@ -690,7 +689,7 @@ def test_handed_off_draw_exception_comes_out_of_the_slot_that_reads_it(monkeypat
     sim.run_slot(1)  # hands off slot 2's draw, which fails
     with pytest.raises(DrawFailed):
         sim.run_slot(2)
-    assert len(seen["futures"]) == (4 if inline_entries == 1 else 0)
+    assert len(seen["futures"]) == (2 if inline_entries == 1 else 0)
     assert all(future.done() for future in seen["futures"])
     assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
 
@@ -700,24 +699,47 @@ def test_a_slot_run_out_of_turn_draws_its_own_fading(monkeypatch):
     slot 2 and draws slot 3 itself: the layout under slot 1's clusters, the
     fading from slot 3's own generator."""
     seen = spy_on_fading(monkeypatch)
-    blocks = []
+    taken = []
     accumulate = episode.capacity_from_fading
-    monkeypatch.setattr(episode, "capacity_from_fading", lambda layout, power, radio: (
-        blocks.append(power.copy()) or accumulate(layout, power, radio)))
+    monkeypatch.setattr(episode, "capacity_from_fading", lambda signal, interference, radio: (
+        taken.append((signal.copy(), interference.copy()))
+        or accumulate(signal, interference, radio)))
     monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)  # every draw on the worker
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=5)
     sim.run_slot(1)
-    slot_2 = seen["futures"][2:]
-    assert len(slot_2) == 2
-    _, expected = sim._channel_draw(3)  # built under slot 1's clusters
-    expected.discard()
+    slot_2 = seen["futures"][1:]
+    assert len(slot_2) == 1
+    sim._channel_draw(3)[1].discard()  # built under slot 1's clusters
+    expected = seen["layouts"][-1]
     submitted = len(seen["futures"])
     sim.run_slot(3)
     assert all(job.done() for job in slot_2)
-    assert len(seen["futures"]) == submitted + 4  # slot 3's own draw, then slot 4's
-    layout = seen["layouts"][-1]
+    assert len(seen["futures"]) == submitted + 2  # slot 3's own draw, then slot 4's
+    layout = seen["layouts"][-2]  # slot 3's, then slot 4's
     for name in ("users", "serves", "gains"):
-        assert np.array_equal(getattr(layout, name), getattr(expected.layout, name))
-    shape = (len(layout.users), layout.n_mc, qos.SLOT_SUBSTEPS)
-    fading = rng_for(5, "channel", 3).standard_exponential(shape) * layout.gains[:, None, :]
-    assert np.array_equal(blocks[-1], fading)
+        assert np.array_equal(getattr(layout, name), getattr(expected, name))
+    monkeypatch.undo()  # the reference runs inline, past every spy
+    with qos.fading_block(layout, rng_for(5, "channel", 3)) as fading:
+        signal, interference = fading.take()
+    assert np.array_equal(taken[-1][0], signal)
+    assert np.array_equal(taken[-1][1], interference)
+
+
+def test_a_slot_holds_far_less_than_its_whole_fading_block(monkeypatch):
+    """At U = 64 the traced peak of slot 1, which draws its own fading and
+    hands off slot 2's, stays well below the slot's whole (pairs, n_mc,
+    SLOT_SUBSTEPS) block: the fading is drawn in groups of whole users and
+    summed per user as it goes."""
+    seen = spy_on_fading(monkeypatch)
+    sim = Simulation(ExperimentConfig.default(U=64, T=4, T_tau=4, N_w=16), POLICY_PROPOSED,
+                     seed=0)
+    tracemalloc.start()
+    try:
+        sim.run_slot(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    layout = seen["layouts"][0]
+    block_bytes = layout.gains.size * layout.n_mc * 8
+    assert block_bytes > 16e6  # 20.3 MB: a block worth the guard
+    assert peak < block_bytes / 4

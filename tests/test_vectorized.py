@@ -93,7 +93,7 @@ def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes, radi
     """(U, n_mc) slot capacities along U segments, by the three steps an episode runs."""
     layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
     with fading_block(layout, rng) as fading:
-        return capacity_from_fading(layout, fading.take(), radio)
+        return capacity_from_fading(*fading.take(), radio)
 
 
 def channel_case(counts, n_active=20, seed=5):
@@ -134,8 +134,8 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, inlin
     got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
                                 np.random.default_rng(100)) * 1e-6
     assert np.array_equal(got, expected)
-    # on the worker: the draw, then the multiply by the gains
-    assert len(handed_off) == (2 if inline_entries == 1 else 0)
+    # on the worker: one job, the fading helper
+    assert handed_off == ([qos._draw_fading] if inline_entries == 1 else [])
     for u in range(len(serving)):
         # the one-user form puts the serving RRH first, then the interferers
         positions = np.vstack([rrhs[serving[u]], rrhs[interferes[u]]])
@@ -156,6 +156,56 @@ def test_segment_capacity_rows_worker_path_matches_inline_path(monkeypatch, n_mc
     monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)
     assert np.array_equal(segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3)),
                           inline)
+
+
+def one_block_fading(layout, rng):
+    """The whole-block draw that the grouped one replaced: (signal, interference)
+    from one (pairs, n_mc, SLOT_SUBSTEPS) block, with the same numpy calls."""
+    block = np.empty((len(layout.users), layout.n_mc, SLOT_SUBSTEPS))
+    rng.standard_exponential(out=block)
+    np.multiply(block, layout.gains[:, None, :], out=block)
+    signal = block[layout.serves]
+    block[layout.serves] = 0.0
+    interference = np.empty_like(signal)
+    bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1)).tolist()
+    for user, (first, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.add.reduce(block[first:stop], axis=0, out=interference[user])
+    return signal, interference
+
+
+# how the users fall into groups of FADING_GROUP_ENTRIES: (n_mc, interferer counts)
+GROUP_CASES = {
+    "one-group": (48, [0, 3, 9, 1]),
+    "several-groups": (48, [9, 12, 0, 17, 3, 10, 11, 1] * 8),
+    "a-user-alone-exceeds-a-group": (800, [3, 12, 0, 17, 2, 9]),
+    "one-sample-several-groups": (1, [0, 3, 9, 12, 17, 19] * 240),
+}
+
+
+@pytest.mark.parametrize("case", GROUP_CASES)
+@pytest.mark.parametrize("inline_entries", [1 << 40, 0])
+def test_grouped_fading_matches_the_one_block_draw(monkeypatch, case, inline_entries):
+    """signal, interference and the samples equal the one-block draw's byte for
+    byte, inline and on the worker. Every case has users with more than eight
+    interferers, where a pairwise sum would group their rows differently."""
+    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", inline_entries)  # 0: on the worker
+    n_mc, counts = GROUP_CASES[case]
+    layout = pair_layout(*channel_case(counts), RADIO, n_mc)
+    rows = np.bincount(layout.users) * n_mc * SLOT_SUBSTEPS
+    assert (rows.sum() > qos.FADING_GROUP_ENTRIES) == (case != "one-group")
+    assert (rows.max() > qos.FADING_GROUP_ENTRIES) == (case == "a-user-alone-exceeds-a-group")
+    handed_off = []
+    submit = qos._FADING_WORKER.submit
+    monkeypatch.setattr(qos._FADING_WORKER, "submit",
+                        lambda fn, *args: handed_off.append(fn) or submit(fn, *args))
+    with fading_block(layout, np.random.default_rng(21)) as fading:
+        signal, interference = fading.take()
+    assert handed_off == ([qos._draw_fading] if inline_entries == 0 else [])
+    expected = one_block_fading(layout, np.random.default_rng(21))
+    assert signal.tobytes() == expected[0].tobytes()
+    assert interference.tobytes() == expected[1].tobytes()
+    assert (capacity_from_fading(signal, interference, RADIO).tobytes()
+            == capacity_from_fading(*expected, RADIO).tobytes())
 
 
 def test_fully_cooperating_user_matches_a_zero_interferer_reference():
