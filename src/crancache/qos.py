@@ -11,41 +11,18 @@ exp(-theta_O * D_max). Effective capacity is the log-MGF rate of the cumulative
 slot service; base-2 logs are paired with base-2 exponents throughout so the
 theta -> 0 limit returns the mean capacity.
 
-The channel sampler has three steps, which an episode runs in order, and
-`segment_capacity_samples` for one user. `pair_layout` lists the (user,
-RRH) pairs a slot draws, with their path gains. `fading_block` draws the
-slot's fading from the slot's generator and hands back each user's faded
-serving power (`signal`) and summed interference, two (U, n_mc,
-SLOT_SUBSTEPS) arrays. `capacity_from_fading` then scores the slot
+The channel sampler has three steps, which an episode runs in order at the
+top of each slot, and `segment_capacity_samples` for one user. `pair_layout`
+lists the (user, RRH) pairs a slot draws, with their path gains.
+`fading_block` draws the slot's fading from the slot's generator and returns
+each user's faded serving power (`signal`) and summed interference, two (U,
+n_mc, SLOT_SUBSTEPS) arrays. `capacity_from_fading` then scores the slot
 capacity from the two. The draw never holds the slot's whole (pairs, n_mc,
-SLOT_SUBSTEPS) block: one private helper, `_draw_fading`, fills the
-fading in groups of whole users of at most FADING_GROUP_ENTRIES entries,
-multiplies each group by its gains and sums it into the two arrays. Each
-fill continues the generator's stream, so the groups read the values the
-whole block would hold, in C order, and every product and sum is the one
-the block would take.
-
-A draw of at most MAX_INLINE_FADING_ENTRIES entries (every desk-scale
-slot) runs inline, when the caller takes it. A larger one is handed at once
-to one worker thread as one job, the helper, so that the caller can work
-while the fading is drawn. The overlap is the work that releases the GIL:
-the worker's multiplies and sums beside the caller's matrix products and
-ufuncs. The exponential draw does not release it (numpy's
-`Generator.standard_exponential` holds the GIL, as do `standard_gamma` and
-`exponential`, which draw the same values), so the caller waits for the GIL
-while the worker fills a group. The helper calls numpy only, never a public
-package callable: the benchmark's span tracer times those and assumes that
-they run on one thread. Either way the helper fills the same arrays, so
-the samples do not depend on which thread draws.
-
-A draw lives until its arrays are taken or the draw is discarded, and it
-may outlive the call that started it: an episode starts the next slot's
-draw once the current slot has scored its own, so at most one draw's
-arrays are alive at a time. Taking waits for the worker's job and hands the
-arrays over; discarding cancels or waits for it. Whoever holds a draw takes
-or discards it, also when it raises, so no job outlives its holder's use.
-Draws are not copied: a copied `sim.Simulation` leaves its draw behind and
-draws that slot again.
+SLOT_SUBSTEPS) block: it fills the fading in groups of whole users of at
+most FADING_GROUP_ENTRIES entries, multiplies each group by its gains and
+sums it into the two arrays. Each fill continues the generator's stream, so
+the groups read the values the whole block would hold, in C order, and
+every product and sum is the one the block would take.
 
 A draw holds the two (U, n_mc, SLOT_SUBSTEPS) arrays and one group: at
 most FADING_GROUP_ENTRIES floats (1 MiB), or the rows of one user whose
@@ -59,7 +36,6 @@ is linear-scale and unit-agnostic.
 """
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,19 +49,12 @@ SLOT_SUBSTEPS = 10  # channel sub-draws per slot along the user's segment
 # on about one desk geometry in five (sub-step points pass within 1 m of an
 # RRH) and change those realizations.
 MIN_DISTANCE_M = 1e-3
-# A fading draw of at most this many (pair, sample, sub-step) entries runs
-# inline; a larger one runs on _FADING_WORKER.
-MAX_INLINE_FADING_ENTRIES = 1 << 18
 # The fading is drawn in groups of whole users of at most this many entries
 # (1 MiB, half a core's L2 cache on the 2-CPU Xeon host it was measured on);
-# a user whose rows alone exceed it is a group of its own. Each group costs
-# the worker a few GIL hand-offs: at 1 << 15 entries, 21 groups in the worst
-# default slot, default episodes ran about 10 % slower than with one block;
-# at 1 << 17 they ran as fast.
+# a user whose rows alone exceed it is a group of its own. No bit depends on
+# the size, which bounds the buffer that holds a group: default episodes ran
+# within 3 % of one another at 1 << 15, 1 << 17 and the whole block.
 FADING_GROUP_ENTRIES = 1 << 17
-# runs the fading draws above MAX_INLINE_FADING_ENTRIES (see the module
-# docstring); its thread starts at the first hand-off, not at import
-_FADING_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crancache-fading")
 
 # delivery paths as integer codes, in order of source priority
 PATH_LOCAL, PATH_CLOUD, PATH_REMOTE, PATH_SERVER = range(4)
@@ -291,7 +260,7 @@ class PairLayout:
     marks each user's serving pair (the others interfere) and `gains` holds
     each pair's `path_gain` at the SLOT_SUBSTEPS sub-step points. The
     slot's fading is the (pairs, n_mc, SLOT_SUBSTEPS) block of unit-mean
-    exponentials, in C order, times gains[:, None, :]; `_draw_fading` draws
+    exponentials, in C order, times gains[:, None, :]; `fading_block` draws
     it in groups of whole users.
     """
     n_mc: int
@@ -320,37 +289,23 @@ def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
 
 
 def fading_block(layout, rng):
-    """Start drawing the fading of `layout` from `rng`; returns the draw.
+    """The faded powers of `layout`, drawn from `rng`: (signal, interference).
 
-    The draw's `take()` hands back (signal, interference): each user's
-    serving power and summed interference, (U, n_mc, SLOT_SUBSTEPS) each,
-    as `_draw_fading` fills them. A draw of at most
-    MAX_INLINE_FADING_ENTRIES entries runs inline, when `take()` is called;
-    a larger one goes to _FADING_WORKER at once as one job, which `take()`
-    waits for. The job's exception comes out of `take()`. The draw lives
-    until it is taken or discarded (`discard()`, or leaving a `with` block
-    on it), whichever comes first; discarding cancels or waits for the job,
-    so none outlives the draw's holder.
+    Each is (U, n_mc, SLOT_SUBSTEPS): each user's serving power and summed
+    interference. The pairs' unit-mean exponentials times their gains are
+    drawn in groups of whole users of at most FADING_GROUP_ENTRIES entries;
+    a user whose rows alone exceed it is a group of its own. One buffer
+    holds each group in turn. Each user's serving row is copied into
+    `signal` and then set to 0.0, which moves no bit of a sum, so a user's
+    interference is the sum over its rows: one reduction along the first
+    axis, which numpy adds row after row. Each user's interference thus adds
+    its interferers' powers one column after the other, and does not depend
+    on which other columns exist. (The tests compare users with more than
+    eight interferers, where a pairwise sum would group them differently,
+    against one-block and column-by-column references.)
     """
-    return _FadingDraw(layout, rng)
-
-
-def _draw_fading(layout, rng, signal, interference):
-    """Fill `signal` and `interference` with the layout's faded powers.
-
-    The pairs' unit-mean exponentials times their gains are drawn in groups
-    of whole users of at most FADING_GROUP_ENTRIES entries; a user whose
-    rows alone exceed it is a group of its own. One buffer holds each group
-    in turn. Each user's serving row is copied into `signal` and then set to
-    0.0, which moves no bit of a sum, so a user's interference is the sum
-    over its rows: one reduction along the first axis, which numpy adds row
-    after row. Each user's interference thus adds its interferers' powers
-    one column after the other, and does not depend on which other columns
-    exist. (The tests compare users with more than eight interferers, where
-    a pairwise sum would group them differently, against one-block and
-    column-by-column references.) It may run on _FADING_WORKER, so it calls
-    numpy only.
-    """
+    shape = (np.count_nonzero(layout.serves), layout.n_mc, SLOT_SUBSTEPS)
+    signal, interference = np.empty(shape), np.empty(shape)
     bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1))  # users' first rows, end
     per_group = FADING_GROUP_ENTRIES // (layout.n_mc * SLOT_SUBSTEPS)  # rows
     buffer = np.empty((min(max(per_group, np.diff(bounds).max()), bounds[-1]),
@@ -371,52 +326,15 @@ def _draw_fading(layout, rng, signal, interference):
             np.add.reduce(group[bounds[user] - lo:bounds[user + 1] - lo], axis=0,
                           out=interference[user])
         first = stop
-
-
-class _FadingDraw:
-    """One layout's fading, drawn or being drawn; see `fading_block`."""
-
-    def __init__(self, layout, rng):
-        shape = (np.count_nonzero(layout.serves), layout.n_mc, SLOT_SUBSTEPS)
-        self._fading = (np.empty(shape), np.empty(shape))
-        # the helper's arguments while take() is still to run it inline
-        self._args = (layout, rng, *self._fading)
-        self._job = None
-        if layout.gains.size * layout.n_mc > MAX_INLINE_FADING_ENTRIES:
-            self._job = _FADING_WORKER.submit(_draw_fading, *self._args)
-            self._args = None
-
-    def take(self):
-        """The finished (signal, interference), handed over: the draw drops them and its job."""
-        if self._job is not None:
-            self._job.result()
-        fading, args = self._fading, self._args
-        self.discard()
-        if args is not None:
-            _draw_fading(*args)
-        return fading
-
-    def discard(self):
-        """Cancel or wait for the job, and drop the arrays."""
-        # a cancelled job never runs, but `wait` would block on it until the
-        # worker reaches it in the queue
-        if self._job is not None and not self._job.cancel():
-            wait([self._job])
-        self._fading, self._args, self._job = None, None, None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.discard()
+    return signal, interference
 
 
 def capacity_from_fading(signal, interference, radio):
     """(U, n_mc) cumulative slot capacities in bit, from a draw's faded powers.
 
-    `signal` and `interference` are what a fading draw's `take()` hands
-    over: each user's (n_mc, SLOT_SUBSTEPS) serving power and summed
-    interference. Gamma comes from `sinr`.
+    `signal` and `interference` are what `fading_block` returns: each
+    user's (n_mc, SLOT_SUBSTEPS) serving power and summed interference.
+    Gamma comes from `sinr`.
     """
     return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
 
@@ -434,5 +352,4 @@ def segment_capacity_samples(start, end, serving_pos, interferer_positions,
     positions = np.vstack([serving_pos, np.reshape(interferer_positions, (-1, 2))])
     layout = pair_layout(np.array([start]), np.array([end]), positions, np.zeros(1, dtype=int),
                          np.arange(len(positions))[None] > 0, radio, n_mc)
-    with fading_block(layout, rng) as fading:
-        return capacity_from_fading(*fading.take(), radio)[0]
+    return capacity_from_fading(*fading_block(layout, rng), radio)[0]

@@ -1,14 +1,13 @@
 """Slot-by-slot episode execution for the caching policies.
 
-Per slot: advance mobility; predict every user's request distribution (each
-user steps a reservoir state of its own, and one readout serves all users),
-the association for caching and the clusters; accumulate the slot-capacity
-samples from the slot's fading; lay out the next slot's channel (user, RRH)
-pairs and their path gains under the clusters just formed and start drawing
-their fading; update RRH caches, realize one request per user, resolve
-delivery paths, split the wired pipes over the realized load, score per-user
-effective capacities, and take one step of the shared content readout on
-all users' requests.
+Per slot: lay out the slot's channel (user, RRH) pairs and their path gains
+under the clusters the previous slot formed, draw their fading and score
+the slot-capacity samples; advance mobility; predict every user's request
+distribution (each user steps a reservoir state of its own, and one readout
+serves all users), the association for caching and the clusters; update
+RRH caches, realize one request per user, resolve delivery paths, split the
+wired pipes over the realized load, score per-user effective capacities,
+and take one step of the shared content readout on all users' requests.
 Caches are boolean masks over the catalog (see CacheState) and delivery
 paths are the integer codes of the qos module, so each of these steps is one
 array pass over the users.
@@ -24,12 +23,8 @@ baselines (with/without clustering), and "optimal_oracle" (per-decision
 exhaustive subset search fed with ground-truth knowledge, gated by instance
 size). A slot draws its requests, fading and random caches from one generator
 per purpose, rng_for(seed, purpose, slot, ...), so every policy sees the same
-requests; fading is drawn only for the RRHs a user hears. Each slot starts
-the next slot's fading draw, under the clusters it has just formed, once it
-has scored its own (slot 1, a slot run out of turn, and the first slot a
-copied Simulation runs start their own). A large draw runs as one job on a
-worker thread, beside the rest of the slot: only its GIL-free numpy work
-overlaps the slot's, and the qos module docstring states the contract.
+requests; fading is drawn only for the RRHs a user hears, on the caller's
+thread, at the top of the slot that scores it.
 
 Effective capacities are scored with slot service measured in Mbit so the
 default exponent theta = 0.05 sits in the discriminating regime of the
@@ -215,19 +210,11 @@ class Simulation:
         # last refresh; random policies keep none
         self.demand_stream = []
         self.cloud_trace = []
-        # (slot, serving RRHs, fading draw) of the next slot, started by this one
-        self._handed_off = None
-
-    def __getstate__(self):
-        """The state without the handed-off draw, so a copy never waits on this
-        episode's worker jobs. The copy's next `run_slot` draws that slot
-        itself, from the same clusters and the same generator: the same bits."""
-        return {**self.__dict__, "_handed_off": None}
 
     # ----- per-slot pieces -------------------------------------------------
 
     def _channel_draw(self, slot):
-        """The serving RRHs of `slot` and the fading draw of its PairLayout, started now.
+        """The serving RRHs of `slot` and its (U, n_mc) slot-capacity samples in Mbit.
 
         The layout reads the current clusters, which the previous slot
         formed. Idle RRHs transmit nothing: interference comes from RRHs that
@@ -240,18 +227,8 @@ class Simulation:
                              self.topology.rrh_positions[active], column,
                              ~self.cluster_set.cooperation(active)[column],
                              self.radio, self.cfg["n_mc"])
-        return serving, fading_block(layout, rng_for(self.seed, "channel", slot))
-
-    def _take_handed_off(self, slot):
-        """The (serving RRHs, fading draw) that the previous slot handed off for
-        `slot`, or None; a draw handed off for any other slot is discarded."""
-        handed_off, self._handed_off = self._handed_off, None
-        if handed_off is None:
-            return None
-        if handed_off[0] == slot:
-            return handed_off[1:]
-        handed_off[2].discard()
-        return None
+        fading = fading_block(layout, rng_for(self.seed, "channel", slot))
+        return serving, capacity_from_fading(*fading, self.radio) * CAPACITY_UNIT
 
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
@@ -308,19 +285,11 @@ class Simulation:
     # ----- main loop -------------------------------------------------------
 
     def run_slot(self, slot):
-        """Run and score `slot`. Its fading is the draw that slot - 1 handed off,
-        or one started now; a slot that raises leaves no job on the worker."""
-        serving, draw = self._take_handed_off(slot) or self._channel_draw(slot)
-        try:
-            with draw:
-                return self._run_slot(slot, serving, draw)
-        except BaseException:
-            self._take_handed_off(None)  # discards the next slot's draw
-            raise
-
-    def _run_slot(self, slot, serving, draw):
+        """Run and score `slot`. Its channel is drawn first, before this slot
+        forms its clusters, so its layout reads the clusters of slot - 1."""
         cfg = self.cfg
         U = cfg["U"]
+        serving, samples = self._channel_draw(slot)
         if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
             self.mobility.observe(self.topology.tracks[slot][None])
 
@@ -329,12 +298,6 @@ class Simulation:
         assoc = self._assoc_for_caching(serving)
         if predictions is not None:  # random_unclustered keeps singleton cooperation
             self.cluster_set = cluster_rrhs(assoc, predictions, cfg["chi"], cfg["R"])
-        # (U, n_mc) slot-capacity draws in Mbit
-        samples = capacity_from_fading(*draw.take(), self.radio) * CAPACITY_UNIT
-        if slot < cfg["T"]:
-            # the next slot's layout reads the clusters just formed; its fading
-            # is drawn while this slot finishes and the next one predicts
-            self._handed_off = (slot + 1, *self._channel_draw(slot + 1))
         self._update_rrh_caches(slot, assoc, predictions, samples)
 
         requests = draw_requests(truth, rng_for(self.seed, "requests", slot))

@@ -70,8 +70,7 @@ def test_segment_capacity_rows_compute_gamma_through_sinr(monkeypatch):
         np.array([[False, True, True], [True, False, False]]), RADIO, 16)
 
     def rows():
-        with qos.fading_block(layout, np.random.default_rng(4)) as fading:
-            return qos.capacity_from_fading(*fading.take(), RADIO)
+        return qos.capacity_from_fading(*qos.fading_block(layout, np.random.default_rng(4)), RADIO)
 
     expected = rows()
     calls = []

@@ -1,12 +1,7 @@
 """World stepping, path resolution, slot accounting, and policy behavior."""
-import builtins
 import copy
-import itertools
 import math
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,8 +191,8 @@ def test_user_on_an_rrh_keeps_a_finite_slot():
 
 
 def test_channel_draws_use_previous_slot_clusters(monkeypatch):
-    """Slot k's layout reads the ClusterSet formed in slot k - 1, which builds
-    that layout once it has formed its clusters; slot 1 reads none."""
+    """Slot k's layout reads the ClusterSet formed in slot k - 1: slot k builds
+    it before it forms clusters of its own; slot 1 reads none."""
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=1)
     building, read = [], {}  # the slot whose layout is being built; slot -> ClusterSets read
     cooperation = ClusterSet.cooperation
@@ -220,7 +215,7 @@ def test_channel_draws_use_previous_slot_clusters(monkeypatch):
         sim.run_slot(k)
         assert sim.cluster_set is not formed[k - 1]
         formed[k] = sim.cluster_set
-    assert sorted(read) == list(range(1, 7))  # slot 5 built slot 6's layout
+    assert sorted(read) == list(range(1, 6))  # each slot built its own layout only
     for k, clusters in read.items():
         assert len(clusters) == 1  # one cooperation mask per slot
         assert clusters[0] is formed[k - 1]
@@ -475,89 +470,15 @@ def test_content_reservoir_has_a_stream_of_its_own():
     assert np.array_equal(bank.output_weights, np.zeros((6, 24 + 7)))
 
 
-# ---- the fading worker ----------------------------------------------------------
+# ---- the channel draw -----------------------------------------------------------
 
 def spy_on_fading(monkeypatch):
-    """Record the PairLayout of each fading draw an episode starts, and every
-    callable handed to the fading worker with the future it returned."""
-    seen = {"layouts": [], "callables": [], "futures": []}
-    submit = qos._FADING_WORKER.submit
-    start_draw = episode.fading_block
-
-    def spy_submit(fn, *args, **kwargs):
-        seen["callables"].append(fn)
-        seen["futures"].append(submit(fn, *args, **kwargs))
-        return seen["futures"][-1]
-
-    def spy_start_draw(layout, rng):
-        seen["layouts"].append(layout)
-        return start_draw(layout, rng)
-
-    monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
-    monkeypatch.setattr(episode, "fading_block", spy_start_draw)
-    return seen
-
-
-def on_the_worker(layout):
-    """Whether the layout's fading is too large to draw inline."""
-    return layout.gains.size * layout.n_mc > qos.MAX_INLINE_FADING_ENTRIES
-
-
-@pytest.mark.parametrize("policy", [POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
-                                    POLICY_RANDOM_UNCLUSTERED])
-def test_fading_worker_matches_inline_draws(monkeypatch, policy):
-    inline = run_episode(tiny_config(), policy, seed=2)
-    seen = spy_on_fading(monkeypatch)
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)  # every slot on the worker
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often between hand-offs and reads
-    try:
-        handed_off = run_episode(tiny_config(), policy, seed=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(seen["layouts"]) == 60
-    assert seen["callables"] == [qos._draw_fading] * 60  # one job per slot
-    assert handed_off.slot_csv() == inline.slot_csv()
-    assert handed_off.predictor_csv() == inline.predictor_csv()
-    assert handed_off.cloud_trace == inline.cloud_trace
-
-
-def default_size_simulation():
-    """Parameter-table slot sizes (U = 32, R = 1000, n_mc = 64) at a small reservoir."""
-    return Simulation(ExperimentConfig.default(T=60, N_w=16), POLICY_PROPOSED, seed=0)
-
-
-def test_fading_worker_matches_inline_draws_at_default_size(monkeypatch):
-    sim = default_size_simulation()
-    twin = copy.deepcopy(sim)
-    seen = spy_on_fading(monkeypatch)
-    handed_off = [sim.run_slot(slot) for slot in range(1, 4)]
-    assert all(on_the_worker(layout) for layout in seen["layouts"])
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1 << 40)  # every slot inline
-    seen["callables"].clear()
-    inline = [twin.run_slot(slot) for slot in range(1, 4)]
-    assert not seen["callables"]
-    assert handed_off == inline
-    assert np.array_equal(twin.caches.rrh, sim.caches.rrh)
-
-
-def test_fading_worker_runs_one_numpy_only_job_per_draw(monkeypatch):
-    """A spy on the worker's submit sees every hand-off, whether or not an
-    earlier test already started the worker's thread. Each draw too large to
-    run inline is one job, the private fading helper, and the helper looks
-    up no package callable: it calls numpy only (test_bank_pool.py checks
-    the frames the worker runs)."""
-    seen = spy_on_fading(monkeypatch)
-    sim = default_size_simulation()
-    for slot in range(1, 4):
-        sim.run_slot(slot)
-    assert len(seen["layouts"]) == 4  # slot 3 handed off slot 4's draw
-    worker_draws = sum(on_the_worker(layout) for layout in seen["layouts"])
-    assert worker_draws >= 1
-    assert seen["callables"] == [qos._draw_fading] * worker_draws
-    for name in qos._draw_fading.__code__.co_names:
-        found = vars(qos).get(name, getattr(builtins, name, None))
-        assert not getattr(found, "__module__", "").startswith("crancache"), name
+    """Record the PairLayout of each fading draw an episode makes."""
+    layouts = []
+    draw = episode.fading_block
+    monkeypatch.setattr(episode, "fading_block",
+                        lambda layout, rng: layouts.append(layout) or draw(layout, rng))
+    return layouts
 
 
 class DrawFailed(Exception):
@@ -571,166 +492,46 @@ class FailingChannel:
         raise DrawFailed("no fading")
 
 
-def test_fading_worker_exception_reaches_the_caller(monkeypatch):
-    seen = spy_on_fading(monkeypatch)
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)
-    monkeypatch.setattr(episode, "rng_for", lambda seed, purpose, *keys: (
-        FailingChannel() if purpose == "channel" else rng_for(seed, purpose, *keys)))
-    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
-    with pytest.raises(DrawFailed):
-        sim.run_slot(1)
-    assert seen["callables"]  # the failing draw ran on the worker
-    # nothing is left queued: the worker takes the next job at once
-    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
-
-
-class PredictFailed(Exception):
-    pass
-
-
-def test_exception_in_the_slot_leaves_the_fading_worker_idle(monkeypatch):
-    seen = spy_on_fading(monkeypatch)
-    sim = default_size_simulation()
-
-    def failing_predict(contexts):
-        raise PredictFailed("no prediction")
-
-    monkeypatch.setattr(sim.content_bank, "predict", failing_predict)
-    with pytest.raises(PredictFailed):
-        sim.run_slot(1)
-    assert len(seen["futures"]) == 1  # slot 1 handed its fading to the worker
-    # leaving the slot cancelled or waited for the job
-    assert all(future.done() for future in seen["futures"])
-    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
-
-
-def hold_the_worker_after(monkeypatch, calls):
-    """After the `calls`-th capacity_from_fading, queue a job that holds the
-    fading worker until the returned event is set (or 30 s pass), so the draw
-    that slot hands off next waits on the worker's queue."""
-    gate = threading.Event()
-    accumulate = episode.capacity_from_fading
-    count = itertools.count(1)
-
-    def spy_accumulate(signal, interference, radio):
-        if next(count) == calls:  # the class's submit, past any spy on the instance's
-            ThreadPoolExecutor.submit(qos._FADING_WORKER, gate.wait, 30)
-        return accumulate(signal, interference, radio)
-
-    monkeypatch.setattr(episode, "capacity_from_fading", spy_accumulate)
-    return gate
-
-
-def test_deep_copy_with_a_worker_draw_pending_continues_bit_identically(monkeypatch):
-    """A deep copy taken while the worker still holds the next slot's draw
-    holds no draw and leaves the original's jobs alone: it draws slot 4
-    itself, from the same clusters and generator, and continues bit for bit."""
-    seen = spy_on_fading(monkeypatch)
-    gate = hold_the_worker_after(monkeypatch, 3)  # slot 4's draw waits behind it
-    signals = []
-    accumulate = episode.capacity_from_fading
-    monkeypatch.setattr(episode, "capacity_from_fading", lambda signal, interference, radio: (
-        signals.append(signal) or accumulate(signal, interference, radio)))
-    sim = default_size_simulation()
-    try:
-        for slot in range(1, 4):
-            sim.run_slot(slot)
-        handed_off = seen["futures"][3:]
-        assert len(handed_off) == 1
-        twin = copy.deepcopy(sim)  # while the worker is held
-        assert twin._handed_off is None and sim._handed_off[0] == 4
-        assert len(seen["futures"]) == 4  # the copy started no job
-        assert not any(job.done() or job.cancelled() for job in handed_off)
-    finally:
-        gate.set()
-    for slot in range(4, 32):  # past the slot-30 cloud refresh
-        assert twin.run_slot(slot) == sim.run_slot(slot)
-    assert all(job.done() and not job.cancelled() for job in handed_off)
-    assert all(on_the_worker(layout) for layout in seen["layouts"])
-    assert not np.shares_memory(signals[3], signals[4])  # slot 4: the twin's, then the original's
-    assert np.array_equal(twin.caches.rrh, sim.caches.rrh)
-    assert twin.cloud_trace == sim.cloud_trace
-
-
-class TrainFailed(Exception):
-    pass
-
-
-def test_exception_after_the_hand_off_leaves_the_fading_worker_idle(monkeypatch):
-    seen = spy_on_fading(monkeypatch)
-    gate = hold_the_worker_after(monkeypatch, 1)  # slot 2's draw waits behind it
-    sim = default_size_simulation()
-
-    def failing_train_step(observed):
-        raise TrainFailed("no training")
-
-    monkeypatch.setattr(sim.content_bank, "train_step", failing_train_step)
-    try:
-        with pytest.raises(TrainFailed):
-            sim.run_slot(1)
-        # slot 1's job, then the one of the draw it handed off for slot 2,
-        # which the failing slot cancelled while it waited
-        assert len(seen["futures"]) == 2
-        assert all(future.done() for future in seen["futures"])
-    finally:
-        gate.set()
-    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
-
-
-@pytest.mark.parametrize("inline_entries", [qos.MAX_INLINE_FADING_ENTRIES, 1])
-def test_handed_off_draw_exception_comes_out_of_the_slot_that_reads_it(monkeypatch,
-                                                                       inline_entries):
-    seen = spy_on_fading(monkeypatch)
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", inline_entries)  # 1: on the worker
+def test_a_failing_channel_draw_comes_out_of_the_slot_that_reads_it(monkeypatch):
+    """Slot 1 draws only its own fading, so slot 2's failing draw leaves slot 1
+    alone and raises out of run_slot(2)."""
     monkeypatch.setattr(episode, "rng_for", lambda seed, purpose, *keys: (
         FailingChannel() if (purpose, keys) == ("channel", (2,))
         else rng_for(seed, purpose, *keys)))
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
-    sim.run_slot(1)  # hands off slot 2's draw, which fails
+    sim.run_slot(1)
     with pytest.raises(DrawFailed):
         sim.run_slot(2)
-    assert len(seen["futures"]) == (2 if inline_entries == 1 else 0)
-    assert all(future.done() for future in seen["futures"])
-    assert qos._FADING_WORKER.submit(int).result(timeout=30) == 0
 
 
 def test_a_slot_run_out_of_turn_draws_its_own_fading(monkeypatch):
-    """run_slot(3) straight after run_slot(1) discards the draw handed off for
-    slot 2 and draws slot 3 itself: the layout under slot 1's clusters, the
-    fading from slot 3's own generator."""
-    seen = spy_on_fading(monkeypatch)
+    """run_slot(3) straight after run_slot(1) draws slot 3's channel: the layout
+    under slot 1's clusters, the fading from slot 3's own generator."""
+    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=5)
+    sim.run_slot(1)
+    layouts = spy_on_fading(monkeypatch)
     taken = []
     accumulate = episode.capacity_from_fading
     monkeypatch.setattr(episode, "capacity_from_fading", lambda signal, interference, radio: (
         taken.append((signal.copy(), interference.copy()))
         or accumulate(signal, interference, radio)))
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)  # every draw on the worker
-    sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=5)
-    sim.run_slot(1)
-    slot_2 = seen["futures"][1:]
-    assert len(slot_2) == 1
-    sim._channel_draw(3)[1].discard()  # built under slot 1's clusters
-    expected = seen["layouts"][-1]
-    submitted = len(seen["futures"])
+    sim._channel_draw(3)  # built under slot 1's clusters
     sim.run_slot(3)
-    assert all(job.done() for job in slot_2)
-    assert len(seen["futures"]) == submitted + 2  # slot 3's own draw, then slot 4's
-    layout = seen["layouts"][-2]  # slot 3's, then slot 4's
+    assert len(layouts) == 2  # one draw each, no draw for slot 2 or 4
+    expected, layout = layouts
     for name in ("users", "serves", "gains"):
         assert np.array_equal(getattr(layout, name), getattr(expected, name))
-    monkeypatch.undo()  # the reference runs inline, past every spy
-    with qos.fading_block(layout, rng_for(5, "channel", 3)) as fading:
-        signal, interference = fading.take()
+    monkeypatch.undo()  # the reference runs past every spy
+    signal, interference = qos.fading_block(layout, rng_for(5, "channel", 3))
     assert np.array_equal(taken[-1][0], signal)
     assert np.array_equal(taken[-1][1], interference)
 
 
 def test_a_slot_holds_far_less_than_its_whole_fading_block(monkeypatch):
-    """At U = 64 the traced peak of slot 1, which draws its own fading and
-    hands off slot 2's, stays well below the slot's whole (pairs, n_mc,
-    SLOT_SUBSTEPS) block: the fading is drawn in groups of whole users and
-    summed per user as it goes."""
-    seen = spy_on_fading(monkeypatch)
+    """At U = 64 the traced peak of slot 1 stays well below the slot's whole
+    (pairs, n_mc, SLOT_SUBSTEPS) block: the fading is drawn in groups of
+    whole users and summed per user as it goes."""
+    layouts = spy_on_fading(monkeypatch)
     sim = Simulation(ExperimentConfig.default(U=64, T=4, T_tau=4, N_w=16), POLICY_PROPOSED,
                      seed=0)
     tracemalloc.start()
@@ -739,7 +540,7 @@ def test_a_slot_holds_far_less_than_its_whole_fading_block(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    layout = seen["layouts"][0]
+    layout = layouts[0]
     block_bytes = layout.gains.size * layout.n_mc * 8
     assert block_bytes > 16e6  # 20.3 MB: a block worth the guard
     assert peak < block_bytes / 4

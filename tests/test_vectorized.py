@@ -92,8 +92,7 @@ def test_effective_capacity_rows_match_per_row_reference():
 def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes, radio, n_mc, rng):
     """(U, n_mc) slot capacities along U segments, by the three steps an episode runs."""
     layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
-    with fading_block(layout, rng) as fading:
-        return capacity_from_fading(*fading.take(), radio)
+    return capacity_from_fading(*fading_block(layout, rng), radio)
 
 
 def channel_case(counts, n_active=20, seed=5):
@@ -112,9 +111,7 @@ def channel_case(counts, n_active=20, seed=5):
 
 
 @pytest.mark.parametrize("n_mc", [1, 48])
-@pytest.mark.parametrize("inline_entries", [qos.MAX_INLINE_FADING_ENTRIES, 1])
-def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, inline_entries):
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", inline_entries)  # 1: on the worker
+def test_segment_capacity_rows_match_per_user_reference(n_mc):
     # zero interferers, a few, and nine or more (where numpy's pairwise sum
     # would group them differently from one column after the other)
     starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
@@ -123,19 +120,9 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, inlin
         reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
                                   n_mc, shared, unit_scale=1e-6)
         for u in range(len(serving))])
-    handed_off = []
-    submit = qos._FADING_WORKER.submit
-
-    def spy_submit(fn, *args, **kwargs):
-        handed_off.append(fn)
-        return submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(qos._FADING_WORKER, "submit", spy_submit)
     got = segment_capacity_rows(starts, ends, rrhs, serving, interferes, RADIO, n_mc,
                                 np.random.default_rng(100)) * 1e-6
     assert np.array_equal(got, expected)
-    # on the worker: one job, the fading helper
-    assert handed_off == ([qos._draw_fading] if inline_entries == 1 else [])
     for u in range(len(serving)):
         # the one-user form puts the serving RRH first, then the interferers
         positions = np.vstack([rrhs[serving[u]], rrhs[interferes[u]]])
@@ -146,16 +133,6 @@ def test_segment_capacity_rows_match_per_user_reference(monkeypatch, n_mc, inlin
         assert np.array_equal(single, reference_segment_samples(
             starts[u], ends[u], positions, 0, alone, RADIO, n_mc,
             np.random.default_rng(200 + u), unit_scale=1e-6))
-
-
-@pytest.mark.parametrize("n_mc", [1, 48])
-def test_segment_capacity_rows_worker_path_matches_inline_path(monkeypatch, n_mc):
-    """The block drawn on the worker holds the draws of the inline path."""
-    case = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17, 19, 5])
-    inline = segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3))
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", 1)
-    assert np.array_equal(segment_capacity_rows(*case, RADIO, n_mc, np.random.default_rng(3)),
-                          inline)
 
 
 def one_block_fading(layout, rng):
@@ -183,24 +160,16 @@ GROUP_CASES = {
 
 
 @pytest.mark.parametrize("case", GROUP_CASES)
-@pytest.mark.parametrize("inline_entries", [1 << 40, 0])
-def test_grouped_fading_matches_the_one_block_draw(monkeypatch, case, inline_entries):
+def test_grouped_fading_matches_the_one_block_draw(case):
     """signal, interference and the samples equal the one-block draw's byte for
-    byte, inline and on the worker. Every case has users with more than eight
-    interferers, where a pairwise sum would group their rows differently."""
-    monkeypatch.setattr(qos, "MAX_INLINE_FADING_ENTRIES", inline_entries)  # 0: on the worker
+    byte. Every case has users with more than eight interferers, where a
+    pairwise sum would group their rows differently."""
     n_mc, counts = GROUP_CASES[case]
     layout = pair_layout(*channel_case(counts), RADIO, n_mc)
     rows = np.bincount(layout.users) * n_mc * SLOT_SUBSTEPS
     assert (rows.sum() > qos.FADING_GROUP_ENTRIES) == (case != "one-group")
     assert (rows.max() > qos.FADING_GROUP_ENTRIES) == (case == "a-user-alone-exceeds-a-group")
-    handed_off = []
-    submit = qos._FADING_WORKER.submit
-    monkeypatch.setattr(qos._FADING_WORKER, "submit",
-                        lambda fn, *args: handed_off.append(fn) or submit(fn, *args))
-    with fading_block(layout, np.random.default_rng(21)) as fading:
-        signal, interference = fading.take()
-    assert handed_off == ([qos._draw_fading] if inline_entries == 0 else [])
+    signal, interference = fading_block(layout, np.random.default_rng(21))
     expected = one_block_fading(layout, np.random.default_rng(21))
     assert signal.tobytes() == expected[0].tobytes()
     assert interference.tobytes() == expected[1].tobytes()
