@@ -8,8 +8,9 @@ Content can reach a user over four delivery paths, named by their source:
 Given the base exponent theta_O of the cache-local path, the other three are
 scaled so that all four paths meet the same delay-violation probability
 exp(-theta_O * D_max). Effective capacity is the log-MGF rate of the cumulative
-slot service; base-2 logs are paired with base-2 exponents throughout so the
-theta -> 0 limit returns the mean capacity.
+slot service; base-2 logs are paired with base-2 exponents throughout, and
+the rate is taken in its expm1/log1p form about the smallest sample, so the
+theta -> 0 limit returns the mean capacity without a branch.
 
 The channel sampler has three steps, which an episode runs in order at the
 top of each slot, and `segment_capacity_samples` for one user. `pair_layout`
@@ -204,9 +205,13 @@ def effective_capacity_rows(thetas, capacity_samples):
     Row u scores samples[u] at exponent thetas[u] (a scalar applies to every
     row): E = -(1/theta) log2 mean(2^(-theta C)), per slot, since the slot
     is the time unit. theta <= 0 falls back to the theta->0 limit mean(C);
-    theta = +inf scores zero (infeasible path). A row whose every
-    2^(-theta (C - min C)) rounds to 1 also scores mean(C): there the formula
-    would read min C, and mean(C) is the theta->0 limit to within rounding.
+    theta = +inf scores zero (infeasible path). It is computed as
+    E = m - log1p(mean(expm1(x))) / (theta ln 2), with m = min C and
+    x = -theta ln 2 (C - m) <= 0. The minimum sample adds exp(0) = 1, so
+    mean(exp(x)) is at least 1/n and log1p keeps full relative accuracy at
+    both ends of theta; as theta -> 0 the form tends to mean(C) with no
+    branch. A theta below 1e-300 is scored at 1e-300, where E already equals
+    mean(C) to within rounding: a subnormal theta ln 2 would lose digits.
     Each row is computed exactly as a lone row would be.
     """
     samples = np.asarray(capacity_samples, dtype=np.float64)
@@ -219,17 +224,10 @@ def effective_capacity_rows(thetas, capacity_samples):
         out[limit] = samples[limit].mean(axis=1)
     live = ~limit & ~np.isinf(thetas)
     if live.any():
-        theta = thetas[live]
-        exponents = -theta[:, None] * samples[live] * math.log(2.0)
-        peak = exponents.max(axis=1)
-        means = np.exp(exponents - peak[:, None]).mean(axis=1)
-        # math.log, not np.log: the vectorized log may round differently
-        log2_mean = (peak + np.array([math.log(m) for m in means])) / math.log(2.0)
-        rates = -log2_mean / theta
-        flat = means == 1.0
-        if flat.any():
-            rates[flat] = samples[live][flat].mean(axis=1)
-        out[live] = rates
+        scale = np.maximum(thetas[live], 1e-300) * math.log(2.0)
+        floor = samples[live].min(axis=1)
+        x = -scale[:, None] * (samples[live] - floor[:, None])
+        out[live] = floor - np.log1p(np.expm1(x).mean(axis=1)) / scale
     return out
 
 

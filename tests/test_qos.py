@@ -226,19 +226,39 @@ def test_effective_capacity_infinite_theta_scores_zero():
 
 
 def test_effective_capacity_rows_whose_exponentials_all_round_to_one_score_the_mean():
-    """At theta = 1e-300 every 2^(-theta (C - min C)) rounds to 1 and the log-MGF
-    formula would read min C; the theta->0 limit, the mean, is scored instead. An
-    extreme theta still scores min C, and a moderate one keeps its arithmetic."""
+    """At theta = 1e-300 every 2^(-theta (C - min C)) rounds to 1, and the rate is
+    the theta->0 limit, the mean, to within rounding; a subnormal theta scores it
+    too. An extreme theta scores min C."""
     rng = np.random.default_rng(12)
     samples = rng.uniform(20.0, 120.0, (6, 48))
-    assert np.array_equal(effective_capacity_rows(1e-300, samples), samples.mean(axis=1))
+    for theta in (1e-300, 5e-324):
+        assert effective_capacity_rows(theta, samples) == pytest.approx(samples.mean(axis=1),
+                                                                        rel=1e-15)
     assert effective_capacity_rows(1e300, samples) == pytest.approx(samples.min(axis=1),
                                                                    rel=1e-15)
-    ln2 = math.log(2.0)
-    for row, value in zip(samples, effective_capacity_rows(0.05, samples)):
-        exponents = -0.05 * row * ln2
-        peak = exponents.max()
-        assert value == -((peak + math.log(np.exp(exponents - peak).mean())) / ln2) / 0.05
+
+
+def long_double_effective_capacity(theta, samples):
+    """The rows' log-MGF rates in long double: m - log1p(mean(expm1(x))) / (theta ln 2)."""
+    samples = samples.astype(np.longdouble)
+    scale = np.longdouble(theta) * np.log(np.longdouble(2.0))
+    floor = samples.min(axis=1)
+    x = -scale * (samples - floor[:, None])
+    return floor - np.log1p(np.expm1(x).mean(axis=1)) / scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is no wider than double here; the reference "
+                           "would compare double with double")
+@pytest.mark.parametrize("rows", [6, 16])  # 16 x 48: desk_config's U x n_mc
+@pytest.mark.parametrize("theta", [1e-300, 1e-100, 1e-12, 1e-6, 0.05, 1.0, 1e3, 1e300])
+def test_effective_capacity_rows_match_a_long_double_reference(theta, rows):
+    """Every theta keeps full relative accuracy, the small ones included, where a
+    log of exponentials within 1e-10 of 1 would cancel."""
+    samples = np.random.default_rng(12).uniform(20.0, 120.0, (rows, 48))
+    expected = long_double_effective_capacity(theta, samples).astype(np.float64)
+    np.testing.assert_allclose(effective_capacity_rows(theta, samples), expected,
+                               rtol=1e-14, atol=0.0)
 
 
 def test_sums_and_average():

@@ -29,10 +29,10 @@ def reference_effective_capacity(theta, samples):
         return float(samples.mean())
     if math.isinf(theta):
         return 0.0
-    exponents = -theta * samples * math.log(2.0)
-    peak = exponents.max()
-    log2_mean = (peak + math.log(np.exp(exponents - peak).mean())) / math.log(2.0)
-    return float(-log2_mean / theta)
+    scale = max(theta, 1e-300) * math.log(2.0)
+    floor = samples.min()
+    x = -scale * (samples - floor)
+    return float(floor - np.log1p(np.expm1(x).mean()) / scale)
 
 
 def reference_project_to_simplex(raw):
