@@ -225,8 +225,9 @@ def effective_capacity_rows(thetas, capacity_samples):
     live = ~limit & ~np.isinf(thetas)
     if live.any():
         scale = np.maximum(thetas[live], 1e-300) * math.log(2.0)
-        floor = samples[live].min(axis=1)
-        x = -scale[:, None] * (samples[live] - floor[:, None])
+        rows = samples[live]
+        floor = rows.min(axis=1)
+        x = -scale[:, None] * (rows - floor[:, None])
         out[live] = floor - np.log1p(np.expm1(x).mean(axis=1)) / scale
     return out
 
