@@ -45,54 +45,22 @@ def slot_weekday(slot):
 
 
 @dataclass
-class UserArchetype:
-    """A demographic template plus its content-ranking permutation."""
-    age_band: float          # normalized 0..1
-    occupation_code: float   # normalized 0..1
-    device_mix: float        # probability of device type 1
-    rank_permutation: np.ndarray  # rank position -> content index (0-based)
-
-    def conditional(self, base_probs, rotation):
-        """Request distribution at block `rotation` (0 <= rotation < _BLOCK)."""
-        n = base_probs.shape[0]
-        perm = self.rank_permutation.copy()
-        if rotation:  # rotate every block of ranks 2..n, a short last block too
-            cut = 1 + (n - 1) // _BLOCK * _BLOCK
-            perm[1:cut] = np.roll(perm[1:cut].reshape(-1, _BLOCK), rotation, axis=1).ravel()
-            perm[cut:] = np.roll(perm[cut:], rotation)
-        probs = np.empty(n)
-        probs[perm] = base_probs
-        return probs
-
-
-@dataclass
 class Workload:
     """Per-user archetypes and the ground-truth conditional distributions.
 
-    The conditionals depend on the slot only through the block rotation
-    (hour + weekday) % 3, so they are tabulated once per (archetype,
-    rotation); the table and the static context columns are built at
-    construction from the fields above.
+    Archetype a ranks the contents by `rank_permutations[a]` (rank position ->
+    content index, 0-based). The conditionals depend on the slot only through
+    the block rotation (hour + weekday) % 3, so `table[a, rotation]` holds
+    archetype a's distribution at each rotation (read-only). The static context
+    columns follow from the archetype index a of A: occupation a / max(A - 1, 1)
+    and age band (a + 0.5) / A.
     """
-    archetypes: list
-    user_archetype: np.ndarray
-    user_gender: np.ndarray
-    user_device: np.ndarray
-    base_probs: np.ndarray
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-    _static_context: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        table = np.stack([[arch.conditional(self.base_probs, rotation)
-                           for rotation in range(_BLOCK)] for arch in self.archetypes])
-        table.flags.writeable = False
-        self.table = table
-        static = np.zeros((len(self.user_archetype), CONTEXT_FEATURES))
-        static[:, 2] = self.user_gender
-        static[:, 3] = np.array([a.occupation_code for a in self.archetypes])[self.user_archetype]
-        static[:, 4] = np.array([a.age_band for a in self.archetypes])[self.user_archetype]
-        static[:, 5] = self.user_device
-        self._static_context = static
+    user_archetype: np.ndarray     # (U,) archetype index of each user
+    user_gender: np.ndarray        # (U,) 0 or 1
+    user_device: np.ndarray        # (U,) device type, 0 or 1
+    base_probs: np.ndarray         # (N,) Zipf probability of each rank
+    rank_permutations: np.ndarray  # (A, N) rank position -> content index
+    table: np.ndarray = field(repr=False, compare=False)  # (A, _BLOCK, N)
 
     def distribution(self, user, slot):
         """Request distribution of `user` in `slot` (a read-only table row)."""
@@ -104,9 +72,14 @@ class Workload:
 
         Columns: request hour, weekday, gender, occupation, age, device, reserved.
         """
-        out = self._static_context.copy()
+        n_archetypes = len(self.table)
+        out = np.zeros((len(self.user_archetype), CONTEXT_FEATURES))
         out[:, 0] = slot_hour(slot) / 23.0
         out[:, 1] = slot_weekday(slot) / 6.0
+        out[:, 2] = self.user_gender
+        out[:, 3] = self.user_archetype / max(n_archetypes - 1, 1)
+        out[:, 4] = (self.user_archetype + 0.5) / n_archetypes
+        out[:, 5] = self.user_device
         return out
 
     def context(self, user, slot):
@@ -129,32 +102,36 @@ def draw_requests(distributions, rng):
 
 
 def generate_workload(n_users, n_contents, zipf_alpha, n_archetypes, seed):
-    """Build archetypes and per-user assignments; deterministic per seed."""
+    """Draw each archetype's rank permutation and device mix, assign the users
+    round-robin and tabulate the conditionals; deterministic per seed."""
     if n_contents < 2:
         raise ConfigurationError("need at least two contents")
     if n_users < 1 or n_archetypes < 1:
         raise ConfigurationError("need at least one user and one archetype")
     rng = rng_for(seed, "workload")
     base = zipf_probs(n_contents, zipf_alpha)
-    archetypes = []
-    for a in range(n_archetypes):
-        perm = np.arange(n_contents)
+    perms = np.tile(np.arange(n_contents), (n_archetypes, 1))
+    device_mix = np.empty(n_archetypes)
+    for a, perm in enumerate(perms):
         for start in range(1, n_contents, _BLOCK):  # rank 1 stays put
-            block = perm[start:start + _BLOCK].copy()
-            rng.shuffle(block)
-            perm[start:start + _BLOCK] = block
-        archetypes.append(UserArchetype(
-            age_band=(a + 0.5) / n_archetypes,
-            occupation_code=a / max(n_archetypes - 1, 1),
-            device_mix=float(rng.uniform(0.2, 0.8)),
-            rank_permutation=perm,
-        ))
+            rng.shuffle(perm[start:start + _BLOCK])
+        device_mix[a] = rng.uniform(0.2, 0.8)
     user_archetype = np.arange(n_users) % n_archetypes
     user_gender = rng.integers(0, 2, size=n_users)
-    device_mix = np.array([arch.device_mix for arch in archetypes])
     user_device = (rng.random(n_users) < device_mix[user_archetype]).astype(int)
-    return Workload(archetypes=archetypes, user_archetype=user_archetype,
-                    user_gender=user_gender, user_device=user_device, base_probs=base)
+    # at rotation r every block of ranks 2..n, a short last block too, is rolled
+    # r steps; `order` is the rolled rank positions, rolled one step per rotation
+    table = np.empty((n_archetypes, _BLOCK, n_contents))
+    order = np.arange(n_contents)
+    cut = 1 + (n_contents - 1) // _BLOCK * _BLOCK
+    for rotation in range(_BLOCK):
+        table[np.arange(n_archetypes)[:, None], rotation, perms[:, order]] = base
+        order[1:cut] = np.roll(order[1:cut].reshape(-1, _BLOCK), 1, axis=1).ravel()
+        order[cut:] = np.roll(order[cut:], 1)
+    table.flags.writeable = False
+    return Workload(user_archetype=user_archetype, user_gender=user_gender,
+                    user_device=user_device, base_probs=base, rank_permutations=perms,
+                    table=table)
 
 
 def scatter_in_disk(n_points, radius, rng):

@@ -227,7 +227,8 @@ def effective_capacity_rows(thetas, capacity_samples):
         scale = np.maximum(thetas[live], 1e-300) * math.log(2.0)
         rows = samples[live]
         floor = rows.min(axis=1)
-        x = -scale[:, None] * (rows - floor[:, None])
+        with np.errstate(over="ignore"):  # x = -inf past the largest double: E = min C
+            x = -scale[:, None] * (rows - floor[:, None])
         out[live] = floor - np.log1p(np.expm1(x).mean(axis=1)) / scale
     return out
 

@@ -238,6 +238,14 @@ def test_effective_capacity_rows_whose_exponentials_all_round_to_one_score_the_m
                                                                    rel=1e-15)
 
 
+def test_effective_capacity_rows_past_the_largest_double_score_the_minimum_quietly():
+    """At theta = 1e308, theta ln 2 (C - min C) overflows to inf: x = -inf and
+    expm1(x) = -1 for every sample above the minimum, so E = min C, with no
+    overflow warning (the suite turns warnings into errors)."""
+    samples = np.random.default_rng(12).uniform(20.0, 120.0, (6, 48))
+    assert np.array_equal(effective_capacity_rows(1e308, samples), samples.min(axis=1))
+
+
 def long_double_effective_capacity(theta, samples):
     """The rows' log-MGF rates in long double: m - log1p(mean(expm1(x))) / (theta ln 2)."""
     samples = samples.astype(np.longdouble)

@@ -215,21 +215,21 @@ def test_project_to_simplex_rows_match_single_rows():
 
 # ---- workload table -------------------------------------------------------------
 
+@pytest.mark.parametrize("n_archetypes", [1, 4])
 @pytest.mark.parametrize("n_contents", [2, 3, 23, 24])
-def test_workload_table_matches_archetype_conditionals(n_contents):
+def test_workload_table_matches_archetype_conditionals(n_contents, n_archetypes):
     wl = generate_workload(n_users=9, n_contents=n_contents, zipf_alpha=0.9,
-                           n_archetypes=4, seed=6)
+                           n_archetypes=n_archetypes, seed=6)
+    assert wl.rank_permutations.shape == (n_archetypes, n_contents)
     for slot in range(24 * 7):
         hour, weekday = slot_hour(slot), slot_weekday(slot)
         contexts = wl.contexts(slot)
         for user in range(len(wl.user_archetype)):
-            arch = wl.archetypes[wl.user_archetype[user]]
-            expected = reference_conditional(arch.rank_permutation, wl.base_probs, hour, weekday)
-            rotation = (hour + weekday) % 3
-            assert np.array_equal(arch.conditional(wl.base_probs, rotation), expected)
+            a = wl.user_archetype[user]
+            expected = reference_conditional(wl.rank_permutations[a], wl.base_probs, hour, weekday)
             assert np.array_equal(wl.distribution(user, slot), expected)
             context = np.array([hour / 23.0, weekday / 6.0, float(wl.user_gender[user]),
-                                arch.occupation_code, arch.age_band,
+                                a / max(n_archetypes - 1, 1), (a + 0.5) / n_archetypes,
                                 float(wl.user_device[user]), 0.0])
             assert np.array_equal(contexts[user], context)
             assert np.array_equal(wl.context(user, slot), context)

@@ -1,11 +1,12 @@
 """Record the benchmark's end-to-end metrics and one tier-1 run in a JSON file.
 
-Run from anywhere, with the file to write as its only argument:
+Run from anywhere, with the file to write as its first argument:
 
     python3 tools/bench_record.py BENCH_1.json
+    python3 tools/bench_record.py BENCH_4.json --base HEAD~1
 
-For each workload (desk, default, memcap) and each seed 0-9 it runs, one at
-a time in the checkout that holds this script,
+Single-tree mode (no --base): for each workload (desk, default, memcap) and
+each seed 0-9 it runs, one at a time in the checkout that holds this script,
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
@@ -22,15 +23,28 @@ its passed and failed tests. The file holds, per workload:
 - the count of runs whose outputs checked correct, and the run record of
   seed 0;
 
-and the tier-1 wall seconds with its counts. Compare two such files run on
-the same host, one run after the other.
+and the tier-1 wall seconds with its counts.
+
+Paired mode (--base REV): `git archive` exports REV into a temporary
+directory, the base tree; the checkout that holds this script is the change
+tree. For each workload and seed the two trees' own `perfbench/run.py` run
+back to back, the base first on even seeds and the change first on odd ones,
+so that both sides see the same stretch of host load. Per workload the file
+holds each side's entry as above, and the pairs: per end-to-end metric the
+change/base ratio of each seed with their median and quartiles, and the
+number of seeds on which the change was better (in the direction
+BENCHMARK.json gives), and per seed whether the two sides' first-input
+`stats` are equal. It ends with one tier-1 run per tree. A whole paired
+recording takes about 22 minutes on a 2-CPU host.
 """
+import argparse
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,11 +55,11 @@ SECONDS = 20
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
-def bench_run(workload, seed):
-    """(record, stats, result) of one perfbench run, each parsed from its JSON."""
+def bench_run(tree, workload, seed):
+    """(record, stats, result) of one perfbench run in `tree`, each parsed from its JSON."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", "0"]
-    lines = subprocess.run(command, cwd=ROOT, check=True, capture_output=True,
+    lines = subprocess.run(command, cwd=tree, check=True, capture_output=True,
                            text=True).stdout.splitlines()
     tagged = {line.split(" ", 1)[0]: line.split(" ", 1)[1] for line in lines
               if line.startswith(("record ", "stats "))}
@@ -65,8 +79,8 @@ def first_input(stats, seed):
             if key.rsplit("/", 1)[-1] == str(1000 * seed)}
 
 
-def record_workload(workload):
-    runs = {seed: bench_run(workload, seed) for seed in SEEDS}
+def summarize(runs):
+    """One tree's entry for a workload from its runs, {seed: (record, stats, result)}."""
     results = [result for _, _, result in runs.values()]
     units = {name: metric["unit"] for name, metric in results[0]["metrics"].items()}
     return {
@@ -79,16 +93,48 @@ def record_workload(workload):
                     for name, unit in units.items()},
         "first_input_stats": {str(seed): first_input(stats, seed)
                               for seed, (_, stats, _) in runs.items()},
-        "record": runs[SEEDS[0]][0],
+        "record": runs[min(runs)][0],
     }
 
 
-def tier1():
-    """Wall seconds, exit status and test counts of one tier-1 run."""
+def pair(base_runs, change_runs, better):
+    """The pairs of one workload: per metric the change/base ratio of each seed,
+    their spread and the change's win count; per seed whether the first-input
+    `stats` are equal. `better` maps each metric to "lower" or "higher"."""
+    seeds = sorted(base_runs)
+    metrics = {}
+    for name, direction in better.items():
+        base = [base_runs[seed][2]["metrics"][name]["value"] for seed in seeds]
+        change = [change_runs[seed][2]["metrics"][name]["value"] for seed in seeds]
+        wins = sum((c < b) if direction == "lower" else (c > b) for b, c in zip(base, change))
+        metrics[name] = {"better": direction, "change_wins": wins,
+                         **spread([c / b for b, c in zip(base, change)])}
+    return {"ratio": "change / base", "metrics": metrics,
+            "first_input_stats_equal": {
+                str(seed): first_input(base_runs[seed][1], seed)
+                == first_input(change_runs[seed][1], seed) for seed in seeds}}
+
+
+def record_workload(workload):
+    return summarize({seed: bench_run(ROOT, workload, seed) for seed in SEEDS})
+
+
+def record_pairs(workload, base_tree, better):
+    base_runs, change_runs = {}, {}
+    for seed in SEEDS:
+        sides = [(base_tree, base_runs), (ROOT, change_runs)]
+        for tree, runs in sides if seed % 2 == 0 else sides[::-1]:
+            runs[seed] = bench_run(tree, workload, seed)
+    return {"base": summarize(base_runs), "change": summarize(change_runs),
+            "pairs": pair(base_runs, change_runs, better)}
+
+
+def tier1(tree):
+    """Wall seconds, exit status and test counts of one tier-1 run in `tree`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    done = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
     summary = done.stdout.splitlines()[-1] if done.stdout else ""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
@@ -98,17 +144,44 @@ def tier1():
             "summary": summary}
 
 
+def git(*args, **kwargs):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          **kwargs).stdout
+
+
+def paired_report(rev, base_tree):
+    """Export `rev` into `base_tree` and record both trees, paired."""
+    subprocess.run(["tar", "-x", "-C", str(base_tree)], input=git("archive", rev), check=True)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    return {
+        "base": {"rev": rev, "commit": git("rev-parse", rev, text=True).strip()},
+        "change": {"commit": git("rev-parse", "HEAD", text=True).strip()},
+        "order": "base first on even seeds, change first on odd seeds",
+        "workloads": {workload: record_pairs(workload, base_tree, better)
+                      for workload in WORKLOADS},
+        "tier1": {"base": tier1(base_tree), "change": tier1(ROOT)},
+    }
+
+
 def main(argv):
-    if len(argv) != 1:
-        sys.exit("usage: bench_record.py OUT")
+    parser = argparse.ArgumentParser(description="record the benchmark in a JSON file")
+    parser.add_argument("out", help="the JSON file to write")
+    parser.add_argument("--base", metavar="REV",
+                        help="also run REV's tree, paired with this checkout's")
+    args = parser.parse_args(argv)
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                    f"--trace 0",
         "seeds": list(SEEDS),
-        "workloads": {workload: record_workload(workload) for workload in WORKLOADS},
-        "tier1": tier1(),
     }
-    Path(argv[0]).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if args.base:
+        with tempfile.TemporaryDirectory(prefix="bench_base_") as base_tree:
+            report.update(paired_report(args.base, Path(base_tree)))
+    else:
+        report["workloads"] = {workload: record_workload(workload) for workload in WORKLOADS}
+        report["tier1"] = tier1(ROOT)
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
