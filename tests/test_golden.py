@@ -149,6 +149,28 @@ def test_golden_sampled_cloud_refresh(seed, monkeypatch):
     assert hashlib.sha256(repr(report.cloud_trace).encode()).hexdigest() == cloud
 
 
+# The parameter-table defaults at T = 90, proposed, seed 0: (E_bar, sha256 of
+# slot_csv(), of predictor_csv() and of repr(cloud_trace)). This is the
+# benchmark's default path at its real size: R = N_w = 1000, several fading
+# groups per slot, a sampled cloud refresh, and the first mobility readout
+# fit at slot 60, whose predicted association the last 30 slots read.
+DEFAULT_T90 = (
+    2764.4637752845256,
+    "61ffba7bcca3c3c28f5cac32d645b8fdfc7656b462aac5b1c7c00593550bf09c",
+    "ccfa1c72a5a3fce99c19ec9d5b8c0f93804722471b80a1b5d9d76bd7756c7283",
+    "a9d6faeb0f795448600ab623c16b7c0033ad5ee8dca02492d05019b76b55e533",
+)
+
+
+def test_golden_default_scale_episode():
+    e_bar, slots, predictors, cloud = DEFAULT_T90
+    report = run_episode(ExperimentConfig.default(T=90), "proposed", 0)
+    assert report.effective_capacity_avg == pytest.approx(e_bar, rel=0, abs=1e-9)
+    assert hashlib.sha256(report.slot_csv().encode()).hexdigest() == slots
+    assert hashlib.sha256(report.predictor_csv().encode()).hexdigest() == predictors
+    assert hashlib.sha256(repr(report.cloud_trace).encode()).hexdigest() == cloud
+
+
 # memcap arguments after the subcommand (seed 0) -> sha256 of memcap.csv
 GOLDEN_MEMCAP = {
     "pointmass": (
