@@ -204,8 +204,8 @@ class MobilitySchedule:
 
     Each slot the user travels `speed` metres toward the next waypoint, or
     arrives there if it is within reach (arrival consumes the slot and lands
-    exactly on the waypoint), then dwells there for its dwell slots. A
-    topology steps all its users' tours together with `tour_positions`;
+    exactly on the waypoint), then dwells there for its dwell slots.
+    `sim.build_topology` steps all users' tours together with `tour_positions`;
     `positions` is the one-tour case of the same stepper.
     """
     waypoints: np.ndarray    # (n, 2) positions inside the disk

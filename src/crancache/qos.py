@@ -12,17 +12,16 @@ slot service; base-2 logs are paired with base-2 exponents throughout, and
 the rate is taken in its expm1/log1p form about the smallest sample, so the
 theta -> 0 limit returns the mean capacity without a branch.
 
-The channel sampler has three steps, which an episode runs in order at the
-top of each slot, and `segment_capacity_samples` for one user. `pair_layout`
-lists the (user, RRH) pairs a slot draws, with their path gains.
-`fading_block` draws the slot's fading from the slot's generator and returns
-each user's faded serving power (`signal`) and summed interference, two (U,
-n_mc, SLOT_SUBSTEPS) arrays. `capacity_from_fading` then scores the slot
-capacity from the two. The draw never holds the slot's whole (pairs, n_mc,
-SLOT_SUBSTEPS) block: it fills the fading in groups of whole users of at
-most FADING_GROUP_ENTRIES entries, multiplies each group by its gains and
-sums it into the two arrays. Each fill continues the generator's stream, so
-the groups read the values the whole block would hold, in C order, and
+The channel sampler is `segment_capacity_rows`, which an episode calls at
+the top of each slot and `segment_capacity_samples` calls for one user. It
+lays out the (user, RRH) pairs a slot draws, with their path gains, draws
+their fading from the slot's generator and scores the (U, n_mc) slot
+capacities. It never holds the slot's whole (pairs, n_mc, SLOT_SUBSTEPS)
+block: it fills the fading in groups of whole users of at most
+FADING_GROUP_ENTRIES entries, multiplies each group by its gains and sums it
+into each user's faded serving power (`signal`) and summed interference, two
+(U, n_mc, SLOT_SUBSTEPS) arrays. Each fill continues the generator's stream,
+so the groups read the values the whole block would hold, in C order, and
 every product and sum is the one the block would take.
 
 A draw holds the two (U, n_mc, SLOT_SUBSTEPS) arrays and one group: at
@@ -252,64 +251,45 @@ def long_term_average(slot_sums):
     return float(slot_sums.mean()) if slot_sums.size else 0.0
 
 
-@dataclass(frozen=True)
-class PairLayout:
-    """The used (user, column) pairs of one slot's channel draw, before any fading.
-
-    Pairs go users in order and columns in order within a user. `serves`
-    marks each user's serving pair (the others interfere) and `gains` holds
-    each pair's `path_gain` at the SLOT_SUBSTEPS sub-step points. The
-    slot's fading is the (pairs, n_mc, SLOT_SUBSTEPS) block of unit-mean
-    exponentials, in C order, times gains[:, None, :]; `fading_block` draws
-    it in groups of whole users.
-    """
-    n_mc: int
-    users: np.ndarray
-    serves: np.ndarray
-    gains: np.ndarray
-
-
-def pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc):
-    """The PairLayout of U movement segments: which pairs are drawn, and their gains.
+def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes, radio, n_mc, rng):
+    """(U, n_mc) cumulative slot capacities in bit along U movement segments.
 
     User u slides from starts[u] to ends[u] over SLOT_SUBSTEPS equally spaced
     positions. Of the A transmitting RRHs at rrh_positions, column serving[u]
     serves user u and the other columns set in row u of the (U, A) mask
-    `interferes` interfere. RRH-user distances are floored at MIN_DISTANCE_M.
+    `interferes` interfere; RRH-user distances are floored at MIN_DISTANCE_M.
+    The drawn (user, column) pairs go users in order and columns in order
+    within a user. Their fading is the (pairs, n_mc, SLOT_SUBSTEPS) block of
+    unit-mean exponentials from `rng`, in C order, times each pair's
+    `path_gain` at the sub-step points.
+
+    The block is filled in groups of whole users of at most
+    FADING_GROUP_ENTRIES entries; a user whose rows alone exceed it is a
+    group of its own. One buffer holds each group in turn. Each user's
+    serving row is copied into `signal` and then set to 0.0, which moves no
+    bit of a sum, so a user's interference is the sum over its rows: one
+    reduction along the first axis, which numpy adds row after row. Each
+    user's interference thus adds its interferers' powers one column after
+    the other, and does not depend on which other columns exist. (The tests
+    compare users with more than eight interferers, where a pairwise sum
+    would group them differently, against a per-user, per-column reference.)
+    Gamma comes from `sinr`, once, after the last group.
     """
-    n_active = interferes.shape[1]
-    own = np.arange(n_active) == serving[:, None]
+    own = np.arange(interferes.shape[1]) == serving[:, None]
     users, columns = np.nonzero(interferes | own)
+    serves = own[users, columns]
     frac = (np.arange(SLOT_SUBSTEPS) + 0.5) / SLOT_SUBSTEPS
     points = starts[:, None, :] + frac[None, :, None] * (ends - starts)[:, None, :]
     dx = points[users, :, 0] - rrh_positions[columns, 0, None]
     dy = points[users, :, 1] - rrh_positions[columns, 1, None]
-    d = np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE_M)
-    return PairLayout(n_mc, users, own[users, columns], path_gain(d, radio))
+    gains = path_gain(np.maximum(np.sqrt(dx * dx + dy * dy), MIN_DISTANCE_M), radio)
 
-
-def fading_block(layout, rng):
-    """The faded powers of `layout`, drawn from `rng`: (signal, interference).
-
-    Each is (U, n_mc, SLOT_SUBSTEPS): each user's serving power and summed
-    interference. The pairs' unit-mean exponentials times their gains are
-    drawn in groups of whole users of at most FADING_GROUP_ENTRIES entries;
-    a user whose rows alone exceed it is a group of its own. One buffer
-    holds each group in turn. Each user's serving row is copied into
-    `signal` and then set to 0.0, which moves no bit of a sum, so a user's
-    interference is the sum over its rows: one reduction along the first
-    axis, which numpy adds row after row. Each user's interference thus adds
-    its interferers' powers one column after the other, and does not depend
-    on which other columns exist. (The tests compare users with more than
-    eight interferers, where a pairwise sum would group them differently,
-    against one-block and column-by-column references.)
-    """
-    shape = (np.count_nonzero(layout.serves), layout.n_mc, SLOT_SUBSTEPS)
+    shape = (len(starts), n_mc, SLOT_SUBSTEPS)
     signal, interference = np.empty(shape), np.empty(shape)
-    bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1))  # users' first rows, end
-    per_group = FADING_GROUP_ENTRIES // (layout.n_mc * SLOT_SUBSTEPS)  # rows
+    bounds = np.flatnonzero(np.diff(users, prepend=-1, append=-1))  # users' first rows, end
+    per_group = FADING_GROUP_ENTRIES // (n_mc * SLOT_SUBSTEPS)  # rows
     buffer = np.empty((min(max(per_group, np.diff(bounds).max()), bounds[-1]),
-                       layout.n_mc, SLOT_SUBSTEPS))
+                       n_mc, SLOT_SUBSTEPS))
     bounds = bounds.tolist()
     first = 0
     while first < len(bounds) - 1:
@@ -318,24 +298,14 @@ def fading_block(layout, rng):
         hi = bounds[stop]
         group = buffer[:hi - lo]
         rng.standard_exponential(out=group)
-        np.multiply(group, layout.gains[lo:hi, None, :], out=group)
-        serves = layout.serves[lo:hi]
-        signal[first:stop] = group[serves]  # each user has one serving pair
-        group[serves] = 0.0
+        np.multiply(group, gains[lo:hi, None, :], out=group)
+        group_serves = serves[lo:hi]
+        signal[first:stop] = group[group_serves]  # each user has one serving pair
+        group[group_serves] = 0.0
         for user in range(first, stop):
             np.add.reduce(group[bounds[user] - lo:bounds[user + 1] - lo], axis=0,
                           out=interference[user])
         first = stop
-    return signal, interference
-
-
-def capacity_from_fading(signal, interference, radio):
-    """(U, n_mc) cumulative slot capacities in bit, from a draw's faded powers.
-
-    `signal` and `interference` are what `fading_block` returns: each
-    user's (n_mc, SLOT_SUBSTEPS) serving power and summed interference.
-    Gamma comes from `sinr`.
-    """
     return slot_capacity(sinr(signal, interference, radio), radio.bandwidth_hz)
 
 
@@ -344,12 +314,11 @@ def segment_capacity_samples(start, end, serving_pos, interferer_positions,
     """Monte-Carlo draws of one user's cumulative slot capacity along a movement segment.
 
     The user slides from `start` to `end`, served by the RRH at `serving_pos`
-    and interfered with by those at `interferer_positions`. The three steps
-    of an episode's channel draw run in order, `pair_layout`,
-    `fading_block` and `capacity_from_fading`, with the serving RRH as
-    column 0. Returns the user's (n_mc,) samples in bit.
+    and interfered with by those at `interferer_positions`: the one-user
+    `segment_capacity_rows`, with the serving RRH as column 0. Returns the
+    user's (n_mc,) samples in bit.
     """
     positions = np.vstack([serving_pos, np.reshape(interferer_positions, (-1, 2))])
-    layout = pair_layout(np.array([start]), np.array([end]), positions, np.zeros(1, dtype=int),
-                         np.arange(len(positions))[None] > 0, radio, n_mc)
-    return capacity_from_fading(*fading_block(layout, rng), radio)[0]
+    return segment_capacity_rows(np.array([start]), np.array([end]), positions,
+                                 np.zeros(1, dtype=int), np.arange(len(positions))[None] > 0,
+                                 radio, n_mc, rng)[0]

@@ -3,7 +3,7 @@ from .episode import (POLICY_ORACLE, POLICY_PROPOSED, POLICY_RANDOM_CLUSTERED,
                       POLICY_RANDOM_UNCLUSTERED, EpisodeReport, Simulation,
                       SlotMetrics, build_mobility_bank, build_world, check_oracle_guard,
                       enumerate_best_subset, oracle_search_space, run_episode)
-from .world import Topology, build_topology, nearest_rrh, resolve_delivery_path
+from .world import build_topology, nearest_rrh, resolve_delivery_path
 
 __all__ = [
     "EpisodeReport",
@@ -13,7 +13,6 @@ __all__ = [
     "POLICY_RANDOM_UNCLUSTERED",
     "Simulation",
     "SlotMetrics",
-    "Topology",
     "build_mobility_bank",
     "build_topology",
     "build_world",

@@ -44,10 +44,9 @@ from ..config import POLICIES, ExperimentConfig
 from ..data import draw_requests, generate_mobility, generate_workload
 from ..errors import ConfigurationError, InstanceTooLargeError
 from ..esn import ContentEsnBank, LocationGrid, MobilityEsnBank
-from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER, capacity_from_fading,
-                   effective_capacity_rows, fading_block, long_term_average,
-                   map_qos_exponents_lenient, pair_layout, per_content_rate,
-                   sum_effective_capacity)
+from ..qos import (PATH_CLOUD, PATH_LOCAL, PATH_REMOTE, PATH_SERVER,
+                   effective_capacity_rows, long_term_average, map_qos_exponents_lenient,
+                   per_content_rate, segment_capacity_rows, sum_effective_capacity)
 from ..seeding import rng_for
 from .world import build_topology, nearest_rrh, resolve_delivery_path
 
@@ -184,8 +183,8 @@ class Simulation:
         self.plan = config.plan()
 
         self.workload, schedules = build_world(config, self.seed)
-        self.topology = build_topology(config["R"], schedules, config["T"],
-                                       config["r"], self.seed)
+        self.rrh_positions, self.tracks = build_topology(config["R"], schedules, config["T"],
+                                                         config["r"], self.seed)
 
         # Only what the policy reads is built: random_unclustered reads no
         # prediction, and oracle-like runs read the true distributions and
@@ -220,15 +219,14 @@ class Simulation:
         formed. Idle RRHs transmit nothing: interference comes from RRHs that
         are actively serving users and sit outside the cooperating set.
         """
-        serving = nearest_rrh(self.topology.tracks[slot], self.topology.rrh_positions)
-        active = np.flatnonzero(np.bincount(serving, minlength=self.cfg["R"]))
-        column = np.searchsorted(active, serving)
-        layout = pair_layout(*self.topology.segments(slot),
-                             self.topology.rrh_positions[active], column,
-                             ~self.cluster_set.cooperation(active)[column],
-                             self.radio, self.cfg["n_mc"])
-        fading = fading_block(layout, rng_for(self.seed, "channel", slot))
-        return serving, capacity_from_fading(*fading, self.radio) * CAPACITY_UNIT
+        serving = nearest_rrh(self.tracks[slot], self.rrh_positions)
+        active, column = np.unique(serving, return_inverse=True)
+        samples = segment_capacity_rows(self.tracks[slot - 1], self.tracks[slot],
+                                        self.rrh_positions[active], column,
+                                        ~self.cluster_set.cooperation(active)[column],
+                                        self.radio, self.cfg["n_mc"],
+                                        rng_for(self.seed, "channel", slot))
+        return serving, samples * CAPACITY_UNIT
 
     def _predictions(self, slot, truth):
         """(U, N) request-distribution predictions (BBU view); None if the policy reads none."""
@@ -243,7 +241,7 @@ class Simulation:
         predicted = None if self.mobility is None else self.mobility.predicted_positions()
         if predicted is None:
             return serving
-        return nearest_rrh(predicted, self.topology.rrh_positions)
+        return nearest_rrh(predicted, self.rrh_positions)
 
     def _update_rrh_caches(self, slot, assoc, predictions, samples):
         cfg = self.cfg
@@ -291,7 +289,7 @@ class Simulation:
         U = cfg["U"]
         serving, samples = self._channel_draw(slot)
         if self.mobility is not None and (slot - 1) % cfg["H"] == 0:
-            self.mobility.observe(self.topology.tracks[slot][None])
+            self.mobility.observe(self.tracks[slot][None])
 
         truth = self.workload.distributions(slot)
         predictions = self._predictions(slot, truth)

@@ -1,6 +1,9 @@
-"""Topology, per-slot world state, and delivery-path resolution."""
-from dataclasses import dataclass
+"""The episode's world: RRH positions and user tracks, serving RRHs, delivery paths.
 
+`build_topology` places the RRHs and steps every user's tour once, at
+construction; `nearest_rrh` gives each position its serving RRH and
+`resolve_delivery_path` each request its delivery path.
+"""
 import numpy as np
 
 from ..data import scatter_in_disk, tour_positions
@@ -17,30 +20,20 @@ def nearest_rrh(positions, rrh_positions):
     return (dx * dx + dy * dy).argmin(axis=1)
 
 
-@dataclass
-class Topology:
-    """RRH layout plus the per-user mobility tracks for a whole episode.
-
-    `tracks` is `data.tour_positions` of the users' schedules over T slots,
-    built once at construction with every user stepped together. It has
-    T + 1 rows: row k holds every user's position after slot k, so row 0 is
-    the start (each user's waypoint 0) and slot k runs from row k - 1 to
-    row k.
-    """
-    rrh_positions: np.ndarray        # (R, 2)
-    tracks: np.ndarray               # (T + 1, U, 2)
-
-    def segments(self, slot):
-        """(starts, ends), each (U, 2): every user's movement during 1-based `slot`."""
-        return self.tracks[slot - 1], self.tracks[slot]
-
-
 def build_topology(n_rrhs, schedules, n_slots, disk_radius, seed):
+    """(rrh_positions, tracks): the (R, 2) RRH layout and the users' (T + 1, U, 2) tracks.
+
+    The RRHs are scattered in the disk from the seed's topology generator.
+    `tracks` is `data.tour_positions` of the users' schedules over T slots,
+    with every user stepped together. Row k holds every user's position after
+    slot k, so row 0 is the start (each user's waypoint 0) and slot k runs
+    from row k - 1 to row k.
+    """
     if n_rrhs < 1 or not schedules:
         raise ConfigurationError("topology needs RRHs and users")
     rng = rng_for(seed, "topology")
     rrh_positions = scatter_in_disk(n_rrhs, disk_radius, rng)
-    return Topology(rrh_positions=rrh_positions, tracks=tour_positions(schedules, n_slots))
+    return rrh_positions, tour_positions(schedules, n_slots)
 
 
 def resolve_delivery_path(contents, serving, caches):

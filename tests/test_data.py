@@ -222,7 +222,7 @@ def test_zero_slots_leave_only_the_start():
 
 def test_topology_tracks_stack_the_per_schedule_reference():
     schedules = generate_mobility(6, 500.0, 3, 25.0, seed=8)
-    tracks = build_topology(4, schedules, 200, 500.0, seed=8).tracks
+    tracks = build_topology(4, schedules, 200, 500.0, seed=8)[1]
     expected = np.stack([np.vstack([s.waypoints[0], _norm_positions(s, 200)])
                          for s in schedules], axis=1)
     assert _same_bits(tracks, expected)

@@ -63,14 +63,13 @@ def test_sinr_zero_distance_raises():
 
 
 def test_segment_capacity_rows_compute_gamma_through_sinr(monkeypatch):
-    """The channel sampler has no SINR of its own: capacity_from_fading calls qos.sinr."""
-    layout = qos.pair_layout(
-        np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[30.0, 40.0], [290.0, 10.0]]),
-        np.array([[200.0, 0.0], [500.0, 500.0], [-400.0, 100.0]]), np.array([0, 1]),
-        np.array([[False, True, True], [True, False, False]]), RADIO, 16)
-
+    """The channel sampler has no SINR of its own: segment_capacity_rows calls qos.sinr."""
     def rows():
-        return qos.capacity_from_fading(*qos.fading_block(layout, np.random.default_rng(4)), RADIO)
+        return qos.segment_capacity_rows(
+            np.array([[0.0, 0.0], [300.0, 0.0]]), np.array([[30.0, 40.0], [290.0, 10.0]]),
+            np.array([[200.0, 0.0], [500.0, 500.0], [-400.0, 100.0]]), np.array([0, 1]),
+            np.array([[False, True, True], [True, False, False]]), RADIO, 16,
+            np.random.default_rng(4))
 
     expected = rows()
     calls = []

@@ -163,7 +163,7 @@ def test_static_users_run_a_full_episode():
                                    N_w=48, n_mc=48, archetypes=4, v_B=6e8, v_F=1.2e9,
                                    S=0.0)
     sim = Simulation(cfg, POLICY_PROPOSED, seed=0)
-    tracks = sim.topology.tracks
+    tracks = sim.tracks
     np.testing.assert_array_equal(tracks, np.broadcast_to(tracks[0], tracks.shape))
     report = sim.run()
     assert len(report.slots) == cfg["T"]
@@ -183,8 +183,7 @@ def test_request_draw_stays_in_catalog_when_cdf_ends_short():
 
 def test_user_on_an_rrh_keeps_a_finite_slot():
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=0)
-    topology = sim.topology
-    topology.tracks[:, 0] = topology.rrh_positions[1]
+    sim.tracks[:, 0] = sim.rrh_positions[1]
     for k in (1, 2):
         metrics = sim.run_slot(k)
         assert np.isfinite(metrics.effective_sum)
@@ -473,12 +472,18 @@ def test_content_reservoir_has_a_stream_of_its_own():
 # ---- the channel draw -----------------------------------------------------------
 
 def spy_on_fading(monkeypatch):
-    """Record the PairLayout of each fading draw an episode makes."""
-    layouts = []
-    draw = episode.fading_block
-    monkeypatch.setattr(episode, "fading_block",
-                        lambda layout, rng: layouts.append(layout) or draw(layout, rng))
-    return layouts
+    """Record each channel draw an episode makes: its arguments but the generator,
+    and the (U, n_mc) capacities it returned."""
+    draws = []
+    draw = episode.segment_capacity_rows
+
+    def spy(*args):
+        rows = draw(*args)
+        draws.append((args[:-1], rows))
+        return rows
+
+    monkeypatch.setattr(episode, "segment_capacity_rows", spy)
+    return draws
 
 
 class DrawFailed(Exception):
@@ -509,29 +514,22 @@ def test_a_slot_run_out_of_turn_draws_its_own_fading(monkeypatch):
     under slot 1's clusters, the fading from slot 3's own generator."""
     sim = Simulation(tiny_config(), POLICY_PROPOSED, seed=5)
     sim.run_slot(1)
-    layouts = spy_on_fading(monkeypatch)
-    taken = []
-    accumulate = episode.capacity_from_fading
-    monkeypatch.setattr(episode, "capacity_from_fading", lambda signal, interference, radio: (
-        taken.append((signal.copy(), interference.copy()))
-        or accumulate(signal, interference, radio)))
+    draws = spy_on_fading(monkeypatch)
     sim._channel_draw(3)  # built under slot 1's clusters
     sim.run_slot(3)
-    assert len(layouts) == 2  # one draw each, no draw for slot 2 or 4
-    expected, layout = layouts
-    for name in ("users", "serves", "gains"):
-        assert np.array_equal(getattr(layout, name), getattr(expected, name))
+    assert len(draws) == 2  # one draw each, no draw for slot 2 or 4
+    (expected, _), (args, rows) = draws
+    assert len(args) == len(expected)
+    assert all(np.array_equal(got, want) for got, want in zip(args, expected))
     monkeypatch.undo()  # the reference runs past every spy
-    signal, interference = qos.fading_block(layout, rng_for(5, "channel", 3))
-    assert np.array_equal(taken[-1][0], signal)
-    assert np.array_equal(taken[-1][1], interference)
+    assert np.array_equal(rows, qos.segment_capacity_rows(*args, rng_for(5, "channel", 3)))
 
 
 def test_a_slot_holds_far_less_than_its_whole_fading_block(monkeypatch):
     """At U = 64 the traced peak of slot 1 stays well below the slot's whole
     (pairs, n_mc, SLOT_SUBSTEPS) block: the fading is drawn in groups of
     whole users and summed per user as it goes."""
-    layouts = spy_on_fading(monkeypatch)
+    draws = spy_on_fading(monkeypatch)
     sim = Simulation(ExperimentConfig.default(U=64, T=4, T_tau=4, N_w=16), POLICY_PROPOSED,
                      seed=0)
     tracemalloc.start()
@@ -540,7 +538,8 @@ def test_a_slot_holds_far_less_than_its_whole_fading_block(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    layout = layouts[0]
-    block_bytes = layout.gains.size * layout.n_mc * 8
+    (_, _, _, serving, interferes, _, n_mc), _ = draws[0]
+    serves = np.arange(interferes.shape[1]) == serving[:, None]
+    block_bytes = np.count_nonzero(interferes | serves) * n_mc * qos.SLOT_SUBSTEPS * 8
     assert block_bytes > 16e6  # 20.3 MB: a block worth the guard
     assert peak < block_bytes / 4

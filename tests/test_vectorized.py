@@ -13,9 +13,9 @@ import pytest
 from crancache import qos
 from crancache.data import generate_workload, slot_hour, slot_weekday
 from crancache.esn import project_to_simplex
-from crancache.qos import (SLOT_SUBSTEPS, RadioParams, capacity_from_fading,
-                           effective_capacity_from_samples, effective_capacity_rows,
-                           fading_block, pair_layout, segment_capacity_samples)
+from crancache.qos import (SLOT_SUBSTEPS, RadioParams, effective_capacity_from_samples,
+                           effective_capacity_rows, segment_capacity_rows,
+                           segment_capacity_samples)
 from crancache.seeding import _PURPOSES, rng_for
 
 RADIO = RadioParams()
@@ -89,12 +89,6 @@ def test_effective_capacity_rows_match_per_row_reference():
 
 # ---- channel sampling -----------------------------------------------------------
 
-def segment_capacity_rows(starts, ends, rrh_positions, serving, interferes, radio, n_mc, rng):
-    """(U, n_mc) slot capacities along U segments, by the three steps an episode runs."""
-    layout = pair_layout(starts, ends, rrh_positions, serving, interferes, radio, n_mc)
-    return capacity_from_fading(*fading_block(layout, rng), radio)
-
-
 def channel_case(counts, n_active=20, seed=5):
     """Segments, RRHs, serving columns and interferer masks with the given counts."""
     rng = np.random.default_rng(seed)
@@ -110,11 +104,26 @@ def channel_case(counts, n_active=20, seed=5):
     return starts, ends, rrhs, serving, interferes
 
 
-@pytest.mark.parametrize("n_mc", [1, 48])
-def test_segment_capacity_rows_match_per_user_reference(n_mc):
-    # zero interferers, a few, and nine or more (where numpy's pairwise sum
-    # would group them differently from one column after the other)
-    starts, ends, rrhs, serving, interferes = channel_case([0, 3, 9, 1, 12, 0, 9, 3, 17])
+# how the users fall into groups of FADING_GROUP_ENTRIES: (n_mc, interferer counts).
+# Every case has users with zero interferers, a few, and nine or more (where
+# numpy's pairwise sum would group them differently from one column after
+# the other).
+CASES = {
+    "one-sample": (1, [0, 3, 9, 1, 12, 0, 9, 3, 17]),
+    "one-group": (48, [0, 3, 9, 1, 12, 0, 9, 3, 17]),
+    "several-groups": (48, [9, 12, 0, 17, 3, 10, 11, 1] * 8),
+    "a-user-alone-exceeds-a-group": (800, [3, 12, 0, 17, 2, 9]),
+    "one-sample-several-groups": (1, [0, 3, 9, 12, 17, 19] * 240),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_segment_capacity_rows_match_per_user_reference(case):
+    n_mc, counts = CASES[case]
+    starts, ends, rrhs, serving, interferes = channel_case(counts)
+    entries = (1 + interferes.sum(axis=1)) * n_mc * SLOT_SUBSTEPS  # per user
+    assert (entries.sum() > qos.FADING_GROUP_ENTRIES) == (case not in ("one-sample", "one-group"))
+    assert (entries.max() > qos.FADING_GROUP_ENTRIES) == (case == "a-user-alone-exceeds-a-group")
     shared = np.random.default_rng(100)  # users draw in turn from one generator
     expected = np.stack([
         reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
@@ -133,48 +142,6 @@ def test_segment_capacity_rows_match_per_user_reference(n_mc):
         assert np.array_equal(single, reference_segment_samples(
             starts[u], ends[u], positions, 0, alone, RADIO, n_mc,
             np.random.default_rng(200 + u), unit_scale=1e-6))
-
-
-def one_block_fading(layout, rng):
-    """The whole-block draw that the grouped one replaced: (signal, interference)
-    from one (pairs, n_mc, SLOT_SUBSTEPS) block, with the same numpy calls."""
-    block = np.empty((len(layout.users), layout.n_mc, SLOT_SUBSTEPS))
-    rng.standard_exponential(out=block)
-    np.multiply(block, layout.gains[:, None, :], out=block)
-    signal = block[layout.serves]
-    block[layout.serves] = 0.0
-    interference = np.empty_like(signal)
-    bounds = np.flatnonzero(np.diff(layout.users, prepend=-1, append=-1)).tolist()
-    for user, (first, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.add.reduce(block[first:stop], axis=0, out=interference[user])
-    return signal, interference
-
-
-# how the users fall into groups of FADING_GROUP_ENTRIES: (n_mc, interferer counts)
-GROUP_CASES = {
-    "one-group": (48, [0, 3, 9, 1]),
-    "several-groups": (48, [9, 12, 0, 17, 3, 10, 11, 1] * 8),
-    "a-user-alone-exceeds-a-group": (800, [3, 12, 0, 17, 2, 9]),
-    "one-sample-several-groups": (1, [0, 3, 9, 12, 17, 19] * 240),
-}
-
-
-@pytest.mark.parametrize("case", GROUP_CASES)
-def test_grouped_fading_matches_the_one_block_draw(case):
-    """signal, interference and the samples equal the one-block draw's byte for
-    byte. Every case has users with more than eight interferers, where a
-    pairwise sum would group their rows differently."""
-    n_mc, counts = GROUP_CASES[case]
-    layout = pair_layout(*channel_case(counts), RADIO, n_mc)
-    rows = np.bincount(layout.users) * n_mc * SLOT_SUBSTEPS
-    assert (rows.sum() > qos.FADING_GROUP_ENTRIES) == (case != "one-group")
-    assert (rows.max() > qos.FADING_GROUP_ENTRIES) == (case == "a-user-alone-exceeds-a-group")
-    signal, interference = fading_block(layout, np.random.default_rng(21))
-    expected = one_block_fading(layout, np.random.default_rng(21))
-    assert signal.tobytes() == expected[0].tobytes()
-    assert interference.tobytes() == expected[1].tobytes()
-    assert (capacity_from_fading(signal, interference, RADIO).tobytes()
-            == capacity_from_fading(*expected, RADIO).tobytes())
 
 
 def test_fully_cooperating_user_matches_a_zero_interferer_reference():
