@@ -104,26 +104,10 @@ def channel_case(counts, n_active=20, seed=5):
     return starts, ends, rrhs, serving, interferes
 
 
-# how the users fall into groups of FADING_GROUP_ENTRIES: (n_mc, interferer counts).
-# Every case has users with zero interferers, a few, and nine or more (where
-# numpy's pairwise sum would group them differently from one column after
-# the other).
-CASES = {
-    "one-sample": (1, [0, 3, 9, 1, 12, 0, 9, 3, 17]),
-    "one-group": (48, [0, 3, 9, 1, 12, 0, 9, 3, 17]),
-    "several-groups": (48, [9, 12, 0, 17, 3, 10, 11, 1] * 8),
-    "a-user-alone-exceeds-a-group": (800, [3, 12, 0, 17, 2, 9]),
-    "one-sample-several-groups": (1, [0, 3, 9, 12, 17, 19] * 240),
-}
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_segment_capacity_rows_match_per_user_reference(case):
-    n_mc, counts = CASES[case]
+def assert_rows_match_per_user_reference(n_mc, counts):
+    """segment_capacity_rows equals the per-user, per-column reference drawn
+    in turn from one shared generator, and the one-user form its reference."""
     starts, ends, rrhs, serving, interferes = channel_case(counts)
-    entries = (1 + interferes.sum(axis=1)) * n_mc * SLOT_SUBSTEPS  # per user
-    assert (entries.sum() > qos.FADING_GROUP_ENTRIES) == (case not in ("one-sample", "one-group"))
-    assert (entries.max() > qos.FADING_GROUP_ENTRIES) == (case == "a-user-alone-exceeds-a-group")
     shared = np.random.default_rng(100)  # users draw in turn from one generator
     expected = np.stack([
         reference_segment_samples(starts[u], ends[u], rrhs, serving[u], interferes[u], RADIO,
@@ -142,6 +126,43 @@ def test_segment_capacity_rows_match_per_user_reference(case):
         assert np.array_equal(single, reference_segment_samples(
             starts[u], ends[u], positions, 0, alone, RADIO, n_mc,
             np.random.default_rng(200 + u), unit_scale=1e-6))
+
+
+def fading_entries(n_mc, counts):
+    """Fading entries per user: the serving column and each interferer."""
+    return (1 + np.asarray(counts)) * n_mc * SLOT_SUBSTEPS
+
+
+@pytest.mark.parametrize("n_mc", [1, 48])
+def test_segment_capacity_rows_match_per_user_reference(n_mc):
+    # zero interferers, a few, and nine or more (where numpy's pairwise sum
+    # would group them differently from one column after the other)
+    counts = [0, 3, 9, 1, 12, 0, 9, 3, 17]
+    assert fading_entries(n_mc, counts).sum() <= qos.FADING_GROUP_ENTRIES  # one group
+    assert_rows_match_per_user_reference(n_mc, counts)
+
+
+# how the users fall into groups of FADING_GROUP_ENTRIES: (n_mc, interferer counts)
+GROUP_CASES = {
+    "one-group": (48, [0, 3, 9, 1]),
+    "several-groups": (48, [9, 12, 0, 17, 3, 10, 11, 1] * 8),
+    "a-user-alone-exceeds-a-group": (800, [3, 12, 0, 17, 2, 9]),
+    "one-sample-several-groups": (1, [0, 3, 9, 12, 17, 19] * 240),
+}
+
+
+@pytest.mark.parametrize("case", GROUP_CASES)
+def test_grouped_fading_matches_the_one_block_draw(case):
+    """However the users fall into groups, the rows equal those of the whole
+    slot's fading read from the generator as one block: the per-user reference
+    draws each user's columns in turn from one shared generator. Every case
+    has users with more than eight interferers, where a pairwise sum would
+    group their rows differently."""
+    n_mc, counts = GROUP_CASES[case]
+    entries = fading_entries(n_mc, counts)
+    assert (entries.sum() > qos.FADING_GROUP_ENTRIES) == (case != "one-group")
+    assert (entries.max() > qos.FADING_GROUP_ENTRIES) == (case == "a-user-alone-exceeds-a-group")
+    assert_rows_match_per_user_reference(n_mc, counts)
 
 
 def test_fully_cooperating_user_matches_a_zero_interferer_reference():
